@@ -60,10 +60,6 @@ def saturate(d: BLDatum, H: Subgroup) -> Subgroup:
     return Subgroup(d.G, tuple(members))
 
 
-def is_saturated(d: BLDatum, H: Subgroup) -> bool:
-    return saturate(d, H).members == H.members
-
-
 @dataclass(frozen=True)
 class ConstantReport:
     value: ExactValue
@@ -138,15 +134,3 @@ def extremizer(d: BLDatum, report: Optional[ConstantReport] = None) -> list[list
             [Fraction(1) if y in mem else Fraction(0) for y in range(d.codomains[j].order)]
         )
     return out
-
-
-def constant_of_modes(
-    d: BLDatum, haar_G: HaarMode, haar_codomains
-) -> ExactValue:
-    """Constant of the same datum under different Haar modes (covariance check)."""
-    return bl_constant(d.with_haar(haar_G, haar_codomains)).value
-
-
-def compare(a: ExactValue, b: ExactValue) -> int:
-    """Total order on exact values: -1, 0, or 1."""
-    return a.compare(b)

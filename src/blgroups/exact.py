@@ -132,13 +132,17 @@ class ExactValue:
         if diff.is_one:
             return 0
         bits = _START_BITS
-        while bits <= _MAX_BITS:
-            box = diff._log_interval(bits)
-            if box.a > 0:
-                return 1
-            if box.b < 0:
-                return -1
-            bits *= 2
+        caller_prec = iv.prec  # iv is global state and has no workprec
+        try:
+            while bits <= _MAX_BITS:
+                box = diff._log_interval(bits)
+                if box.a > 0:
+                    return 1
+                if box.b < 0:
+                    return -1
+                bits *= 2
+        finally:
+            iv.prec = caller_prec
         raise UndecidedComparisonError(
             f"cannot separate {self} from {other} at {_MAX_BITS} bits"
         )
@@ -175,7 +179,8 @@ def exact_max(values):
     """Argmax over ExactValues with deterministic first-wins tie handling.
 
     Returns (index, value, tie) where tie means some other index attains the
-    same value exactly.
+    same value exactly.  Equal values have identical canonical factors, so
+    ties need no interval arithmetic.
     """
     values = list(values)
     if not values:
@@ -184,7 +189,6 @@ def exact_max(values):
     for i in range(1, len(values)):
         if values[i].compare(values[best]) > 0:
             best = i
-    tie = any(
-        i != best and values[i].compare(values[best]) == 0 for i in range(len(values))
-    )
+    top = values[best].factors
+    tie = any(i != best and v.factors == top for i, v in enumerate(values))
     return best, values[best], tie

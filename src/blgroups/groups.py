@@ -13,6 +13,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_ORDER_CAP = 4096
@@ -83,6 +84,11 @@ class FiniteGroup:
         return self.labels[x] if self.labels else str(x)
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the table is immutable, so hash it once per group, not per call
         return hash((self.order, self.identity, self.table))
 
 
@@ -137,7 +143,7 @@ class Subgroup:
         return frozenset(self.members)
 
     def __hash__(self):
-        return hash((id(self.parent), self.members))
+        return hash((self.parent, self.members))
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,11 @@ def heisenberg_commutator(
     )
     # the central formula (0, Im(conj(z_a) . z_b)) must agree with the
     # elementwise computation; this is an internal consistency check
-    assert all(v == 0 for pair in out.z for v in pair)
-    assert out.t == _symplectic(a.z, b.z)
+    central = _symplectic(a.z, b.z)
+    if any(v for pair in out.z for v in pair) or out.t != central:
+        raise ArithmeticError(
+            f"commutator {out} disagrees with the central formula (0, {central})"
+        )
     return out
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .constant import extremizer
 from .datum import BLDatum
 from .exact import ExactValue, exact_max
 from .groups import haar_weight
@@ -53,71 +52,89 @@ class AscentTrace:
     converged: bool
 
 
-def evaluate_form(d: BLDatum, t: InputTuple):
-    """sum_x w(x) prod_j f_j(sigma_j(x)); exact when the inputs are rational."""
+class _Form:
+    """The multilinear form of one datum, with its per-datum constants (the
+    source weight w, the map tables, the codomain weights and exponents)
+    computed once.  The form value is exact when w and the inputs are
+    rational; the ascent builds it with a float w."""
+
+    def __init__(self, d: BLDatum, w):
+        self.w = w
+        self.maps = [h.map for h in d.maps]
+        self.whole = (0,) * d.G.order  # sends every x to one fiber
+        self.sizes = [c.order for c in d.codomains]
+        self.weights = [
+            float(haar_weight(c, mode)) for c, mode in zip(d.codomains, d.haar_codomains)
+        ]
+        self.exponents = d.exponents
+        self.powers = [None if p.is_infinite else float(p.value) for p in d.exponents]
+
+    def _fiber_sums(self, funcs, key, size: int, skip: int = -1) -> list:
+        """Sum of w * prod_{j != skip} f_j(sigma_j(x)) over each fiber of key."""
+        factors = [(f, m) for j, (f, m) in enumerate(zip(funcs, self.maps)) if j != skip]
+        w = self.w
+        sums = [w * 0] * size
+        for x, y in enumerate(key):
+            prod = w
+            for f, m in factors:
+                prod *= f[m[x]]
+                if not prod:
+                    break
+            if prod:
+                sums[y] += prod
+        return sums
+
+    def value(self, funcs):
+        return self._fiber_sums(funcs, self.whole, 1)[0]
+
+    def norm(self, j: int, f: Sequence) -> float:
+        """The p_j-norm of f on codomain j, weighted by its Haar mode."""
+        pv = self.powers[j]
+        if pv is None:
+            return max(abs(float(v)) for v in f)
+        w = self.weights[j]
+        return (sum(w * abs(float(v)) ** pv for v in f)) ** (1.0 / pv)
+
+    def rayleigh(self, funcs) -> float:
+        norms = [self.norm(j, f) for j, f in enumerate(funcs)]
+        if any(n == 0 for n in norms):
+            raise ValueError("all inputs must have positive norm")
+        return float(self.value(funcs)) / math.prod(norms)
+
+    def update(self, funcs: list[list[float]], k: int) -> list[float]:
+        """Exact maximizer of the form over f_k with its p_k-norm fixed."""
+        size = self.sizes[k]
+        wk = self._fiber_sums(funcs, self.maps[k], size, skip=k)
+        p = self.exponents[k]
+        if p.is_infinite:
+            return [1.0] * size
+        if p.value == 1:
+            top = max(wk)
+            if top <= 0.0:
+                return [1.0] * size
+            arg = [1.0 if v >= top else 0.0 for v in wk]
+            share = sum(arg)
+            return [v / share for v in arg]
+        q = 1.0 / (self.powers[k] - 1.0)
+        return [v**q for v in wk]
+
+
+def _exact_form(d: BLDatum, t: InputTuple) -> _Form:
     for j, f in enumerate(t.functions):
         if len(f) != d.codomains[j].order:
             raise ValueError(f"input {j} has length {len(f)}, expected "
                              f"{d.codomains[j].order}")
-    w = haar_weight(d.G, d.haar_G)
-    maps = [h.map for h in d.maps]
-    total = 0
-    for x in range(d.G.order):
-        prod = w
-        for f, m in zip(t.functions, maps):
-            prod *= f[m[x]]
-            if not prod:
-                break
-        total += prod
-    return total
+    return _Form(d, haar_weight(d.G, d.haar_G))
 
 
-def lp_norm(d: BLDatum, j: int, f: Sequence) -> float:
-    """The p_j-norm of f on codomain j, weighted by its Haar mode."""
-    p = d.exponents[j]
-    if p.is_infinite:
-        return max(abs(float(v)) for v in f)
-    w = float(haar_weight(d.codomains[j], d.haar_codomains[j]))
-    pv = float(p.value)
-    return (sum(w * abs(float(v)) ** pv for v in f)) ** (1.0 / pv)
+def evaluate_form(d: BLDatum, t: InputTuple):
+    """sum_x w(x) prod_j f_j(sigma_j(x)); exact when the inputs are rational."""
+    return _exact_form(d, t).value(t.functions)
 
 
 def rayleigh(d: BLDatum, t: InputTuple) -> float:
     """Form value divided by the product of input norms; scale invariant."""
-    norms = [lp_norm(d, j, f) for j, f in enumerate(t.functions)]
-    if any(n == 0 for n in norms):
-        raise ValueError("all inputs must have positive norm")
-    return float(evaluate_form(d, t)) / math.prod(norms)
-
-
-def _update_block(d: BLDatum, funcs: list[list[float]], k: int) -> list[float]:
-    """Exact maximizer of the form over f_k with its p_k-norm fixed."""
-    w = float(haar_weight(d.G, d.haar_G))
-    maps = [h.map for h in d.maps]
-    size = d.codomains[k].order
-    wk = [0.0] * size
-    for x in range(d.G.order):
-        prod = w
-        for j, f in enumerate(funcs):
-            if j == k:
-                continue
-            prod *= f[maps[j][x]]
-            if prod == 0.0:
-                break
-        if prod:
-            wk[maps[k][x]] += prod
-    p = d.exponents[k]
-    if p.is_infinite:
-        return [1.0] * size
-    if p.value == 1:
-        top = max(wk)
-        if top <= 0.0:
-            return [1.0] * size
-        arg = [1.0 if v >= top else 0.0 for v in wk]
-        share = sum(arg)
-        return [v / share for v in arg]
-    q = 1.0 / (float(p.value) - 1.0)
-    return [v**q for v in wk]
+    return _exact_form(d, t).rayleigh(t.functions)
 
 
 def alternating_ascent(
@@ -132,9 +149,10 @@ def alternating_ascent(
     is nondecreasing up to renormalization jitter.  Inputs are renormalized
     each sweep to unit norm to avoid overflow.
     """
+    form = _Form(d, float(haar_weight(d.G, d.haar_G)))
     funcs = [[float(v) for v in f] for f in init.functions]
     for j in range(d.J):
-        n = lp_norm(d, j, funcs[j])
+        n = form.norm(j, funcs[j])
         if n == 0:
             raise ValueError(f"input {j} has zero norm")
         funcs[j] = [v / n for v in funcs[j]]
@@ -143,12 +161,12 @@ def alternating_ascent(
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         for k in range(d.J):
-            funcs[k] = _update_block(d, funcs, k)
-            n = lp_norm(d, k, funcs[k])
+            funcs[k] = form.update(funcs, k)
+            n = form.norm(k, funcs[k])
             if n == 0 or not math.isfinite(n):
                 raise NumericError(f"block {k} degenerated during sweep {sweeps}")
             funcs[k] = [v / n for v in funcs[k]]
-        value = rayleigh(d, InputTuple(funcs))
+        value = form.rayleigh(funcs)
         if not math.isfinite(value):
             raise NumericError(f"non-finite objective in sweep {sweeps}")
         values.append(value)
@@ -167,7 +185,10 @@ def oracle_constant(
     tol: float = 1e-12,
     max_sweeps: int = 10_000,
 ) -> float:
-    """Best ascent value over random positive restarts plus an extremizer seed."""
+    """Best ascent value over seeded random positive restarts and two fixed
+    starts: all-ones inputs, and the point masses at the codomain identities.
+    No start depends on the subgroup formula, so the oracle checks it
+    independently."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if d.J == 0:
@@ -175,7 +196,10 @@ def oracle_constant(
     rng = random.Random(seed)
     best = -math.inf
     seeds = [
-        InputTuple([[float(v) for v in f] for f in extremizer(d)])
+        InputTuple([[1.0] * c.order for c in d.codomains]),
+        InputTuple(
+            [[float(y == c.identity) for y in range(c.order)] for c in d.codomains]
+        ),
     ]
     for _ in range(restarts):
         seeds.append(

@@ -48,16 +48,6 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(rref(rows))
 
 
-def matmul(A: Iterable[Sequence], B: Iterable[Sequence]) -> Matrix:
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if not A or not B:
-        return ()
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B)) for row in A
-    )
-
-
 def image_basis(M: Iterable[Sequence], vectors: Iterable[Sequence]) -> Matrix:
     """RREF basis of { M v : v in span(vectors) }; vectors are rows."""
     M = as_matrix(M)
@@ -101,10 +91,6 @@ def subspace_intersection(A: Matrix, B: Matrix, ncols: int) -> Matrix:
     R = rref(block)
     out = [row[ncols:] for row in R if not any(row[:ncols])]
     return rref(out)
-
-
-def contains_vector(basis: Matrix, vec: Sequence) -> bool:
-    return rank(list(basis) + [tuple(Fraction(v) for v in vec)]) == len(basis)
 
 
 def solve_square(A: Iterable[Sequence], b: Sequence) -> Optional[Row]:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mpmath import iv
+
 from blgroups.exact import ExactValue, exact_max
 
 rationals = st.fractions(
@@ -88,6 +90,44 @@ def test_exact_max_reports_ties():
     assert idx == 2 and best.as_fraction() == 3 and not tie
     idx, best, tie = exact_max(vals[:2])
     assert idx == 0 and tie
+
+
+def _exact_max_by_compare(values):
+    """exact_max with ties decided by compare, as before the factor check."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i].compare(values[best]) > 0:
+            best = i
+    tie = any(
+        i != best and values[i].compare(values[best]) == 0 for i in range(len(values))
+    )
+    return best, values[best], tie
+
+
+def test_exact_max_tie_check_matches_compare():
+    two = ExactValue.from_rational(2)
+    root3 = ExactValue.from_rational(3) ** Fraction(1, 2)
+    cases = [
+        [two],  # single element
+        [root3, two, ExactValue.from_rational(Fraction(3, 2))],  # untied
+        [ExactValue.from_rational(4) ** Fraction(1, 2), root3, two],  # tied at the top
+        [two, root3, ExactValue.from_rational(9) ** Fraction(1, 4), two],  # two ties
+        [root3, ExactValue.from_rational(3) ** Fraction(1, 2), two],  # tie below the top
+    ]
+    for values in cases:
+        assert exact_max(values) == _exact_max_by_compare(values)
+
+
+def test_compare_restores_interval_precision():
+    saved = iv.prec
+    try:
+        iv.prec = 64
+        a = ExactValue.from_rational(2) ** Fraction(1, 2)
+        b = ExactValue.from_rational(3) ** Fraction(1, 3)
+        assert a.compare(b) == -1  # distinct values: decided by intervals
+        assert iv.prec == 64
+    finally:
+        iv.prec = saved
 
 
 def test_json_round_trip():

@@ -154,6 +154,14 @@ def test_subgroup_rejects_non_closed(Z4):
         Subgroup(Z4, (0, 1))
 
 
+def test_equal_subgroups_of_equal_groups_hash_alike():
+    G1, G2 = make_cyclic_product([4]), make_cyclic_product([4])
+    assert G1 is not G2 and G1 == G2 and hash(G1) == hash(G2)
+    h1, h2 = Subgroup(G1, (0, 2)), Subgroup(G2, (0, 2))
+    assert h1 == h2
+    assert len({h1, h2}) == 1
+
+
 # -- homomorphisms -----------------------------------------------------------
 
 

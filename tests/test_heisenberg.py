@@ -78,6 +78,18 @@ def test_commutator_of_equal_elements_vanishes():
     assert c.t == 0 and all(v == 0 for pair in c.z for v in pair)
 
 
+def test_commutator_self_check_raises(monkeypatch):
+    # the check must survive python -O, so it cannot be an assert
+    import blgroups.heisenberg as heis
+
+    def off_centre(a, b):
+        return HeisenbergElement(((a.z[0][0] + 1, F(0)),), a.t + b.t)
+
+    monkeypatch.setattr(heis, "heisenberg_multiply", off_centre)
+    with pytest.raises(ArithmeticError, match="central formula"):
+        heisenberg_commutator(elem(1, 0, 0), elem(0, 1, 0))
+
+
 def test_dimension_mismatch():
     a = elem(1, 0, 0)
     b = HeisenbergElement(((F(1), F(0)), (F(0), F(0))), F(0))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -168,11 +169,84 @@ def test_oracle_soundness_never_exceeds_formula():
         assert got <= exact * (1 + 1e-9)
 
 
+def test_oracle_needs_no_formula(monkeypatch):
+    import blgroups.constant
+    import blgroups.groups
+    from blgroups.datum import split_product
+
+    cases = [hoelder(), hoelder(3, ("1", "3/2")), lw_z2z2(), lw_z2z2(("1", "inf")),
+             split_product(hoelder(), hoelder())]
+    exact = [bl_constant(d).value.to_float() for d in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not use the subgroup formula")
+
+    monkeypatch.setattr(blgroups.constant, "bl_constant", forbidden)
+    monkeypatch.setattr(blgroups.groups, "all_subgroups", forbidden)
+    for d, value in zip(cases, exact):
+        assert oracle_constant(d, restarts=8, seed=20) == pytest.approx(value, rel=1e-9)
+
+
 def test_oracle_deterministic_given_seed():
     d = lw_z2z2(("3/2", "3"))
     a = oracle_constant(d, restarts=5, seed=42)
     b = oracle_constant(d, restarts=5, seed=42)
     assert a == b
+
+
+def _reference_ascent(d, init, sweeps):
+    """Block ascent with every weight, norm and map re-derived from the datum
+    on each use: the arithmetic the hoisted ascent must reproduce bit for bit."""
+    from blgroups.groups import haar_weight
+
+    def norm(j, f):
+        p = d.exponents[j]
+        if p.is_infinite:
+            return max(abs(v) for v in f)
+        w = float(haar_weight(d.codomains[j], d.haar_codomains[j]))
+        return sum(w * abs(v) ** float(p.value) for v in f) ** (1.0 / float(p.value))
+
+    def update(funcs, k):
+        wk = [0.0] * d.codomains[k].order
+        for x in range(d.G.order):
+            prod = float(haar_weight(d.G, d.haar_G))
+            for j, f in enumerate(funcs):
+                if j != k and prod:
+                    prod *= f[d.maps[j].map[x]]
+            if prod:
+                wk[d.maps[k].map[x]] += prod
+        p = d.exponents[k]
+        if p.is_infinite:
+            return [1.0] * len(wk)
+        if p.value == 1:
+            arg = [1.0 if v >= max(wk) else 0.0 for v in wk]
+            return [v / sum(arg) for v in arg]
+        return [v ** (1.0 / (float(p.value) - 1.0)) for v in wk]
+
+    funcs = [[v / norm(j, f) for v in f] for j, f in enumerate(init.functions)]
+    values = []
+    for _ in range(sweeps):
+        for k in range(d.J):
+            funcs[k] = update(funcs, k)
+            n = norm(k, funcs[k])
+            funcs[k] = [v / n for v in funcs[k]]
+        norms = [norm(j, f) for j, f in enumerate(funcs)]
+        values.append(float(evaluate_form(d, InputTuple(funcs))) / math.prod(norms))
+    return values
+
+
+def test_ascent_matches_reference_bit_for_bit():
+    from blgroups.datum import split_product
+
+    rng = random.Random(23)
+    cases = [hoelder(3, ("1", "3/2")), lw_z2z2(("3/2", "3")), lw_z2z2(("1", "inf")),
+             split_product(hoelder(2, ("2", "3")), hoelder(2, ("2", "3")))]
+    for d in cases:
+        init = InputTuple(
+            [[0.05 + rng.random() for _ in range(c.order)] for c in d.codomains]
+        )
+        _, _, trace = alternating_ascent(d, init, tol=-1.0, max_sweeps=5)
+        assert trace.values == _reference_ascent(d, init, 5)
 
 
 # -- exhaustive indicator search ---------------------------------------------------
