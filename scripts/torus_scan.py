@@ -1,27 +1,44 @@
 #!/usr/bin/env python3
-"""Census of finiteness verdicts for random torus data vs the dense scan.
+"""Census of finiteness verdicts for torus data vs the dense scan.
 
 Samples integer-matrix data on low-dimensional tori, runs the pool-based
 finiteness check, and cross-examines every verdict against brute-force
 codimension checking over all subspaces with small-entry bases.  Reports the
 verdict distribution and any disagreement (a missed violator would be a bug
 worth triaging).
+
+--audit also scans every vertex of the pool polytope of each FINITE datum,
+the per-vertex check that FINITE verdicts once waited on; it is an offline
+audit of the lattice proof now behind FINITE.  --bench-pool takes the 360
+fixed torus and mixed data of the torus-verdicts benchmark in place of
+random data; mixed data are scanned on their torus part.
 """
 
 import argparse
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 from blgroups.datum import Exponent
 from blgroups.lie import (
     CompactLieDatum,
+    IdealSpec,
     LinearizedMap,
     Verdict,
-    brute_force_torus_violator,
+    bl_polytope,
     codimension_defect,
     finiteness,
+    map_image_dims,
+    split_commutator_center,
+    vertices,
 )
+from blgroups.rational_linalg import enumerate_box_subspaces
+
+# Scan box above T^3: box 1 on T^4 already spans 1083 subspaces, box 2 is
+# out of reach.
+HIGH_DIM_BOX = 1
 
 
 def random_datum(rng, max_dim, entry_bound):
@@ -40,6 +57,51 @@ def random_datum(rng, max_dim, entry_bound):
     return CompactLieDatum((), t, maps)
 
 
+def random_data(args):
+    rng = random.Random(args.seed)
+    for _ in range(args.count):
+        d = random_datum(rng, args.max_dim, args.entry_bound)
+        p = [Exponent.of(rng.choice(["1", "3/2", "2", "3", "inf"]))
+             for _ in range(d.J)]
+        yield d, p
+
+
+def bench_pool_data():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import torus_pool
+
+    for d, p in torus_pool():
+        yield d, [Exponent.of(x) for x in p]
+
+
+class Scanner:
+    """The dense scan, with each box enumeration made once per run."""
+
+    def __init__(self, box):
+        self.box = box
+        self.bases = {}
+        self.scans = 0
+
+    def violator(self, torus, p):
+        t = torus.torus_dim
+        key = (t, self.box if t <= 3 else HIGH_DIM_BOX)
+        if key not in self.bases:
+            self.bases[key] = list(enumerate_box_subspaces(t, key[1], max(0, t - 1)))
+        self.scans += 1
+        g_dims = map_image_dims(torus)
+        for basis in self.bases[key]:
+            n = IdealSpec((), basis)
+            if codimension_defect(torus, p, n, g_dims) > 0:
+                return n
+        return None
+
+
+def vertex_exponents(torus, pool):
+    torus_pool = {IdealSpec((), n.torus_basis) for n in pool}
+    for v in vertices(bl_polytope(torus, list(torus_pool))):
+        yield [Exponent(None) if x == 0 else Exponent(1 / x) for x in v]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=60)
@@ -47,24 +109,42 @@ def main():
     ap.add_argument("--entry-bound", type=int, default=2)
     ap.add_argument("--scan-box", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--audit", action="store_true",
+                    help="also scan every pool-polytope vertex of FINITE data")
+    ap.add_argument("--bench-pool", action="store_true",
+                    help="the torus-verdicts benchmark data, not random data")
     args = ap.parse_args()
 
-    rng = random.Random(args.seed)
+    scanner = Scanner(args.scan_box)
+    data = bench_pool_data() if args.bench_pool else random_data(args)
     verdicts = Counter()
     disagreements = []
+    audited = vertex_count = 0
     t0 = time.time()
-    for i in range(args.count):
-        d = random_datum(rng, args.max_dim, args.entry_bound)
-        p = [Exponent.of(rng.choice(["1", "3/2", "2", "3", "inf"]))
-             for _ in range(d.J)]
+    for i, (d, p) in enumerate(data):
         rep = finiteness(d, p)
         verdicts[rep.verdict.value] += 1
-        brute = brute_force_torus_violator(d, p, box=args.scan_box)
         if rep.verdict is Verdict.INFINITE:
             assert codimension_defect(d, p, rep.violator) > 0
-        elif brute is not None:
-            disagreements.append((i, d, [str(x) for x in p], brute))
-    print(f"{args.count} data in {time.time() - t0:.1f}s: {dict(verdicts)}")
+            continue
+        torus = split_commutator_center(d)[1]
+        points = [p]
+        if args.audit and rep.verdict is Verdict.FINITE and torus.torus_dim:
+            audited += 1
+            corners = list(vertex_exponents(torus, rep.pool))
+            vertex_count += len(corners)
+            points += corners
+        for q in points:
+            brute = scanner.violator(torus, q)
+            if brute is not None:
+                disagreements.append((i, d, [str(x) for x in q], brute))
+                break
+    n = sum(verdicts.values())
+    print(f"{n} data in {time.time() - t0:.1f}s: {dict(verdicts)}")
+    print(f"{scanner.scans} dense scans (box {args.scan_box} up to T^3, "
+          f"box {HIGH_DIM_BOX} above)")
+    if args.audit:
+        print(f"audit: {audited} FINITE data, {vertex_count} pool-polytope vertices")
     if disagreements:
         print(f"MISSED VIOLATORS: {len(disagreements)}")
         for i, d, p, brute in disagreements:

@@ -5,6 +5,11 @@ Relabeled but equal tables hash identically because the key covers exactly
 differently, which is documented behavior (no isomorphism testing).  Writes
 are atomic (temp file + rename) and guarded by an advisory lock so that
 concurrent CLI invocations do not corrupt entries.
+
+An entry records its format version, the group order, the subgroup count
+and a digest of the member lists.  An entry that is missing, unreadable, not
+JSON, of another format, or whose count or digest does not match its list is
+a miss: the lattice is recomputed and the entry overwritten, never trusted.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Optional
 from .groups import FiniteGroup, Subgroup, all_subgroups
 
 ENV_CACHE_DIR = "BLGROUPS_CACHE_DIR"
+FORMAT_VERSION = 2
 
 
 def cache_key(G: FiniteGroup) -> str:
@@ -28,6 +34,27 @@ def cache_key(G: FiniteGroup) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _members_digest(members: list) -> str:
+    text = json.dumps(members, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _valid_members(data, G: FiniteGroup) -> Optional[list]:
+    """The member lists of a well-formed entry for G, else None."""
+    if not isinstance(data, dict):
+        return None
+    members = data.get("subgroups")
+    if (
+        data.get("format") != FORMAT_VERSION
+        or data.get("order") != G.order
+        or not isinstance(members, list)
+        or data.get("count") != len(members)
+        or data.get("digest") != _members_digest(members)
+    ):
+        return None
+    return members
 
 
 def default_cache_dir() -> Path:
@@ -51,21 +78,20 @@ class SubgroupCache:
         self.last_hit = False
         if not self.enabled:
             return all_subgroups(G, order_cap)
-        digest = cache_key(G)
-        path = self._path(digest)
-        if path.exists():
-            with open(path) as fh:
-                fcntl.flock(fh, fcntl.LOCK_SH)
-                data = json.load(fh)
-                fcntl.flock(fh, fcntl.LOCK_UN)
-            if data.get("order") == G.order:
-                self.last_hit = True
-                return [Subgroup(G, tuple(m)) for m in data["subgroups"]]
+        path = self._path(cache_key(G))
+        members = _valid_members(self._read(path), G)
+        if members is not None:
+            self.last_hit = True
+            return [Subgroup(G, tuple(m)) for m in members]
         subs = all_subgroups(G, order_cap)
         self.directory.mkdir(parents=True, exist_ok=True)
+        members = [list(s.members) for s in subs]
         payload = {
+            "format": FORMAT_VERSION,
             "order": G.order,
-            "subgroups": [list(s.members) for s in subs],
+            "count": len(members),
+            "digest": _members_digest(members),
+            "subgroups": members,
         }
         tmp = path.with_suffix(".tmp")
         lock_path = self.directory / ".lock"
@@ -78,3 +104,16 @@ class SubgroupCache:
             finally:
                 fcntl.flock(lock, fcntl.LOCK_UN)
         return subs
+
+    @staticmethod
+    def _read(path: Path):
+        """The parsed entry, or None if it is missing, unreadable or not JSON."""
+        try:
+            with open(path) as fh:
+                fcntl.flock(fh, fcntl.LOCK_SH)
+                try:
+                    return json.load(fh)
+                finally:
+                    fcntl.flock(fh, fcntl.LOCK_UN)
+        except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
+            return None

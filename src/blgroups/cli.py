@@ -232,9 +232,7 @@ def cmd_check_codim(args) -> int:
     obj = _load(args.input)
     d = parse_lie_datum(obj)
     p = [Exponent.of(t) for t in args.p.split(",")]
-    fin = finiteness(
-        d, p, max_closure=args.max_closure, confirm_box=args.confirm_box
-    )
+    fin = finiteness(d, p, max_closure=args.max_closure)
     report = _base_report("check-codim", args, obj)
     result = {
         "verdict": fin.verdict.value,
@@ -375,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--p", required=True, help="comma-separated exponents")
     p.add_argument("--max-closure", type=int, default=3)
-    p.add_argument("--confirm-box", type=int, default=3)
     p.add_argument("--show-pool", action="store_true")
     p.set_defaults(func=cmd_check_codim)
 
@@ -410,8 +407,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_BUDGET
     except UndecidedComparisonError as exc:
-        print(json.dumps({"error": str(exc), "kind": "undecided-comparison"},
-                         sort_keys=True), file=sys.stderr)
+        print(json.dumps({"error": str(exc), "kind": "undecided-comparison",
+                          "left": exc.left.to_json(), "right": exc.right.to_json(),
+                          "bits": exc.bits}, sort_keys=True), file=sys.stderr)
         return EXIT_FAILURE
     except _PRECONDITION_ERRORS as exc:
         print(json.dumps({"error": str(exc), "kind": "precondition"},

@@ -26,7 +26,16 @@ _MAX_BITS = 4096
 
 
 class UndecidedComparisonError(ArithmeticError):
-    """Interval comparison still straddles zero at the precision cap."""
+    """Interval comparison still straddles zero at the precision cap.
+
+    Carries the two values compared and the highest precision tried, in bits.
+    """
+
+    def __init__(self, left: "ExactValue", right: "ExactValue", bits: int):
+        super().__init__(f"cannot separate {left} from {right} at {bits} bits")
+        self.left = left
+        self.right = right
+        self.bits = bits
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -131,10 +140,11 @@ class ExactValue:
         diff = self / other
         if diff.is_one:
             return 0
-        bits = _START_BITS
+        bits, reached = _START_BITS, 0
         caller_prec = iv.prec  # iv is global state and has no workprec
         try:
             while bits <= _MAX_BITS:
+                reached = bits
                 box = diff._log_interval(bits)
                 if box.a > 0:
                     return 1
@@ -143,9 +153,7 @@ class ExactValue:
                 bits *= 2
         finally:
             iv.prec = caller_prec
-        raise UndecidedComparisonError(
-            f"cannot separate {self} from {other} at {_MAX_BITS} bits"
-        )
+        raise UndecidedComparisonError(self, other, reached)
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .datum import BLDatum
@@ -256,9 +255,9 @@ def exhaustive_indicator_search(
 
     w_G = haar_weight(d.G, d.haar_G)
     recips = [p.reciprocal() for p in d.exponents]
-    log_w = []
-    for j, c in enumerate(d.codomains):
-        log_w.append(math.log(float(haar_weight(c, d.haar_codomains[j]))))
+    recips_f = [float(r) for r in recips]
+    codomain_w = [haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
+    log_w = [math.log(float(w)) for w in codomain_w]
 
     best_log = -math.inf
     margin = 1e-9
@@ -279,14 +278,14 @@ def exhaustive_indicator_search(
                 near = [c for c in near if c[0] >= best_log - margin]
             near.append((log_val, chosen, count))
             return
-        rj = recips[j]
+        rj = recips_f[j]
         for s in range(1, sizes[j]):
             m = mask & subset_masks[j][s]
             if not m:
                 continue
             extra = 0.0
             if rj:
-                extra = float(rj) * (math.log(s.bit_count()) + log_w[j])
+                extra = rj * (math.log(s.bit_count()) + log_w[j])
             scan(j + 1, m, chosen + (s,), log_den + extra)
 
     scan(0, (1 << d.G.order) - 1, (), 0.0)
@@ -294,15 +293,20 @@ def exhaustive_indicator_search(
         raise ValueError("no nonzero indicator tuple found")
 
     finalists = [(c, cnt) for lv, c, cnt in near if lv >= best_log - margin]
+    # The exact value depends only on the count and the subset sizes, which
+    # many finalists share.
+    by_key: dict[tuple[int, ...], ExactValue] = {}
     exact_values = []
     for chosen, count in finalists:
-        v = ExactValue.from_rational(count * w_G)
-        for j, s in enumerate(chosen):
-            if recips[j]:
-                mass = Fraction(s.bit_count()) * haar_weight(
-                    d.codomains[j], d.haar_codomains[j]
-                )
-                v = v / ExactValue.from_rational(mass) ** recips[j]
+        key = (count,) + tuple(s.bit_count() for s in chosen)
+        v = by_key.get(key)
+        if v is None:
+            v = ExactValue.from_rational(count * w_G)
+            for j, size in enumerate(key[1:]):
+                if recips[j]:
+                    mass = size * codomain_w[j]
+                    v = v / ExactValue.from_rational(mass) ** recips[j]
+            by_key[key] = v
         exact_values.append(v)
     best, value, _ = exact_max(exact_values)
     chosen = finalists[best][0]

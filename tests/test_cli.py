@@ -94,14 +94,16 @@ def test_check_codim_finite(write, capsys):
 
 
 def test_check_codim_undecided_exit_code(write, capsys):
-    eye4 = {
+    # four planes of T^3 in general position: the kernel lattice does not
+    # close within the default three rounds, and the pool passes at p = 4
+    planes = {
         "simple_dims": [],
-        "torus_dim": 4,
-        "maps": [{"kept_simple": [], "torus_matrix": [
-            [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}],
+        "torus_dim": 3,
+        "maps": [{"kept_simple": [], "torus_matrix": [row]}
+                 for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])],
     }
-    path = write("t4.json", eye4)
-    code, rep = run_cli(capsys, ["check-codim", "--in", path, "--p", "1"])
+    path = write("planes.json", planes)
+    code, rep = run_cli(capsys, ["check-codim", "--in", path, "--p", "4,4,4,4"])
     assert code == 4
     assert rep["result"]["verdict"] == "UNDECIDED"
 
@@ -236,3 +238,64 @@ def test_console_entry_point(write, tmp_path):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["result"]["value_approx"] == 2.0
+
+
+def test_undecided_comparison_reports_values_and_bits(write, capsys, monkeypatch):
+    from mpmath import iv
+
+    from blgroups.exact import ExactValue
+
+    monkeypatch.setattr(ExactValue, "_log_interval",
+                        lambda self, bits: iv.mpf([-1, 1]))
+    path = write("lw.json", LW_Z2Z2)
+    code = main(["constant", "--in", path, "--no-cache"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["kind"] == "undecided-comparison"
+    assert err["bits"] == 4096
+    left = ExactValue.from_json(err["left"])
+    right = ExactValue.from_json(err["right"])
+    assert left != right
+
+
+def _entry(cache_dir, obj):
+    return cache_dir / f"{cache_key(parse_datum(obj).G)}.json"
+
+
+def test_cache_truncated_entry_is_a_miss(write, capsys, tmp_path):
+    # a well-formed list that lacks the maximizing subgroups must not be used
+    path = write("lw.json", LW_Z2Z2)
+    _, fresh = run_cli(capsys, ["constant", "--in", path, "--no-cache"])
+    cache_dir = tmp_path / "c"
+    argv = ["constant", "--in", path, "--cache-dir", str(cache_dir)]
+    run_cli(capsys, argv)
+    entry = _entry(cache_dir, LW_Z2Z2)
+    stored = json.loads(entry.read_text())
+    for truncated in (
+        {"order": 4, "subgroups": [[0]]},  # an entry without count or digest
+        dict(stored, subgroups=stored["subgroups"][:1]),  # count and digest stale
+    ):
+        entry.write_text(json.dumps(truncated))
+        code, rep = run_cli(capsys, argv)
+        assert code == 0 and not rep["cache"]["hit"]
+        assert rep["result"]["value"] == fresh["result"]["value"]
+        assert rep["result"]["argmax"] == fresh["result"]["argmax"]
+        assert json.loads(entry.read_text()) == stored  # overwritten
+    code, rep = run_cli(capsys, argv)
+    assert code == 0 and rep["cache"]["hit"]
+
+
+def test_cache_corrupt_entry_is_a_miss(write, capsys, tmp_path):
+    path = write("lw.json", LW_Z2Z2)
+    _, fresh = run_cli(capsys, ["constant", "--in", path, "--no-cache"])
+    cache_dir = tmp_path / "c"
+    cache_dir.mkdir()
+    entry = _entry(cache_dir, LW_Z2Z2)
+    argv = ["constant", "--in", path, "--cache-dir", str(cache_dir)]
+    for junk in (b'{"order": 4, "subgroups": [[0], [0, 1', b"\xff\xfe\x00garbage", b"[1, 2]"):
+        entry.write_bytes(junk)
+        code, rep = run_cli(capsys, argv)
+        assert code == 0 and not rep["cache"]["hit"]
+        assert rep["result"]["value"] == fresh["result"]["value"]
+    code, rep = run_cli(capsys, argv)
+    assert code == 0 and rep["cache"]["hit"]

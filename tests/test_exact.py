@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mpmath import iv
 
-from blgroups.exact import ExactValue, exact_max
+from blgroups.exact import ExactValue, UndecidedComparisonError, exact_max
 
 rationals = st.fractions(
     min_value=Fraction(1, 200), max_value=Fraction(500), max_denominator=200
@@ -133,3 +133,14 @@ def test_compare_restores_interval_precision():
 def test_json_round_trip():
     v = ExactValue.from_rational(Fraction(8, 3)) ** Fraction(-1, 2)
     assert ExactValue.from_json(v.to_json()) == v
+
+
+def test_undecided_comparison_carries_values_and_bits(monkeypatch):
+    monkeypatch.setattr(ExactValue, "_log_interval",
+                        lambda self, bits: iv.mpf([-1, 1]))
+    a, b = ExactValue.from_rational(2), ExactValue.from_rational(3)
+    with pytest.raises(UndecidedComparisonError) as info:
+        a.compare(b)
+    assert info.value.left == a and info.value.right == b
+    assert info.value.bits == 4096
+    assert "4096 bits" in str(info.value)

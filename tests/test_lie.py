@@ -343,11 +343,61 @@ def test_finiteness_semisimple_violation():
     assert rep.violator.simple_part == (1,)
 
 
-def test_finiteness_undecided_above_confirmation_cap():
+def test_finiteness_t4_identity_is_finite():
+    # codim W >= codim W with equality everywhere; the pool {0} is closed and
+    # holds the kernel, so the lattice theorem proves FINITE on T^4
     d = CompactLieDatum((), 4, (LinearizedMap((), [[1, 0, 0, 0], [0, 1, 0, 0],
                                                    [0, 0, 1, 0], [0, 0, 0, 1]]),))
     rep = finiteness(d, [E(1)])
+    assert rep.verdict is Verdict.FINITE
+
+
+def four_generic_planes():
+    # kernels: the coordinate planes of T^3 and x + y + z = 0
+    rows = ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])
+    return CompactLieDatum((), 3, tuple(LinearizedMap((), [r]) for r in rows))
+
+
+def test_finiteness_unclosed_pool_stays_undecided():
+    d = four_generic_planes()
+    p = [E(4)] * 4
+    pool, stabilized = closed_pool(d)
+    assert not stabilized and codimension_check(d, p, pool).ok
+    rep = finiteness(d, p)
     assert rep.verdict is Verdict.UNDECIDED
+    assert "did not stabilize" in rep.certification
+    # Loomis-Whitney closes, but not within zero rounds
+    lw = t3_loomis_whitney()
+    assert finiteness(lw, [E(2)] * 3, max_closure=0).verdict is Verdict.UNDECIDED
+
+
+def test_caller_pool_must_hold_every_kernel_and_be_closed():
+    # the common kernel line violates, but the pool {0} is closed and passes
+    m = [[1, 0, 0], [0, 1, 0]]
+    d = CompactLieDatum((), 3, (LinearizedMap((), m), LinearizedMap((), m)))
+    p = [E("3/2"), E(2)]
+    assert codimension_defect(d, p, map_kernel(d, 0)) > 0
+    assert codimension_check(d, p, [zero_ideal()]).ok
+    assert finiteness(d, p, pool=[zero_ideal()]).verdict is Verdict.UNDECIDED
+    with_kernel = finiteness(d, p, pool=[zero_ideal(), map_kernel(d, 0)])
+    assert with_kernel.verdict is Verdict.INFINITE
+    # every kernel but no sums: not closed
+    lw = t3_loomis_whitney()
+    kernels = [map_kernel(lw, j) for j in range(3)]
+    assert finiteness(lw, [E(2)] * 3, pool=kernels).verdict is Verdict.UNDECIDED
+    full_pool, _ = closed_pool(lw)
+    assert finiteness(lw, [E(2)] * 3, pool=full_pool).verdict is Verdict.FINITE
+
+
+def test_finiteness_runs_no_dense_scan(monkeypatch):
+    import blgroups.lie as lie
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense scan on the verdict path")
+
+    for name in ("brute_force_torus_violator", "enumerate_box_subspaces", "vertices"):
+        monkeypatch.setattr(lie, name, refuse)
+    assert finiteness(t3_loomis_whitney(), [E(2)] * 3).verdict is Verdict.FINITE
 
 
 def test_brute_force_scan_matches_pool_verdicts():
