@@ -54,10 +54,10 @@ from .lie import (
     Verdict,
     bcct_check,
     bl_polytope,
+    closed_pool,
     codimension_check,
     finiteness,
     ideal_dims,
-    kernel_lattice_pool,
     membership,
     split_commutator_center,
     vertices,

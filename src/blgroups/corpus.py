@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .datum import BLDatum, Exponent, make_datum
 from .groups import (
@@ -140,15 +140,3 @@ def frame_datum(
         haar_G=haar,
         haar_codomains=[haar] * frame.J,
     )
-
-
-def corpus_data(
-    frames: Optional[Iterable[Frame]] = None,
-    haar: HaarMode = HaarMode.PROBABILITY,
-):
-    """Yield (frame, exponents, datum) over the full exponent grid."""
-    if frames is None:
-        frames = standard_frames()
-    for frame in frames:
-        for p in exponent_grid(frame.J):
-            yield frame, p, frame_datum(frame, p, haar)

@@ -64,9 +64,6 @@ class FiniteGroup:
         if self.labels is not None and len(self.labels) != n:
             raise GroupStructureError("labels length must match order")
 
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def inv(self, x: int) -> int:
         return self.table[x].index(self.identity)
 
@@ -373,13 +370,6 @@ def image(h: Homomorphism, H: Subgroup) -> Subgroup:
     if H.parent != h.domain:
         raise GroupStructureError("subgroup parent is not the homomorphism domain")
     return Subgroup(h.codomain, tuple(sorted({h.map[x] for x in H.members})))
-
-
-def preimage(h: Homomorphism, S: Subgroup) -> Subgroup:
-    if S.parent != h.codomain:
-        raise GroupStructureError("subgroup parent is not the homomorphism codomain")
-    mem = S.member_set()
-    return Subgroup(h.domain, tuple(x for x in range(h.domain.order) if h.map[x] in mem))
 
 
 def kernel(h: Homomorphism) -> Subgroup:

@@ -82,8 +82,8 @@ condition in force, so the argument is given here in full; it needs none.
 closed_pool builds exactly such a P; `stabilized` means it closed within
 max_closure rounds.  Mixed data are certified on the torus projection of the
 closed pool, which is closed and holds every torus kernel because sum and
-intersection act component by component.  A pool that did not close, or a
-caller pool that misses a kernel or is not closed, gives UNDECIDED.
+intersection act component by component.  A pool that did not close gives
+UNDECIDED.
 """
 
 from __future__ import annotations
@@ -205,31 +205,44 @@ class CodimReport:
     slack: Optional[Fraction] = None
 
 
+def _reciprocals(d: CompactLieDatum, p: Sequence[Exponent]) -> list[Fraction]:
+    """1/p_j for each map; p must hold exactly one exponent per map."""
+    if len(p) != d.J:
+        raise ValueError("exponent count must match the number of maps")
+    return [Exponent.of(pj).reciprocal() for pj in p]
+
+
+def _defect(d: CompactLieDatum, recips, g_dims, n: IdealSpec) -> Fraction:
+    dim_n, image_dims = ideal_dims(d, n)
+    lhs = sum(
+        (rj * (gj - nj) for rj, gj, nj in zip(recips, g_dims, image_dims)),
+        Fraction(0),
+    )
+    return lhs - (d.group_dim() - dim_n)
+
+
 def codimension_defect(
     d: CompactLieDatum, p: Sequence[Exponent], n: IdealSpec, g_dims=None
 ) -> Fraction:
     """lhs - rhs of the codimension inequality at the ideal n (<= 0 means ok)."""
+    recips = _reciprocals(d, p)
     if g_dims is None:
         g_dims = map_image_dims(d)
-    dim_n, image_dims = ideal_dims(d, n)
-    lhs = sum(
-        (Exponent.of(pj).reciprocal() * (gj - nj) for pj, gj, nj in
-         zip(p, g_dims, image_dims)),
-        Fraction(0),
-    )
-    return lhs - (d.group_dim() - dim_n)
+    return _defect(d, recips, g_dims, n)
 
 
 def codimension_check(
     d: CompactLieDatum, p: Sequence[Exponent], ideals: Sequence[IdealSpec]
 ) -> CodimReport:
     """Verify the codimension inequality for every listed proper ideal."""
+    recips = _reciprocals(d, p)
     full = full_ideal(d)
+    proper = [n for n in ideals if n != full]
+    if not proper:
+        return CodimReport(True)
     g_dims = map_image_dims(d)
-    for n in ideals:
-        if n == full:
-            continue
-        defect = codimension_defect(d, p, n, g_dims)
+    for n in proper:
+        defect = _defect(d, recips, g_dims, n)
         if defect > 0:
             return CodimReport(False, n, defect)
     return CodimReport(True)
@@ -262,47 +275,38 @@ def _ideal_intersection(d, a: IdealSpec, b: IdealSpec) -> IdealSpec:
 
 
 def closed_pool(
-    d: CompactLieDatum,
-    extras: Sequence[IdealSpec] = (),
-    max_closure: int = 3,
-    cap: int = POOL_CAP,
+    d: CompactLieDatum, max_closure: int = 3
 ) -> tuple[list[IdealSpec], bool]:
-    """Close kernels + extras + {0} under pairwise sum and intersection.
+    """Close the kernels and {0} under pairwise sum and intersection.
 
     Returns the pool (canonically sorted) and whether the closure reached a
-    fixed point within max_closure rounds.
+    fixed point within max_closure rounds.  The closure is semi-naive: a pair
+    of ideals that were both in the pool a round ago was combined then, so
+    each round combines only pairs with a member added by the round before.
+    A round that adds nothing proves the pool closed; one round beyond
+    max_closure is run only to find out whether it would.
     """
     pool = {zero_ideal()}
     pool.update(map_kernel(d, j) for j in range(d.J))
-    pool.update(extras)
-    stabilized = False
-    for _ in range(max_closure):
-        items = sorted(pool, key=_ideal_key)
+    old: list[IdealSpec] = []
+    fresh = list(pool)
+    for done in range(max_closure + 1):
         new = set()
-        for i, a in enumerate(items):
-            for b in items[i + 1 :]:
+        for i, a in enumerate(fresh):
+            for b in old + fresh[i + 1 :]:
                 for c in (_ideal_sum(d, a, b), _ideal_intersection(d, a, b)):
                     if c not in pool:
                         new.add(c)
         if not new:
-            stabilized = True
+            return sorted(pool, key=_ideal_key), True
+        if done == max_closure:
             break
         pool.update(new)
-        if len(pool) > cap:
-            raise SizeCapError(f"ideal pool exceeds cap {cap}")
-    else:
-        # one more probe: the loop may have converged exactly at the last round
-        stabilized = _is_closed(d, pool)
-    return sorted(pool, key=_ideal_key), stabilized
-
-
-def _is_closed(d: CompactLieDatum, pool: set[IdealSpec]) -> bool:
-    items = list(pool)
-    return all(
-        _ideal_sum(d, a, b) in pool and _ideal_intersection(d, a, b) in pool
-        for i, a in enumerate(items)
-        for b in items[i + 1 :]
-    )
+        if len(pool) > POOL_CAP:
+            raise SizeCapError(f"ideal pool exceeds cap {POOL_CAP}")
+        old += fresh
+        fresh = list(new)
+    return sorted(pool, key=_ideal_key), False
 
 
 def _ideal_key(n: IdealSpec):
@@ -311,15 +315,6 @@ def _ideal_key(n: IdealSpec):
         n.simple_part,
         n.torus_basis,
     )
-
-
-def kernel_lattice_pool(
-    d: CompactLieDatum,
-    extras: Sequence[IdealSpec] = (),
-    max_closure: int = 3,
-    cap: int = POOL_CAP,
-) -> list[IdealSpec]:
-    return closed_pool(d, extras, max_closure, cap)[0]
 
 
 def all_semisimple_ideals(d: CompactLieDatum, cap_bits: int = 20) -> list[IdealSpec]:
@@ -441,8 +436,8 @@ def bcct_check(
     d: CompactLieDatum, p: Sequence[Exponent], subspace_pool: Sequence[IdealSpec]
 ) -> BCCTReport:
     """Scaling equality plus dimension inequalities over the given subspaces."""
+    recips = _reciprocals(d, p)
     g_dims = map_image_dims(d)
-    recips = [Exponent.of(pj).reciprocal() for pj in p]
     scaling_defect = sum(
         (r * gd for r, gd in zip(recips, g_dims)), Fraction(0)
     ) - d.group_dim()
@@ -511,58 +506,51 @@ def brute_force_torus_violator(
     """
     if d.simple_dims:
         raise ValueError("brute force scan applies to pure torus data")
+    recips = _reciprocals(d, p)
     g_dims = map_image_dims(d)
     top = max(0, d.torus_dim - 1)
     for basis in enumerate_box_subspaces(d.torus_dim, box, top):
         n = IdealSpec((), basis)
-        if codimension_defect(d, p, n, g_dims) > 0:
+        if _defect(d, recips, g_dims, n) > 0:
             return n
     return None
 
 
 def finiteness(
-    d: CompactLieDatum,
-    p: Sequence[Exponent],
-    pool: Optional[Sequence[IdealSpec]] = None,
-    extras: Sequence[IdealSpec] = (),
-    max_closure: int = 3,
+    d: CompactLieDatum, p: Sequence[Exponent], max_closure: int = 3
 ) -> FinitenessReport:
-    """Decide finiteness of the constant at p, against the ideal pool.
+    """Decide finiteness of the constant at p, against the closed ideal pool.
 
     A violating ideal anywhere settles INFINITE.  FINITE needs completeness:
     the semisimple side is enumerated in full, and the torus side is proved
     by the lattice theorem in the module docstring, which needs a pool that
     contains 0 and every map kernel and is closed under sum and
     intersection.  The closed pool has that shape once its closure
-    stabilizes within max_closure rounds; a caller's pool is checked for it
-    (the zero ideal is added, which keeps a closed pool closed).  Anything
-    else is UNDECIDED.
-    """
-    p = [Exponent.of(pj) for pj in p]
-    if len(p) != d.J:
-        raise ValueError("exponent count must match the number of maps")
-    if pool is None:
-        pool_list, complete = closed_pool(d, extras, max_closure)
-        gap = f"the pool closure did not stabilize within {max_closure} rounds"
-    else:
-        pool_set = set(pool) | {zero_ideal()}
-        pool_list = sorted(pool_set, key=_ideal_key)
-        kernels = {map_kernel(d, j) for j in range(d.J)}
-        complete = kernels <= pool_set and _is_closed(d, pool_set)
-        gap = "the given pool misses a map kernel or is not closed"
-    pool_tuple = tuple(pool_list)
+    stabilizes within max_closure rounds; otherwise the verdict is UNDECIDED.
 
-    report = codimension_check(d, p, pool_list)
+    A part ideal is checked through its lift to d, (S, full torus) or (all
+    simple summands, T), which has the same defect; a lift that is a pool
+    member has already passed, so it is not checked again.
+    """
+    _reciprocals(d, p)  # a wrong exponent count fails before the closure
+    pool, complete = closed_pool(d, max_closure)
+    pool_tuple = tuple(pool)
+
+    report = codimension_check(d, p, pool)
     if not report.ok:
         return FinitenessReport(
             Verdict.INFINITE, report.violator, report.slack, pool_tuple,
             "violating ideal found in the pool",
         )
 
+    full = full_ideal(d)
     semisimple, torus = split_commutator_center(d)
-    s_report = codimension_check(semisimple, p, all_semisimple_ideals(semisimple))
+    lifted_s = {n.simple_part for n in pool if n.torus_basis == full.torus_basis}
+    s_ideals = [n for n in all_semisimple_ideals(semisimple)
+                if n.simple_part not in lifted_s]
+    s_report = codimension_check(semisimple, p, s_ideals)
     if not s_report.ok:
-        violator = IdealSpec(s_report.violator.simple_part, full_ideal(d).torus_basis)
+        violator = IdealSpec(s_report.violator.simple_part, full.torus_basis)
         return FinitenessReport(
             Verdict.INFINITE, violator, s_report.slack, pool_tuple,
             "violating ideal found among simple summand subsets",
@@ -574,11 +562,12 @@ def finiteness(
             "probability Haar)",
         )
 
-    torus_pool = [IdealSpec((), n.torus_basis) for n in pool_list]
-    torus_pool = sorted(set(torus_pool), key=_ideal_key)
-    t_report = codimension_check(torus, p, torus_pool)
+    lifted_t = {n.torus_basis for n in pool if n.simple_part == full.simple_part}
+    torus_pool = {IdealSpec((), n.torus_basis) for n in pool
+                  if n.torus_basis not in lifted_t}
+    t_report = codimension_check(torus, p, sorted(torus_pool, key=_ideal_key))
     if not t_report.ok:
-        violator = IdealSpec(tuple(range(len(d.simple_dims))), t_report.violator.torus_basis)
+        violator = IdealSpec(full.simple_part, t_report.violator.torus_basis)
         return FinitenessReport(
             Verdict.INFINITE, violator, t_report.slack, pool_tuple,
             "violating torus subspace found in the pool",
@@ -592,5 +581,6 @@ def finiteness(
         )
     return FinitenessReport(
         Verdict.UNDECIDED, None, None, pool_tuple,
-        f"pool passes but {gap}",
+        f"pool passes but the pool closure did not stabilize within "
+        f"{max_closure} rounds",
     )

@@ -98,20 +98,6 @@ def parse_lie_datum(obj: dict) -> CompactLieDatum:
     )
 
 
-def lie_datum_to_json(d: CompactLieDatum) -> dict:
-    return {
-        "simple_dims": list(d.simple_dims),
-        "torus_dim": d.torus_dim,
-        "maps": [
-            {
-                "kept_simple": list(m.kept_simple),
-                "torus_matrix": [[str(v) for v in row] for row in m.torus_matrix],
-            }
-            for m in d.maps
-        ],
-    }
-
-
 def subgroup_to_json(H: Subgroup) -> list[int]:
     return list(H.members)
 

@@ -47,9 +47,9 @@ from blgroups.lie import (
     Verdict,
     bl_polytope,
     brute_force_torus_violator,
+    closed_pool,
     codimension_defect,
     finiteness,
-    kernel_lattice_pool,
     membership,
     vertices,
     zero_ideal,
@@ -255,7 +255,7 @@ def test_loomis_whitney_polytope():
     (3/2, 2, 2) with the zero ideal as violator at slack 1/3, in under 1s."""
     started = time.monotonic()
     d = t3_loomis_whitney()
-    pool = kernel_lattice_pool(d)
+    pool = closed_pool(d)[0]
     V = vertices(bl_polytope(d, pool))
     F = Fraction
     assert set(V) == {

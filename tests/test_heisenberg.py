@@ -254,7 +254,7 @@ def test_scaling_defect_vanishes_at_balanced_polytope_vertices():
         CompactLieDatum,
         LinearizedMap,
         bl_polytope,
-        kernel_lattice_pool,
+        closed_pool,
         map_image_dims,
         vertices,
     )
@@ -272,7 +272,7 @@ def test_scaling_defect_vanishes_at_balanced_polytope_vertices():
     checked = 0
     for d in data:
         g_dims = map_image_dims(d)
-        P = bl_polytope(d, kernel_lattice_pool(d))
+        P = bl_polytope(d, closed_pool(d)[0])
         for v in vertices(P):
             if sum(x * g for x, g in zip(v, g_dims)) != d.torus_dim:
                 continue

@@ -1,5 +1,8 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +23,6 @@ from blgroups.lie import (
     finiteness,
     full_ideal,
     ideal_dims,
-    kernel_lattice_pool,
     map_kernel,
     membership,
     membership_point,
@@ -123,7 +125,7 @@ def test_ideal_dims_torus_line():
 def test_codim_lw_at_half_exponents_tight():
     d = t3_loomis_whitney()
     p = [E(2), E(2), E(2)]
-    pool = kernel_lattice_pool(d)
+    pool = closed_pool(d)[0]
     assert codimension_check(d, p, pool).ok
     # equality at the zero ideal, the coordinate lines, and the planes
     for n in pool:
@@ -135,10 +137,24 @@ def test_codim_lw_at_half_exponents_tight():
 
 def test_codim_lw_violated():
     d = t3_loomis_whitney()
-    rep = codimension_check(d, [E("3/2"), E(2), E(2)], kernel_lattice_pool(d))
+    rep = codimension_check(d, [E("3/2"), E(2), E(2)], closed_pool(d)[0])
     assert not rep.ok
     assert rep.violator == zero_ideal()
     assert rep.slack == Fraction(1, 3)
+
+
+def test_exponent_count_must_match_the_maps():
+    d = t3_loomis_whitney()
+    pool = closed_pool(d)[0]
+    for p in ([E("3/2")], [E(2)] * 4):
+        with pytest.raises(ValueError, match="exponent count"):
+            codimension_check(d, p, pool)
+        with pytest.raises(ValueError, match="exponent count"):
+            codimension_defect(d, p, zero_ideal())
+        with pytest.raises(ValueError, match="exponent count"):
+            bcct_check(d, p, pool)
+        with pytest.raises(ValueError, match="exponent count"):
+            finiteness(d, p)
 
 
 def test_codim_simple_isomorphism():
@@ -158,20 +174,60 @@ def test_pool_lw_eight_subspaces():
     assert dims == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
+def reference_closed_pool(d, max_closure):
+    """All-pairs closure of {0} and the kernels, then a closedness probe."""
+
+    def combine(pool):
+        out = set()
+        for a in pool:
+            for b in pool:
+                out.add(IdealSpec(a.simple_part + b.simple_part,
+                                  subspace_sum(a.torus_basis, b.torus_basis)))
+                out.add(IdealSpec(set(a.simple_part) & set(b.simple_part),
+                                  subspace_intersection(a.torus_basis, b.torus_basis,
+                                                        d.torus_dim)))
+        return out
+
+    pool = {zero_ideal()} | {map_kernel(d, j) for j in range(d.J)}
+    for _ in range(max_closure):
+        new = combine(pool) - pool
+        if not new:
+            break
+        pool |= new
+    key = lambda n: (len(n.simple_part) + len(n.torus_basis), n.simple_part, n.torus_basis)
+    return sorted(pool, key=key), combine(pool) <= pool
+
+
+def random_lie_data(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        t = 1 + i % 4
+        simple = tuple(rng.choice((3, 8)) for _ in range(rng.randint(1, 2))) if i % 3 == 2 else ()
+        maps = []
+        for _ in range(rng.randint(1, 3)):
+            kept = tuple(k for k in range(len(simple)) if rng.random() < 0.5)
+            rows = [[rng.randint(-2, 2) for _ in range(t)] for _ in range(rng.randint(1, 3))]
+            maps.append(LinearizedMap(kept, rows))
+        yield CompactLieDatum(simple, t, tuple(maps))
+
+
+def test_closed_pool_matches_all_pairs_reference():
+    data = list(random_lie_data(41, 36)) + [t3_loomis_whitney(), four_generic_planes()]
+    for d in data:
+        for max_closure in range(5):
+            assert closed_pool(d, max_closure=max_closure) == reference_closed_pool(d, max_closure)
+
+
 def test_pool_single_injective_map():
     d = CompactLieDatum((), 2, (LinearizedMap((), [[1, 0], [0, 1]]),))
-    pool = kernel_lattice_pool(d)
-    assert pool == [zero_ideal()]
-    extra = IdealSpec((), [[1, 1]])
-    pool2 = kernel_lattice_pool(d, extras=[extra])
-    assert extra in pool2
+    assert closed_pool(d) == ([zero_ideal()], True)
 
 
 def test_pool_two_simple_factors():
     d = CompactLieDatum(
         (3, 3), 0, (LinearizedMap((0,), ()), LinearizedMap((1,), ()))
     )
-    pool = kernel_lattice_pool(d)
+    pool = closed_pool(d)[0]
     assert [n.simple_part for n in pool] == [(), (0,), (1,), (0, 1)]
 
 
@@ -186,7 +242,7 @@ def test_map_kernel_torus():
 
 def test_polytope_lw_halfspaces():
     d = t3_loomis_whitney()
-    P = bl_polytope(d, kernel_lattice_pool(d))
+    P = bl_polytope(d, closed_pool(d)[0])
     assert set(P.halfspaces) == {
         ((2, 2, 2), 3),
         ((2, 1, 1), 2),
@@ -200,7 +256,7 @@ def test_polytope_lw_halfspaces():
 
 def test_polytope_lw_vertices():
     d = t3_loomis_whitney()
-    V = vertices(bl_polytope(d, kernel_lattice_pool(d)))
+    V = vertices(bl_polytope(d, closed_pool(d)[0]))
     F = Fraction
     assert set(V) == {
         (F(0), F(0), F(0)),
@@ -220,7 +276,7 @@ def test_polytope_single_isomorphism_is_interval():
 
 def test_polytope_t2_unit_square():
     d = t2_two_projections()
-    pool = kernel_lattice_pool(d)
+    pool = closed_pool(d)[0]
     P = bl_polytope(d, pool)
     V = vertices(P)
     F = Fraction
@@ -229,7 +285,7 @@ def test_polytope_t2_unit_square():
 
 def test_membership_inside_and_outside():
     d = t3_loomis_whitney()
-    P = bl_polytope(d, kernel_lattice_pool(d))
+    P = bl_polytope(d, closed_pool(d)[0])
     assert membership(P, [2, 2, 2])
     assert membership(P, ["inf", "inf", "inf"])
     assert not membership_point(P, [Fraction(2, 3), Fraction(1, 2), Fraction(1, 2)])
@@ -237,7 +293,7 @@ def test_membership_inside_and_outside():
 
 def test_every_vertex_is_member_and_facets_are_tight_or_flagged():
     for d in (t3_loomis_whitney(), t2_two_projections()):
-        P = bl_polytope(d, kernel_lattice_pool(d))
+        P = bl_polytope(d, closed_pool(d)[0])
         verts = vertices(P)
         for v in verts:
             assert membership_point(P, v)
@@ -262,7 +318,7 @@ def test_every_vertex_is_member_and_facets_are_tight_or_flagged():
 
 def test_bcct_lw_scaling_holds():
     d = t3_loomis_whitney()
-    rep = bcct_check(d, [E(2)] * 3, kernel_lattice_pool(d))
+    rep = bcct_check(d, [E(2)] * 3, closed_pool(d)[0])
     assert rep.scaling_ok and rep.dimensions_ok
 
 
@@ -274,7 +330,7 @@ def test_bcct_identity_map():
 
 def test_bcct_t2_scaling_fails():
     d = t2_two_projections()
-    rep = bcct_check(d, [E(2), E(2)], kernel_lattice_pool(d))
+    rep = bcct_check(d, [E(2), E(2)], closed_pool(d)[0])
     assert not rep.scaling_ok
     assert rep.scaling_defect == -1
 
@@ -371,22 +427,25 @@ def test_finiteness_unclosed_pool_stays_undecided():
     assert finiteness(lw, [E(2)] * 3, max_closure=0).verdict is Verdict.UNDECIDED
 
 
-def test_caller_pool_must_hold_every_kernel_and_be_closed():
-    # the common kernel line violates, but the pool {0} is closed and passes
-    m = [[1, 0, 0], [0, 1, 0]]
-    d = CompactLieDatum((), 3, (LinearizedMap((), m), LinearizedMap((), m)))
-    p = [E("3/2"), E(2)]
-    assert codimension_defect(d, p, map_kernel(d, 0)) > 0
-    assert codimension_check(d, p, [zero_ideal()]).ok
-    assert finiteness(d, p, pool=[zero_ideal()]).verdict is Verdict.UNDECIDED
-    with_kernel = finiteness(d, p, pool=[zero_ideal(), map_kernel(d, 0)])
-    assert with_kernel.verdict is Verdict.INFINITE
-    # every kernel but no sums: not closed
+def test_finiteness_checks_each_ideal_once(monkeypatch):
+    # the torus part of pure torus data is the datum itself, and the lift of
+    # a part ideal that is a pool member was checked with the pool
+    import blgroups.lie as lie
+
+    calls = Counter()
+    real = lie.ideal_dims
+
+    def counting(d, n):
+        calls[d, n] += 1
+        return real(d, n)
+
+    monkeypatch.setattr(lie, "ideal_dims", counting)
     lw = t3_loomis_whitney()
-    kernels = [map_kernel(lw, j) for j in range(3)]
-    assert finiteness(lw, [E(2)] * 3, pool=kernels).verdict is Verdict.UNDECIDED
-    full_pool, _ = closed_pool(lw)
-    assert finiteness(lw, [E(2)] * 3, pool=full_pool).verdict is Verdict.FINITE
+    for p, verdict in (([E(2)] * 3, Verdict.FINITE),
+                       ([E("3/2"), E(2), E(2)], Verdict.INFINITE)):
+        calls.clear()
+        assert finiteness(lw, p).verdict is verdict
+        assert calls and max(calls.values()) == 1
 
 
 def test_finiteness_runs_no_dense_scan(monkeypatch):
