@@ -7,12 +7,38 @@ The constant of a finite datum equals the maximum over subgroups H of
 with masses taken in the datum's Haar normalizations.  Only saturated
 subgroups, those equal to the intersection of the preimages of their images,
 need to be scanned: saturating a subgroup never shrinks the numerator and
-leaves the denominator unchanged.  Everything is ExactValue arithmetic, so
-equalities in the reduction calculus are testable with zero tolerance.
+leaves the denominator unchanged.  The reported value is ExactValue
+arithmetic, so equalities in the reduction calculus are testable with zero
+tolerance.
+
+Saturation runs on int bitsets.  For each map, the fibre mask of a codomain
+element y has bit x set when sigma_j(x) = y; the saturation of H is the AND
+over j of the OR of the fibre masks of sigma_j(H).  Its image under each map
+is sigma_j(H), so one pass over H gives both the candidate and its
+denominator.
+
+The scan ranks candidates by a float log-ratio first and builds exact values
+only for those within a margin of the float maximum.  Each float is
+
+    log|S| + log w_G - sum_j r_j (log|sigma_j(S)| + log w_j),
+
+at most 2 + 2J logs of integers no larger than N, the largest group order
+in the datum, with w the Haar weight of one element (1 or 1/order) and
+r_j = 1/p_j in [0, 1].  With u = 2^-53 and L = log N, each log (libm's,
+accurate to one ulp) errs by at most 2uL, each bracket and its product with
+the rounded r_j by at most 7uL, and the J + 1 additions of partial sums
+bounded by (J + 2)L by at most (J + 1)(J + 2)uL.  So a float log-ratio errs
+by less than E = uL(J + 5)^2: about 6e-14 for three maps on a group of
+order 4096.  A candidate that ties the true maximum therefore lies within 2E
+of the float maximum, and the margin, 1e-9 or 4E if that is larger, keeps
+every one.  The exact first-wins argmax over the survivors, in (order,
+members) order, is then the argmax over all candidates, with the same value
+and tie flag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -26,6 +52,8 @@ from .groups import (
     haar_mass,
     image,
 )
+
+_MARGIN = 1e-9
 
 
 def _codomain_mass(d: BLDatum, j: int, member_count: int) -> Fraction:
@@ -48,16 +76,47 @@ def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
     return value
 
 
-def saturate(d: BLDatum, H: Subgroup) -> Subgroup:
-    """The intersection of preimages of the images of H; contains H."""
+def _fibre_masks(d: BLDatum) -> list[list[int]]:
+    """Per map, one mask per codomain element y with bit x set when sigma_j(x) = y."""
+    out = []
+    for h in d.maps:
+        masks = [0] * h.codomain.order
+        for x, y in enumerate(h.map):
+            masks[y] |= 1 << x
+        out.append(masks)
+    return out
+
+
+def _saturation(d: BLDatum, fibres: list[list[int]], H: Subgroup) -> tuple[int, tuple[int, ...]]:
+    """The member mask of the saturation of H and its image order under each map."""
     if H.parent != d.G:
         raise ValueError("subgroup does not live in the datum's source group")
-    members = []
-    image_sets = [{h.map[x] for x in H.members} for h in d.maps]
-    for x in range(d.G.order):
-        if all(h.map[x] in s for h, s in zip(d.maps, image_sets)):
-            members.append(x)
-    return Subgroup(d.G, tuple(members))
+    mask = (1 << d.G.order) - 1
+    counts = []
+    for h, masks in zip(d.maps, fibres):
+        hmap = h.map
+        img = {hmap[x] for x in H.members}
+        union = 0
+        for y in img:
+            union |= masks[y]
+        mask &= union
+        counts.append(len(img))
+    return mask, tuple(counts)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def saturate(d: BLDatum, H: Subgroup) -> Subgroup:
+    """The intersection of preimages of the images of H; contains H."""
+    mask, _ = _saturation(d, _fibre_masks(d), H)
+    return Subgroup(d.G, _members(mask))
 
 
 @dataclass(frozen=True)
@@ -81,9 +140,10 @@ def bl_constant(
 ) -> ConstantReport:
     """Maximize the subgroup ratio; exact for every finite datum.
 
-    The scan runs over saturated subgroups only.  Ties break toward smaller
-    subgroup order, then lexicographic member lists; the report says whether
-    a tie occurred.  For non-canonical input the canonicalization tag (with
+    The scan runs over saturated subgroups only, and evaluates exactly only
+    those whose float log-ratio is near the float maximum (see the module
+    docstring).  Ties break toward smaller subgroup order, then lexicographic
+    member lists; the report says whether a tie occurred.  For non-canonical input the canonicalization tag (with
     its exact constant factor) is attached for reference; the value reported
     is that of the datum as given.
     """
@@ -91,16 +151,34 @@ def bl_constant(
         subgroups = all_subgroups(d.G, order_cap)
     tag = canonical_tag(d)
 
-    seen = set()
-    candidates = []
+    fibres = _fibre_masks(d)
+    found: dict[int, tuple[int, ...]] = {}
     for H in subgroups:
-        S = saturate(d, H)
-        if S.members not in seen:
-            seen.add(S.members)
-            candidates.append(S)
-    candidates.sort(key=lambda s: (s.order, s.members))
-    values = [ratio(d, S) for S in candidates]
-    best, value, tie = exact_max(values)
+        mask, counts = _saturation(d, fibres, H)
+        found.setdefault(mask, counts)
+
+    def log_weight(mode: HaarMode, order: int) -> float:
+        return 0.0 if mode is HaarMode.COUNTING else -math.log(order)
+
+    log_w_G = log_weight(d.haar_G, d.G.order)
+    terms = [
+        (j, float(r), log_weight(d.haar_codomains[j], d.codomains[j].order))
+        for j, r in enumerate(e.reciprocal() for e in d.exponents)
+        if r
+    ]
+    logs = {
+        mask: math.log(mask.bit_count()) + log_w_G
+        - sum(r * (math.log(counts[j]) + lw) for j, r, lw in terms)
+        for mask, counts in found.items()
+    }
+    top = max(logs.values(), default=0.0)
+    largest = max([d.G.order, *(c.order for c in d.codomains)])
+    margin = max(_MARGIN, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
+    near = sorted(
+        (mask.bit_count(), _members(mask)) for mask, f in logs.items() if f >= top - margin
+    )
+    candidates = [Subgroup(d.G, members) for _, members in near]
+    best, value, tie = exact_max([ratio(d, S) for S in candidates])
 
     all_cands = None
     if include_candidates:

@@ -11,6 +11,8 @@ Comparison of two distinct values reduces to the sign of sum_p e_p*log(p),
 which is never zero for a nonzero exponent vector (unique factorization),
 so interval arithmetic at escalating precision always terminates in
 principle; we cap the precision and surface the failure rather than guess.
+mpmath is imported at the first such comparison, not with this module:
+identical values compare equal without it, and most runs need nothing more.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import iv
 
 _START_BITS = 128
 _MAX_BITS = 4096
@@ -127,6 +127,8 @@ class ExactValue:
     # -- order ---------------------------------------------------------
 
     def _log_interval(self, bits: int):
+        from mpmath import iv
+
         iv.prec = bits
         total = iv.mpf(0)
         for p, e in self.factors:
@@ -140,6 +142,8 @@ class ExactValue:
         diff = self / other
         if diff.is_one:
             return 0
+        from mpmath import iv
+
         bits, reached = _START_BITS, 0
         caller_prec = iv.prec  # iv is global state and has no workprec
         try:

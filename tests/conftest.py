@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import blgroups
 from blgroups.groups import (
     direct_product,
     from_permutations,
@@ -41,3 +45,15 @@ def Z2xZ2():
 @pytest.fixture(scope="session")
 def E1():
     return trivial_group()
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a child Python that must import this blgroups.
+
+    pytest's `pythonpath` setting reaches only its own process, so a child
+    gets the directory holding the imported package on its PYTHONPATH.
+    """
+    src = str(Path(blgroups.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + rest if rest else ""))

@@ -226,7 +226,7 @@ def test_cache_storage_lifecycle(tmp_path):
     assert [s.members for s in subs1] == [s.members for s in subs2]
 
 
-def test_console_entry_point(write, tmp_path):
+def test_console_entry_point(write, tmp_path, package_env):
     path = tmp_path / "h.json"
     path.write_text(json.dumps(HOELDER_Z2))
     proc = subprocess.run(
@@ -234,6 +234,7 @@ def test_console_entry_point(write, tmp_path):
          "--no-cache"],
         capture_output=True,
         text=True,
+        env=package_env,
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
@@ -247,8 +248,11 @@ def test_undecided_comparison_reports_values_and_bits(write, capsys, monkeypatch
 
     monkeypatch.setattr(ExactValue, "_log_interval",
                         lambda self, bits: iv.mpf([-1, 1]))
-    path = write("lw.json", LW_Z2Z2)
-    code = main(["constant", "--in", path, "--no-cache"])
+    # 1/p_1 = 1 - 1e-10: the axis {0} x Z2 scores 2^(-1e-10), within the
+    # float margin of the whole group's 1, so the two are compared exactly
+    near_tie = dict(LW_Z2Z2, p=["10000000000/9999999999", "2"])
+    path = write("near_tie.json", near_tie)
+    code = main(["verify", "--in", path, "--no-cache"])
     err = json.loads(capsys.readouterr().err)
     assert code == 1
     assert err["kind"] == "undecided-comparison"

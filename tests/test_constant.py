@@ -1,13 +1,16 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from blgroups import corpus
 from blgroups.constant import bl_constant, extremizer, ratio, saturate
-from blgroups.datum import Exponent, make_datum
-from blgroups.exact import ExactValue
+from blgroups.datum import Exponent, canonical_tag, make_datum
+from blgroups.exact import ExactValue, exact_max
 from blgroups.groups import (
     HaarMode,
+    Homomorphism,
     Subgroup,
     all_subgroups,
     direct_product,
@@ -80,6 +83,15 @@ def test_saturate_diagonal_fills_group():
 def test_saturate_trivial_with_injective_joint_map():
     d = lw_z2z2()
     assert saturate(d, trivial_subgroup(d.G)).members == (d.G.identity,)
+
+
+def test_saturate_rejects_foreign_subgroup():
+    d = lw_z2z2()
+    other = make_cyclic_product([4])
+    with pytest.raises(ValueError, match="source group"):
+        saturate(d, trivial_subgroup(other))
+    with pytest.raises(ValueError, match="source group"):
+        bl_constant(d, subgroups=[trivial_subgroup(other)])
 
 
 def test_saturation_never_lowers_ratio():
@@ -172,6 +184,89 @@ def test_tie_reporting():
     assert rep.value.is_one
     assert rep.tie
     assert rep.argmax_subgroup.members == (0,)  # smaller order wins
+
+
+# -- the prefiltered scan against the unfiltered one ------------------------------
+
+
+def reference_bl_constant(d, subgroups=None):
+    """The unfiltered scan, kept as the test oracle.
+
+    Saturates every subgroup member by member, takes the exact ratio of every
+    distinct candidate in (order, members) order and the exact argmax over all
+    of them.  Returns (value, argmax members, tie, canonicalization).
+    """
+    if subgroups is None:
+        subgroups = all_subgroups(d.G)
+    candidates = set()
+    for H in subgroups:
+        images = [{h.map[x] for x in H.members} for h in d.maps]
+        candidates.add(tuple(
+            x for x in range(d.G.order)
+            if all(h.map[x] in img for h, img in zip(d.maps, images))
+        ))
+    ordered = sorted(candidates, key=lambda m: (len(m), m))
+    best, value, tie = exact_max([ratio(d, Subgroup(d.G, m)) for m in ordered])
+    tag = canonical_tag(d)
+    return value, ordered[best], tie, None if tag.is_canonical else tag
+
+
+def _report_key(rep):
+    return rep.value, rep.argmax_subgroup.members, rep.tie, rep.canonicalization
+
+
+def test_scan_matches_reference_on_corpus_slice():
+    frames = random.Random(5).sample(corpus.standard_frames(), 5)
+    for f in frames:
+        subs = all_subgroups(f.group)
+        for p in corpus.exponent_grid(f.J):
+            d = corpus.frame_datum(f, p)
+            assert _report_key(bl_constant(d, subgroups=subs)) == reference_bl_constant(d, subs)
+
+
+def _edge_data():
+    Z4 = make_cyclic_product([4])
+    Z6 = make_cyclic_product([6])
+    G, pa, pb = direct_product(make_cyclic_product([2]), make_cyclic_product([3]))
+    yield lw_z2z2(("4/3", "5/2"))
+    yield lw_z2z2(("1000/999", "4/3"))
+    yield lw_z2z2(("5/2", "5/2"))
+    # 1/p_1 = 1 - 1e-10: two distinct candidates inside the float margin
+    yield lw_z2z2(("10000000000/9999999999", "2"))
+    yield hoelder_z2(("4/3", "5/2", "1000/999"))
+    # the diagonal (0, 3) and the whole group tie at 1; the lattice lists
+    # (0, 2), which saturates to the whole group, before the diagonal, yet
+    # the diagonal wins by its smaller order
+    lw = lw_z2z2()
+    Z2 = lw.codomains[0]
+    yield make_datum(lw.G, [lw.maps[0], Homomorphism(lw.G, Z2, (0, 1, 1, 0))], ("2", "1"))
+    yield make_datum(G, [pa, pb], ("4/3", "1000/999"))
+    for haar_G, haar in itertools.product((C, P), repeat=2):
+        for p in (("4/3", "5/2"), ("1000/999", "3"), ("1", "inf")):
+            yield make_datum(Z6, [identity_map(Z6)] * 2, p, haar_G=haar_G,
+                             haar_codomains=[haar, C])
+            yield lw_z2z2(p).with_haar(haar_G, (haar, C))
+    # non-canonical: the doubling map of Z4 and a map with a kernel
+    yield make_datum(Z4, [Homomorphism(Z4, Z4, (0, 2, 0, 2))], ["5/2"])
+    yield make_datum(Z4, [Homomorphism(Z4, Z4, (0, 2, 0, 2)), identity_map(Z4)],
+                     ["4/3", "1000/999"])
+
+
+def test_scan_matches_reference_on_edge_data():
+    for d in _edge_data():
+        assert _report_key(bl_constant(d)) == reference_bl_constant(d)
+
+
+def test_constant_runs_no_interval_comparison(monkeypatch):
+    data = [lw_z2z2(), hoelder_z2(), hoelder_z2(("2", "2"))]
+    expected = [bl_constant(d) for d in data]
+    assert expected[2].tie
+
+    def refuse(self, bits):
+        raise AssertionError("interval comparison")
+
+    monkeypatch.setattr(ExactValue, "_log_interval", refuse)
+    assert [bl_constant(d) for d in data] == expected
 
 
 # -- extremizers --------------------------------------------------------------------

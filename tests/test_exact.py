@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,6 +130,31 @@ def test_compare_restores_interval_precision():
         assert iv.prec == 64
     finally:
         iv.prec = saved
+
+
+MPMATH_DEFERRED = """
+import sys
+from fractions import Fraction
+
+from blgroups import ExactValue, bl_constant, direct_product, make_cyclic_product, make_datum
+
+Z2 = make_cyclic_product([2])
+G, pa, pb = direct_product(Z2, Z2)
+assert bl_constant(make_datum(G, [pa, pb], ["2", "2"])).value.is_one
+assert "mpmath" not in sys.modules
+a = ExactValue.from_rational(2) ** Fraction(1, 2)
+b = ExactValue.from_rational(3) ** Fraction(1, 3)
+assert a.compare(b) == -1
+from mpmath import iv
+assert iv.prec == 53
+"""
+
+
+def test_mpmath_is_imported_at_the_first_interval_comparison(package_env):
+    # A fresh interpreter: this test process has imported mpmath already.
+    proc = subprocess.run([sys.executable, "-c", MPMATH_DEFERRED],
+                          capture_output=True, text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_json_round_trip():
