@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .datum import BLDatum, Exponent, make_datum
 from .groups import (
@@ -71,21 +71,13 @@ class Frame:
         return len(self.maps)
 
 
-def subdirect_frames(
-    factor_names: Sequence[str], subgroup_cache: Optional[dict] = None
-) -> list[Frame]:
+def subdirect_frames(factor_names: Sequence[str]) -> list[Frame]:
     """All subgroups of the product projecting onto every factor, as frames."""
     factors = [standard_factor(n) for n in factor_names]
     P, projections = multi_product(factors)
-    if subgroup_cache is not None and P in subgroup_cache:
-        subgroups = subgroup_cache[P]
-    else:
-        subgroups = all_subgroups(P)
-        if subgroup_cache is not None:
-            subgroup_cache[P] = subgroups
     frames = []
     base = "x".join(factor_names)
-    for idx, H in enumerate(subgroups):
+    for idx, H in enumerate(all_subgroups(P)):
         if not all(
             len({h.map[x] for x in H.members}) == h.codomain.order
             for h in projections
@@ -105,7 +97,6 @@ def standard_frames(
 ) -> list[Frame]:
     names = ("Z2", "Z3", "Z4", "S3")
     orders = {"Z2": 2, "Z3": 3, "Z4": 4, "S3": 6}
-    cache: dict = {}
     universes: list[tuple[str, ...]] = []
     if pair_universes:
         universes += list(itertools.combinations_with_replacement(names, 2))
@@ -117,7 +108,7 @@ def standard_frames(
         ]
     frames = []
     for u in universes:
-        for f in subdirect_frames(u, cache):
+        for f in subdirect_frames(u):
             if f.group.order <= max_group_order:
                 frames.append(f)
     return frames

@@ -3,8 +3,12 @@
 Elements are integers 0..order-1 and the group law is a full Cayley table,
 so every operation is a table lookup.  Groups enter as cyclic products,
 explicit tables, or permutation generators (closed into a table).  Subgroup
-enumeration is bottom-up closure of generator sets, which is the only
-super-polynomial step; the configurable order cap keeps it at desk scale.
+enumeration is bottom-up cyclic extension, after Neubüser: each known
+subgroup H is extended by one representative x of each left coset xH, since
+<H, x> = <H, xh> for h in H, and <H, x> is closed by a breadth-first search
+that right-multiplies by x and adds whole cosets of H, at O(|K|) table
+lookups for a closure K.  S5 (156 subgroups) and Z2^6 (2825) are listed in
+well under a second; the configurable order cap bounds |G|.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 DEFAULT_ORDER_CAP = 4096
 _FULL_CHECK_LIMIT = 256
@@ -65,7 +69,7 @@ class FiniteGroup:
             raise GroupStructureError("labels length must match order")
 
     def inv(self, x: int) -> int:
-        return self.table[x].index(self.identity)
+        return self._inverses[x]
 
     def elements(self) -> range:
         return range(self.order)
@@ -87,6 +91,11 @@ class FiniteGroup:
     def _hash(self) -> int:
         # the table is immutable, so hash it once per group, not per call
         return hash((self.order, self.identity, self.table))
+
+    @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        # one search per row, once per group, so inv is a lookup
+        return tuple(row.index(self.identity) for row in self.table)
 
 
 def _check_associativity(table, n):
@@ -304,58 +313,59 @@ def trivial_group() -> FiniteGroup:
 # -- subgroup machinery --------------------------------------------------
 
 
-def closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset:
-    """Smallest subgroup containing seed (product closure suffices: G finite)."""
-    elems = set(seed)
-    elems.add(G.identity)
-    frontier = list(elems)
-    table = G.table
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(elems):
-                for z in (table[x][y], table[y][x]):
-                    if z not in elems:
-                        elems.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    return frozenset(elems)
-
-
 def all_subgroups(
     G: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> list[Subgroup]:
     """Every subgroup of G, canonically ordered by (order, members).
 
-    Bottom-up: grow each known subgroup by one outside element and close.
-    Closures are memoized on their seed set, since different parents retry
-    the same extension.
+    Bottom-up cyclic extension: each subgroup H found is grown to <H, x>.
+    Since <H, x> = <H, xh> for every h in H, one x per left coset xH is
+    tried.  The closure is a breadth-first search from H that right-multiplies
+    by x and, on reaching an element z outside, adds its whole coset zH.  The
+    union of left H-cosets it builds contains the identity and is closed
+    under right multiplication by x and by H, so it is <H, x>.  Each member
+    of K = <H, x> is multiplied by x once and each coset of H in K is built
+    once: O(|K|) table lookups, against O(|K| * gens) for a search over a
+    generator list.  Closures are de-duplicated as int bitsets (bit x set
+    when x is a member); a Subgroup, with its full validation, is built only
+    at the return.
     """
     if G.order > order_cap:
         raise SizeCapError(f"|G| = {G.order} exceeds cap {order_cap}")
-    memo: dict[frozenset, frozenset] = {}
-    trivial = frozenset({G.identity})
-    found = {trivial}
+    table = G.table
+    trivial = (G.identity,)
+    found = {1 << G.identity}
+    listed = [trivial]
     frontier = [trivial]
     while frontier:
         nxt = []
-        for H in frontier:
+        for hmem in frontier:
+            H = 0
+            for h in hmem:
+                H |= 1 << h
+            covered = H
             for x in range(G.order):
-                if x in H:
+                if covered >> x & 1:
                     continue
-                seed = H | {x}
-                K = memo.get(seed)
-                if K is None:
-                    K = closure(G, seed)
-                    memo[seed] = K
+                row = table[x]
+                for h in hmem:
+                    covered |= 1 << row[h]
+                K, mem = H, list(hmem)
+                for y in mem:
+                    z = table[y][x]
+                    if not K >> z & 1:
+                        rz = table[z]
+                        for h in hmem:
+                            K |= 1 << rz[h]
+                            mem.append(rz[h])
                 if K not in found:
                     found.add(K)
-                    nxt.append(K)
+                    mem.sort()
+                    nxt.append(tuple(mem))
+        listed += nxt
         frontier = nxt
-    return [
-        Subgroup(G, tuple(sorted(m)))
-        for m in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    ]
+    listed.sort(key=lambda m: (len(m), m))
+    return [Subgroup(G, m) for m in listed]
 
 
 def whole_group(G: FiniteGroup) -> Subgroup:

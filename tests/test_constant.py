@@ -257,6 +257,28 @@ def test_scan_matches_reference_on_edge_data():
         assert _report_key(bl_constant(d)) == reference_bl_constant(d)
 
 
+def _coordinate_projection(G, coords):
+    """Z2^n -> Z2^len(coords), keeping the listed coordinates (0 = leftmost)."""
+    n = G.order.bit_length() - 1
+    target = make_cyclic_product([2] * len(coords))
+    images = []
+    for x in range(G.order):
+        y = 0
+        for c in coords:
+            y = 2 * y + (x >> (n - 1 - c) & 1)
+        images.append(y)
+    return Homomorphism(G, target, tuple(images))
+
+
+def test_scan_matches_reference_on_z2_6():
+    G = make_cyclic_product([2] * 6)
+    maps = [_coordinate_projection(G, c) for c in ((0, 1, 2), (2, 3, 4), (4, 5, 0), (1, 3, 5))]
+    d = make_datum(G, maps, ("3/2", "2", "3", "4/3"))
+    subs = all_subgroups(G)
+    assert len(subs) == 2825
+    assert _report_key(bl_constant(d, subgroups=subs)) == reference_bl_constant(d, subs)
+
+
 def test_constant_runs_no_interval_comparison(monkeypatch):
     data = [lw_z2z2(), hoelder_z2(), hoelder_z2(("2", "2"))]
     expected = [bl_constant(d) for d in data]

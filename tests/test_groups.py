@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blgroups import corpus
+from blgroups.cache import SubgroupCache, cache_key
 from blgroups.groups import (
     GroupStructureError,
     HaarMode,
@@ -112,6 +116,52 @@ def brute_force_subgroups(G):
     return sorted(out, key=lambda m: (len(m), m))
 
 
+def reference_all_subgroups(G):
+    """The all-pairs enumerator the coset one replaced, kept as the test oracle.
+
+    Grows each known subgroup by every outside element, closes the seed under
+    all products of pairs, and memoizes closures on their seed sets.  Returns
+    the member tuples in (order, members) order.
+    """
+
+    def closure(seed):
+        elems = set(seed) | {G.identity}
+        frontier = list(elems)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in list(elems):
+                    for z in (G.table[x][y], G.table[y][x]):
+                        if z not in elems:
+                            elems.add(z)
+                            nxt.append(z)
+            frontier = nxt
+        return frozenset(elems)
+
+    memo = {}
+    trivial = frozenset({G.identity})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for x in range(G.order):
+                if x in H:
+                    continue
+                seed = H | {x}
+                if seed not in memo:
+                    memo[seed] = closure(seed)
+                if memo[seed] not in found:
+                    found.add(memo[seed])
+                    nxt.append(memo[seed])
+        frontier = nxt
+    return sorted((tuple(sorted(K)) for K in found), key=lambda m: (len(m), m))
+
+
+def _members(subgroups):
+    return [s.members for s in subgroups]
+
+
 def test_subgroups_z4(Z4):
     subs = all_subgroups(Z4)
     assert [s.members for s in subs] == [(0,), (0, 2), (0, 1, 2, 3)]
@@ -131,11 +181,46 @@ def test_subgroups_s3(S3):
 )
 def test_subgroups_match_brute_force(moduli):
     G = make_cyclic_product(moduli)
-    assert [s.members for s in all_subgroups(G)] == brute_force_subgroups(G)
+    expected = brute_force_subgroups(G)
+    assert _members(all_subgroups(G)) == expected == reference_all_subgroups(G)
 
 
 def test_subgroups_match_brute_force_s3(S3):
-    assert [s.members for s in all_subgroups(S3)] == brute_force_subgroups(S3)
+    expected = brute_force_subgroups(S3)
+    assert _members(all_subgroups(S3)) == expected == reference_all_subgroups(S3)
+
+
+def test_subgroups_match_reference_on_corpus_groups():
+    groups = {f.group for f in corpus.standard_frames()}
+    assert len(groups) == 42
+    for G in groups:
+        assert _members(all_subgroups(G)) == reference_all_subgroups(G)
+
+
+@pytest.mark.parametrize("moduli", [[2] * 5, [4] * 3])
+def test_subgroups_match_reference_on_larger_products(moduli):
+    G = make_cyclic_product(moduli)
+    assert _members(all_subgroups(G)) == reference_all_subgroups(G)
+
+
+def test_cache_entries_hold_the_reference_lattice(tmp_path):
+    G = make_cyclic_product([2] * 5)
+    expected = reference_all_subgroups(G)
+    cache = SubgroupCache(tmp_path / "c")
+    cold = cache.subgroups(G)
+    assert not cache.last_hit
+    warm = cache.subgroups(G)
+    assert cache.last_hit
+    assert _members(cold) == _members(warm) == expected
+    # the entry format is unchanged, so entries written before stay valid
+    entry = json.loads((tmp_path / "c" / f"{cache_key(G)}.json").read_text())
+    text = json.dumps([list(m) for m in expected], separators=(",", ":"))
+    assert entry["digest"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_subgroups_respect_order_cap():
+    with pytest.raises(SizeCapError):
+        all_subgroups(make_cyclic_product([2] * 5), order_cap=16)
 
 
 def test_subgroup_invariants_hold_for_all_listed(S3):
@@ -160,6 +245,37 @@ def test_equal_subgroups_of_equal_groups_hash_alike():
     h1, h2 = Subgroup(G1, (0, 2)), Subgroup(G2, (0, 2))
     assert h1 == h2
     assert len({h1, h2}) == 1
+
+
+# -- the large-group tier: lattices the all-pairs enumerator could not reach
+
+
+def _symmetric(n):
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    return from_permutations(n, [swap, cycle])
+
+
+def _alternating5():
+    return from_permutations(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+
+
+@pytest.mark.parametrize(
+    "make, order, count",
+    [
+        (lambda: _symmetric(4), 24, 30),
+        (_alternating5, 60, 59),
+        (lambda: _symmetric(5), 120, 156),
+        (lambda: make_cyclic_product([2] * 6), 64, 2825),
+    ],
+    ids=["S4", "A5", "S5", "Z2^6"],
+)
+def test_large_group_subgroup_counts(make, order, count):
+    G = make()
+    assert G.order == order
+    keys = [(s.order, s.members) for s in all_subgroups(G)]
+    assert len(keys) == count
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 # -- homomorphisms -----------------------------------------------------------
