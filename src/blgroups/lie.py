@@ -101,6 +101,7 @@ from .rational_linalg import (
     enumerate_box_subspaces,
     image_basis,
     nullspace,
+    rank,
     rref,
     solve_square,
     subspace_intersection,
@@ -166,9 +167,18 @@ class IdealSpec:
         object.__setattr__(self, "simple_part", tuple(sorted(set(self.simple_part))))
         object.__setattr__(self, "torus_basis", rref(self.torus_basis))
 
+    @classmethod
+    def _canonical(cls, simple_part: tuple[int, ...], torus_basis: Matrix) -> IdealSpec:
+        """An ideal from parts already in canonical form, which are not reduced
+        again: a sorted tuple of distinct summands and an RREF basis."""
+        n = object.__new__(cls)
+        object.__setattr__(n, "simple_part", simple_part)
+        object.__setattr__(n, "torus_basis", torus_basis)
+        return n
+
 
 def zero_ideal() -> IdealSpec:
-    return IdealSpec((), ())
+    return IdealSpec._canonical((), ())
 
 
 def full_ideal(d: CompactLieDatum) -> IdealSpec:
@@ -176,7 +186,19 @@ def full_ideal(d: CompactLieDatum) -> IdealSpec:
         tuple(Fraction(int(i == j)) for j in range(d.torus_dim))
         for i in range(d.torus_dim)
     )
-    return IdealSpec(tuple(range(len(d.simple_dims))), eye)
+    return IdealSpec._canonical(tuple(range(len(d.simple_dims))), eye)
+
+
+def _is_full(d: CompactLieDatum, n: IdealSpec) -> bool:
+    """Whether n == full_ideal(d), without building it: n's torus basis is in
+    RREF, and an RREF basis of torus_dim rows of width torus_dim is the
+    identity."""
+    t = d.torus_dim
+    return (
+        n.simple_part == tuple(range(len(d.simple_dims)))
+        and len(n.torus_basis) == t
+        and all(len(row) == t for row in n.torus_basis)
+    )
 
 
 def ideal_dims(d: CompactLieDatum, n: IdealSpec) -> tuple[int, list[int]]:
@@ -194,8 +216,11 @@ def ideal_dims(d: CompactLieDatum, n: IdealSpec) -> tuple[int, list[int]]:
 
 
 def map_image_dims(d: CompactLieDatum) -> list[int]:
-    """dim dsigma_j(g) per map."""
-    return ideal_dims(d, full_ideal(d))[1]
+    """dim dsigma_j(g) per map: its kept summands plus the rank of its torus block."""
+    return [
+        sum(d.simple_dims[i] for i in m.kept_simple) + rank(m.torus_matrix)
+        for m in d.maps
+    ]
 
 
 @dataclass(frozen=True)
@@ -236,8 +261,7 @@ def codimension_check(
 ) -> CodimReport:
     """Verify the codimension inequality for every listed proper ideal."""
     recips = _reciprocals(d, p)
-    full = full_ideal(d)
-    proper = [n for n in ideals if n != full]
+    proper = [n for n in ideals if not _is_full(d, n)]
     if not proper:
         return CodimReport(True)
     g_dims = map_image_dims(d)
@@ -254,23 +278,26 @@ def codimension_check(
 def map_kernel(d: CompactLieDatum, j: int) -> IdealSpec:
     m = d.maps[j]
     killed = tuple(i for i in range(len(d.simple_dims)) if i not in m.kept_simple)
-    if m.torus_matrix:
-        tb = nullspace(m.torus_matrix, d.torus_dim)
+    return IdealSpec._canonical(killed, nullspace(m.torus_matrix, d.torus_dim))
+
+
+def _sum_and_intersection(d, a: IdealSpec, b: IdealSpec) -> tuple[IdealSpec, IdealSpec]:
+    """(a + b, a cap b), the torus meet read off dimensions where it can be
+    (see closed_pool)."""
+    A, B = a.torus_basis, b.torus_basis
+    s = subspace_sum(A, B)
+    if len(s) == len(A):
+        meet = B
+    elif len(s) == len(B):
+        meet = A
+    elif len(s) == len(A) + len(B):
+        meet = ()
     else:
-        tb = full_ideal(d).torus_basis
-    return IdealSpec(killed, tb)
-
-
-def _ideal_sum(d, a: IdealSpec, b: IdealSpec) -> IdealSpec:
-    return IdealSpec(
-        a.simple_part + b.simple_part, subspace_sum(a.torus_basis, b.torus_basis)
-    )
-
-
-def _ideal_intersection(d, a: IdealSpec, b: IdealSpec) -> IdealSpec:
-    return IdealSpec(
-        tuple(set(a.simple_part) & set(b.simple_part)),
-        subspace_intersection(a.torus_basis, b.torus_basis, d.torus_dim),
+        meet = subspace_intersection(A, B, d.torus_dim)
+    sa, sb = set(a.simple_part), set(b.simple_part)
+    return (
+        IdealSpec._canonical(tuple(sorted(sa | sb)), s),
+        IdealSpec._canonical(tuple(sorted(sa & sb)), meet),
     )
 
 
@@ -285,6 +312,13 @@ def closed_pool(
     each round combines only pairs with a member added by the round before.
     A round that adds nothing proves the pool closed; one round beyond
     max_closure is run only to find out whether it would.
+
+    Each pair costs one elimination for the torus sum s = A + B.  Since
+    dim(A cap B) = dim A + dim B - dim s, the intersection is read off the
+    dimensions where they pin it down: dim s = dim A means B lies in A, so
+    A cap B = B; dim s = dim B means A cap B = A; dim s = dim A + dim B means
+    A cap B = 0.  Only the other pairs run Zassenhaus.  Bases coming out of
+    RREF are canonical already and are not reduced again.
     """
     pool = {zero_ideal()}
     pool.update(map_kernel(d, j) for j in range(d.J))
@@ -294,7 +328,7 @@ def closed_pool(
         new = set()
         for i, a in enumerate(fresh):
             for b in old + fresh[i + 1 :]:
-                for c in (_ideal_sum(d, a, b), _ideal_intersection(d, a, b)):
+                for c in _sum_and_intersection(d, a, b):
                     if c not in pool:
                         new.add(c)
         if not new:
@@ -550,7 +584,7 @@ def finiteness(
                 if n.simple_part not in lifted_s]
     s_report = codimension_check(semisimple, p, s_ideals)
     if not s_report.ok:
-        violator = IdealSpec(s_report.violator.simple_part, full.torus_basis)
+        violator = IdealSpec._canonical(s_report.violator.simple_part, full.torus_basis)
         return FinitenessReport(
             Verdict.INFINITE, violator, s_report.slack, pool_tuple,
             "violating ideal found among simple summand subsets",
@@ -563,11 +597,11 @@ def finiteness(
         )
 
     lifted_t = {n.torus_basis for n in pool if n.simple_part == full.simple_part}
-    torus_pool = {IdealSpec((), n.torus_basis) for n in pool
+    torus_pool = {IdealSpec._canonical((), n.torus_basis) for n in pool
                   if n.torus_basis not in lifted_t}
     t_report = codimension_check(torus, p, sorted(torus_pool, key=_ideal_key))
     if not t_report.ok:
-        violator = IdealSpec(full.simple_part, t_report.violator.torus_basis)
+        violator = IdealSpec._canonical(full.simple_part, t_report.violator.torus_basis)
         return FinitenessReport(
             Verdict.INFINITE, violator, t_report.slack, pool_tuple,
             "violating torus subspace found in the pool",

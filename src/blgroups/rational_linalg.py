@@ -2,46 +2,92 @@
 
 Subspaces of Q^n are represented by their reduced row echelon basis, which
 is a canonical form: two subspaces are equal iff their RREF tuples are.
-Everything here is Fraction arithmetic; nothing is approximated.
+Inputs and outputs are Fractions, and nothing is approximated.  Elimination
+runs on Python ints: each input row is scaled by the lcm of its
+denominators, which keeps its span, and Gauss-Jordan elimination replaces a
+row r by a r - b p for the pivot row p (a its leading entry, b the entry of r
+in the pivot column), then divides r by the gcd of its entries.  Only the
+result becomes Fractions, each pivot row divided by its leading entry; RREF
+is unique, so it is the RREF that Fraction elimination gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def as_matrix(rows: Iterable[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
-def rref(rows: Iterable[Sequence]) -> Matrix:
-    """Reduced row echelon form with zero rows dropped; canonical per subspace."""
-    mat = [list(map(Fraction, row)) for row in rows]
+def _rationals(row: Sequence) -> list:
+    """The entries as ints or Fractions, the two types with exact numerators."""
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators."""
+    vals = _rationals(row)
+    den = lcm(*[v.denominator for v in vals])
+    return [v.numerator * (den // v.denominator) for v in vals]
+
+
+def _echelon(mat: list[list[int]]) -> list[tuple[int, list[int]]]:
+    """Integer Gauss-Jordan elimination in place; (pivot column, row) per pivot.
+
+    The returned rows are primitive, nonzero, sorted by pivot column, and zero
+    in every pivot column but their own.
+    """
     if not mat:
-        return ()
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None
-        )
+        return []
+    cols = []
+    done = 0
+    for col in range(len(mat[0])):
+        pivot = next((r for r in range(done, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        lead = mat[pivot_row][col]
-        mat[pivot_row] = [v / lead for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
+        mat[done], mat[pivot] = mat[pivot], mat[done]
+        prow = mat[done]
+        g = gcd(*prow)
+        if g != 1:
+            prow = mat[done] = [x // g for x in prow]
+        a = prow[col]
+        for r, row in enumerate(mat):
+            b = row[col]
+            if b and r != done:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                mat[r] = [x // g for x in row] if g > 1 else row
+        cols.append(col)
+        done += 1
+        if done == len(mat):
             break
-    return tuple(tuple(row) for row in mat[:pivot_row] if any(row))
+    return list(zip(cols, mat))
+
+
+# Tuples are built from lists, not generators.  CPython sizes a tuple built
+# from a generator by a guess and shrinks it; such a tuple is not taken from
+# the free list for its final length but goes to it when freed, so that list
+# fills to its cap of 2000 tuples, which raised the peak memory of long runs.
+def _fraction_row(col: int, row: list[int]) -> Row:
+    lead = row[col]
+    return tuple(
+        [_ZERO if not x else _ONE if x == lead else Fraction(x, lead) for x in row]
+    )
+
+
+def rref(rows: Iterable[Sequence]) -> Matrix:
+    """Reduced row echelon form with zero rows dropped; canonical per subspace."""
+    pivots = _echelon([_integer_row(row) for row in rows])
+    return tuple([_fraction_row(col, row) for col, row in pivots])
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -49,15 +95,19 @@ def rank(rows: Iterable[Sequence]) -> int:
 
 
 def image_basis(M: Iterable[Sequence], vectors: Iterable[Sequence]) -> Matrix:
-    """RREF basis of { M v : v in span(vectors) }; vectors are rows."""
-    M = as_matrix(M)
-    vecs = as_matrix(vectors)
+    """RREF basis of { M v : v in span(vectors) }; vectors are rows.
+
+    M is scaled by one common denominator, which scales the image and keeps
+    it; scaling single rows of M would change it.  Each vector is scaled on
+    its own, which keeps its span.
+    """
+    M = [_rationals(row) for row in M]
+    vecs = [_integer_row(row) for row in vectors]
     if not M or not vecs:
         return ()
-    images = tuple(
-        tuple(sum(m * v for m, v in zip(mrow, vec)) for mrow in M) for vec in vecs
-    )
-    return rref(images)
+    den = lcm(*[v.denominator for row in M for v in row])
+    M = [[v.numerator * (den // v.denominator) for v in row] for row in M]
+    return rref([[sum(m * v for m, v in zip(mrow, vec)) for mrow in M] for vec in vecs])
 
 
 def nullspace(M: Iterable[Sequence], ncols: int) -> Matrix:
@@ -82,15 +132,17 @@ def subspace_sum(A: Matrix, B: Matrix) -> Matrix:
 
 
 def subspace_intersection(A: Matrix, B: Matrix, ncols: int) -> Matrix:
-    """Zassenhaus: RREF [[A|A],[B|0]]; rows with zero left half span A cap B."""
+    """Zassenhaus: RREF [[A|A],[B|0]]; rows with zero left half span A cap B.
+
+    Those rows come last in the RREF, and their right halves are an RREF
+    basis already: each is zero in the others' pivot columns.
+    """
     if not A or not B:
         return ()
+    zero = (0,) * ncols
     block = [tuple(row) + tuple(row) for row in A]
-    zero = (Fraction(0),) * ncols
     block += [tuple(row) + zero for row in B]
-    R = rref(block)
-    out = [row[ncols:] for row in R if not any(row[:ncols])]
-    return rref(out)
+    return tuple([row[ncols:] for row in rref(block) if not any(row[:ncols])])
 
 
 def solve_square(A: Iterable[Sequence], b: Sequence) -> Optional[Row]:

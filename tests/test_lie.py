@@ -31,6 +31,7 @@ from blgroups.lie import (
     zero_ideal,
 )
 from blgroups.rational_linalg import (
+    image_basis,
     nullspace,
     rank,
     rref,
@@ -92,6 +93,126 @@ def test_subspace_dimension_formula(a_rows, b_rows):
     s = subspace_sum(A, B)
     i = subspace_intersection(A, B, 3)
     assert len(s) + len(i) == len(A) + len(B)
+
+
+def reference_rref(rows):
+    """Gauss-Jordan elimination in Fraction arithmetic: the test oracle."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = next(
+            (r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
+        lead = mat[pivot_row][col]
+        mat[pivot_row] = [v / lead for v in mat[pivot_row]]
+        for r in range(len(mat)):
+            if r != pivot_row and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:pivot_row] if any(row))
+
+
+def reference_nullspace(M, ncols):
+    R = reference_rref(M)
+    pivots = [next(i for i, v in enumerate(row) if v != 0) for row in R]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, pcol in zip(R, pivots):
+            vec[pcol] = -row[f]
+        basis.append(vec)
+    return reference_rref(basis)
+
+
+def reference_image_basis(M, vectors):
+    M = [list(map(Fraction, row)) for row in M]
+    vecs = [list(map(Fraction, row)) for row in vectors]
+    if not M or not vecs:
+        return ()
+    return reference_rref(
+        [sum(m * v for m, v in zip(mrow, vec)) for mrow in M] for vec in vecs
+    )
+
+
+def reference_intersection(A, B, ncols):
+    if not A or not B:
+        return ()
+    zero = (Fraction(0),) * ncols
+    block = [tuple(row) + tuple(row) for row in A] + [tuple(row) + zero for row in B]
+    R = reference_rref(block)
+    return reference_rref([row[ncols:] for row in R if not any(row[:ncols])])
+
+
+def random_rows(rng, count, ncols, rational):
+    """Small entries, with zero and duplicate rows mixed in."""
+    rows = []
+    for _ in range(count):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif pick < 0.25:
+            rows.append([0] * ncols)
+        elif rational:
+            rows.append([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6, 9)))
+                         for _ in range(ncols)])
+        else:
+            rows.append([rng.randint(-3, 3) for _ in range(ncols)])
+    return rows
+
+
+def assert_same_matrix(got, want):
+    assert got == want
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+def test_linear_algebra_matches_fraction_reference():
+    rng = random.Random(7)
+    assert rref([]) == reference_rref([]) == ()
+    assert_same_matrix(rref([[0, 0], [0, 0]]), ())
+    for trial in range(600):
+        rational = trial % 2 == 1
+        ncols = rng.randint(1, 5)
+        rows = random_rows(rng, rng.randint(0, 6), ncols, rational)
+        assert_same_matrix(rref(rows), reference_rref(rows))
+        assert_same_matrix(nullspace(rows, ncols), reference_nullspace(rows, ncols))
+        M = random_rows(rng, rng.randint(0, 4), ncols, rational)
+        assert_same_matrix(image_basis(M, rows), reference_image_basis(M, rows))
+        A = rref(rows)
+        B = rref(random_rows(rng, rng.randint(0, 6), ncols, not rational))
+        assert_same_matrix(subspace_sum(A, B), reference_rref(list(A) + list(B)))
+        assert_same_matrix(subspace_intersection(A, B, ncols),
+                           reference_intersection(A, B, ncols))
+
+
+def test_image_basis_of_a_rational_map():
+    # scaling the rows of M one by one would give the span of (1, 3), not (1, 2)
+    F = Fraction
+    M = [[F(1, 2), 0], [0, F(1, 3)]]
+    vectors = [[2, 6], [F(1, 4), F(3, 4)]]
+    assert_same_matrix(image_basis(M, vectors), ((F(1), F(2)),))
+    assert_same_matrix(image_basis(M, vectors), reference_image_basis(M, vectors))
+
+
+def test_wide_zassenhaus_blocks():
+    # six columns, so each block is twelve wide; A and B share two rows
+    rng = random.Random(11)
+    for _ in range(40):
+        shared = random_rows(rng, 2, 6, True)
+        A = rref(shared + random_rows(rng, 2, 6, True))
+        B = rref(shared + random_rows(rng, 3, 6, False))
+        assert_same_matrix(subspace_intersection(A, B, 6),
+                           reference_intersection(A, B, 6))
 
 
 # -- dimension counting -----------------------------------------------------------
@@ -216,6 +337,22 @@ def test_closed_pool_matches_all_pairs_reference():
     for d in data:
         for max_closure in range(5):
             assert closed_pool(d, max_closure=max_closure) == reference_closed_pool(d, max_closure)
+
+
+def test_closed_pool_members_are_canonical_and_shortcuts_match_zassenhaus():
+    import blgroups.lie as lie
+
+    for d in random_lie_data(41, 36):
+        pool, _ = closed_pool(d)
+        for n in pool:
+            again = IdealSpec(n.simple_part, n.torus_basis)
+            assert again == n and hash(again) == hash(n)
+        for a in pool:
+            for b in pool:
+                s, meet = lie._sum_and_intersection(d, a, b)
+                assert s.torus_basis == subspace_sum(a.torus_basis, b.torus_basis)
+                assert meet.torus_basis == subspace_intersection(
+                    a.torus_basis, b.torus_basis, d.torus_dim)
 
 
 def test_pool_single_injective_map():
@@ -448,6 +585,38 @@ def test_finiteness_checks_each_ideal_once(monkeypatch):
         assert calls and max(calls.values()) == 1
 
 
+def test_finiteness_builds_full_ideal_and_image_dims_once_per_datum(monkeypatch):
+    # one finiteness call builds the full ideal of its datum once, and the
+    # image dimensions of each datum it checks once
+    import blgroups.lie as lie
+
+    calls = Counter()
+    for name in ("full_ideal", "map_image_dims"):
+        real = getattr(lie, name)
+
+        def counting(d, name=name, real=real):
+            calls[name, d] += 1
+            return real(d)
+
+        monkeypatch.setattr(lie, name, counting)
+    mixed = CompactLieDatum((3,), 2, (LinearizedMap((0,), [[1, 0]]),
+                                      LinearizedMap((), [[0, 1]])))
+    lw = t3_loomis_whitney()
+    cases = ((lw, [E(2)] * 3), (lw, [E("3/2"), E(2), E(2)]),
+             (mixed, [E(2), E(2)]), (mixed, [E(1), E(1)]))
+    for d, p in cases:
+        calls.clear()
+        finiteness(d, p)
+        assert calls and max(calls.values()) == 1
+
+    def refuse(rows):
+        raise AssertionError("the identity basis is in RREF already")
+
+    expected = IdealSpec((0,), [[1, 0], [0, 1]])
+    monkeypatch.setattr(lie, "rref", refuse)
+    assert full_ideal(mixed) == expected
+
+
 def test_finiteness_runs_no_dense_scan(monkeypatch):
     import blgroups.lie as lie
 
@@ -481,3 +650,18 @@ def test_semisimple_ideals_enumeration():
     d = CompactLieDatum((3, 3, 8), 0, (LinearizedMap((0, 1, 2), ()),))
     ideals = all_semisimple_ideals(d)
     assert len(ideals) == 8
+
+
+def test_torus_scan_script_runs(package_env):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "torus_scan.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--count", "8", "--max-dim", "2",
+         "--scan-box", "1", "--audit"],
+        capture_output=True, text=True, env=package_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "no violator missed by the pool" in proc.stdout
