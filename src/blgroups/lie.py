@@ -6,13 +6,14 @@ the torus.  A homomorphism kills or keeps each simple summand and acts on the
 torus by an integer matrix, so all the dimension counting in the codimension
 conditions reduces to subset bookkeeping plus rational matrix ranks.
 
-The codimension defect of an ideal is the sum of the defects of its simple
-part and its torus part (see split_commutator_center), so a datum passes
-every ideal iff its semisimple part passes every subset of simple summands,
-which are enumerated, and its torus part passes every subspace, which cannot
-be enumerated.  The torus side is settled by the theorem below: a FINITE
-verdict is a proof, not a sample.  Everything else is UNDECIDED, never
-guessed.
+The codimension defect is additive over the simple summands and the torus.
+With r_j = 1/p_j, R_i the sum of r_j over the maps that keep summand i, and
+c_i = d_i (R_i - 1), a summand i outside an ideal adds d_i to its
+codimension and to the image codimension of each map that keeps i, so
+defect(S, T) = sum_{i not in S} c_i + defect_T(T), with defect_T the torus
+part's own defect (see split_commutator_center), and every subset S passes
+iff every c_i <= 0.  The torus subspaces are settled by the theorem below: a
+FINITE verdict is a proof, not a sample, and what is not proved is UNDECIDED.
 
 Torus certificate
 -----------------
@@ -79,11 +80,16 @@ lattice generated by the kernels in Valdimarsson, "The Brascamp-Lieb
 polyhedron", Canad. J. Math. 62 (2010).  That paper works with the scaling
 condition in force, so the argument is given here in full; it needs none.
 
-closed_pool builds exactly such a P; `stabilized` means it closed within
-max_closure rounds.  Mixed data are certified on the torus projection of the
-closed pool, which is closed and holds every torus kernel because sum and
-intersection act component by component.  A pool that did not close gives
-UNDECIDED.
+closed_pool builds exactly such a P, with the Lie algebra g in place of V:
+sum and intersection of ideals act component by component, so the pool is a
+set of subspaces of g that holds 0 and every kernel.  `stabilized` means it
+closed within max_closure rounds; a pool that did not close gives UNDECIDED.
+Hence the part checks of finiteness never fire on a closed pool: its passing
+covers each ideal (all summands, T), whose defect is defect_T(T), and if
+R_i > 1, the sum U of the kernels K_j of the maps that keep i omits summand
+i, so defect(U) >= (R_i - 1) codim U > 0, as codim(U + K_j) = codim U for
+those j, and the pool check reports U first.  The part checks only turn an
+unclosed pool's UNDECIDED into INFINITE.
 """
 
 from __future__ import annotations
@@ -237,13 +243,15 @@ def _reciprocals(d: CompactLieDatum, p: Sequence[Exponent]) -> list[Fraction]:
     return [Exponent.of(pj).reciprocal() for pj in p]
 
 
-def _defect(d: CompactLieDatum, recips, g_dims, n: IdealSpec) -> Fraction:
+def _halfspace(d: CompactLieDatum, g_dims, n: IdealSpec) -> tuple[tuple[int, ...], int]:
+    """(coeffs, bound) with the codimension inequality at n as r . coeffs <= bound."""
     dim_n, image_dims = ideal_dims(d, n)
-    lhs = sum(
-        (rj * (gj - nj) for rj, gj, nj in zip(recips, g_dims, image_dims)),
-        Fraction(0),
-    )
-    return lhs - (d.group_dim() - dim_n)
+    return tuple(g - i for g, i in zip(g_dims, image_dims)), d.group_dim() - dim_n
+
+
+def _defect(d: CompactLieDatum, recips, g_dims, n: IdealSpec) -> Fraction:
+    coeffs, bound = _halfspace(d, g_dims, n)
+    return sum((r * c for r, c in zip(recips, coeffs)), Fraction(0)) - bound
 
 
 def codimension_defect(
@@ -261,11 +269,10 @@ def codimension_check(
 ) -> CodimReport:
     """Verify the codimension inequality for every listed proper ideal."""
     recips = _reciprocals(d, p)
-    proper = [n for n in ideals if not _is_full(d, n)]
-    if not proper:
-        return CodimReport(True)
     g_dims = map_image_dims(d)
-    for n in proper:
+    for n in ideals:
+        if _is_full(d, n):
+            continue
         defect = _defect(d, recips, g_dims, n)
         if defect > 0:
             return CodimReport(False, n, defect)
@@ -351,17 +358,6 @@ def _ideal_key(n: IdealSpec):
     )
 
 
-def all_semisimple_ideals(d: CompactLieDatum, cap_bits: int = 20) -> list[IdealSpec]:
-    """Every ideal of a datum with no torus: all subsets of simple summands."""
-    s = len(d.simple_dims)
-    if s > cap_bits:
-        raise SizeCapError(f"2^{s} subsets exceed the enumeration cap")
-    out = []
-    for mask in range(2**s):
-        out.append(IdealSpec(tuple(i for i in range(s) if mask >> i & 1), ()))
-    return sorted(out, key=_ideal_key)
-
-
 # -- polytope --------------------------------------------------------------
 
 
@@ -377,20 +373,8 @@ def bl_polytope(d: CompactLieDatum, ideals: Sequence[IdealSpec]) -> RationalPoly
     """One halfspace per distinct dimension vector over the given ideals."""
     if not any(n == zero_ideal() for n in ideals):
         raise ValueError("the ideal list must contain the zero ideal")
-    full = full_ideal(d)
     g_dims = map_image_dims(d)
-    dim_g = d.group_dim()
-    seen = set()
-    halfspaces = []
-    for n in ideals:
-        if n == full:
-            continue
-        dim_n, image_dims = ideal_dims(d, n)
-        coeffs = tuple(g - i for g, i in zip(g_dims, image_dims))
-        bound = dim_g - dim_n
-        if (coeffs, bound) not in seen:
-            seen.add((coeffs, bound))
-            halfspaces.append((coeffs, bound))
+    halfspaces = {_halfspace(d, g_dims, n) for n in ideals if not _is_full(d, n)}
     return RationalPolytope(d.J, tuple(sorted(halfspaces)))
 
 
@@ -501,7 +485,8 @@ class FinitenessReport:
     pool: tuple[IdealSpec, ...] = ()
     certification: str = ""
     note: str = (
-        "FINITE is proved: simple summand subsets are enumerated, and a torus "
+        "FINITE is proved: simple summand subsets are checked summand by "
+        "summand, as the defect is additive over them, and a torus "
         "pool that contains 0 and every map kernel and is closed under sum "
         "and intersection passes every subspace once it passes its own "
         "members (lattice theorem in blgroups.lie); a pool that is not "
@@ -550,61 +535,76 @@ def brute_force_torus_violator(
     return None
 
 
+def _first_failing_subset(c: list[Fraction]) -> tuple[int, ...]:
+    """The first proper S in (|S|, S) order with sum_{i not in S} c_i > 0,
+    for c with a positive entry.  That holds iff sum_{i in S} c_i < sum(c),
+    so |S| is the least k whose k smallest c_i sum below sum(c), and S takes,
+    in index order, each i that still leaves a completion."""
+    total, s = sum(c), len(c)
+    k = next(k for k in range(s) if sum(sorted(c)[:k]) < total)
+    S = []
+    for i in range(s):
+        rest = k - len(S) - 1  # members still to take after i
+        if 0 <= rest <= s - 1 - i and (
+                sum(c[j] for j in S) + c[i] + sum(sorted(c[i + 1 :])[:rest]) < total):
+            S.append(i)
+    return tuple(S)
+
+
 def finiteness(
     d: CompactLieDatum, p: Sequence[Exponent], max_closure: int = 3
 ) -> FinitenessReport:
     """Decide finiteness of the constant at p, against the closed ideal pool.
 
-    A violating ideal anywhere settles INFINITE.  FINITE needs completeness:
-    the semisimple side is enumerated in full, and the torus side is proved
-    by the lattice theorem in the module docstring, which needs a pool that
-    contains 0 and every map kernel and is closed under sum and
-    intersection.  The closed pool has that shape once its closure
-    stabilizes within max_closure rounds; otherwise the verdict is UNDECIDED.
-
-    A part ideal is checked through its lift to d, (S, full torus) or (all
-    simple summands, T), which has the same defect; a lift that is a pool
-    member has already passed, so it is not checked again.
+    Every verdict is read off the defects of the proper pool ideals, each
+    computed once; the first positive one, in pool order, settles INFINITE.
+    Else the first failing part is reported through its lift, (S, full
+    torus) or (all summands, T): S in (|S|, S) order, found iff some c_i > 0
+    (module docstring), then T in (dim T, T) order, at defect(n) minus the
+    c_i outside S(n) for a pool member n with torus part T.  A closure that
+    does not stabilize within max_closure rounds leaves the verdict UNDECIDED.
     """
-    _reciprocals(d, p)  # a wrong exponent count fails before the closure
+    recips = _reciprocals(d, p)  # a wrong exponent count fails before the closure
     pool, complete = closed_pool(d, max_closure)
     pool_tuple = tuple(pool)
 
-    report = codimension_check(d, p, pool)
-    if not report.ok:
-        return FinitenessReport(
-            Verdict.INFINITE, report.violator, report.slack, pool_tuple,
-            "violating ideal found in the pool",
-        )
+    R = [sum((r for r, m in zip(recips, d.maps) if i in m.kept_simple), Fraction(0))
+         for i in range(len(d.simple_dims))]
+    c = [dim * (Ri - 1) for dim, Ri in zip(d.simple_dims, R)]
+    total = sum(c)
+    g_dims = map_image_dims(d)
+    failing_tori = []  # (dim T, T, defect_T(T)) for each failing torus part
+    for n in pool:
+        if _is_full(d, n):
+            continue
+        defect = _defect(d, recips, g_dims, n)
+        if defect > 0:
+            return FinitenessReport(
+                Verdict.INFINITE, n, defect, pool_tuple,
+                "violating ideal found in the pool",
+            )
+        t = defect - total + sum(c[i] for i in n.simple_part)
+        if t > 0:
+            failing_tori.append((len(n.torus_basis), n.torus_basis, t))
 
-    full = full_ideal(d)
-    semisimple, torus = split_commutator_center(d)
-    lifted_s = {n.simple_part for n in pool if n.torus_basis == full.torus_basis}
-    s_ideals = [n for n in all_semisimple_ideals(semisimple)
-                if n.simple_part not in lifted_s]
-    s_report = codimension_check(semisimple, p, s_ideals)
-    if not s_report.ok:
-        violator = IdealSpec._canonical(s_report.violator.simple_part, full.torus_basis)
+    if any(ci > 0 for ci in c):
+        S = _first_failing_subset(c)
         return FinitenessReport(
-            Verdict.INFINITE, violator, s_report.slack, pool_tuple,
+            Verdict.INFINITE, IdealSpec._canonical(S, full_ideal(d).torus_basis),
+            total - sum(c[i] for i in S), pool_tuple,
             "violating ideal found among simple summand subsets",
         )
     if d.torus_dim == 0:
         return FinitenessReport(
             Verdict.FINITE, None, None, pool_tuple,
-            "semisimple datum: all ideals enumerated (constant 1 under "
-            "probability Haar)",
+            "semisimple datum: every ideal passes, summand by summand "
+            "(constant 1 under probability Haar)",
         )
-
-    lifted_t = {n.torus_basis for n in pool if n.simple_part == full.simple_part}
-    torus_pool = {IdealSpec._canonical((), n.torus_basis) for n in pool
-                  if n.torus_basis not in lifted_t}
-    t_report = codimension_check(torus, p, sorted(torus_pool, key=_ideal_key))
-    if not t_report.ok:
-        violator = IdealSpec._canonical(full.simple_part, t_report.violator.torus_basis)
+    if failing_tori:
+        _, T, slack = min(failing_tori)
         return FinitenessReport(
-            Verdict.INFINITE, violator, t_report.slack, pool_tuple,
-            "violating torus subspace found in the pool",
+            Verdict.INFINITE, IdealSpec._canonical(full_ideal(d).simple_part, T),
+            slack, pool_tuple, "violating torus subspace found in the pool",
         )
 
     if complete:

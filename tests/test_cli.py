@@ -108,6 +108,20 @@ def test_check_codim_undecided_exit_code(write, capsys):
     assert rep["result"]["verdict"] == "UNDECIDED"
 
 
+def test_check_codim_has_no_summand_cap(write, capsys):
+    # 30 copies of su(2) plus T^1: the summand subsets are never enumerated
+    wide = {
+        "simple_dims": [3] * 30,
+        "torus_dim": 1,
+        "maps": [{"kept_simple": list(range(30)), "torus_matrix": [[1]]},
+                 {"kept_simple": list(range(0, 30, 2)), "torus_matrix": [[1]]}],
+    }
+    path = write("wide.json", wide)
+    code, rep = run_cli(capsys, ["check-codim", "--in", path, "--p", "2,2"])
+    assert code == 0
+    assert rep["result"]["verdict"] == "FINITE"
+
+
 def test_polytope_command(write, capsys):
     path = write("t3.json", T3_LW)
     code, rep = run_cli(capsys, ["polytope", "--in", path])

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from blgroups.datum import Exponent
 from blgroups.lie import (
     CompactLieDatum,
+    FinitenessReport,
     IdealSpec,
     LinearizedMap,
     Verdict,
-    all_semisimple_ideals,
     bcct_check,
     bl_polytope,
     brute_force_torus_violator,
@@ -295,6 +295,10 @@ def test_pool_lw_eight_subspaces():
     assert dims == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
+def ideal_key(n):
+    return (len(n.simple_part) + len(n.torus_basis), n.simple_part, n.torus_basis)
+
+
 def reference_closed_pool(d, max_closure):
     """All-pairs closure of {0} and the kernels, then a closedness probe."""
 
@@ -315,8 +319,7 @@ def reference_closed_pool(d, max_closure):
         if not new:
             break
         pool |= new
-    key = lambda n: (len(n.simple_part) + len(n.torus_basis), n.simple_part, n.torus_basis)
-    return sorted(pool, key=key), combine(pool) <= pool
+    return sorted(pool, key=ideal_key), combine(pool) <= pool
 
 
 def random_lie_data(seed, count):
@@ -551,6 +554,23 @@ def four_generic_planes():
     return CompactLieDatum((), 3, tuple(LinearizedMap((), [r]) for r in rows))
 
 
+def test_finiteness_reports_first_failing_torus_part():
+    # su(3) + su(2) + T^3: in the unclosed pool a torus plane fails before a
+    # torus line does, but parts are reported in (dim T, T) order
+    d = CompactLieDatum((8, 3), 3, (LinearizedMap((0, 1), [[0, 1, -1]]),
+                                    LinearizedMap((), [[1, 0, 0], [1, 0, 1], [1, 1, -1]]),
+                                    LinearizedMap((0,), [[0, 1, -1], [1, 0, 1]])))
+    p = [E("5/2"), E(2), E(3)]
+    rep = finiteness(d, p, max_closure=0)
+    assert rep.certification == "violating torus subspace found in the pool"
+    assert rep.violator == IdealSpec((0, 1), [[1, -1, -1]])
+    assert rep.slack == Fraction(1, 15) == codimension_defect(d, p, rep.violator)
+    assert repr(rep) == repr(reference_finiteness(d, p, 0))
+    closed = finiteness(d, p, max_closure=1)
+    assert closed.certification == "violating ideal found in the pool"
+    assert closed.violator == rep.violator
+
+
 def test_finiteness_unclosed_pool_stays_undecided():
     d = four_generic_planes()
     p = [E(4)] * 4
@@ -565,8 +585,7 @@ def test_finiteness_unclosed_pool_stays_undecided():
 
 
 def test_finiteness_checks_each_ideal_once(monkeypatch):
-    # the torus part of pure torus data is the datum itself, and the lift of
-    # a part ideal that is a pool member was checked with the pool
+    # the part checks reuse the pool's defects: no split datum, no second rank
     import blgroups.lie as lie
 
     calls = Counter()
@@ -578,16 +597,46 @@ def test_finiteness_checks_each_ideal_once(monkeypatch):
 
     monkeypatch.setattr(lie, "ideal_dims", counting)
     lw = t3_loomis_whitney()
-    for p, verdict in (([E(2)] * 3, Verdict.FINITE),
-                       ([E("3/2"), E(2), E(2)], Verdict.INFINITE)):
+    mixed = CompactLieDatum((3,), 2, (LinearizedMap((0,), [[1, 0]]),
+                                      LinearizedMap((), [[0, 1]])))
+    for d, p, verdict in ((lw, [E(2)] * 3, Verdict.FINITE),
+                          (lw, [E("3/2"), E(2), E(2)], Verdict.INFINITE),
+                          (mixed, [E(2), E(2)], Verdict.FINITE)):
         calls.clear()
-        assert finiteness(lw, p).verdict is verdict
+        rep = finiteness(d, p)
+        assert rep.verdict is verdict
         assert calls and max(calls.values()) == 1
+        assert {datum for datum, _ in calls} == {d}
+        if verdict is Verdict.FINITE:
+            assert {n for _, n in calls} == {n for n in rep.pool if n != full_ideal(d)}
+
+
+def test_finiteness_reports_failing_summand_subset():
+    # su(2)^4; map j keeps every summand but j + 1, so summand 0 is kept by
+    # all three maps: R_0 = 6/5 and c_0 = 3/5 > 0, while c_1 = c_2 = c_3 =
+    # -3/5 hide it from the zero ideal and the kernels
+    for torus_dim in (0, 1):
+        maps = tuple(LinearizedMap(tuple(i for i in range(4) if i != j),
+                                   [[1]] if torus_dim else ())
+                     for j in (1, 2, 3))
+        d = CompactLieDatum((3, 3, 3, 3), torus_dim, maps)
+        p = [E("5/2")] * 3
+        rep = finiteness(d, p, max_closure=0)
+        assert rep.verdict is Verdict.INFINITE
+        assert rep.violator == IdealSpec((1, 2, 3), [[1]] if torus_dim else ())
+        assert rep.slack == Fraction(3, 5)
+        assert rep.certification == "violating ideal found among simple summand subsets"
+        assert codimension_defect(d, p, rep.violator) == rep.slack
+        # the closed pool holds U = the sum of the kernels, which omits summand 0
+        closed = finiteness(d, p, max_closure=3)
+        assert closed.verdict is Verdict.INFINITE
+        assert closed.certification == "violating ideal found in the pool"
+        assert 0 not in closed.violator.simple_part
 
 
 def test_finiteness_builds_full_ideal_and_image_dims_once_per_datum(monkeypatch):
-    # one finiteness call builds the full ideal of its datum once, and the
-    # image dimensions of each datum it checks once
+    # one finiteness call builds the full ideal of its datum at most once,
+    # and the image dimensions of its datum once
     import blgroups.lie as lie
 
     calls = Counter()
@@ -646,10 +695,102 @@ def test_brute_force_scan_finds_kernel_line_violator():
     assert finiteness(d, p).verdict is Verdict.INFINITE
 
 
+def reference_semisimple_ideals(d):
+    """Every ideal of a datum with no torus: all subsets of simple summands."""
+    s = len(d.simple_dims)
+    subsets = (tuple(i for i in range(s) if mask >> i & 1) for mask in range(2**s))
+    return sorted((IdealSpec(S, ()) for S in subsets), key=ideal_key)
+
+
+def reference_finiteness(d, p, max_closure):
+    """The pool, then all 2^s subsets of simple summands, then the torus
+    projection of the pool, each checked by codimension_check on a split
+    datum; a part ideal whose lift is a pool member is skipped.  The report
+    strings are the library's current ones."""
+    pool, complete = closed_pool(d, max_closure)
+    pool_tuple = tuple(pool)
+    report = codimension_check(d, p, pool)
+    if not report.ok:
+        return FinitenessReport(Verdict.INFINITE, report.violator, report.slack,
+                                pool_tuple, "violating ideal found in the pool")
+    full = full_ideal(d)
+    semisimple, torus = split_commutator_center(d)
+    lifted_s = {n.simple_part for n in pool if n.torus_basis == full.torus_basis}
+    s_ideals = [n for n in reference_semisimple_ideals(semisimple)
+                if n.simple_part not in lifted_s]
+    s_report = codimension_check(semisimple, p, s_ideals)
+    if not s_report.ok:
+        violator = IdealSpec(s_report.violator.simple_part, full.torus_basis)
+        return FinitenessReport(Verdict.INFINITE, violator, s_report.slack, pool_tuple,
+                                "violating ideal found among simple summand subsets")
+    if d.torus_dim == 0:
+        return FinitenessReport(Verdict.FINITE, None, None, pool_tuple,
+                                "semisimple datum: every ideal passes, summand by "
+                                "summand (constant 1 under probability Haar)")
+    lifted_t = {n.torus_basis for n in pool if n.simple_part == full.simple_part}
+    torus_pool = {IdealSpec((), n.torus_basis) for n in pool
+                  if n.torus_basis not in lifted_t}
+    t_report = codimension_check(torus, p, sorted(torus_pool, key=ideal_key))
+    if not t_report.ok:
+        violator = IdealSpec(full.simple_part, t_report.violator.torus_basis)
+        return FinitenessReport(Verdict.INFINITE, violator, t_report.slack, pool_tuple,
+                                "violating torus subspace found in the pool")
+    if complete:
+        return FinitenessReport(Verdict.FINITE, None, None, pool_tuple,
+                                "the closed kernel-lattice pool passes, so every torus "
+                                "subspace passes (constant 1 under probability Haar)")
+    return FinitenessReport(Verdict.UNDECIDED, None, None, pool_tuple,
+                            f"pool passes but the pool closure did not stabilize "
+                            f"within {max_closure} rounds")
+
+
 def test_semisimple_ideals_enumeration():
     d = CompactLieDatum((3, 3, 8), 0, (LinearizedMap((0, 1, 2), ()),))
-    ideals = all_semisimple_ideals(d)
+    ideals = reference_semisimple_ideals(d)
     assert len(ideals) == 8
+    assert [n.simple_part for n in ideals[:4]] == [(), (0,), (1,), (2,)]
+
+
+def random_mixed_lie_data(seed, count):
+    """Data with 1 to 9 simple summands and a torus of dimension 0 to 2, with
+    exponents.  Beside random data, every third datum has each summand killed
+    by at most one map, so subset violators occur, and every third has each
+    summand kept by at most one map, so summands hide torus violators from
+    an unclosed pool."""
+    rng = random.Random(seed)
+    for i in range(count):
+        s, t = rng.randint(1, 9), rng.randint(0, 2)
+        simple = tuple(rng.choice((3, 8, 10)) for _ in range(s))
+        J = rng.randint(1 + 2 * (i % 3 == 1), 4)
+        owner = [rng.randrange(J + 1) for _ in range(s)]
+        maps = []
+        for j in range(J):
+            if i % 3 == 0:
+                q = rng.random()
+                kept = tuple(k for k in range(s) if rng.random() < q)
+            else:
+                kept = tuple(k for k in range(s) if (owner[k] == j) == (i % 3 == 2))
+            rows = [[rng.randint(-2, 2) for _ in range(t)]
+                    for _ in range(rng.randint(1 if i % 3 == 2 else 0, 2) if t else 0)]
+            maps.append(LinearizedMap(kept, rows))
+        choices = (("1", "3/2", "2", "5/2", "3", "4", "inf"), ("5/2", "3"),
+                   ("3/2", "2", "5/2"))[i % 3]
+        yield CompactLieDatum(simple, t, tuple(maps)), [E(rng.choice(choices)) for _ in maps]
+
+
+def test_finiteness_matches_subset_enumeration_reference():
+    rng = random.Random(43)
+    choices = ("1", "3/2", "2", "5/2", "3", "4", "inf")
+    cases = [(d, [E(rng.choice(choices)) for _ in d.maps]) for d in random_lie_data(41, 36)]
+    cases += list(random_mixed_lie_data(47, 90))
+    seen = Counter()
+    for d, p in cases:
+        for max_closure in range(5):
+            got = finiteness(d, p, max_closure=max_closure)
+            assert repr(got) == repr(reference_finiteness(d, p, max_closure))
+            seen[got.certification.split(" within")[0]] += 1
+    # every branch of the verdict is reached, the two part checks included
+    assert len(seen) == 6, seen
 
 
 def test_torus_scan_script_runs(package_env):
