@@ -8,8 +8,9 @@ concurrent CLI invocations do not corrupt entries.
 
 An entry records its format version, the group order, the subgroup count
 and a digest of the member lists.  An entry that is missing, unreadable, not
-JSON, of another format, or whose count or digest does not match its list is
-a miss: the lattice is recomputed and the entry overwritten, never trusted.
+JSON, of another format, whose count or digest does not match its list, or
+whose lists are not int lists that `Subgroup` accepts is a miss: the
+lattice is recomputed and the entry overwritten, never trusted.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .groups import FiniteGroup, Subgroup, all_subgroups
+from .groups import FiniteGroup, GroupStructureError, Subgroup, all_subgroups
 
 ENV_CACHE_DIR = "BLGROUPS_CACHE_DIR"
 FORMAT_VERSION = 2
@@ -41,8 +42,8 @@ def _members_digest(members: list) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _valid_members(data, G: FiniteGroup) -> Optional[list]:
-    """The member lists of a well-formed entry for G, else None."""
+def _valid_lattice(data, G: FiniteGroup) -> Optional[list[Subgroup]]:
+    """The subgroups of a well-formed entry for G, else None."""
     if not isinstance(data, dict):
         return None
     members = data.get("subgroups")
@@ -52,9 +53,15 @@ def _valid_members(data, G: FiniteGroup) -> Optional[list]:
         or not isinstance(members, list)
         or data.get("count") != len(members)
         or data.get("digest") != _members_digest(members)
+        or not all(
+            isinstance(m, list) and all(type(x) is int for x in m) for m in members
+        )
     ):
         return None
-    return members
+    try:
+        return [Subgroup(G, tuple(m)) for m in members]
+    except GroupStructureError:
+        return None
 
 
 def default_cache_dir() -> Path:
@@ -79,10 +86,10 @@ class SubgroupCache:
         if not self.enabled:
             return all_subgroups(G, order_cap)
         path = self._path(cache_key(G))
-        members = _valid_members(self._read(path), G)
-        if members is not None:
+        subs = _valid_lattice(self._read(path), G)
+        if subs is not None:
             self.last_hit = True
-            return [Subgroup(G, tuple(m)) for m in members]
+            return subs
         subs = all_subgroups(G, order_cap)
         self.directory.mkdir(parents=True, exist_ok=True)
         members = [list(s.members) for s in subs]

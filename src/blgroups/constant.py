@@ -12,10 +12,11 @@ arithmetic, so equalities in the reduction calculus are testable with zero
 tolerance.
 
 Saturation runs on int bitsets.  For each map, the fibre mask of a codomain
-element y has bit x set when sigma_j(x) = y; the saturation of H is the AND
-over j of the OR of the fibre masks of sigma_j(H).  Its image under each map
-is sigma_j(H), so one pass over H gives both the candidate and its
-denominator.
+element y (`Homomorphism.fibres`) has bit x set when sigma_j(x) = y; the
+saturation of H is the AND over j of the OR of the fibres that meet H.  Its
+image under each map is sigma_j(H), so one pass over the fibres gives both
+the candidate and the image orders of its denominator, and the exact ratio
+is built from those orders.
 
 The scan ranks candidates by a float log-ratio first and builds exact values
 only for those within a margin of the float maximum.  Each float is
@@ -46,77 +47,53 @@ from typing import Optional
 from .datum import BLDatum, CanonicalTag, canonical_tag
 from .exact import ExactValue, exact_max
 from .groups import (
-    HaarMode,
     Subgroup,
     all_subgroups,
-    haar_mass,
-    image,
+    haar_weight,
+    log_haar_weight,
+    mask_members,
 )
 
 _MARGIN = 1e-9
 
 
-def _codomain_mass(d: BLDatum, j: int, member_count: int) -> Fraction:
-    if d.haar_codomains[j] is HaarMode.COUNTING:
-        return Fraction(member_count)
-    return Fraction(member_count, d.codomains[j].order)
+def _exact_ratio(d: BLDatum, order: int, image_orders) -> ExactValue:
+    """The ratio of a subgroup of the given order with these image orders."""
+    value = ExactValue.from_rational(order * haar_weight(d.G, d.haar_G))
+    for j, count in enumerate(image_orders):
+        r = d.exponents[j].reciprocal()
+        if r:
+            mass = count * haar_weight(d.codomains[j], d.haar_codomains[j])
+            value = value / ExactValue.from_rational(mass) ** r
+    return value
 
 
 def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
     """mass(H) / prod_j mass(sigma_j(H))^(1/p_j); the term for p = inf is 1."""
     if H.parent != d.G:
         raise ValueError("subgroup does not live in the datum's source group")
-    value = ExactValue.from_rational(haar_mass(H, d.haar_G))
-    for j, h in enumerate(d.maps):
-        r = d.exponents[j].reciprocal()
-        if r == 0:
-            continue
-        img_count = len({h.map[x] for x in H.members})
-        value = value / ExactValue.from_rational(_codomain_mass(d, j, img_count)) ** r
-    return value
+    counts = [h.image_mask(H.mask).bit_count() for h in d.maps]
+    return _exact_ratio(d, H.order, counts)
 
 
-def _fibre_masks(d: BLDatum) -> list[list[int]]:
-    """Per map, one mask per codomain element y with bit x set when sigma_j(x) = y."""
-    out = []
-    for h in d.maps:
-        masks = [0] * h.codomain.order
-        for x, y in enumerate(h.map):
-            masks[y] |= 1 << x
-        out.append(masks)
-    return out
-
-
-def _saturation(d: BLDatum, fibres: list[list[int]], H: Subgroup) -> tuple[int, tuple[int, ...]]:
+def _saturation(d: BLDatum, H: Subgroup) -> tuple[int, tuple[int, ...]]:
     """The member mask of the saturation of H and its image order under each map."""
     if H.parent != d.G:
         raise ValueError("subgroup does not live in the datum's source group")
+    hmask = H.mask
     mask = (1 << d.G.order) - 1
     counts = []
-    for h, masks in zip(d.maps, fibres):
-        hmap = h.map
-        img = {hmap[x] for x in H.members}
-        union = 0
-        for y in img:
-            union |= masks[y]
-        mask &= union
-        counts.append(len(img))
+    for h in d.maps:
+        hit = [fibre for fibre in h.fibres if fibre & hmask]
+        mask &= sum(hit)  # fibres are disjoint, so the sum is the union
+        counts.append(len(hit))
     return mask, tuple(counts)
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def saturate(d: BLDatum, H: Subgroup) -> Subgroup:
     """The intersection of preimages of the images of H; contains H."""
-    mask, _ = _saturation(d, _fibre_masks(d), H)
-    return Subgroup(d.G, _members(mask))
+    mask, _ = _saturation(d, H)
+    return Subgroup(d.G, mask_members(mask))
 
 
 @dataclass(frozen=True)
@@ -151,18 +128,14 @@ def bl_constant(
         subgroups = all_subgroups(d.G, order_cap)
     tag = canonical_tag(d)
 
-    fibres = _fibre_masks(d)
     found: dict[int, tuple[int, ...]] = {}
     for H in subgroups:
-        mask, counts = _saturation(d, fibres, H)
+        mask, counts = _saturation(d, H)
         found.setdefault(mask, counts)
 
-    def log_weight(mode: HaarMode, order: int) -> float:
-        return 0.0 if mode is HaarMode.COUNTING else -math.log(order)
-
-    log_w_G = log_weight(d.haar_G, d.G.order)
+    log_w_G = log_haar_weight(d.G, d.haar_G)
     terms = [
-        (j, float(r), log_weight(d.haar_codomains[j], d.codomains[j].order))
+        (j, float(r), log_haar_weight(d.codomains[j], d.haar_codomains[j]))
         for j, r in enumerate(e.reciprocal() for e in d.exponents)
         if r
     ]
@@ -175,10 +148,11 @@ def bl_constant(
     largest = max([d.G.order, *(c.order for c in d.codomains)])
     margin = max(_MARGIN, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
     near = sorted(
-        (mask.bit_count(), _members(mask)) for mask, f in logs.items() if f >= top - margin
+        (mask.bit_count(), mask_members(mask), mask)
+        for mask, f in logs.items()
+        if f >= top - margin
     )
-    candidates = [Subgroup(d.G, members) for _, members in near]
-    best, value, tie = exact_max([ratio(d, S) for S in candidates])
+    best, value, tie = exact_max([_exact_ratio(d, n, found[mask]) for n, _, mask in near])
 
     all_cands = None
     if include_candidates:
@@ -186,7 +160,7 @@ def bl_constant(
 
     return ConstantReport(
         value=value,
-        argmax_subgroup=candidates[best],
+        argmax_subgroup=Subgroup(d.G, near[best][1]),
         saturated=True,
         tie=tie,
         canonicalization=None if tag.is_canonical else tag,
@@ -205,10 +179,7 @@ def extremizer(d: BLDatum, report: Optional[ConstantReport] = None) -> list[list
         report = bl_constant(d)
     H = report.argmax_subgroup
     out = []
-    for j, h in enumerate(d.maps):
-        img = image(h, H)
-        mem = img.member_set()
-        out.append(
-            [Fraction(1) if y in mem else Fraction(0) for y in range(d.codomains[j].order)]
-        )
+    for h in d.maps:
+        img = h.image_mask(H.mask)
+        out.append([Fraction(img >> y & 1) for y in range(h.codomain.order)])
     return out

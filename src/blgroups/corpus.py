@@ -78,10 +78,7 @@ def subdirect_frames(factor_names: Sequence[str]) -> list[Frame]:
     frames = []
     base = "x".join(factor_names)
     for idx, H in enumerate(all_subgroups(P)):
-        if not all(
-            len({h.map[x] for x in H.members}) == h.codomain.order
-            for h in projections
-        ):
+        if not all(fibre & H.mask for h in projections for fibre in h.fibres):
             continue
         K, incl = subgroup_group(H)
         maps = tuple(compose(h, incl) for h in projections)

@@ -33,8 +33,10 @@ from .groups import (
     Homomorphism,
     Subgroup,
     direct_product,
+    haar_weight,
     image,
     kernel,
+    mask_members,
     normality_witness,
     quotient,
     restrict,
@@ -166,17 +168,15 @@ class CanonicalTag:
 
 
 def joint_kernel(d: BLDatum) -> Subgroup:
-    members = [
-        x
-        for x in range(d.G.order)
-        if all(h.map[x] == h.codomain.identity for h in d.maps)
-    ]
-    return Subgroup(d.G, tuple(members))
+    mask = (1 << d.G.order) - 1
+    for h in d.maps:
+        mask &= h.fibres[h.codomain.identity]
+    return Subgroup(d.G, mask_members(mask))
 
 
 def canonical_tag(d: BLDatum) -> CanonicalTag:
     for j, h in enumerate(d.maps):
-        if len(set(h.map)) != h.codomain.order:
+        if not all(h.fibres):
             return CanonicalTag(False, f"map {j} is not surjective")
     K = joint_kernel(d)
     if K.order > 1:
@@ -184,17 +184,19 @@ def canonical_tag(d: BLDatum) -> CanonicalTag:
     return CanonicalTag(True)
 
 
-def _canonicalization_factor(d: BLDatum, K: Subgroup) -> ExactValue:
+def _image_index_factor(d: BLDatum, H: Subgroup, skip: int = -1) -> ExactValue:
+    """prod [G_j : sigma_j(H)]^(1/p_j) over probability codomains j != skip."""
     factor = ExactValue.one()
-    if d.haar_G is HaarMode.COUNTING:
-        factor = factor * ExactValue.from_rational(K.order)
     for j, h in enumerate(d.maps):
-        if d.haar_codomains[j] is HaarMode.PROBABILITY:
-            img = len(set(h.map))
-            index = Fraction(h.codomain.order, img)
-            if index != 1:
-                factor = factor * ExactValue.from_rational(index) ** d.exponents[j].reciprocal()
+        if j != skip and d.haar_codomains[j] is HaarMode.PROBABILITY:
+            index = Fraction(h.codomain.order, h.image_mask(H.mask).bit_count())
+            factor = factor * ExactValue.from_rational(index) ** d.exponents[j].reciprocal()
     return factor
+
+
+def _coset_representatives(proj: Homomorphism) -> list[int]:
+    """The least element of each fibre of a quotient map, in coset order."""
+    return [(f & -f).bit_length() - 1 for f in proj.fibres]
 
 
 def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
@@ -209,13 +211,11 @@ def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
     if tag.is_canonical:
         return d, tag
     K = joint_kernel(d)
-    factor = _canonicalization_factor(d, K)
+    factor = _image_index_factor(d, whole_group(d.G))
+    if d.haar_G is HaarMode.COUNTING:
+        factor = factor * ExactValue.from_rational(K.order)
     Q, proj = quotient(d.G, K)
-    reps = [-1] * Q.order
-    for x in range(d.G.order):
-        c = proj.map[x]
-        if reps[c] < 0:
-            reps[c] = x
+    reps = _coset_representatives(proj)
     new_maps = []
     new_codomains = []
     for h in d.maps:
@@ -267,26 +267,10 @@ def reduce_p1(d: BLDatum, k: int) -> BLDatum:
     N = kernel(d.maps[k])
 
     # exactness factor between the original and reduced constants; must be 1
-    w_G = Fraction(1) if d.haar_G is HaarMode.COUNTING else Fraction(1, d.G.order)
-    w_Gk = (
-        Fraction(1)
-        if d.haar_codomains[k] is HaarMode.COUNTING
-        else Fraction(1, d.codomains[k].order)
-    )
+    w_G = haar_weight(d.G, d.haar_G)
+    w_Gk = haar_weight(d.codomains[k], d.haar_codomains[k])
     w_N = Fraction(1) if d.haar_G is HaarMode.COUNTING else Fraction(1, N.order)
-    factor = ExactValue.from_rational(w_G / (w_Gk * w_N))
-    for j in range(d.J):
-        if j == k:
-            continue
-        if d.haar_codomains[j] is HaarMode.PROBABILITY:
-            img_order = len({d.maps[j].map[x] for x in N.members})
-            factor = (
-                factor
-                * ExactValue.from_rational(
-                    Fraction(d.codomains[j].order, img_order)
-                )
-                ** d.exponents[j].reciprocal()
-            )
+    factor = ExactValue.from_rational(w_G / (w_Gk * w_N)) * _image_index_factor(d, N, k)
     if not factor.is_one:
         raise NormalizationError(
             f"inherited Haar modes change the constant by {factor}; "
@@ -384,11 +368,7 @@ def quotient_split(d: BLDatum, N: Subgroup) -> tuple[BLDatum, BLDatum]:
     )
 
     Q, proj = quotient(d.G, N)
-    reps = [-1] * Q.order
-    for x in range(d.G.order):
-        c = proj.map[x]
-        if reps[c] < 0:
-            reps[c] = x
+    reps = _coset_representatives(proj)
     quotient_maps = []
     quotient_codomains = []
     for j, h in enumerate(d.maps):

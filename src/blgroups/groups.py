@@ -2,18 +2,27 @@
 
 Elements are integers 0..order-1 and the group law is a full Cayley table,
 so every operation is a table lookup.  Groups enter as cyclic products,
-explicit tables, or permutation generators (closed into a table).  Subgroup
-enumeration is bottom-up cyclic extension, after Neubüser: each known
+explicit tables, or permutation generators (closed into a table).  A set of
+elements is an int bitset with bit x set for each member x, as in
+`Subgroup.mask` and `Homomorphism.fibres`; `mask_members` decodes one to
+the sorted tuple that `Subgroup.members` keeps as the public form.
+
+One closure routine, `_extend`, serves enumeration and validation.
+Enumeration is bottom-up cyclic extension, after Neubüser: each known
 subgroup H is extended by one representative x of each left coset xH, since
-<H, x> = <H, xh> for h in H, and <H, x> is closed by a breadth-first search
-that right-multiplies by x and adds whole cosets of H, at O(|K|) table
-lookups for a closure K.  S5 (156 subgroups) and Z2^6 (2825) are listed in
-well under a second; the configurable order cap bounds |G|.
+<H, x> = <H, xh> for h in H.  S5 (156 subgroups) and Z2^6 (2825) are listed
+in well under a second; the configurable order cap bounds |G|.  Validation
+of a member set M grows K from {e} to <K, x> for each member x not in K,
+and fails as soon as K leaves M.  A subgroup contains every closure built
+from its members, so it passes; a set that never escapes contains the last
+K and lies in it, so it is a subgroup.  K at least doubles at each step, so
+the chain costs O(|M|) table lookups, against |M|^2 for all products.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -121,32 +130,39 @@ def _check_associativity(table, n):
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a parent group, stored as a sorted member tuple."""
+    """A subgroup of a parent group: sorted members and their mask.
+
+    Construction is the boundary for outside input such as cache entries.
+    The members must be sorted, distinct, nonempty and in 0..order-1, and
+    must survive the closure chain of the module docstring: sound, and
+    O(|H|) table lookups against |H|^2 for checking all products.
+    """
 
     parent: FiniteGroup
     members: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        G = self.parent
-        mem = self.members
-        if tuple(sorted(set(mem))) != mem or not mem:
-            raise GroupStructureError("members must be sorted, distinct, nonempty")
-        mset = set(mem)
-        if G.identity not in mset:
+        G, mem = self.parent, self.members
+        if not mem or tuple(sorted(set(mem))) != mem or mem[0] < 0 or mem[-1] >= G.order:
+            raise GroupStructureError(
+                f"members must be sorted, distinct, nonempty and in 0..{G.order - 1}"
+            )
+        M = sum(1 << x for x in mem)  # distinct bits, so the sum is the union
+        e = G.identity
+        if not M >> e & 1:
             raise GroupStructureError("subgroup must contain the identity")
+        K, kmem = 1 << e, [e]
         for x in mem:
-            if G.inv(x) not in mset:
-                raise GroupStructureError(f"member {x} lacks its inverse")
-            for y in mem:
-                if G.table[x][y] not in mset:
-                    raise GroupStructureError(f"not closed: {x}*{y} escapes")
+            if not K >> x & 1:
+                K, kmem = _extend(G.table, K, kmem, x)
+                if K & ~M:
+                    raise GroupStructureError(f"not closed: members up to {x} escape")
+        object.__setattr__(self, "mask", M)
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
 
     def __hash__(self):
         return hash((self.parent, self.members))
@@ -180,6 +196,18 @@ class Homomorphism:
 
     def __call__(self, x: int) -> int:
         return self.map[x]
+
+    @cached_property
+    def fibres(self) -> tuple[int, ...]:
+        """One mask per codomain element y, with bit x set when map[x] = y."""
+        masks = [0] * self.codomain.order
+        for x, y in enumerate(self.map):
+            masks[y] |= 1 << x
+        return tuple(masks)
+
+    def image_mask(self, mask: int) -> int:
+        """The mask of the image of the domain elements in `mask`."""
+        return sum(1 << y for y, fibre in enumerate(self.fibres) if fibre & mask)
 
     def __hash__(self):
         return hash((hash(self.domain), hash(self.codomain), self.map))
@@ -313,36 +341,54 @@ def trivial_group() -> FiniteGroup:
 # -- subgroup machinery --------------------------------------------------
 
 
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The elements of a mask as a sorted tuple."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _extend(table, H: int, hmem: Sequence[int], x: int) -> tuple[int, list[int]]:
+    """<H, x> as (mask, members) for a subgroup H, given as mask and members.
+
+    A breadth-first search from H right-multiplies by x and, on reaching an
+    element z outside, adds its whole coset zH.  The union of left H-cosets
+    it builds contains the identity and is closed under right multiplication
+    by x and by H, so it is <H, x>.  Each member of K = <H, x> is multiplied
+    by x once and each coset of H in K is built once: O(|K|) table lookups.
+    """
+    K, mem = H, list(hmem)
+    for y in mem:
+        z = table[y][x]
+        if not K >> z & 1:
+            rz = table[z]
+            for h in hmem:
+                K |= 1 << rz[h]
+                mem.append(rz[h])
+    return K, mem
+
+
 def all_subgroups(
     G: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
 ) -> list[Subgroup]:
     """Every subgroup of G, canonically ordered by (order, members).
 
-    Bottom-up cyclic extension: each subgroup H found is grown to <H, x>.
-    Since <H, x> = <H, xh> for every h in H, one x per left coset xH is
-    tried.  The closure is a breadth-first search from H that right-multiplies
-    by x and, on reaching an element z outside, adds its whole coset zH.  The
-    union of left H-cosets it builds contains the identity and is closed
-    under right multiplication by x and by H, so it is <H, x>.  Each member
-    of K = <H, x> is multiplied by x once and each coset of H in K is built
-    once: O(|K|) table lookups, against O(|K| * gens) for a search over a
-    generator list.  Closures are de-duplicated as int bitsets (bit x set
-    when x is a member); a Subgroup, with its full validation, is built only
-    at the return.
+    Each subgroup H found is grown to <H, x> for one x per left coset xH.
+    Closures are de-duplicated as masks; a Subgroup, with its O(|H|)
+    validation, is built only at the return.
     """
     if G.order > order_cap:
         raise SizeCapError(f"|G| = {G.order} exceeds cap {order_cap}")
     table = G.table
-    trivial = (G.identity,)
-    found = {1 << G.identity}
-    listed = [trivial]
-    frontier = [trivial]
+    e = G.identity
+    found = {1 << e: (e,)}
+    frontier = list(found.items())
     while frontier:
         nxt = []
-        for hmem in frontier:
-            H = 0
-            for h in hmem:
-                H |= 1 << h
+        for H, hmem in frontier:
             covered = H
             for x in range(G.order):
                 if covered >> x & 1:
@@ -350,21 +396,13 @@ def all_subgroups(
                 row = table[x]
                 for h in hmem:
                     covered |= 1 << row[h]
-                K, mem = H, list(hmem)
-                for y in mem:
-                    z = table[y][x]
-                    if not K >> z & 1:
-                        rz = table[z]
-                        for h in hmem:
-                            K |= 1 << rz[h]
-                            mem.append(rz[h])
+                K, mem = _extend(table, H, hmem, x)
                 if K not in found:
-                    found.add(K)
                     mem.sort()
-                    nxt.append(tuple(mem))
-        listed += nxt
+                    found[K] = tuple(mem)
+                    nxt.append((K, found[K]))
         frontier = nxt
-    listed.sort(key=lambda m: (len(m), m))
+    listed = sorted(found.values(), key=lambda m: (len(m), m))
     return [Subgroup(G, m) for m in listed]
 
 
@@ -379,21 +417,20 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 def image(h: Homomorphism, H: Subgroup) -> Subgroup:
     if H.parent != h.domain:
         raise GroupStructureError("subgroup parent is not the homomorphism domain")
-    return Subgroup(h.codomain, tuple(sorted({h.map[x] for x in H.members})))
+    return Subgroup(h.codomain, mask_members(h.image_mask(H.mask)))
 
 
 def kernel(h: Homomorphism) -> Subgroup:
-    e = h.codomain.identity
-    return Subgroup(h.domain, tuple(x for x in range(h.domain.order) if h.map[x] == e))
+    return Subgroup(h.domain, mask_members(h.fibres[h.codomain.identity]))
 
 
 def normality_witness(G: FiniteGroup, H: Subgroup):
     """Return None if H is normal, else a pair (x, n) with x*n*x^-1 outside H."""
-    mem = H.member_set()
+    mask = H.mask
     for x in range(G.order):
         xi = G.inv(x)
         for n in H.members:
-            if G.table[G.table[x][n]][xi] not in mem:
+            if not mask >> G.table[G.table[x][n]][xi] & 1:
                 return (x, n)
     return None
 
@@ -480,3 +517,8 @@ def haar_mass(H: Subgroup, mode: HaarMode) -> Fraction:
 def haar_weight(G: FiniteGroup, mode: HaarMode) -> Fraction:
     """Mass of a single element."""
     return Fraction(1) if mode is HaarMode.COUNTING else Fraction(1, G.order)
+
+
+def log_haar_weight(G: FiniteGroup, mode: HaarMode) -> float:
+    """The float log of haar_weight: 0, or minus the log of the integer |G|."""
+    return 0.0 if mode is HaarMode.COUNTING else -math.log(G.order)

@@ -9,6 +9,19 @@ Three routes, none of which touches the subgroup formula:
     decreases and subgroup indicators are fixed points;
   * exhaustive search over all nonzero indicator inputs, which is an exact
     maximum because extremizers are subgroup indicators.
+
+The exhaustive search compares exactly only the indicator tuples whose
+float log-quotient log c + log w_G - sum_j r_j (log|s_j| + log w_j) is near
+the float maximum; c counts the points whose images all lie in the sets
+s_j, w is the Haar weight of one element, and r_j = 1/p_j is in [0, 1].
+These are at most 2 + 2J logs of integers no larger than N, the largest
+group order.  With u = 2^-53 and L = log N, each log (one ulp) errs by at
+most 2uL, each bracket times the rounded r_j by at most 7uL, and the J + 1
+additions of partial sums bounded by (J + 2)L by at most (J + 1)(J + 2)uL:
+less than E = uL(J + 5)^2 in all.  A tuple that ties the true maximum lies
+within 2E of the float maximum, so the margin, 1e-9 or 4E if that is
+larger, keeps every one, and the exact first-wins argmax over the survivors
+is the argmax over all tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from typing import Sequence
 
 from .datum import BLDatum
 from .exact import ExactValue, exact_max
-from .groups import haar_weight
+from .groups import haar_weight, log_haar_weight, mask_members
 
 
 class BudgetError(ValueError):
@@ -222,7 +235,8 @@ def exhaustive_indicator_search(
 
     Subsets are enumerated as bitmasks per codomain; the intersection count
     behind the numerator is a popcount of AND-ed fiber masks.  A float
-    prefilter keeps the exact comparisons to the near-maximal candidates.
+    prefilter, with the margin proved in the module docstring, keeps the
+    exact comparisons to the near-maximal candidates.
     """
     if d.J == 0:
         total = haar_weight(d.G, d.haar_G) * d.G.order
@@ -236,33 +250,26 @@ def exhaustive_indicator_search(
                 "use the subgroup formula instead"
             )
 
-    # fiber masks: for codomain element y, the set of x with sigma_j(x) = y
-    fibers = []
-    for h in d.maps:
-        masks = [0] * h.codomain.order
-        for x in range(d.G.order):
-            masks[h.map[x]] |= 1 << x
-        fibers.append(masks)
-
     # union masks for every subset of every codomain, by lowest-bit recursion
     subset_masks = []
-    for j, c in enumerate(d.codomains):
-        arr = [0] * (2**c.order)
-        for s in range(1, 2**c.order):
+    for h in d.maps:
+        arr = [0] * (2**h.codomain.order)
+        for s in range(1, len(arr)):
             low = s & -s
-            arr[s] = arr[s ^ low] | fibers[j][low.bit_length() - 1]
+            arr[s] = arr[s ^ low] | h.fibres[low.bit_length() - 1]
         subset_masks.append(arr)
 
     w_G = haar_weight(d.G, d.haar_G)
+    log_w_G = log_haar_weight(d.G, d.haar_G)
     recips = [p.reciprocal() for p in d.exponents]
     recips_f = [float(r) for r in recips]
     codomain_w = [haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
-    log_w = [math.log(float(w)) for w in codomain_w]
+    log_w = [log_haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
 
     best_log = -math.inf
-    margin = 1e-9
+    largest = max([d.G.order, *(c.order for c in d.codomains)])
+    margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
     near: list[tuple[float, tuple[int, ...], int]] = []
-    sizes = [2**c.order for c in d.codomains]
 
     def scan(j: int, mask: int, chosen: tuple[int, ...], log_den: float):
         nonlocal best_log, near
@@ -270,7 +277,7 @@ def exhaustive_indicator_search(
             count = mask.bit_count()
             if count == 0:
                 return
-            log_val = math.log(count * float(w_G)) - log_den
+            log_val = math.log(count) + log_w_G - log_den
             if log_val < best_log - margin:
                 return
             if log_val > best_log:
@@ -279,7 +286,7 @@ def exhaustive_indicator_search(
             near.append((log_val, chosen, count))
             return
         rj = recips_f[j]
-        for s in range(1, sizes[j]):
+        for s in range(1, len(subset_masks[j])):
             m = mask & subset_masks[j][s]
             if not m:
                 continue
@@ -310,8 +317,4 @@ def exhaustive_indicator_search(
         exact_values.append(v)
     best, value, _ = exact_max(exact_values)
     chosen = finalists[best][0]
-    argmax_sets = [
-        tuple(y for y in range(d.codomains[j].order) if s >> y & 1)
-        for j, s in enumerate(chosen)
-    ]
-    return value, argmax_sets
+    return value, [mask_members(s) for s in chosen]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -301,6 +302,29 @@ def test_cache_truncated_entry_is_a_miss(write, capsys, tmp_path):
         assert json.loads(entry.read_text()) == stored  # overwritten
     code, rep = run_cli(capsys, argv)
     assert code == 0 and rep["cache"]["hit"]
+
+
+def test_cache_entry_of_non_subgroups_is_a_miss(write, capsys, tmp_path):
+    # digest-valid entries whose lists are not subgroups of G are recomputed
+    path = write("lw.json", LW_Z2Z2)
+    _, fresh = run_cli(capsys, ["constant", "--in", path, "--no-cache"])
+    cache_dir = tmp_path / "c"
+    argv = ["constant", "--in", path, "--cache-dir", str(cache_dir)]
+    run_cli(capsys, argv)
+    entry = _entry(cache_dir, LW_Z2Z2)
+    stored = json.loads(entry.read_text())
+    for bad in ([0, 99], [0, 1, 2], ["0", "1"]):  # out of range, not closed, not ints
+        subgroups = stored["subgroups"][:-1] + [bad]
+        digest = hashlib.sha256(
+            json.dumps(subgroups, separators=(",", ":")).encode()
+        ).hexdigest()
+        entry.write_text(json.dumps(dict(stored, subgroups=subgroups, digest=digest)))
+        code, rep = run_cli(capsys, argv)
+        assert code == 0 and not rep["cache"]["hit"]
+        assert rep["result"] == fresh["result"]
+        assert json.loads(entry.read_text()) == stored  # overwritten
+        code, rep = run_cli(capsys, argv)
+        assert code == 0 and rep["cache"]["hit"]
 
 
 def test_cache_corrupt_entry_is_a_miss(write, capsys, tmp_path):

@@ -329,3 +329,18 @@ def test_extremizer_attains_the_constant_exactly(factory, p):
         mass = sum(f) * Fraction(1, d.codomains[j].order)
         rhs = rhs * ExactValue.from_rational(mass) ** r
     assert ExactValue.from_rational(form).compare(rhs) == 0
+
+
+def test_corpus_survey_script_runs(package_env):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "corpus_survey.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--max-triple-order", "8",
+         "--max-group-order", "8", "--oracle-fraction", "0.01"],
+        capture_output=True, text=True, env=package_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "worst sampled oracle deviation" in proc.stdout

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -228,6 +229,73 @@ def test_subgroup_invariants_hold_for_all_listed(S3):
         Subgroup(S3, H.members)  # revalidates closure on construction
 
 
+def reference_is_subgroup(G, members):
+    """The pairwise check `Subgroup` made before closure validation, kept as
+    the test oracle: sorted, distinct, nonempty, the identity, every inverse
+    and all |H|^2 products.  Members must lie in 0..order-1."""
+    mem = tuple(members)
+    if not mem or tuple(sorted(set(mem))) != mem:
+        return False
+    mset = set(mem)
+    if G.identity not in mset:
+        return False
+    for x in mem:
+        if G.inv(x) not in mset:
+            return False
+        for y in mem:
+            if G.table[x][y] not in mset:
+                return False
+    return True
+
+
+def _accepts(G, members):
+    try:
+        Subgroup(G, members)
+    except GroupStructureError:
+        return False
+    return True
+
+
+_VALIDATION_GROUPS = {
+    "S4": lambda: _symmetric(4),
+    "Z2^5": lambda: make_cyclic_product([2] * 5),
+    "Z2xZ4": lambda: make_cyclic_product([2, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATION_GROUPS))
+def test_closure_validation_matches_pairwise_check(name):
+    # 1200 random sets per group, so 3600 in all, besides the structured ones
+    G = _VALIDATION_GROUPS[name]()
+    subgroups = reference_all_subgroups(G)
+    cases = [tuple(m) for m in subgroups]
+    rng = random.Random(f"validation-{name}")
+    others = [x for x in range(G.order) if x != G.identity]
+    for _ in range(1200):
+        extra = rng.sample(others, rng.randrange(len(others) + 1))
+        cases.append(tuple(sorted({G.identity, *extra})))
+    for _ in range(600):  # unions of two subgroups, mostly not subgroups
+        a, b = rng.sample(subgroups, 2)
+        cases.append(tuple(sorted(set(a) | set(b))))
+    for H in subgroups:  # one element off a subgroup, either way
+        x = rng.choice(others)
+        cases.append(tuple(sorted(set(H) ^ {x})))
+    verdicts = [reference_is_subgroup(G, m) for m in cases]
+    assert [_accepts(G, m) for m in cases] == verdicts
+    assert sum(verdicts) >= len(subgroups) and not all(verdicts)
+
+
+def test_validation_rejects_malformed_members(Z4):
+    for members in [(), (0, 2, 1), (0, 0, 2), (2, 0), (0, 4), (0, 2, 4), (-1, 0), (1, 3)]:
+        with pytest.raises(GroupStructureError):
+            Subgroup(Z4, members)
+
+
+def test_subgroup_mask_matches_members(S3):
+    for H in all_subgroups(S3):
+        assert H.mask == sum(1 << x for x in H.members)
+
+
 def test_lagrange(S3, Z4):
     for G in (S3, Z4):
         for H in all_subgroups(G):
@@ -320,7 +388,7 @@ def test_quotient_non_normal_names_witness(S3):
     assert not is_normal(S3, H)
     x, n = normality_witness(S3, H)
     xi = S3.inv(x)
-    assert S3.table[S3.table[x][n]][xi] not in H.member_set()
+    assert S3.table[S3.table[x][n]][xi] not in H.members
     with pytest.raises(GroupStructureError, match="not normal"):
         quotient(S3, H)
 
