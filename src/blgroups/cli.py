@@ -4,8 +4,15 @@ Subcommands: constant, oracle, polytope, check-codim, reduce,
 heisenberg-demo, verify.  Every run emits a single report (JSON by default)
 whose content is a pure function of the command line, the input file, and
 the seed; timing lives in its own field so the rest of the report is
-byte-reproducible.  Exit codes: 0 success, 2 precondition error, 3 budget
-or size error, 4 finiteness UNDECIDED.
+byte-reproducible.  Exit codes: 0 success, 1 verify disagreement or an exact
+comparison still undecided at 4096 bits, 2 precondition error (bad input
+file, path or JSON shape, bad index or iteration count, an operation the
+datum does not admit), 3 budget or size error, 4 finiteness UNDECIDED.
+
+`main` does what every subcommand shares: it loads `--in`, times the run,
+builds the report envelope, emits it and maps errors to exit codes.  A
+`cmd_*` function only computes: it takes the parsed arguments and the loaded
+input and returns its report fields and its exit code.
 """
 
 from __future__ import annotations
@@ -16,31 +23,15 @@ import json
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .cache import SubgroupCache, cache_key
 from .constant import bl_constant
-from .datum import (
-    Exponent,
-    NormalizationError,
-    NotCanonicalError,
-    WrongExponentError,
-    canonicalize,
-    drop_infinite_exponent,
-    reduce_p1,
-)
+from .datum import Exponent, canonicalize, drop_infinite_exponent, reduce_p1
 from .exact import UndecidedComparisonError
-from .groups import GroupStructureError, HaarMode, SizeCapError
+from .groups import HaarMode, SizeCapError
 from .heisenberg import ScanBudgetError, divergence_witness
-from .lie import (
-    Verdict,
-    bl_polytope,
-    closed_pool,
-    facet_status,
-    finiteness,
-    vertices,
-)
+from .lie import Verdict, bl_polytope, closed_pool, facet_status, finiteness, vertices
 from .oracle import BudgetError, exhaustive_indicator_search, oracle_constant
 from .serialize import (
     constant_report_to_json,
@@ -59,35 +50,11 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_UNDECIDED = 4
 
-_PRECONDITION_ERRORS = (
-    GroupStructureError,
-    WrongExponentError,
-    NotCanonicalError,
-    NormalizationError,
-    ValueError,
-    KeyError,
-    json.JSONDecodeError,
-)
 _BUDGET_ERRORS = (SizeCapError, BudgetError, ScanBudgetError)
-
-
-def _load(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _digest(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def _emit(report: dict, fmt: str, started: float) -> None:
-    report["timing_s"] = round(time.monotonic() - started, 6)
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        _print_table(report)
+# The library's precondition errors (GroupStructureError, WrongExponentError,
+# SchemaError, ...) and bad JSON are ValueErrors; OSError covers an input or
+# cache path that cannot be read or created.
+_PRECONDITION_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _print_table(obj, indent=0):
@@ -110,80 +77,50 @@ def _print_table(obj, indent=0):
         print(f"{pad}{obj}")
 
 
-def _base_report(cmd: str, args: argparse.Namespace, input_obj) -> dict:
-    flags = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "command") and v is not None
-    }
-    flags = {k: (str(v) if isinstance(v, Path) else v) for k, v in flags.items()}
-    return {
-        "command": cmd,
-        "version": __version__,
-        "input_digest": _digest(input_obj),
-        "flags": flags,
-        "result": {},
-    }
-
-
-def _cache_from_args(args) -> SubgroupCache:
-    directory = getattr(args, "cache_dir", None)
-    enabled = not getattr(args, "no_cache", False)
-    return SubgroupCache(Path(directory) if directory else None, enabled)
-
-
-def _apply_haar_override(d, override):
-    if not override:
+def _datum(args, obj):
+    """The finite datum of --in, with --haar overriding every Haar mode."""
+    d = parse_datum(obj, args.order_cap)
+    if not args.haar:
         return d
-    mode = HaarMode(override)
+    mode = HaarMode(args.haar)
     return d.with_haar(mode, [mode] * d.J)
 
 
-# -- subcommands ------------------------------------------------------------
-
-
-def cmd_constant(args) -> int:
-    started = time.monotonic()
-    obj = _load(args.input)
-    d = _apply_haar_override(parse_datum(obj, args.order_cap), args.haar)
-    cache = _cache_from_args(args)
+def _lattice(args, d):
+    """The subgroup lattice of d.G through the cache, and the report's cache block."""
+    cache = SubgroupCache(args.cache_dir, not args.no_cache)
     subgroups = cache.subgroups(d.G, args.order_cap)
-    rep = bl_constant(d, subgroups=subgroups, include_candidates=args.candidates)
-    report = _base_report("constant", args, obj)
-    report["cache"] = {"enabled": cache.enabled, "hit": cache.last_hit,
+    return subgroups, {"enabled": cache.enabled, "hit": cache.last_hit,
                        "group_digest": cache_key(d.G)}
-    report["result"] = constant_report_to_json(rep)
-    report["result"]["mixed_haar"] = d.mixed_haar()
-    _emit(report, args.format, started)
-    return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    started = time.monotonic()
-    obj = _load(args.input)
-    d = _apply_haar_override(parse_datum(obj, args.order_cap), args.haar)
-    value = oracle_constant(
-        d, restarts=args.restarts, seed=args.seed, tol=args.tol,
-        max_sweeps=args.max_sweeps,
-    )
-    report = _base_report("oracle", args, obj)
-    report["result"] = {"value_approx": value}
-    _emit(report, args.format, started)
-    return EXIT_OK
+def _oracle(args, d) -> float:
+    return oracle_constant(d, restarts=args.restarts, seed=args.seed, tol=args.tol,
+                           max_sweeps=args.max_sweeps)
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
-    obj = _load(args.input)
-    d = _apply_haar_override(parse_datum(obj, args.order_cap), args.haar)
-    cache = _cache_from_args(args)
-    subgroups = cache.subgroups(d.G, args.order_cap)
+# -- subcommands: (args, input) -> (report fields, exit code) ----------------
+
+
+def cmd_constant(args, obj):
+    d = _datum(args, obj)
+    subgroups, cache = _lattice(args, d)
+    rep = bl_constant(d, subgroups=subgroups, include_candidates=args.candidates)
+    result = constant_report_to_json(rep)
+    result["mixed_haar"] = d.mixed_haar()
+    return {"cache": cache, "result": result}, EXIT_OK
+
+
+def cmd_oracle(args, obj):
+    return {"result": {"value_approx": _oracle(args, _datum(args, obj))}}, EXIT_OK
+
+
+def cmd_verify(args, obj):
+    d = _datum(args, obj)
+    subgroups, cache = _lattice(args, d)
     rep = bl_constant(d, subgroups=subgroups)
     exact = rep.value
-    numeric = oracle_constant(
-        d, restarts=args.restarts, seed=args.seed, tol=args.tol,
-        max_sweeps=args.max_sweeps,
-    )
+    numeric = _oracle(args, d)
     approx = exact.to_float()
     oracle_ok = abs(numeric - approx) <= 1e-9 * max(approx, 1e-300)
     result = {
@@ -201,39 +138,25 @@ def cmd_verify(args) -> int:
         }
     except BudgetError as exc:
         result["exhaustive"] = {"skipped": str(exc)}
-    report = _base_report("verify", args, obj)
-    report["cache"] = {"enabled": cache.enabled, "hit": cache.last_hit,
-                       "group_digest": cache_key(d.G)}
-    report["result"] = result
-    report["result"]["mixed_haar"] = d.mixed_haar()
-    ok = oracle_ok and exhaustive_ok
-    report["result"]["all_agree"] = ok
-    _emit(report, args.format, started)
-    return EXIT_OK if ok else EXIT_FAILURE
+    result["mixed_haar"] = d.mixed_haar()
+    result["all_agree"] = ok = oracle_ok and exhaustive_ok
+    return {"cache": cache, "result": result}, EXIT_OK if ok else EXIT_FAILURE
 
 
-def cmd_polytope(args) -> int:
-    started = time.monotonic()
-    obj = _load(args.input)
+def cmd_polytope(args, obj):
     d = parse_lie_datum(obj)
     pool, stabilized = closed_pool(d, max_closure=args.max_closure)
     P = bl_polytope(d, pool)
-    verts = vertices(P)
-    report = _base_report("polytope", args, obj)
-    report["result"] = polytope_to_json(P, verts, facet_status(P))
-    report["result"]["pool_size"] = len(pool)
-    report["result"]["pool_stabilized"] = stabilized
-    _emit(report, args.format, started)
-    return EXIT_OK
+    result = polytope_to_json(P, vertices(P), facet_status(P))
+    result["pool_size"] = len(pool)
+    result["pool_stabilized"] = stabilized
+    return {"result": result}, EXIT_OK
 
 
-def cmd_check_codim(args) -> int:
-    started = time.monotonic()
-    obj = _load(args.input)
+def cmd_check_codim(args, obj):
     d = parse_lie_datum(obj)
     p = [Exponent.of(t) for t in args.p.split(",")]
     fin = finiteness(d, p, max_closure=args.max_closure)
-    report = _base_report("check-codim", args, obj)
     result = {
         "verdict": fin.verdict.value,
         "certification": fin.certification,
@@ -246,15 +169,12 @@ def cmd_check_codim(args) -> int:
         result["slack"] = str(fin.slack)
     if args.show_pool:
         result["pool"] = [ideal_to_json(n) for n in fin.pool]
-    report["result"] = result
-    _emit(report, args.format, started)
-    return EXIT_UNDECIDED if fin.verdict is Verdict.UNDECIDED else EXIT_OK
+    code = EXIT_UNDECIDED if fin.verdict is Verdict.UNDECIDED else EXIT_OK
+    return {"result": result}, code
 
 
-def cmd_reduce(args) -> int:
-    started = time.monotonic()
-    obj = _load(args.input)
-    d = _apply_haar_override(parse_datum(obj, args.order_cap), args.haar)
+def cmd_reduce(args, obj):
+    d = _datum(args, obj)
     result = {}
     if args.op == "canonicalize":
         out, tag = canonicalize(d)
@@ -264,18 +184,13 @@ def cmd_reduce(args) -> int:
     else:
         out = reduce_p1(d, args.index)
     result["datum"] = datum_to_json(out)
-    report = _base_report("reduce", args, obj)
-    report["result"] = result
-    _emit(report, args.format, started)
-    return EXIT_OK
+    return {"result": result}, EXIT_OK
 
 
-def cmd_heisenberg_demo(args) -> int:
-    started = time.monotonic()
-    alphas = [Fraction(a) for a in args.alphas.split(",")]
+def cmd_heisenberg_demo(args, obj):
     dv = divergence_witness(
         n=args.n,
-        alphas=alphas,
+        alphas=[Fraction(a) for a in args.alphas.split(",")],
         M=Fraction(args.M),
         box_halfwidth=Fraction(args.box),
         eps=Fraction(args.eps),
@@ -297,12 +212,7 @@ def cmd_heisenberg_demo(args) -> int:
         f"Total lower bound {dv.lower_bound} > M = {args.M}: no constant up "
         f"to {args.M} can bound the form, and M was arbitrary.",
     ]
-    input_echo = {
-        "n": args.n, "alphas": args.alphas, "M": args.M,
-        "box": args.box, "eps": args.eps,
-    }
-    report = _base_report("heisenberg-demo", args, input_echo)
-    report["result"] = {
+    result = {
         "terms": dv.terms,
         "lower_bound": str(dv.lower_bound),
         "box_volume": str(dv.box_volume),
@@ -312,8 +222,7 @@ def cmd_heisenberg_demo(args) -> int:
         "spacing": str(w.spacing),
         "narrative": narrative,
     }
-    _emit(report, args.format, started)
-    return EXIT_OK
+    return {"result": result}, EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
@@ -329,96 +238,101 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_datum=True):
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        if needs_datum:
-            p.add_argument("--in", dest="input", required=True)
-            p.add_argument("--haar", choices=("counting", "probability"))
-            p.add_argument("--order-cap", type=int, default=4096)
+    # Flag groups shared between subcommands, each declared once.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "table"), default="json")
+    infile = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    infile.add_argument("--in", dest="input", required=True)
+    finite = argparse.ArgumentParser(add_help=False, parents=[infile])
+    finite.add_argument("--haar", choices=("counting", "probability"))
+    finite.add_argument("--order-cap", type=int, default=4096)
+    lie = argparse.ArgumentParser(add_help=False, parents=[infile])
+    lie.add_argument("--max-closure", type=int, default=3)
+    ascent = argparse.ArgumentParser(add_help=False)
+    ascent.add_argument("--restarts", type=int, default=8)
+    ascent.add_argument("--tol", type=float, default=1e-12)
+    ascent.add_argument("--max-sweeps", type=int, default=10_000)
+    ascent.add_argument("--seed", type=int, default=0)
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache-dir")
+    cache.add_argument("--no-cache", action="store_true")
 
-    p = sub.add_parser("constant", help="exact constant by subgroup maximization")
-    add_common(p)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("constant", cmd_constant, "exact constant by subgroup maximization",
+                finite, cache)
     p.add_argument("--candidates", action="store_true")
-    p.add_argument("--cache-dir")
-    p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(func=cmd_constant)
-
-    p = sub.add_parser("oracle", help="numerical constant by alternating ascent")
-    add_common(p)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-sweeps", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("verify", help="cross-check formula, ascent, exhaustive")
-    add_common(p)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-sweeps", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=2**24)
-    p.add_argument("--cache-dir")
-    p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("polytope", help="feasibility polytope of a Lie datum")
-    add_common(p, needs_datum=False)
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--max-closure", type=int, default=3)
-    p.set_defaults(func=cmd_polytope)
-
-    p = sub.add_parser("check-codim", help="finiteness verdict for a Lie datum")
-    add_common(p, needs_datum=False)
-    p.add_argument("--in", dest="input", required=True)
+    command("oracle", cmd_oracle, "numerical constant by alternating ascent",
+            finite, ascent)
+    p = command("verify", cmd_verify, "cross-check formula, ascent, exhaustive",
+                finite, ascent, cache)
+    p.add_argument("--budget", type=int, default=2**24,
+                   help="indicator tuples the exhaustive search may visit")
+    command("polytope", cmd_polytope, "feasibility polytope of a Lie datum", lie)
+    p = command("check-codim", cmd_check_codim, "finiteness verdict for a Lie datum",
+                lie)
     p.add_argument("--p", required=True, help="comma-separated exponents")
-    p.add_argument("--max-closure", type=int, default=3)
     p.add_argument("--show-pool", action="store_true")
-    p.set_defaults(func=cmd_check_codim)
-
-    p = sub.add_parser("reduce", help="canonicalize or delete/reduce an index")
-    add_common(p)
+    p = command("reduce", cmd_reduce, "canonicalize or delete/reduce an index", finite)
     p.add_argument(
         "--op", choices=("canonicalize", "drop-inf", "reduce-p1"), required=True
     )
     p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("heisenberg-demo", help="divergence witness on C^n x R")
-    add_common(p, needs_datum=False)
+    p = command("heisenberg-demo", cmd_heisenberg_demo,
+                "divergence witness on C^n x R", fmt)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--alphas", default="1")
     p.add_argument("--M", default="10")
     p.add_argument("--box", default="1/2")
     p.add_argument("--eps", default="1/10")
-    p.add_argument("--budget", type=int, default=10**8)
-    p.set_defaults(func=cmd_heisenberg_demo)
-
+    p.add_argument("--budget", type=int, default=10**8,
+                   help="grid points the witness scan may visit")
     return parser
 
 
+def _input(args):
+    """The parsed --in file; heisenberg-demo, which reads none, digests its parameters."""
+    if "input" in args:
+        with open(args.input) as fh:
+            return json.load(fh)
+    return {"n": args.n, "alphas": args.alphas, "M": args.M, "box": args.box,
+            "eps": args.eps}
+
+
+def _fail(code: int, kind: str, exc: Exception, **extra) -> int:
+    print(json.dumps({"error": str(exc), "kind": kind, **extra}, sort_keys=True),
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        obj = _input(args)
+        fields, code = args.func(args, obj)
     except _BUDGET_ERRORS as exc:
-        print(json.dumps({"error": str(exc), "kind": "budget"}, sort_keys=True),
-              file=sys.stderr)
-        return EXIT_BUDGET
+        return _fail(EXIT_BUDGET, "budget", exc)
     except UndecidedComparisonError as exc:
-        print(json.dumps({"error": str(exc), "kind": "undecided-comparison",
-                          "left": exc.left.to_json(), "right": exc.right.to_json(),
-                          "bits": exc.bits}, sort_keys=True), file=sys.stderr)
-        return EXIT_FAILURE
+        return _fail(EXIT_FAILURE, "undecided-comparison", exc, left=exc.left.to_json(),
+                     right=exc.right.to_json(), bits=exc.bits)
     except _PRECONDITION_ERRORS as exc:
-        print(json.dumps({"error": str(exc), "kind": "precondition"},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": str(exc), "kind": "precondition"},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_PRECONDITION
+        return _fail(EXIT_PRECONDITION, "precondition", exc)
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("func", "command") and v is not None}
+    digest = hashlib.sha256(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    report = {"command": args.command, "version": __version__, "input_digest": digest,
+              "flags": flags, **fields, "timing_s": round(time.monotonic() - started, 6)}
+    if args.format == "json":
+        print(json.dumps(report, sort_keys=True, indent=2))
+    else:
+        _print_table(report)
+    return code
 
 
 if __name__ == "__main__":

@@ -57,6 +57,10 @@ class NormalizationError(ValueError):
     """The prescribed Haar normalization is not representable in the two modes."""
 
 
+class IndexRangeError(ValueError):
+    """The reduction targets an index outside 0 <= k < J."""
+
+
 @dataclass(frozen=True)
 class Exponent:
     """An exponent in [1, inf]; None encodes infinity. Reciprocals are exact."""
@@ -184,7 +188,9 @@ def canonical_tag(d: BLDatum) -> CanonicalTag:
     return CanonicalTag(True)
 
 
-def _image_index_factor(d: BLDatum, H: Subgroup, skip: int = -1) -> ExactValue:
+def _image_index_factor(
+    d: BLDatum, H: Subgroup, skip: Optional[int] = None
+) -> ExactValue:
     """prod [G_j : sigma_j(H)]^(1/p_j) over probability codomains j != skip."""
     factor = ExactValue.one()
     for j, h in enumerate(d.maps):
@@ -236,8 +242,14 @@ def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
     return out, CanonicalTag(False, tag.witness, factor)
 
 
+def _check_index(d: BLDatum, k: int) -> None:
+    if not 0 <= k < d.J:
+        raise IndexRangeError(f"index {k} is outside 0 <= k < {d.J}")
+
+
 def drop_infinite_exponent(d: BLDatum, k: int) -> BLDatum:
-    """Delete index k; requires p_k = inf.  The constant is unchanged."""
+    """Delete index k; requires 0 <= k < J and p_k = inf.  The constant is unchanged."""
+    _check_index(d, k)
     if not d.exponents[k].is_infinite:
         raise WrongExponentError(f"exponent {k} is {d.exponents[k]}, not inf")
     keep = [j for j in range(d.J) if j != k]
@@ -252,7 +264,7 @@ def drop_infinite_exponent(d: BLDatum, k: int) -> BLDatum:
 
 
 def reduce_p1(d: BLDatum, k: int) -> BLDatum:
-    """Pass to the kernel of map k; requires p_k = 1 and a canonical datum.
+    """Pass to the kernel of map k; requires 0 <= k < J, p_k = 1 and a canonical datum.
 
     The reduced datum lives on N = ker(map k) with the other maps restricted
     onto their images.  Exact constant preservation needs the source triple
@@ -260,6 +272,7 @@ def reduce_p1(d: BLDatum, k: int) -> BLDatum:
     restricted measures; when the inherited modes cannot express those
     measures the reduction is refused rather than silently rescaled.
     """
+    _check_index(d, k)
     if d.exponents[k].is_infinite or d.exponents[k].value != 1:
         raise WrongExponentError(f"exponent {k} is {d.exponents[k]}, not 1")
     if not canonical_tag(d).is_canonical:

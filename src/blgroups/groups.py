@@ -260,6 +260,8 @@ def from_cayley_table(
 ) -> FiniteGroup:
     n = len(table)
     tbl = tuple(tuple(row) for row in table)
+    if any(len(row) != n for row in tbl):
+        raise GroupStructureError("table must be order x order")
     identity = None
     for e in range(n):
         if tbl[e] == tuple(range(n)) and all(tbl[x][e] == x for x in range(n)):

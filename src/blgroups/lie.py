@@ -148,7 +148,7 @@ class CompactLieDatum:
         if any(d <= 0 for d in self.simple_dims) or self.torus_dim < 0:
             raise ValueError("simple dimensions must be positive, torus_dim >= 0")
         for m in self.maps:
-            if any(i >= len(self.simple_dims) for i in m.kept_simple):
+            if any(not 0 <= i < len(self.simple_dims) for i in m.kept_simple):
                 raise ValueError("kept_simple index out of range")
             for row in m.torus_matrix:
                 if len(row) != self.torus_dim:
@@ -327,6 +327,8 @@ def closed_pool(
     A cap B = 0.  Only the other pairs run Zassenhaus.  Bases coming out of
     RREF are canonical already and are not reduced again.
     """
+    if max_closure < 0:
+        raise ValueError("max_closure must be >= 0")
     pool = {zero_ideal()}
     pool.update(map_kernel(d, j) for j in range(d.J))
     old: list[IdealSpec] = []

@@ -161,6 +161,8 @@ def alternating_ascent(
     is nondecreasing up to renormalization jitter.  Inputs are renormalized
     each sweep to unit norm to avoid overflow.
     """
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     form = _Form(d, float(haar_weight(d.G, d.haar_G)))
     funcs = [[float(v) for v in f] for f in init.functions]
     for j in range(d.J):
@@ -203,6 +205,8 @@ def oracle_constant(
     independently."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     if d.J == 0:
         return float(haar_weight(d.G, d.haar_G)) * d.G.order
     rng = random.Random(seed)

@@ -9,6 +9,9 @@ Group specs come in three shapes:
 A datum bundles a group, codomains, maps as image lists, exponents as
 strings ("2", "3/2", "inf"), and Haar modes.  All fractions are serialized
 as strings so the JSON round-trips exactly.
+
+The parsers check the JSON type of every node they read and raise
+SchemaError, a ValueError, on a node of the wrong type.
 """
 
 from __future__ import annotations
@@ -31,13 +34,51 @@ from .groups import (
 from .lie import CompactLieDatum, IdealSpec, LinearizedMap, RationalPolytope
 
 
+class SchemaError(ValueError):
+    """A JSON input node has the wrong type."""
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer",
+               str: "a string", (str, int, float): "a string or a number"}
+
+
+def _expect(x, kind, what: str):
+    """x, which must have JSON type kind; a boolean is never a number."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise SchemaError(f"{what} must be {_JSON_TYPES[kind]}")
+    return x
+
+
+def _array(x, kind, what: str) -> list:
+    """x, which must be an array whose entries have JSON type kind."""
+    for i, v in enumerate(_expect(x, list, what)):
+        _expect(v, kind, f"{what}[{i}]")
+    return x
+
+
+def _matrix(x, kind, what: str) -> list:
+    """x, which must be an array of arrays whose entries have JSON type kind."""
+    for i, row in enumerate(_array(x, list, what)):
+        _array(row, kind, f"{what}[{i}]")
+    return x
+
+
 def parse_group(obj: dict, order_cap: int = 4096) -> FiniteGroup:
+    _expect(obj, dict, "group spec")
     if "cyclic" in obj:
-        return make_cyclic_product(list(obj["cyclic"]), order_cap)
+        return make_cyclic_product(_array(obj["cyclic"], int, "cyclic"), order_cap)
     if "table" in obj:
-        return from_cayley_table(obj["table"], obj.get("labels"))
+        labels = obj.get("labels")
+        return from_cayley_table(
+            _matrix(obj["table"], int, "table"),
+            None if labels is None else _expect(labels, list, "labels"),
+        )
     if "generators" in obj:
-        return from_permutations(int(obj["degree"]), obj["generators"], order_cap)
+        return from_permutations(
+            _expect(obj["degree"], int, "degree"),
+            _matrix(obj["generators"], int, "generators"),
+            order_cap,
+        )
     raise GroupStructureError(
         "group spec needs one of: 'cyclic', 'table', or 'degree'+'generators'"
     )
@@ -51,6 +92,7 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 
 def _parse_haar(s: str) -> HaarMode:
+    _expect(s, str, "Haar mode")
     try:
         return HaarMode(s.lower())
     except ValueError:
@@ -58,16 +100,22 @@ def _parse_haar(s: str) -> HaarMode:
 
 
 def parse_datum(obj: dict, order_cap: int = 4096) -> BLDatum:
+    _expect(obj, dict, "datum")
     G = parse_group(obj["group"], order_cap)
-    codomains = tuple(parse_group(c, order_cap) for c in obj["codomains"])
-    maps = tuple(
-        Homomorphism(G, codomains[j], tuple(m)) for j, m in enumerate(obj["maps"])
+    codomains = tuple(
+        parse_group(c, order_cap) for c in _expect(obj["codomains"], list, "codomains")
     )
-    exponents = tuple(Exponent.of(p) for p in obj["p"])
-    haar = obj.get("haar", {})
+    images = _matrix(obj["maps"], int, "maps")
+    if len(images) != len(codomains):
+        raise SchemaError("maps and codomains must have equal length")
+    maps = tuple(Homomorphism(G, C, tuple(m)) for C, m in zip(codomains, images))
+    exponents = tuple(Exponent.of(p) for p in _array(obj["p"], (str, int, float), "p"))
+    haar = _expect(obj.get("haar", {}), dict, "haar")
     haar_G = _parse_haar(haar.get("G", "probability"))
     haar_codomains = tuple(
-        _parse_haar(m) for m in haar.get("codomains", ["probability"] * len(maps))
+        _parse_haar(m)
+        for m in _expect(haar.get("codomains", ["probability"] * len(maps)), list,
+                         "haar codomains")
     )
     return BLDatum(G, codomains, maps, exponents, haar_G, haar_codomains)
 
@@ -86,15 +134,22 @@ def datum_to_json(d: BLDatum) -> dict:
 
 
 def parse_lie_datum(obj: dict) -> CompactLieDatum:
+    _expect(obj, dict, "Lie datum")
     maps = tuple(
         LinearizedMap(
-            tuple(m.get("kept_simple", ())),
-            tuple(tuple(Fraction(v) for v in row) for row in m.get("torus_matrix", ())),
+            tuple(_array(m.get("kept_simple", []), int, f"maps[{j}] kept_simple")),
+            tuple(
+                tuple(Fraction(v) for v in row)
+                for row in _matrix(m.get("torus_matrix", []), (str, int, float),
+                                   f"maps[{j}] torus_matrix")
+            ),
         )
-        for m in obj["maps"]
+        for j, m in enumerate(_array(obj["maps"], dict, "maps"))
     )
     return CompactLieDatum(
-        tuple(obj.get("simple_dims", ())), int(obj.get("torus_dim", 0)), maps
+        tuple(_array(obj.get("simple_dims", []), int, "simple_dims")),
+        _expect(obj.get("torus_dim", 0), int, "torus_dim"),
+        maps,
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from blgroups.cache import SubgroupCache, cache_key
 from blgroups.cli import main
 from blgroups.groups import from_cayley_table, make_cyclic_product
-from blgroups.serialize import parse_datum
+from blgroups.serialize import SchemaError, parse_datum, parse_group, parse_lie_datum
 
 LW_Z2Z2 = {
     "group": {"cyclic": [2, 2]},
@@ -185,6 +185,148 @@ def test_exit_code_budget(write, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget" in captured.err
+
+
+def assert_precondition(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["kind"] == "precondition"
+
+
+@pytest.mark.parametrize("op", ["drop-inf", "reduce-p1"])
+@pytest.mark.parametrize("index", ["-1", "2", "5"])
+def test_reduce_index_out_of_range(write, capsys, op, index):
+    # the last exponent is the one each op needs, so index -1 reaches it
+    last = "inf" if op == "drop-inf" else "1"
+    datum = dict(LW_Z2Z2, p=["2", last], haar={"G": "counting",
+                                             "codomains": ["counting", "counting"]})
+    path = write("d.json", datum)
+    assert_precondition(capsys, ["reduce", "--in", path, "--op", op, "--index", index])
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--in", "{lw}", "--max-sweeps", "0"],
+    ["verify", "--in", "{lw}", "--max-sweeps", "0", "--no-cache"],
+    ["check-codim", "--in", "{t3}", "--p", "2,2,2", "--max-closure", "-1"],
+    ["polytope", "--in", "{t3}", "--max-closure", "-1"],
+])
+def test_iteration_counts_below_minimum(write, capsys, argv):
+    paths = {"{lw}": write("lw.json", LW_Z2Z2), "{t3}": write("t3.json", T3_LW)}
+    assert_precondition(capsys, [paths.get(a, a) for a in argv])
+
+
+def test_unusable_paths_are_preconditions(write, capsys, tmp_path):
+    path = write("lw.json", LW_Z2Z2)
+    assert_precondition(capsys, ["constant", "--in", str(tmp_path), "--no-cache"])
+    assert_precondition(capsys, ["constant", "--in", str(tmp_path / "none.json")])
+    assert_precondition(capsys, ["constant", "--in", path, "--cache-dir", path])
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("constant", [1, 2, 3]),
+    ("constant", T3_LW),
+    ("constant", dict(HOELDER_Z2, group={"order": 2, "table": [[0, 1], []]})),
+    ("constant", dict(HOELDER_Z2, maps=[[0, 1], [0, 1], [0, 1]])),
+    ("check-codim", LW_Z2Z2),
+    ("polytope", [T3_LW]),
+])
+def test_wrong_input_shapes_are_preconditions(write, capsys, command, obj):
+    path = write("bad.json", obj)
+    extra = ["--p", "2,2"] if command == "check-codim" else []
+    assert_precondition(capsys, [command, "--in", path, *extra])
+
+
+def _nodes(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for k, v in children:
+        yield from _nodes(v, path + (k,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return obj
+
+
+TABLE_Z2 = {"order": 2, "table": [[0, 1], [1, 0]], "labels": ["e", "a"]}
+SHAPE_CASES = [
+    (parse_datum, dict(LW_Z2Z2, codomains=[{"cyclic": [2]}, TABLE_Z2])),
+    (parse_datum, {"group": {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+                   "codomains": [{"cyclic": [2]}], "maps": [[0, 1, 1, 0, 0, 1]],
+                   "p": ["2"]}),
+    (parse_lie_datum, dict(T3_LW, simple_dims=[3],
+                           maps=[dict(m, kept_simple=[0]) for m in T3_LW["maps"]])),
+]
+
+
+@pytest.mark.parametrize("parse,obj", SHAPE_CASES)
+def test_every_wrong_typed_node_is_a_value_error(parse, obj):
+    # a node of the wrong JSON type must not escape as TypeError or
+    # AttributeError, which main does not map to an exit code
+    parse(obj)
+    for path in _nodes(obj):
+        for value in (None, True, 1, -1, 1.5, "x", [], [1], [[1]], {}, {"a": 1}):
+            try:
+                parse(_replaced(obj, path, value))
+            except (ValueError, KeyError):
+                pass
+
+
+def test_schema_errors_name_the_node():
+    with pytest.raises(SchemaError, match="datum must be an object"):
+        parse_datum([LW_Z2Z2])
+    with pytest.raises(SchemaError, match="group spec must be an object"):
+        parse_group([2])
+    with pytest.raises(SchemaError, match=r"maps\[0\] must be an object"):
+        parse_lie_datum(LW_Z2Z2)
+    with pytest.raises(SchemaError, match=r"p\[1\] must be a string or a number"):
+        parse_datum(dict(LW_Z2Z2, p=["2", ["2"]]))
+
+
+# Each subcommand run with every option whose default is None, so that every
+# flag it accepts appears in the report; a flag shared through a parent parser
+# with the wrong subcommand changes the set.
+ENVELOPE = {
+    "constant": (["--in", "{lw}", "--haar", "probability", "--cache-dir", "{cache}"],
+                 {"format", "input", "haar", "order_cap", "candidates", "cache_dir",
+                  "no_cache"}),
+    "oracle": (["--in", "{lw}", "--haar", "probability", "--restarts", "1"],
+               {"format", "input", "haar", "order_cap", "restarts", "tol",
+                "max_sweeps", "seed"}),
+    "verify": (["--in", "{lw}", "--haar", "probability", "--restarts", "1",
+                "--cache-dir", "{cache}"],
+               {"format", "input", "haar", "order_cap", "restarts", "tol",
+                "max_sweeps", "seed", "budget", "cache_dir", "no_cache"}),
+    "polytope": (["--in", "{t3}"], {"format", "input", "max_closure"}),
+    "check-codim": (["--in", "{t3}", "--p", "2,2,2"],
+                    {"format", "input", "max_closure", "p", "show_pool"}),
+    "reduce": (["--in", "{lw}", "--haar", "probability", "--op", "canonicalize"],
+               {"format", "input", "haar", "order_cap", "op", "index"}),
+    "heisenberg-demo": ([], {"format", "n", "alphas", "M", "box", "eps", "budget"}),
+}
+ENVELOPE_KEYS = {"command", "version", "input_digest", "flags", "result", "timing_s"}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE))
+def test_report_envelope(write, capsys, tmp_path, command):
+    argv, flags = ENVELOPE[command]
+    paths = {"{lw}": write("lw.json", LW_Z2Z2), "{t3}": write("t3.json", T3_LW),
+             "{cache}": str(tmp_path / "cache")}
+    code, rep = run_cli(capsys, [command, *(paths.get(a, a) for a in argv)])
+    assert code == 0
+    cached = command in ("constant", "verify")
+    assert set(rep) == ENVELOPE_KEYS | ({"cache"} if cached else set())
+    assert set(rep["flags"]) == flags
+    assert rep["command"] == command
 
 
 def test_determinism_and_roundtrip(write, capsys, tmp_path):

@@ -7,6 +7,7 @@ from blgroups.datum import (
     INF,
     BLDatum,
     Exponent,
+    IndexRangeError,
     NormalizationError,
     NotCanonicalError,
     WrongExponentError,
@@ -229,6 +230,16 @@ def test_reduce_p1_preconditions(Z2):
     non_canonical = make_datum(Z2, [Homomorphism(Z2, Z2, (0, 0))], [1])
     with pytest.raises(NotCanonicalError):
         reduce_p1(non_canonical, 0)
+
+
+@pytest.mark.parametrize("k", [-1, -2, 2, 5])
+def test_reductions_require_index_in_range(k):
+    # a negative index must not count from the end: the last exponent is the
+    # one each reduction needs, so k = -1 would otherwise be accepted
+    with pytest.raises(IndexRangeError):
+        drop_infinite_exponent(lw_datum(p=("2", "inf"), haar=C), k)
+    with pytest.raises(IndexRangeError):
+        reduce_p1(lw_datum(p=("2", "1"), haar=C), k)
 
 
 # -- products ------------------------------------------------------------------

@@ -278,6 +278,22 @@ def test_exponent_count_must_match_the_maps():
             finiteness(d, p)
 
 
+def test_negative_closure_rounds_are_rejected():
+    # a negative count would run no round and report an unclosed pool
+    d = t3_loomis_whitney()
+    with pytest.raises(ValueError, match="max_closure"):
+        closed_pool(d, max_closure=-1)
+    with pytest.raises(ValueError, match="max_closure"):
+        finiteness(d, [E(2)] * 3, max_closure=-1)
+
+
+def test_kept_simple_index_must_be_in_range():
+    # a negative index must not be read as a summand counted from the end
+    for kept in ((-1,), (2,)):
+        with pytest.raises(ValueError, match="kept_simple"):
+            CompactLieDatum((3, 8), 0, (LinearizedMap(kept, ()),))
+
+
 def test_codim_simple_isomorphism():
     d = CompactLieDatum((3,), 0, (LinearizedMap((0,), ()),))
     rep = codimension_check(d, [E(1)], [zero_ideal()])

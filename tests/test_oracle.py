@@ -102,6 +102,19 @@ def test_ascent_from_extremizer_converges_immediately():
         assert trace.values[0] == pytest.approx(exact, rel=1e-12)
 
 
+def test_iteration_counts_below_their_minimum_are_rejected():
+    # zero sweeps would leave no value to return
+    d = hoelder()
+    with pytest.raises(ValueError, match="max_sweeps"):
+        alternating_ascent(d, InputTuple([[1.0, 1.0], [1.0, 1.0]]), max_sweeps=0)
+    empty = make_datum(make_cyclic_product([2]), [], [])
+    for datum in (d, empty):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            oracle_constant(datum, max_sweeps=0)
+        with pytest.raises(ValueError, match="restarts"):
+            oracle_constant(datum, restarts=0)
+
+
 def test_ascent_hoelder_from_random_init():
     d = hoelder()
     rng = random.Random(11)
