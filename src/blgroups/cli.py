@@ -6,13 +6,16 @@ whose content is a pure function of the command line, the input file, and
 the seed; timing lives in its own field so the rest of the report is
 byte-reproducible.  Exit codes: 0 success, 1 verify disagreement or an exact
 comparison still undecided at 4096 bits, 2 precondition error (bad input
-file, path or JSON shape, bad index or iteration count, an operation the
-datum does not admit), 3 budget or size error, 4 finiteness UNDECIDED.
+file, path or JSON shape, bad index, iteration count or tolerance, an
+operation the datum does not admit), 3 budget or size error (a
+`groups.BudgetExceededError`), 4 finiteness UNDECIDED.
 
 `main` does what every subcommand shares: it loads `--in`, times the run,
 builds the report envelope, emits it and maps errors to exit codes.  A
 `cmd_*` function only computes: it takes the parsed arguments and the loaded
-input and returns its report fields and its exit code.
+input and returns its report fields and its exit code.  Each imports its own
+layers, so a call loads only the modules its subcommand uses: `constant`
+never loads the Lie, Heisenberg or ascent layers.
 """
 
 from __future__ import annotations
@@ -25,24 +28,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .cache import SubgroupCache, cache_key
-from .constant import bl_constant
-from .datum import Exponent, canonicalize, drop_infinite_exponent, reduce_p1
 from .exact import UndecidedComparisonError
-from .groups import HaarMode, SizeCapError
-from .heisenberg import ScanBudgetError, divergence_witness
-from .lie import Verdict, bl_polytope, closed_pool, facet_status, finiteness, vertices
-from .oracle import BudgetError, exhaustive_indicator_search, oracle_constant
-from .serialize import (
-    constant_report_to_json,
-    datum_to_json,
-    exact_value_to_json,
-    ideal_to_json,
-    parse_datum,
-    parse_lie_datum,
-    polytope_to_json,
-    tag_to_json,
-)
+from .groups import BudgetExceededError, HaarMode
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -50,7 +37,6 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_UNDECIDED = 4
 
-_BUDGET_ERRORS = (SizeCapError, BudgetError, ScanBudgetError)
 # The library's precondition errors (GroupStructureError, WrongExponentError,
 # SchemaError, ...) and bad JSON are ValueErrors; OSError covers an input or
 # cache path that cannot be read or created.
@@ -79,6 +65,8 @@ def _print_table(obj, indent=0):
 
 def _datum(args, obj):
     """The finite datum of --in, with --haar overriding every Haar mode."""
+    from .serialize import parse_datum
+
     d = parse_datum(obj, args.order_cap)
     if not args.haar:
         return d
@@ -88,6 +76,8 @@ def _datum(args, obj):
 
 def _lattice(args, d):
     """The subgroup lattice of d.G through the cache, and the report's cache block."""
+    from .cache import SubgroupCache, cache_key
+
     cache = SubgroupCache(args.cache_dir, not args.no_cache)
     subgroups = cache.subgroups(d.G, args.order_cap)
     return subgroups, {"enabled": cache.enabled, "hit": cache.last_hit,
@@ -95,6 +85,8 @@ def _lattice(args, d):
 
 
 def _oracle(args, d) -> float:
+    from .oracle import oracle_constant
+
     return oracle_constant(d, restarts=args.restarts, seed=args.seed, tol=args.tol,
                            max_sweeps=args.max_sweeps)
 
@@ -103,6 +95,9 @@ def _oracle(args, d) -> float:
 
 
 def cmd_constant(args, obj):
+    from .constant import bl_constant
+    from .serialize import constant_report_to_json
+
     d = _datum(args, obj)
     subgroups, cache = _lattice(args, d)
     rep = bl_constant(d, subgroups=subgroups, include_candidates=args.candidates)
@@ -116,6 +111,10 @@ def cmd_oracle(args, obj):
 
 
 def cmd_verify(args, obj):
+    from .constant import bl_constant
+    from .oracle import BudgetError, exhaustive_indicator_search
+    from .serialize import constant_report_to_json, exact_value_to_json
+
     d = _datum(args, obj)
     subgroups, cache = _lattice(args, d)
     rep = bl_constant(d, subgroups=subgroups)
@@ -144,6 +143,9 @@ def cmd_verify(args, obj):
 
 
 def cmd_polytope(args, obj):
+    from .lie import bl_polytope, closed_pool, facet_status, vertices
+    from .serialize import parse_lie_datum, polytope_to_json
+
     d = parse_lie_datum(obj)
     pool, stabilized = closed_pool(d, max_closure=args.max_closure)
     P = bl_polytope(d, pool)
@@ -154,6 +156,10 @@ def cmd_polytope(args, obj):
 
 
 def cmd_check_codim(args, obj):
+    from .datum import Exponent
+    from .lie import Verdict, finiteness
+    from .serialize import ideal_to_json, parse_lie_datum
+
     d = parse_lie_datum(obj)
     p = [Exponent.of(t) for t in args.p.split(",")]
     fin = finiteness(d, p, max_closure=args.max_closure)
@@ -174,6 +180,9 @@ def cmd_check_codim(args, obj):
 
 
 def cmd_reduce(args, obj):
+    from .datum import canonicalize, drop_infinite_exponent, reduce_p1
+    from .serialize import datum_to_json, tag_to_json
+
     d = _datum(args, obj)
     result = {}
     if args.op == "canonicalize":
@@ -188,6 +197,8 @@ def cmd_reduce(args, obj):
 
 
 def cmd_heisenberg_demo(args, obj):
+    from .heisenberg import divergence_witness
+
     dv = divergence_witness(
         n=args.n,
         alphas=[Fraction(a) for a in args.alphas.split(",")],
@@ -314,7 +325,7 @@ def main(argv=None) -> int:
     try:
         obj = _input(args)
         fields, code = args.func(args, obj)
-    except _BUDGET_ERRORS as exc:
+    except BudgetExceededError as exc:
         return _fail(EXIT_BUDGET, "budget", exc)
     except UndecidedComparisonError as exc:
         return _fail(EXIT_FAILURE, "undecided-comparison", exc, left=exc.left.to_json(),

@@ -10,13 +10,15 @@ the sorted tuple that `Subgroup.members` keeps as the public form.
 One closure routine, `_extend`, serves enumeration and validation.
 Enumeration is bottom-up cyclic extension, after Neubüser: each known
 subgroup H is extended by one representative x of each left coset xH, since
-<H, x> = <H, xh> for h in H.  S5 (156 subgroups) and Z2^6 (2825) are listed
-in well under a second; the configurable order cap bounds |G|.  Validation
-of a member set M grows K from {e} to <K, x> for each member x not in K,
-and fails as soon as K leaves M.  A subgroup contains every closure built
-from its members, so it passes; a set that never escapes contains the last
-K and lies in it, so it is a subgroup.  K at least doubles at each step, so
-the chain costs O(|M|) table lookups, against |M|^2 for all products.
+<H, x> = <H, xh> for h in H.  A closure that outgrows |G|/p, with p the
+least prime dividing |G|, is G by Lagrange and stops there.  S5 (156
+subgroups) and Z2^6 (2825) are listed in well under a second; the
+configurable order cap bounds |G|.  Validation of a member set M grows K
+from {e} to <K, x> for each member x not in K, and fails as soon as K
+leaves M.  A subgroup contains every closure built from its members, so
+it passes; a set that never escapes contains the last K and lies in it, so
+it is a subgroup.  K at least doubles at each step, so the chain costs
+O(|M|) table lookups, against |M|^2 for all products.
 """
 
 from __future__ import annotations
@@ -38,7 +40,11 @@ class GroupStructureError(ValueError):
     """The given data does not define a group / subgroup / homomorphism."""
 
 
-class SizeCapError(ValueError):
+class BudgetExceededError(ValueError):
+    """A computation would exceed its size cap or work budget (CLI exit 3)."""
+
+
+class SizeCapError(BudgetExceededError):
     """A construction or enumeration exceeds the configured order cap."""
 
 
@@ -106,6 +112,13 @@ class FiniteGroup:
         # one search per row, once per group, so inv is a lookup
         return tuple(row.index(self.identity) for row in self.table)
 
+    @cached_property
+    def _max_proper_order(self) -> int:
+        # By Lagrange a proper subgroup has order |G|/k for some divisor
+        # k > 1, so at most |G|/p with p the least prime dividing |G|.
+        n = self.order
+        return n // next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+
 
 def _check_associativity(table, n):
     if n <= _FULL_CHECK_LIMIT:
@@ -155,7 +168,7 @@ class Subgroup:
         K, kmem = 1 << e, [e]
         for x in mem:
             if not K >> x & 1:
-                K, kmem = _extend(G.table, K, kmem, x)
+                K, kmem = _extend(G, K, kmem, x)
                 if K & ~M:
                     raise GroupStructureError(f"not closed: members up to {x} escape")
         object.__setattr__(self, "mask", M)
@@ -228,31 +241,21 @@ def make_cyclic_product(
     if order > order_cap:
         raise SizeCapError(f"order {order} exceeds cap {order_cap}")
 
-    def decode(i):
-        out = []
-        for m in reversed(moduli):
-            i, r = divmod(i, m)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def encode(t):
-        i = 0
-        for m, v in zip(moduli, t):
-            i = i * m + v
-        return i
-
-    table = tuple(
-        tuple(
-            encode(tuple((a + b) % m for a, b, m in zip(decode(x), decode(y), moduli)))
-            for y in range(order)
-        )
-        for x in range(order)
-    )
+    # Fold in one factor Z_m at a time: the element (i, a) of (earlier
+    # factors) x Z_m has index i*m + a, so its row is the earlier row i with
+    # each entry t spread over t*m + (a + b) % m for b in 0..m-1.
+    table: list[tuple[int, ...]] = [(0,)]
+    digits: list[tuple[int, ...]] = [()]
+    for m in moduli:
+        shifts = [tuple((a + b) % m for b in range(m)) for a in range(m)]
+        table = [tuple(t * m + c for t in row for c in shift)
+                 for row in table for shift in shifts]
+        digits = [ds + (a,) for ds in digits for a in range(m)]
     if len(moduli) == 1:
         labels = tuple(str(i) for i in range(order))
     else:
-        labels = tuple("(" + ",".join(map(str, decode(i))) + ")" for i in range(order))
-    return FiniteGroup(order, table, 0, labels)
+        labels = tuple("(" + ",".join(map(str, ds)) + ")" for ds in digits)
+    return FiniteGroup(order, tuple(table), 0, labels)
 
 
 def from_cayley_table(
@@ -353,15 +356,18 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _extend(table, H: int, hmem: Sequence[int], x: int) -> tuple[int, list[int]]:
-    """<H, x> as (mask, members) for a subgroup H, given as mask and members.
+def _extend(G: FiniteGroup, H: int, hmem: Sequence[int], x: int) -> tuple[int, list[int]]:
+    """<H, x> as (mask, members) for a subgroup H of G, given as mask and members.
 
     A breadth-first search from H right-multiplies by x and, on reaching an
     element z outside, adds its whole coset zH.  The union of left H-cosets
     it builds contains the identity and is closed under right multiplication
     by x and by H, so it is <H, x>.  Each member of K = <H, x> is multiplied
     by x once and each coset of H in K is built once: O(|K|) table lookups.
+    Once the union outgrows every proper subgroup, K is G, so G is returned
+    without listing the rest.
     """
+    table, bound = G.table, G._max_proper_order
     K, mem = H, list(hmem)
     for y in mem:
         z = table[y][x]
@@ -370,6 +376,8 @@ def _extend(table, H: int, hmem: Sequence[int], x: int) -> tuple[int, list[int]]
             for h in hmem:
                 K |= 1 << rz[h]
                 mem.append(rz[h])
+            if len(mem) > bound:
+                return (1 << G.order) - 1, list(range(G.order))
     return K, mem
 
 
@@ -398,7 +406,7 @@ def all_subgroups(
                 row = table[x]
                 for h in hmem:
                     covered |= 1 << row[h]
-                K, mem = _extend(table, H, hmem, x)
+                K, mem = _extend(G, H, hmem, x)
                 if K not in found:
                     mem.sort()
                     found[K] = tuple(mem)

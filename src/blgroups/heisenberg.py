@@ -22,9 +22,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .datum import Exponent
+from .groups import BudgetExceededError
 
 
-class ScanBudgetError(ValueError):
+class ScanBudgetError(BudgetExceededError):
     """The witness scan exceeded its grid budget."""
 
 

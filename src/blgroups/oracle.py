@@ -33,10 +33,10 @@ from typing import Sequence
 
 from .datum import BLDatum
 from .exact import ExactValue, exact_max
-from .groups import haar_weight, log_haar_weight, mask_members
+from .groups import BudgetExceededError, haar_weight, log_haar_weight, mask_members
 
 
-class BudgetError(ValueError):
+class BudgetError(BudgetExceededError):
     """The requested enumeration exceeds the configured budget."""
 
 
@@ -159,7 +159,8 @@ def alternating_ascent(
 
     Each sweep maximizes over every block in turn; the trace of sweep values
     is nondecreasing up to renormalization jitter.  Inputs are renormalized
-    each sweep to unit norm to avoid overflow.
+    each sweep to unit norm to avoid overflow.  A negative tol never
+    converges, so exactly max_sweeps sweeps run.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -207,6 +208,10 @@ def oracle_constant(
         raise ValueError("restarts must be >= 1")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
+    if not tol >= 0:
+        # a negative or NaN tol never converges, so every start would run all
+        # max_sweeps sweeps
+        raise ValueError(f"tol must be >= 0, got {tol}")
     if d.J == 0:
         return float(haar_weight(d.G, d.haar_G)) * d.G.order
     rng = random.Random(seed)

@@ -17,8 +17,8 @@ SchemaError, a ValueError, on a node of the wrong type.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .constant import ConstantReport
 from .datum import BLDatum, CanonicalTag, Exponent
 from .exact import ExactValue
 from .groups import (
@@ -31,7 +31,11 @@ from .groups import (
     from_permutations,
     make_cyclic_product,
 )
-from .lie import CompactLieDatum, IdealSpec, LinearizedMap, RationalPolytope
+
+if TYPE_CHECKING:
+    # Annotations only, so that importing serialize loads neither layer.
+    from .constant import ConstantReport
+    from .lie import CompactLieDatum, IdealSpec, RationalPolytope
 
 
 class SchemaError(ValueError):
@@ -134,6 +138,8 @@ def datum_to_json(d: BLDatum) -> dict:
 
 
 def parse_lie_datum(obj: dict) -> CompactLieDatum:
+    from .lie import CompactLieDatum, LinearizedMap
+
     _expect(obj, dict, "Lie datum")
     maps = tuple(
         LinearizedMap(

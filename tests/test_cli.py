@@ -7,7 +7,9 @@ import pytest
 
 from blgroups.cache import SubgroupCache, cache_key
 from blgroups.cli import main
-from blgroups.groups import from_cayley_table, make_cyclic_product
+from blgroups.groups import SizeCapError, from_cayley_table, make_cyclic_product
+from blgroups.heisenberg import ScanBudgetError
+from blgroups.oracle import BudgetError
 from blgroups.serialize import SchemaError, parse_datum, parse_group, parse_lie_datum
 
 LW_Z2Z2 = {
@@ -187,6 +189,22 @@ def test_exit_code_budget(write, capsys):
     assert "budget" in captured.err
 
 
+@pytest.mark.parametrize("error", [SizeCapError, BudgetError, ScanBudgetError],
+                         ids=lambda e: e.__name__)
+def test_every_budget_error_exits_3(write, capsys, monkeypatch, error):
+    # verify reports a BudgetError of the exhaustive search as skipped, so no
+    # input sends that one to main; a stubbed ascent raises each in turn
+    def over_budget(*args, **kwargs):
+        raise error("over budget")
+
+    monkeypatch.setattr("blgroups.oracle.oracle_constant", over_budget)
+    code = main(["oracle", "--in", write("lw.json", LW_Z2Z2)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "over budget", "kind": "budget"}
+
+
 def assert_precondition(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -215,6 +233,13 @@ def test_reduce_index_out_of_range(write, capsys, op, index):
 def test_iteration_counts_below_minimum(write, capsys, argv):
     paths = {"{lw}": write("lw.json", LW_Z2Z2), "{t3}": write("t3.json", T3_LW)}
     assert_precondition(capsys, [paths.get(a, a) for a in argv])
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+@pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan"])
+def test_negative_or_nan_tolerance_is_a_precondition(write, capsys, command, tol):
+    argv = [command, "--in", write("lw.json", LW_Z2Z2), f"--tol={tol}"]
+    assert_precondition(capsys, argv + (["--no-cache"] if command == "verify" else []))
 
 
 def test_unusable_paths_are_preconditions(write, capsys, tmp_path):
@@ -483,3 +508,41 @@ def test_cache_corrupt_entry_is_a_miss(write, capsys, tmp_path):
         assert rep["result"]["value"] == fresh["result"]["value"]
     code, rep = run_cli(capsys, argv)
     assert code == 0 and rep["cache"]["hit"]
+
+
+# Run in a fresh interpreter: the modules of blgroups that one call loaded.
+_LOADED_LAYERS = """
+import contextlib, io, json, sys
+import blgroups.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = blgroups.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
+                               if m.startswith("blgroups."))]))
+"""
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["constant", "--in", "{lw}", "--no-cache"],
+     {"lie", "rational_linalg", "heisenberg", "oracle"}),
+    (["verify", "--in", "{lw}", "--no-cache", "--restarts", "1"],
+     {"lie", "rational_linalg", "heisenberg"}),
+    (["oracle", "--in", "{lw}", "--restarts", "1"],
+     {"lie", "rational_linalg", "heisenberg", "cache", "constant"}),
+    (["reduce", "--in", "{lw}", "--op", "canonicalize"],
+     {"lie", "rational_linalg", "heisenberg", "oracle", "cache"}),
+    (["check-codim", "--in", "{t3}", "--p", "2,2,2"], {"heisenberg", "oracle", "cache"}),
+    (["polytope", "--in", "{t3}"], {"heisenberg", "oracle", "cache"}),
+    (["heisenberg-demo"], {"lie", "rational_linalg", "oracle", "cache", "serialize"}),
+], ids=["constant", "verify", "oracle", "reduce", "check-codim", "polytope",
+        "heisenberg-demo"])
+def test_subcommand_loads_only_its_layers(write, package_env, argv, absent):
+    paths = {"{lw}": write("lw.json", LW_Z2Z2), "{t3}": write("t3.json", T3_LW)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_LAYERS, *(paths.get(a, a) for a in argv)],
+        capture_output=True, text=True, env=package_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert {"cli", "groups"} <= set(loaded)
+    assert not absent & set(loaded)

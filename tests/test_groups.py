@@ -57,6 +57,56 @@ def test_klein_four_every_square_trivial():
     assert all(G.table[x][x] == G.identity for x in range(4))
 
 
+def reference_cyclic_table(moduli):
+    """Table and labels of Z_n1 x ... x Z_nk by decoding and encoding every
+    index pair: the direct construction the folded builder must reproduce."""
+    order = 1
+    for m in moduli:
+        order *= m
+
+    def decode(i):
+        out = []
+        for m in reversed(moduli):
+            i, r = divmod(i, m)
+            out.append(r)
+        return tuple(reversed(out))
+
+    def encode(t):
+        i = 0
+        for m, v in zip(moduli, t):
+            i = i * m + v
+        return i
+
+    table = tuple(
+        tuple(
+            encode(tuple((a + b) % m for a, b, m in zip(decode(x), decode(y), moduli)))
+            for y in range(order)
+        )
+        for x in range(order)
+    )
+    if len(moduli) == 1:
+        labels = tuple(str(i) for i in range(order))
+    else:
+        labels = tuple("(" + ",".join(map(str, decode(i))) + ")" for i in range(order))
+    return table, labels
+
+
+CYCLIC_MODULI = [
+    [1], [2], [3], [7], [12], [30],
+    [1, 1], [1, 2], [2, 1], [1, 5], [2, 2], [2, 3], [3, 2], [4, 6], [6, 4], [5, 5], [8, 8],
+    [1, 1, 1], [1, 3, 1], [2, 1, 3], [2, 2, 2], [2, 3, 4], [4, 3, 2], [3, 3, 3], [5, 1, 2],
+    [2, 2, 2, 2], [3, 3, 3, 3], [2, 3, 2, 3], [1, 2, 1, 2], [4, 4, 4],
+    [2, 2, 2, 2, 2], [2] * 6, [1, 1, 1, 1, 1],
+]
+
+
+@pytest.mark.parametrize("moduli", CYCLIC_MODULI, ids=lambda ms: "x".join(map(str, ms)))
+def test_cyclic_table_matches_decode_encode_reference(moduli):
+    G = make_cyclic_product(moduli)
+    assert (G.table, G.labels) == reference_cyclic_table(moduli)
+    assert G.identity == 0
+
+
 def test_cyclic_order_cap():
     with pytest.raises(SizeCapError):
         make_cyclic_product([100], order_cap=50)

@@ -115,6 +115,16 @@ def test_iteration_counts_below_their_minimum_are_rejected():
             oracle_constant(datum, restarts=0)
 
 
+def test_negative_or_nan_tolerance_is_rejected():
+    # such a tol never converges, so every start would run all max_sweeps
+    empty = make_datum(make_cyclic_product([2]), [], [])
+    for datum in (hoelder(), empty):
+        for tol in (-1.0, -1e-12, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                oracle_constant(datum, tol=tol)
+    assert oracle_constant(hoelder(), tol=0.0) == pytest.approx(2.0)
+
+
 def test_ascent_hoelder_from_random_init():
     d = hoelder()
     rng = random.Random(11)

@@ -1,0 +1,44 @@
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import blgroups
+
+
+def test_public_names_are_their_submodules_objects():
+    for name, module in blgroups._EXPORTS.items():
+        home = importlib.import_module(f"blgroups.{module}")
+        assert getattr(blgroups, name) is vars(home)[name]
+        # read through on every access, never stored in the package
+        assert name not in vars(blgroups)
+    assert len(set(blgroups.__all__)) == len(blgroups.__all__) == len(blgroups._EXPORTS)
+    assert set(blgroups.__all__) <= set(dir(blgroups))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        blgroups.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from blgroups import *", namespace)
+    for name in blgroups.__all__:
+        assert namespace[name] is getattr(blgroups, name)
+
+
+def test_bare_import_loads_no_submodule(package_env):
+    script = (
+        "import json, sys\n"
+        "import blgroups\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('blgroups.'))\n"
+        "blgroups.make_cyclic_product([2])\n"
+        "used = sorted(m for m in sys.modules if m.startswith('blgroups.'))\n"
+        "print(json.dumps([bare, used]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    bare, used = json.loads(proc.stdout)
+    assert bare == []
+    assert used == ["blgroups.groups"]
