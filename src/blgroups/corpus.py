@@ -23,6 +23,7 @@ from .groups import (
     compose,
     direct_product,
     from_permutations,
+    identity_map,
     make_cyclic_product,
     subgroup_group,
 )
@@ -48,7 +49,7 @@ def multi_product(
     """Iterated direct product with the full list of coordinate projections."""
     if len(factors) == 1:
         G = factors[0]
-        return G, [Homomorphism(G, G, tuple(range(G.order)))]
+        return G, [identity_map(G)]
     P, pa, pb = direct_product(factors[0], factors[1])
     projections = [pa, pb]
     for F in factors[2:]:
@@ -112,10 +113,8 @@ def standard_frames(
 
 
 def exponent_grid(J: int) -> list[tuple[Exponent, ...]]:
-    return [
-        tuple(Exponent.of(c) for c in combo)
-        for combo in itertools.product(EXPONENT_CHOICES, repeat=J)
-    ]
+    exponents = [Exponent.of(c) for c in EXPONENT_CHOICES]
+    return list(itertools.product(exponents, repeat=J))
 
 
 def frame_datum(

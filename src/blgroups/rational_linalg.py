@@ -146,25 +146,16 @@ def subspace_intersection(A: Matrix, B: Matrix, ncols: int) -> Matrix:
 
 
 def solve_square(A: Iterable[Sequence], b: Sequence) -> Optional[Row]:
-    """Unique solution of A x = b, or None if A is singular."""
-    A = [list(map(Fraction, row)) for row in A]
-    b = [Fraction(v) for v in b]
-    n = len(A)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if pivot is None:
-            return None
-        A[col], A[pivot] = A[pivot], A[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        lead = A[col][col]
-        A[col] = [v / lead for v in A[col]]
-        b[col] /= lead
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [u - f * v for u, v in zip(A[r], A[col])]
-                b[r] -= f * b[col]
-    return tuple(b)
+    """Unique solution of A x = b, or None if A is singular.
+
+    The echelon form of [A | b] has pivot columns 0..n-1 exactly when A is
+    nonsingular; row i then reads a x_i = c, with a its pivot, c its last entry.
+    """
+    rows = [_integer_row(list(row) + [v]) for row, v in zip(A, b)]
+    pivots = _echelon(rows)
+    if [col for col, _ in pivots] != list(range(len(rows))):
+        return None
+    return tuple([Fraction(row[-1], row[col]) for col, row in pivots])
 
 
 def enumerate_box_subspaces(n: int, box: int, max_dim: Optional[int] = None):

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from blgroups import corpus
 from blgroups.cache import SubgroupCache, cache_key
 from blgroups.groups import (
+    FiniteGroup,
     GroupStructureError,
     HaarMode,
     Homomorphism,
@@ -125,6 +126,47 @@ def test_bad_table_rejected():
     ]
     with pytest.raises(GroupStructureError):
         from_cayley_table(loop)
+
+
+def reference_is_associative(table):
+    """The full n^3 scan that construction ran up to order 256, kept as the
+    test oracle for Light's test."""
+    n = len(table)
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x in range(n) for y in range(n) for z in range(n)
+    )
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    def extend(rows):
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        for row in permutations(range(n)):
+            if row[0] == len(rows) and all(
+                row[c] != r[c] for r in rows for c in range(n)
+            ):
+                yield from extend(rows + [row])
+
+    yield from extend([tuple(range(n))])
+
+
+def test_light_test_agrees_with_full_scan_on_reduced_latin_squares():
+    # Rows and the identity pass on every such table, so the verdict is the
+    # associativity check alone.
+    tables = [t for n in range(2, 6) for t in reduced_latin_squares(n)]
+    assert len(tables) == 62
+    verdicts = []
+    for t in tables:
+        try:
+            FiniteGroup(len(t), t, 0)
+            verdicts.append(True)
+        except GroupStructureError:
+            verdicts.append(False)
+    assert verdicts == [reference_is_associative(t) for t in tables]
+    assert sum(verdicts) == 1 + 1 + 4 + 6  # Z2, Z3, four of order 4, six Z5
 
 
 def test_permutation_closure_s3(S3):
@@ -425,6 +467,39 @@ def test_homomorphism_validation(Z4, Z2):
         Homomorphism(Z4, Z2, (0, 1, 1, 0))
 
 
+def reference_is_homomorphism(G, H, m):
+    """The n^2 check `Homomorphism` made before the generator check."""
+    return all(
+        m[G.table[x][y]] == H.table[m[x]][m[y]]
+        for x in range(G.order) for y in range(G.order)
+    )
+
+
+def test_generator_check_agrees_with_all_pairs(S3, Z4):
+    Z2sq, Z6 = make_cyclic_product([2, 2]), make_cyclic_product([6])
+    pairs = [(S3, S3), (Z4, Z4), (Z4, Z2sq), (S3, Z6), (Z6, S3), (Z2sq, S3)]
+    maps = homs = 0
+    for G, H in pairs:
+        others = [x for x in range(G.order) if x != G.identity]
+        for images in product(range(H.order), repeat=len(others)):
+            m = [H.identity] * G.order
+            for x, y in zip(others, images):
+                m[x] = y
+            m = tuple(m)
+            try:
+                Homomorphism(G, H, m)
+                accepted = True
+            except GroupStructureError as exc:
+                accepted = False
+                # the error names a pair (x, a) that really fails
+                x, a = map(int, str(exc).rsplit("(", 1)[1].rstrip(")").split(","))
+                assert m[G.table[x][a]] != H.table[m[x]][m[a]]
+            assert accepted == reference_is_homomorphism(G, H, m)
+            maps += 1
+            homs += accepted
+    assert (maps, homs) == (23_672, 36)
+
+
 def test_quotient_z4_by_even(Z4, Z2):
     N = Subgroup(Z4, (0, 2))
     Q, proj = quotient(Z4, N)
@@ -482,8 +557,16 @@ def test_cyclic_products_are_groups(moduli):
     assert G.table[x][G.inv(x)] == G.identity
 
 
-def test_large_group_uses_randomized_associativity_scan():
-    # above the full-scan threshold construction samples triples instead
+def test_large_group_checked_exactly():
     G = make_cyclic_product([270])
     assert G.order == 270
     assert G.table[133][200] == (133 + 200) % 270
+    # Z_1000 with two entries of row 5 swapped: rows are still permutations
+    # and the identity is intact, but 5*7 = 16 breaks associativity.  Few
+    # of the 10^9 triples touch either entry, so sampling rarely sees it.
+    t = [list(row) for row in make_cyclic_product([1000]).table]
+    t[5][7], t[5][11] = t[5][11], t[5][7]
+    with pytest.raises(GroupStructureError, match="associativity fails") as exc:
+        from_cayley_table(t)
+    x, a, y = map(int, str(exc.value).rsplit("(", 1)[1].rstrip(")").split(","))
+    assert t[t[x][a]][y] != t[x][t[a][y]]

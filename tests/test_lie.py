@@ -35,6 +35,7 @@ from blgroups.rational_linalg import (
     nullspace,
     rank,
     rref,
+    solve_square,
     subspace_intersection,
     subspace_sum,
 )
@@ -72,6 +73,46 @@ def test_rank_and_nullspace():
     assert len(ns) == 1
     v = ns[0]
     assert 2 * v[0] - v[1] == 0 and 2 * v[1] - v[2] == 0
+
+
+def reference_solve_square(A, b):
+    """Fraction Gauss-Jordan elimination, the former `solve_square`."""
+    A = [list(map(Fraction, row)) for row in A]
+    b = [Fraction(v) for v in b]
+    n = len(A)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if pivot is None:
+            return None
+        A[col], A[pivot] = A[pivot], A[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        lead = A[col][col]
+        A[col] = [v / lead for v in A[col]]
+        b[col] /= lead
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [u - f * v for u, v in zip(A[r], A[col])]
+                b[r] -= f * b[col]
+    return tuple(b)
+
+
+def test_solve_square_matches_fraction_elimination():
+    rng = random.Random(4242)
+    singular = 0
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.3:  # a zero row or a scaled copy of another row
+            i, j = rng.randrange(n), rng.randrange(n)
+            A[i] = [2 * v for v in A[j]] if i != j else [Fraction(0)] * n
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        x = solve_square(A, b)
+        assert x == reference_solve_square(A, b)
+        assert x is None or all(type(v) is Fraction for v in x)
+        singular += x is None
+    assert 400 < singular < 1000
 
 
 @settings(max_examples=40, deadline=None)
