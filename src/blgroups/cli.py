@@ -149,7 +149,8 @@ def cmd_polytope(args, obj):
     d = parse_lie_datum(obj)
     pool, stabilized = closed_pool(d, max_closure=args.max_closure)
     P = bl_polytope(d, pool)
-    result = polytope_to_json(P, vertices(P), facet_status(P))
+    verts = vertices(P)
+    result = polytope_to_json(P, verts, facet_status(P, verts))
     result["pool_size"] = len(pool)
     result["pool_stabilized"] = stabilized
     return {"result": result}, EXIT_OK

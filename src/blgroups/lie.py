@@ -95,23 +95,28 @@ unclosed pool's UNDECIDED into INFINITE.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .datum import Exponent
 from .groups import SizeCapError
 from .rational_linalg import (
+    IntMatrix,
     Matrix,
     as_matrix,
     enumerate_box_subspaces,
-    image_basis,
-    nullspace,
+    fractions,
+    int_image,
+    int_kernel,
+    int_meet,
+    int_sum,
+    primitive,
     rank,
-    rref,
+    scaled,
     solve_square,
-    subspace_intersection,
-    subspace_sum,
 )
 
 POOL_CAP = 10_000
@@ -134,6 +139,11 @@ class LinearizedMap:
     def __post_init__(self):
         object.__setattr__(self, "kept_simple", tuple(sorted(set(self.kept_simple))))
         object.__setattr__(self, "torus_matrix", as_matrix(self.torus_matrix))
+
+    @cached_property
+    def int_matrix(self) -> IntMatrix:
+        """The torus block over ints (rational_linalg.scaled): the same ranks."""
+        return scaled(self.torus_matrix)
 
 
 @dataclass(frozen=True)
@@ -164,22 +174,27 @@ class CompactLieDatum:
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """An ideal: a set of simple summands plus a rational torus subspace."""
+    """An ideal: a set of simple summands plus a rational torus subspace, as
+    its RREF `torus_basis` and its integer form `torus_rows` (rational_linalg),
+    on which equality, hashing and every rank run."""
 
     simple_part: tuple[int, ...]
-    torus_basis: Matrix = ()
+    torus_basis: Matrix = field(default=(), compare=False)
+    torus_rows: IntMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "simple_part", tuple(sorted(set(self.simple_part))))
-        object.__setattr__(self, "torus_basis", rref(self.torus_basis))
+        object.__setattr__(self, "torus_rows", primitive(self.torus_basis))
+        object.__setattr__(self, "torus_basis", fractions(self.torus_rows))
 
     @classmethod
-    def _canonical(cls, simple_part: tuple[int, ...], torus_basis: Matrix) -> IdealSpec:
+    def _canonical(cls, simple_part: tuple[int, ...], torus_rows: IntMatrix) -> IdealSpec:
         """An ideal from parts already in canonical form, which are not reduced
-        again: a sorted tuple of distinct summands and an RREF basis."""
+        again: a sorted tuple of distinct summands and integer-form rows."""
         n = object.__new__(cls)
         object.__setattr__(n, "simple_part", simple_part)
-        object.__setattr__(n, "torus_basis", torus_basis)
+        object.__setattr__(n, "torus_rows", torus_rows)
+        object.__setattr__(n, "torus_basis", fractions(torus_rows))
         return n
 
 
@@ -188,45 +203,31 @@ def zero_ideal() -> IdealSpec:
 
 
 def full_ideal(d: CompactLieDatum) -> IdealSpec:
-    eye = tuple(
-        tuple(Fraction(int(i == j)) for j in range(d.torus_dim))
-        for i in range(d.torus_dim)
-    )
+    eye = tuple([tuple([int(i == j) for j in range(d.torus_dim)])
+                 for i in range(d.torus_dim)])
     return IdealSpec._canonical(tuple(range(len(d.simple_dims))), eye)
 
 
 def _is_full(d: CompactLieDatum, n: IdealSpec) -> bool:
-    """Whether n == full_ideal(d), without building it: n's torus basis is in
-    RREF, and an RREF basis of torus_dim rows of width torus_dim is the
-    identity."""
+    """Whether n == full_ideal(d), without building it: the integer form of
+    a subspace of dimension torus_dim in width torus_dim is the identity."""
     t = d.torus_dim
-    return (
-        n.simple_part == tuple(range(len(d.simple_dims)))
-        and len(n.torus_basis) == t
-        and all(len(row) == t for row in n.torus_basis)
-    )
+    return (n.simple_part == tuple(range(len(d.simple_dims))) and len(n.torus_rows) == t
+            and all(len(row) == t for row in n.torus_rows))
 
 
 def ideal_dims(d: CompactLieDatum, n: IdealSpec) -> tuple[int, list[int]]:
     """(dim n, [dim dsigma_j(n) for each map]), all by exact rank."""
-    for row in n.torus_basis:
-        if len(row) != d.torus_dim:
-            raise ValueError("torus basis rows must have torus_dim entries")
-    dim_n = sum(d.simple_dims[i] for i in n.simple_part) + len(n.torus_basis)
-    image_dims = []
-    for m in d.maps:
-        ss = sum(d.simple_dims[i] for i in n.simple_part if i in m.kept_simple)
-        tz = len(image_basis(m.torus_matrix, n.torus_basis))
-        image_dims.append(ss + tz)
-    return dim_n, image_dims
+    if any(len(row) != d.torus_dim for row in n.torus_rows):
+        raise ValueError("torus basis rows must have torus_dim entries")
+    dim_n = sum(d.simple_dims[i] for i in n.simple_part) + len(n.torus_rows)
+    return dim_n, [sum(d.simple_dims[i] for i in n.simple_part if i in m.kept_simple)
+                   + len(int_image(m.int_matrix, n.torus_rows)) for m in d.maps]
 
 
 def map_image_dims(d: CompactLieDatum) -> list[int]:
     """dim dsigma_j(g) per map: its kept summands plus the rank of its torus block."""
-    return [
-        sum(d.simple_dims[i] for i in m.kept_simple) + rank(m.torus_matrix)
-        for m in d.maps
-    ]
+    return [sum(d.simple_dims[i] for i in m.kept_simple) + rank(m.int_matrix) for m in d.maps]
 
 
 @dataclass(frozen=True)
@@ -283,16 +284,25 @@ def codimension_check(
 
 
 def map_kernel(d: CompactLieDatum, j: int) -> IdealSpec:
-    m = d.maps[j]
-    killed = tuple(i for i in range(len(d.simple_dims)) if i not in m.kept_simple)
-    return IdealSpec._canonical(killed, nullspace(m.torus_matrix, d.torus_dim))
+    return _ideal(*_kernel(d, d.maps[j]))
 
 
-def _sum_and_intersection(d, a: IdealSpec, b: IdealSpec) -> tuple[IdealSpec, IdealSpec]:
-    """(a + b, a cap b), the torus meet read off dimensions where it can be
-    (see closed_pool)."""
-    A, B = a.torus_basis, b.torus_basis
-    s = subspace_sum(A, B)
+def _kernel(d: CompactLieDatum, m: LinearizedMap) -> tuple[int, IntMatrix]:
+    """ker m as (bitmask of the summands m kills, integer-form torus rows)."""
+    killed = sum(1 << i for i in range(len(d.simple_dims)) if i not in m.kept_simple)
+    return killed, int_kernel(m.int_matrix, d.torus_dim)
+
+
+def _ideal(mask: int, rows: IntMatrix) -> IdealSpec:
+    summands = tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+    return IdealSpec._canonical(summands, rows)
+
+
+def _sum_and_intersection(t: int, a, b) -> tuple:
+    """(a + b, a cap b) for ideals as (summand bitmask, integer-form torus
+    rows), the torus meet read off dimensions where it can be (closed_pool)."""
+    (sa, A), (sb, B) = a, b
+    s = int_sum(A, B)
     if len(s) == len(A):
         meet = B
     elif len(s) == len(B):
@@ -300,12 +310,8 @@ def _sum_and_intersection(d, a: IdealSpec, b: IdealSpec) -> tuple[IdealSpec, Ide
     elif len(s) == len(A) + len(B):
         meet = ()
     else:
-        meet = subspace_intersection(A, B, d.torus_dim)
-    sa, sb = set(a.simple_part), set(b.simple_part)
-    return (
-        IdealSpec._canonical(tuple(sorted(sa | sb)), s),
-        IdealSpec._canonical(tuple(sorted(sa & sb)), meet),
-    )
+        meet = int_meet(A, B, t)
+    return (sa | sb, s), (sa & sb, meet)
 
 
 def closed_pool(
@@ -320,44 +326,39 @@ def closed_pool(
     A round that adds nothing proves the pool closed; one round beyond
     max_closure is run only to find out whether it would.
 
+    The closure adds, intersects and hashes (summand bitmask, integer-form
+    torus rows) pairs, all ints; each member becomes an IdealSpec, with its
+    Fraction basis, at the end, sorted by (dimension, summands, RREF basis).
     Each pair costs one elimination for the torus sum s = A + B.  Since
     dim(A cap B) = dim A + dim B - dim s, the intersection is read off the
     dimensions where they pin it down: dim s = dim A means B lies in A, so
     A cap B = B; dim s = dim B means A cap B = A; dim s = dim A + dim B means
-    A cap B = 0.  Only the other pairs run Zassenhaus.  Bases coming out of
-    RREF are canonical already and are not reduced again.
+    A cap B = 0.  Only the other pairs run Zassenhaus.
     """
     if max_closure < 0:
         raise ValueError("max_closure must be >= 0")
-    pool = {zero_ideal()}
-    pool.update(map_kernel(d, j) for j in range(d.J))
-    old: list[IdealSpec] = []
+    pool = {(0, ())}
+    pool.update(_kernel(d, m) for m in d.maps)
+    old: list = []
     fresh = list(pool)
     for done in range(max_closure + 1):
         new = set()
         for i, a in enumerate(fresh):
             for b in old + fresh[i + 1 :]:
-                for c in _sum_and_intersection(d, a, b):
-                    if c not in pool:
-                        new.add(c)
-        if not new:
-            return sorted(pool, key=_ideal_key), True
-        if done == max_closure:
+                new.update(_sum_and_intersection(d.torus_dim, a, b))
+        new -= pool
+        if not new or done == max_closure:
             break
         pool.update(new)
         if len(pool) > POOL_CAP:
             raise SizeCapError(f"ideal pool exceeds cap {POOL_CAP}")
         old += fresh
         fresh = list(new)
-    return sorted(pool, key=_ideal_key), False
+    return sorted([_ideal(*c) for c in pool], key=_ideal_key), not new
 
 
 def _ideal_key(n: IdealSpec):
-    return (
-        len(n.simple_part) + len(n.torus_basis),
-        n.simple_part,
-        n.torus_basis,
-    )
+    return len(n.simple_part) + len(n.torus_basis), n.simple_part, n.torus_basis
 
 
 # -- polytope --------------------------------------------------------------
@@ -382,26 +383,23 @@ def bl_polytope(d: CompactLieDatum, ideals: Sequence[IdealSpec]) -> RationalPoly
 
 def _all_constraints(P: RationalPolytope):
     """Halfspaces plus the box, uniformly as (coeffs, bound) with c.x <= b."""
-    cons = [
-        (tuple(Fraction(c) for c in coeffs), Fraction(b))
-        for coeffs, b in P.halfspaces
-    ]
+    cons = list(P.halfspaces)
     for j in range(P.dim):
-        unit = [Fraction(0)] * P.dim
-        unit[j] = Fraction(1)
-        cons.append((tuple(unit), Fraction(1)))
-        cons.append((tuple(-v for v in unit), Fraction(0)))
+        unit = [0] * P.dim
+        unit[j] = 1
+        cons += [(tuple(unit), 1), (tuple([-v for v in unit]), 0)]
     return cons
+
+
+def _inside(cons, x) -> bool:
+    return all(sum(c * v for c, v in zip(coeffs, x)) <= b for coeffs, b in cons)
 
 
 def membership_point(P: RationalPolytope, point: Sequence) -> bool:
     x = [Fraction(v) for v in point]
     if len(x) != P.dim:
         raise ValueError("point dimension mismatch")
-    return all(
-        sum(c * v for c, v in zip(coeffs, x)) <= b
-        for coeffs, b in _all_constraints(P)
-    )
+    return _inside(_all_constraints(P), x)
 
 
 def membership(P: RationalPolytope, p: Sequence) -> bool:
@@ -415,26 +413,19 @@ def vertices(P: RationalPolytope) -> list[tuple[Fraction, ...]]:
         raise SizeCapError(f"vertex enumeration capped at dimension {VERTEX_DIM_CAP}")
     cons = _all_constraints(P)
     out = set()
-    from itertools import combinations
-
-    for subset in combinations(range(len(cons)), P.dim):
-        A = [cons[i][0] for i in subset]
-        b = [cons[i][1] for i in subset]
-        x = solve_square(A, b)
-        if x is not None and membership_point(P, x):
-            out.add(tuple(x))
+    for subset in combinations(cons, P.dim):
+        x = solve_square([c for c, _ in subset], [b for _, b in subset])
+        if x is not None and _inside(cons, x):
+            out.add(x)
     return sorted(out)
 
 
-def facet_status(P: RationalPolytope) -> list[bool]:
-    """Per halfspace: True if tight at some vertex, False if redundant."""
-    verts = vertices(P)
-    out = []
-    for coeffs, b in P.halfspaces:
-        out.append(
-            any(sum(c * v for c, v in zip(coeffs, x)) == b for x in verts)
-        )
-    return out
+def facet_status(P: RationalPolytope, verts=None) -> list[bool]:
+    """Per halfspace: True if tight at some vertex, False if redundant;
+    verts, if given, must be vertices(P), which is then not run again."""
+    verts = vertices(P) if verts is None else verts
+    return [any(sum(c * v for c, v in zip(coeffs, x)) == b for x in verts)
+            for coeffs, b in P.halfspaces]
 
 
 # -- BCCT (linearized abelian) checks --------------------------------------
@@ -575,7 +566,7 @@ def finiteness(
     c = [dim * (Ri - 1) for dim, Ri in zip(d.simple_dims, R)]
     total = sum(c)
     g_dims = map_image_dims(d)
-    failing_tori = []  # (dim T, T, defect_T(T)) for each failing torus part
+    failing_tori = []  # (dim T, RREF of T, defect_T(T), T) for each failing torus part
     for n in pool:
         if _is_full(d, n):
             continue
@@ -587,12 +578,12 @@ def finiteness(
             )
         t = defect - total + sum(c[i] for i in n.simple_part)
         if t > 0:
-            failing_tori.append((len(n.torus_basis), n.torus_basis, t))
+            failing_tori.append((len(n.torus_basis), n.torus_basis, t, n.torus_rows))
 
     if any(ci > 0 for ci in c):
         S = _first_failing_subset(c)
         return FinitenessReport(
-            Verdict.INFINITE, IdealSpec._canonical(S, full_ideal(d).torus_basis),
+            Verdict.INFINITE, IdealSpec._canonical(S, full_ideal(d).torus_rows),
             total - sum(c[i] for i in S), pool_tuple,
             "violating ideal found among simple summand subsets",
         )
@@ -603,7 +594,7 @@ def finiteness(
             "(constant 1 under probability Haar)",
         )
     if failing_tori:
-        _, T, slack = min(failing_tori)
+        _, _, slack, T = min(failing_tori)
         return FinitenessReport(
             Verdict.INFINITE, IdealSpec._canonical(full_ideal(d).simple_part, T),
             slack, pool_tuple, "violating torus subspace found in the pool",

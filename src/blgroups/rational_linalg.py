@@ -1,24 +1,30 @@
 """Small exact linear algebra over the rationals.
 
-Subspaces of Q^n are represented by their reduced row echelon basis, which
-is a canonical form: two subspaces are equal iff their RREF tuples are.
-Inputs and outputs are Fractions, and nothing is approximated.  Elimination
-runs on Python ints: each input row is scaled by the lcm of its
-denominators, which keeps its span, and Gauss-Jordan elimination replaces a
-row r by a r - b p for the pivot row p (a its leading entry, b the entry of r
-in the pivot column), then divides r by the gcd of its entries.  Only the
-result becomes Fractions, each pivot row divided by its leading entry; RREF
-is unique, so it is the RREF that Fraction elimination gives.
+A subspace of Q^n has one canonical integer form: its reduced row echelon
+basis with each row scaled to a primitive integer vector (gcd 1) with a
+positive pivot, so subspaces compare and hash as tuples of ints.  `primitive`
+brings rational rows (ints, Fractions or strings) to it, all rows scaled by
+the lcm of their denominators, which keeps their span.  The `int_*` functions
+take and return that form and never build a Fraction.  Gauss-Jordan
+elimination replaces a row r by a r - b p for the pivot row p (a its leading
+entry, b the entry of r in the pivot column), then divides r by the gcd of
+its entries.  Fractions are made only where values leave the integer form:
+`fractions` divides each row by its pivot, giving the RREF (unique, so the
+one Fraction elimination gives), which `rref`, `nullspace`, `image_basis`,
+`subspace_sum` and `subspace_intersection` return; `solve_square` returns
+Fractions too.  Nothing is approximated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -28,23 +34,22 @@ def as_matrix(rows: Iterable[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
-def _rationals(row: Sequence) -> list:
-    """The entries as ints or Fractions, the two types with exact numerators."""
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+def scaled(M: Iterable[Sequence]) -> IntMatrix:
+    """M times the lcm of all its denominators, entries read as ints or
+    Fractions (the types with exact numerators).  One common factor keeps the
+    span of the rows and of every image M(W); scaling single rows of M would
+    change the image."""
+    M = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in M]
+    den = lcm(*[v.denominator for row in M for v in row])
+    return tuple([tuple([v.numerator * (den // v.denominator) for v in row]) for row in M])
 
 
-def _integer_row(row: Sequence) -> list[int]:
-    """The row times the lcm of its denominators."""
-    vals = _rationals(row)
-    den = lcm(*[v.denominator for v in vals])
-    return [v.numerator * (den // v.denominator) for v in vals]
+def _echelon(mat: list) -> list[tuple[int, list[int]]]:
+    """Integer Gauss-Jordan elimination; (pivot column, row) per pivot.
 
-
-def _echelon(mat: list[list[int]]) -> list[tuple[int, list[int]]]:
-    """Integer Gauss-Jordan elimination in place; (pivot column, row) per pivot.
-
-    The returned rows are primitive, nonzero, sorted by pivot column, and zero
-    in every pivot column but their own.
+    Rows of mat are replaced, never changed in place, so they may be tuples.
+    The returned rows are primitive, nonzero, sorted by pivot column, zero in
+    every pivot column but their own, and positive in their own.
     """
     if not mat:
         return []
@@ -56,7 +61,7 @@ def _echelon(mat: list[list[int]]) -> list[tuple[int, list[int]]]:
             continue
         mat[done], mat[pivot] = mat[pivot], mat[done]
         prow = mat[done]
-        g = gcd(*prow)
+        g = gcd(*prow) if prow[col] > 0 else -gcd(*prow)
         if g != 1:
             prow = mat[done] = [x // g for x in prow]
         a = prow[col]
@@ -73,76 +78,94 @@ def _echelon(mat: list[list[int]]) -> list[tuple[int, list[int]]]:
     return list(zip(cols, mat))
 
 
+def _rows(pivots) -> IntMatrix:
+    return tuple([tuple(row) for _, row in pivots])
+
+
+def primitive(rows: Iterable[Sequence]) -> IntMatrix:
+    """The canonical integer form of the span of rational rows."""
+    return _rows(_echelon(list(scaled(rows))))
+
+
 # Tuples are built from lists, not generators.  CPython sizes a tuple built
 # from a generator by a guess and shrinks it; such a tuple is not taken from
 # the free list for its final length but goes to it when freed, so that list
 # fills to its cap of 2000 tuples, which raised the peak memory of long runs.
-def _fraction_row(col: int, row: list[int]) -> Row:
-    lead = row[col]
+def _fraction_row(row: Sequence[int]) -> Row:
+    lead = next(x for x in row if x)
     return tuple(
         [_ZERO if not x else _ONE if x == lead else Fraction(x, lead) for x in row]
     )
 
 
+def fractions(P: IntMatrix) -> Matrix:
+    """The RREF of a subspace from its integer form: each row over its pivot."""
+    return tuple([_fraction_row(row) for row in P])
+
+
 def rref(rows: Iterable[Sequence]) -> Matrix:
     """Reduced row echelon form with zero rows dropped; canonical per subspace."""
-    pivots = _echelon([_integer_row(row) for row in rows])
-    return tuple([_fraction_row(col, row) for col, row in pivots])
+    return fractions(primitive(rows))
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows))
+    return len(_echelon(list(scaled(rows))))
+
+
+def int_image(M: IntMatrix, P: IntMatrix) -> IntMatrix:
+    """Integer form of M(span P), for an integer matrix M."""
+    return _rows(_echelon([[sum(m * v for m, v in zip(mrow, vec)) for mrow in M]
+                           for vec in P]))
 
 
 def image_basis(M: Iterable[Sequence], vectors: Iterable[Sequence]) -> Matrix:
-    """RREF basis of { M v : v in span(vectors) }; vectors are rows.
+    """RREF basis of { M v : v in span(vectors) }; vectors are rows."""
+    return fractions(int_image(scaled(M), primitive(vectors)))
 
-    M is scaled by one common denominator, which scales the image and keeps
-    it; scaling single rows of M would change it.  Each vector is scaled on
-    its own, which keeps its span.
-    """
-    M = [_rationals(row) for row in M]
-    vecs = [_integer_row(row) for row in vectors]
-    if not M or not vecs:
-        return ()
-    den = lcm(*[v.denominator for row in M for v in row])
-    M = [[v.numerator * (den // v.denominator) for v in row] for row in M]
-    return rref([[sum(m * v for m, v in zip(mrow, vec)) for mrow in M] for vec in vecs])
+
+def int_kernel(M: IntMatrix, ncols: int) -> IntMatrix:
+    """Integer form of the kernel of M (rows act on column vectors): free
+    column f gives L at f and -R[f] L / a at the pivot column of each pivot
+    row R, with a its pivot and L the lcm of the pivots."""
+    pivots = _echelon(list(M))
+    L = lcm(*[row[col] for col, row in pivots])
+    pcols = {col for col, _ in pivots}
+    basis = []
+    for f in (c for c in range(ncols) if c not in pcols):
+        vec = [0] * ncols
+        vec[f] = L
+        for col, row in pivots:
+            vec[col] = -row[f] * (L // row[col])
+        basis.append(vec)
+    return _rows(_echelon(basis))
 
 
 def nullspace(M: Iterable[Sequence], ncols: int) -> Matrix:
     """RREF basis of the kernel of the matrix (rows act on column vectors)."""
-    R = rref(M)
-    pivots = []
-    for row in R:
-        pivots.append(next(i for i, v in enumerate(row) if v != 0))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, pcol in zip(R, pivots):
-            vec[pcol] = -row[f]
-        basis.append(tuple(vec))
-    return rref(basis)
+    return fractions(int_kernel(scaled(M), ncols))
+
+
+def int_sum(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    return _rows(_echelon(list(A + B)))
 
 
 def subspace_sum(A: Matrix, B: Matrix) -> Matrix:
     return rref(list(A) + list(B))
 
 
-def subspace_intersection(A: Matrix, B: Matrix, ncols: int) -> Matrix:
-    """Zassenhaus: RREF [[A|A],[B|0]]; rows with zero left half span A cap B.
-
-    Those rows come last in the RREF, and their right halves are an RREF
-    basis already: each is zero in the others' pivot columns.
-    """
+def int_meet(A: IntMatrix, B: IntMatrix, ncols: int) -> IntMatrix:
+    """Zassenhaus: reduce [[A|A],[B|0]]; the rows pivoting right of column
+    ncols span A cap B, and their right halves are its integer form already:
+    primitive, positive pivot, zero in the others' pivot columns."""
     if not A or not B:
         return ()
     zero = (0,) * ncols
-    block = [tuple(row) + tuple(row) for row in A]
-    block += [tuple(row) + zero for row in B]
-    return tuple([row[ncols:] for row in rref(block) if not any(row[:ncols])])
+    block = [row + row for row in A] + [row + zero for row in B]
+    return tuple([tuple(row[ncols:]) for col, row in _echelon(block) if col >= ncols])
+
+
+def subspace_intersection(A: Matrix, B: Matrix, ncols: int) -> Matrix:
+    return fractions(int_meet(primitive(A), primitive(B), ncols))
 
 
 def solve_square(A: Iterable[Sequence], b: Sequence) -> Optional[Row]:
@@ -151,7 +174,7 @@ def solve_square(A: Iterable[Sequence], b: Sequence) -> Optional[Row]:
     The echelon form of [A | b] has pivot columns 0..n-1 exactly when A is
     nonsingular; row i then reads a x_i = c, with a its pivot, c its last entry.
     """
-    rows = [_integer_row(list(row) + [v]) for row, v in zip(A, b)]
+    rows = list(scaled([list(row) + [v] for row, v in zip(A, b)]))
     pivots = _echelon(rows)
     if [col for col, _ in pivots] != list(range(len(rows))):
         return None
@@ -167,30 +190,16 @@ def enumerate_box_subspaces(n: int, box: int, max_dim: Optional[int] = None):
     """
     if max_dim is None:
         max_dim = n
-    lines = set()
-    for vec in _box_vectors(n, box):
-        if any(vec):
-            lines.add(rref([vec]))
-    lines = sorted(lines)
-    seen = {(): ()}
+    lines = sorted({rref([v]) for v in product(range(-box, box + 1), repeat=n) if any(v)})
     yield ()
-    current = {(): ()}
+    seen, current = {()}, [()]
     for dim in range(1, max_dim + 1):
-        nxt = {}
-        for basis in current.values():
+        nxt = []
+        for basis in current:
             for line in lines:
                 s = subspace_sum(basis, line)
                 if len(s) == dim and s not in seen:
-                    seen[s] = s
-                    nxt[s] = s
+                    seen.add(s)
+                    nxt.append(s)
                     yield s
         current = nxt
-
-
-def _box_vectors(n: int, box: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _box_vectors(n - 1, box):
-        for v in range(-box, box + 1):
-            yield (Fraction(v),) + rest

@@ -17,6 +17,7 @@ SchemaError, a ValueError, on a node of the wrong type.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from typing import TYPE_CHECKING
 
 from .datum import BLDatum, CanonicalTag, Exponent
@@ -65,6 +66,14 @@ def _matrix(x, kind, what: str) -> list:
     for i, row in enumerate(_array(x, list, what)):
         _array(row, kind, f"{what}[{i}]")
     return x
+
+
+def _rational(v, what: str) -> Fraction:
+    """v as a Fraction.  JSON's Infinity, -Infinity and NaN, and numbers too
+    large for a float such as 1e400, load as non-finite floats: no rational."""
+    if isinstance(v, float) and not isfinite(v):
+        raise SchemaError(f"{what} must be a finite number, not {v}")
+    return Fraction(v)
 
 
 def parse_group(obj: dict, order_cap: int = 4096) -> FiniteGroup:
@@ -145,9 +154,10 @@ def parse_lie_datum(obj: dict) -> CompactLieDatum:
         LinearizedMap(
             tuple(_array(m.get("kept_simple", []), int, f"maps[{j}] kept_simple")),
             tuple(
-                tuple(Fraction(v) for v in row)
-                for row in _matrix(m.get("torus_matrix", []), (str, int, float),
-                                   f"maps[{j}] torus_matrix")
+                tuple(_rational(v, f"maps[{j}] torus_matrix[{r}][{c}]")
+                      for c, v in enumerate(row))
+                for r, row in enumerate(_matrix(m.get("torus_matrix", []),
+                                                (str, int, float), f"maps[{j}] torus_matrix"))
             ),
         )
         for j, m in enumerate(_array(obj["maps"], dict, "maps"))

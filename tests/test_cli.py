@@ -306,6 +306,25 @@ def test_every_wrong_typed_node_is_a_value_error(parse, obj):
                 pass
 
 
+@pytest.mark.parametrize("command", ["check-codim", "polytope"])
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "1e400", "NaN"])
+def test_non_finite_torus_entries_are_schema_errors(tmp_path, capsys, command, entry):
+    # json loads all four as non-finite floats, which are not rationals
+    text = ('{"simple_dims": [], "torus_dim": 2, "maps": [{"kept_simple": [], '
+            f'"torus_matrix": [[1, 0], [0, {entry}]]}}]}}')
+    with pytest.raises(SchemaError, match=r"maps\[0\] torus_matrix\[1\]\[1\] must be a finite"):
+        parse_lie_datum(json.loads(text))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    extra = ["--p", "2"] if command == "check-codim" else []
+    code = main([command, "--in", str(path), *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "precondition"
+    assert err["error"].startswith("maps[0] torus_matrix[1][1] must be a finite number")
+
+
 def test_schema_errors_name_the_node():
     with pytest.raises(SchemaError, match="datum must be an object"):
         parse_datum([LW_Z2Z2])

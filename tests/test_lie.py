@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from blgroups.lie import (
 from blgroups.rational_linalg import (
     image_basis,
     nullspace,
+    primitive,
     rank,
     rref,
     solve_square,
@@ -356,7 +358,7 @@ def ideal_key(n):
     return (len(n.simple_part) + len(n.torus_basis), n.simple_part, n.torus_basis)
 
 
-def reference_closed_pool(d, max_closure):
+def all_pairs_closed_pool(d, max_closure):
     """All-pairs closure of {0} and the kernels, then a closedness probe."""
 
     def combine(pool):
@@ -396,7 +398,12 @@ def test_closed_pool_matches_all_pairs_reference():
     data = list(random_lie_data(41, 36)) + [t3_loomis_whitney(), four_generic_planes()]
     for d in data:
         for max_closure in range(5):
-            assert closed_pool(d, max_closure=max_closure) == reference_closed_pool(d, max_closure)
+            assert closed_pool(d, max_closure) == all_pairs_closed_pool(d, max_closure)
+
+
+def pair(n):
+    """An ideal as closed_pool combines it: (summand bitmask, integer torus rows)."""
+    return sum(1 << i for i in n.simple_part), n.torus_rows
 
 
 def test_closed_pool_members_are_canonical_and_shortcuts_match_zassenhaus():
@@ -409,10 +416,13 @@ def test_closed_pool_members_are_canonical_and_shortcuts_match_zassenhaus():
             assert again == n and hash(again) == hash(n)
         for a in pool:
             for b in pool:
-                s, meet = lie._sum_and_intersection(d, a, b)
+                s, meet = (lie._ideal(*c) for c in lie._sum_and_intersection(
+                    d.torus_dim, pair(a), pair(b)))
                 assert s.torus_basis == subspace_sum(a.torus_basis, b.torus_basis)
                 assert meet.torus_basis == subspace_intersection(
                     a.torus_basis, b.torus_basis, d.torus_dim)
+                assert s.simple_part == tuple(sorted({*a.simple_part, *b.simple_part}))
+                assert meet.simple_part == tuple(sorted({*a.simple_part} & {*b.simple_part}))
 
 
 def test_pool_single_injective_map():
@@ -719,7 +729,7 @@ def test_finiteness_builds_full_ideal_and_image_dims_once_per_datum(monkeypatch)
         raise AssertionError("the identity basis is in RREF already")
 
     expected = IdealSpec((0,), [[1, 0], [0, 1]])
-    monkeypatch.setattr(lie, "rref", refuse)
+    monkeypatch.setattr(lie, "primitive", refuse)
     assert full_ideal(mixed) == expected
 
 
@@ -848,6 +858,118 @@ def test_finiteness_matches_subset_enumeration_reference():
             seen[got.certification.split(" within")[0]] += 1
     # every branch of the verdict is reached, the two part checks included
     assert len(seen) == 6, seen
+
+
+def reference_closed_pool(d, max_closure):
+    """The Fraction closure that the integer form replaced: semi-naive rounds
+    with the dimension shortcuts on (summands, RREF basis) pairs, every
+    elimination by reference_rref."""
+
+    def combine(a, b):
+        (sa, A), (sb, B) = a, b
+        s = reference_rref(list(A) + list(B))
+        if len(s) == len(A):
+            meet = B
+        elif len(s) == len(B):
+            meet = A
+        elif len(s) == len(A) + len(B):
+            meet = ()
+        else:
+            meet = reference_intersection(A, B, d.torus_dim)
+        return ((tuple(sorted(set(sa) | set(sb))), s),
+                (tuple(sorted(set(sa) & set(sb))), meet))
+
+    pool = {((), ())}
+    for m in d.maps:
+        killed = tuple(i for i in range(len(d.simple_dims)) if i not in m.kept_simple)
+        pool.add((killed, reference_nullspace(m.torus_matrix, d.torus_dim)))
+    old, fresh = [], list(pool)
+    for done in range(max_closure + 1):
+        new = {c for i, a in enumerate(fresh) for b in old + fresh[i + 1:]
+               for c in combine(a, b)} - pool
+        if not new or done == max_closure:
+            break
+        pool |= new
+        old += fresh
+        fresh = list(new)
+    return sorted((IdealSpec(S, T) for S, T in pool), key=ideal_key), not new
+
+
+def reference_ideal_dims(d, n):
+    """The Fraction ideal_dims: image ranks from reference_image_basis."""
+    dim_n = sum(d.simple_dims[i] for i in n.simple_part) + len(n.torus_basis)
+    return dim_n, [sum(d.simple_dims[i] for i in n.simple_part if i in m.kept_simple)
+                   + len(reference_image_basis(m.torus_matrix, n.torus_basis))
+                   for m in d.maps]
+
+
+def test_integer_closure_matches_fraction_reference(monkeypatch):
+    # IdealSpec equality reads the integer form only, so the Fraction bases
+    # are compared through repr as well
+    import blgroups.lie as lie
+
+    rng = random.Random(43)
+    choices = ("1", "3/2", "2", "5/2", "3", "4", "inf")
+    cases = [(d, [E(rng.choice(choices)) for _ in d.maps]) for d in random_lie_data(41, 36)]
+    cases += list(random_mixed_lie_data(47, 90))
+    cases += [(t3_loomis_whitney(), [E("3/2"), E(2), E(2)]),
+              (four_generic_planes(), [E(4)] * 4)]
+    got = {}
+    for k, (d, p) in enumerate(cases):
+        for max_closure in range(5):
+            pool = closed_pool(d, max_closure)
+            want = reference_closed_pool(d, max_closure)
+            assert pool == want and repr(pool) == repr(want)
+            assert all(type(v) is Fraction
+                       for n in pool[0] for row in n.torus_basis for v in row)
+            got[k, max_closure] = finiteness(d, p, max_closure)
+    monkeypatch.setattr(lie, "closed_pool", reference_closed_pool)
+    monkeypatch.setattr(lie, "ideal_dims", reference_ideal_dims)
+    verdicts = Counter()
+    for k, (d, p) in enumerate(cases):
+        for max_closure in range(5):
+            want = finiteness(d, p, max_closure)
+            rep = got[k, max_closure]
+            assert rep == want and repr(rep) == repr(want)
+            verdicts[want.verdict] += 1
+    assert set(verdicts) == set(Verdict), verdicts
+
+
+def spanning_sets(rng, basis):
+    """Other spanning sets of span(basis): shuffled, grown by integer
+    combinations, and rescaled row by row by negative or fractional factors."""
+    shuffled = rng.sample(basis, len(basis))
+    combos = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        combos.append([sum(a * row[c] for a, row in zip(coeffs, basis))
+                       for c in range(len(basis[0]))])
+    factors = (-1, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 4), -6)
+    rescaled = [[f * v for v in row]
+                for f, row in zip(rng.choices(factors, k=len(basis)), basis)]
+    return [shuffled, combos + basis + [[0] * len(basis[0])], rng.sample(rescaled, len(basis))]
+
+
+def test_integer_form_is_canonical():
+    rng = random.Random(59)
+    for _ in range(400):
+        ncols = rng.randint(1, 5)
+        basis = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        want = primitive(basis)
+        assert want == primitive(want) and len(want) == len(rref(basis))
+        for row in want:
+            assert type(row) is tuple and all(type(v) is int for v in row)
+            assert gcd(*row) == 1 and next(v for v in row if v) > 0
+        for rows in spanning_sets(rng, basis):
+            assert primitive(rows) == want
+        # one subspace as int, Fraction and string rows, the last as JSON gives them
+        scaled = spanning_sets(rng, basis)[2]
+        ideals = [IdealSpec((0,), basis), IdealSpec((0,), scaled),
+                  IdealSpec((0,), [[str(v) for v in row] for row in scaled])]
+        for n in ideals:
+            assert n == ideals[0] and hash(n) == hash(ideals[0])
+            assert n.torus_rows == want and n.torus_basis == rref(basis)
+            assert repr(n) == repr(ideals[0])
 
 
 def test_torus_scan_script_runs(package_env):
