@@ -113,19 +113,19 @@ def bl_constant(
     d: BLDatum,
     subgroups: Optional[list[Subgroup]] = None,
     include_candidates: bool = False,
-    order_cap: int = 4096,
 ) -> ConstantReport:
     """Maximize the subgroup ratio; exact for every finite datum.
 
     The scan runs over saturated subgroups only, and evaluates exactly only
     those whose float log-ratio is near the float maximum (see the module
     docstring).  Ties break toward smaller subgroup order, then lexicographic
-    member lists; the report says whether a tie occurred.  For non-canonical input the canonicalization tag (with
-    its exact constant factor) is attached for reference; the value reported
-    is that of the datum as given.
+    member lists; the report says whether a tie occurred.  For non-canonical
+    input the canonicalization tag (with its exact constant factor) is
+    attached for reference; the value reported is that of the datum as given.
+    `subgroups` defaults to all_subgroups(d.G) under its default order cap.
     """
     if subgroups is None:
-        subgroups = all_subgroups(d.G, order_cap)
+        subgroups = all_subgroups(d.G)
     tag = canonical_tag(d)
 
     found: dict[int, tuple[int, ...]] = {}

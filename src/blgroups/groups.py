@@ -24,6 +24,11 @@ Tables and maps are checked exactly, at every order, on a generating set A:
 close {e} under right multiplication by A, which needs no associativity,
 and add the least element not reached until every element is.  In a group
 each new generator at least doubles the closure, so |A| <= log2 n.
+Inverses: the row of each a in A must contain e.  That suffices, since a
+finite monoid in which each generator has a right inverse is a group: ab = e
+makes x -> bx injective (bx = by gives x = abx = aby = y), so b has a right
+inverse c, and then a = a(bc) = (ab)c = c.  So each generator is a unit,
+and so is every product of generators, which is every element.
 Associativity is Light's test: (xa)y = x(ay) for all x, y and each a in
 A, n^2 |A| lookups against n^3.  It is complete.  The a that pass contain
 e, and are closed under the product: if a and b pass, then
@@ -78,19 +83,16 @@ class FiniteGroup:
         n = self.order
         if n <= 0 or len(self.table) != n or any(len(r) != n for r in self.table):
             raise GroupStructureError("table must be order x order")
-        if any(not (0 <= v < n) for row in self.table for v in row):
+        if min(map(min, self.table)) < 0 or max(map(max, self.table)) >= n:
             raise GroupStructureError("table entries must be element indices")
         e = self.identity
         if self.table[e] != tuple(range(n)) or any(
             self.table[x][e] != x for x in range(n)
         ):
             raise GroupStructureError("identity row/column must be trivial")
-        # Each row is a permutation, so it hits e and x has a right inverse.
-        # Columns are not checked: with associativity and the identity,
-        # right inverses make a group, whose columns are permutations.
-        for x in range(n):
-            if len(set(self.table[x])) != n:
-                raise GroupStructureError(f"row {x} is not a permutation")
+        for a in self._generators:  # enough, by the module docstring
+            if e not in self.table[a]:
+                raise GroupStructureError(f"element {a} has no right inverse")
         _check_associativity(self.table, self._generators)
         if self.labels is not None and len(self.labels) != n:
             raise GroupStructureError("labels length must match order")

@@ -161,9 +161,11 @@ def kronecker_sequence(
 ) -> ApproximationWitness:
     """Times that are simultaneous near-multiples of every alpha, spaced apart.
 
-    With rational alphas the grid of exact common multiples (multiples of
-    their lcm) realizes every time with approximation error zero, so the
-    scan walks that grid, keeping times whose gaps are at least `spacing`.
+    With rational alphas every multiple of their lcm L is an exact common
+    multiple, with approximation error zero.  Walking the grid L m from
+    m = 1 and keeping each time at least `spacing` past the last one kept
+    takes m = 1 + k s, s = max(1, ceil(spacing / L)), so the times are
+    written down directly; `budget` caps the grid index the last one needs.
     """
     alphas = [Fraction(a) for a in alphas]
     eps = Fraction(eps)
@@ -175,34 +177,16 @@ def kronecker_sequence(
     if not alphas or any(a <= 0 for a in alphas):
         raise ValueError("alphas must be positive rationals")
     L = _rational_lcm(alphas)
-    times = []
-    integers = []
-    last = None
-    m = 0
-    while len(times) < count:
-        m += 1
-        if m > budget:
-            raise ScanBudgetError(
-                f"scanned {budget} grid points but found only {len(times)} of "
-                f"{count} witnesses"
-            )
-        t = L * m
-        if last is not None and t - last < spacing:
-            continue
-        ks = []
-        good = True
-        for a in alphas:
-            k = t / a
-            if k.denominator != 1:
-                good = False
-                break
-            ks.append(int(k))
-        if not good:
-            continue
-        times.append(t)
-        integers.append(tuple(ks))
-        last = t
-    return ApproximationWitness(tuple(times), tuple(integers), eps, spacing)
+    step = max(1, math.ceil(spacing / L))
+    if 1 + (count - 1) * step > budget:
+        found = (budget - 1) // step + 1 if budget >= 1 else 0
+        raise ScanBudgetError(
+            f"scanned {budget} grid points but found only {found} of "
+            f"{count} witnesses"
+        )
+    times = tuple([L * (1 + k * step) for k in range(count)])
+    integers = tuple([tuple([int(t / a) for a in alphas]) for t in times])
+    return ApproximationWitness(times, integers, eps, spacing)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 from .datum import Exponent
@@ -112,11 +113,11 @@ from .rational_linalg import (
     int_image,
     int_kernel,
     int_meet,
+    int_solve,
     int_sum,
     primitive,
     rank,
     scaled,
-    solve_square,
 )
 
 POOL_CAP = 10_000
@@ -237,11 +238,19 @@ class CodimReport:
     slack: Optional[Fraction] = None
 
 
-def _reciprocals(d: CompactLieDatum, p: Sequence[Exponent]) -> list[Fraction]:
-    """1/p_j for each map; p must hold exactly one exponent per map."""
+def _over_one_denominator(values) -> tuple[list[int], int]:
+    """(X, D) with values = X / D, D the lcm of the denominators."""
+    x = [Fraction(v) for v in values]
+    D = lcm(*[v.denominator for v in x])
+    return [v.numerator * (D // v.denominator) for v in x], D
+
+
+def _reciprocals(d: CompactLieDatum, p: Sequence[Exponent]) -> tuple[list[int], int]:
+    """(R, D) with 1/p_j = R_j / D for each map (_over_one_denominator);
+    p must hold exactly one exponent per map."""
     if len(p) != d.J:
         raise ValueError("exponent count must match the number of maps")
-    return [Exponent.of(pj).reciprocal() for pj in p]
+    return _over_one_denominator([Exponent.of(pj).reciprocal() for pj in p])
 
 
 def _halfspace(d: CompactLieDatum, g_dims, n: IdealSpec) -> tuple[tuple[int, ...], int]:
@@ -250,33 +259,33 @@ def _halfspace(d: CompactLieDatum, g_dims, n: IdealSpec) -> tuple[tuple[int, ...
     return tuple(g - i for g, i in zip(g_dims, image_dims)), d.group_dim() - dim_n
 
 
-def _defect(d: CompactLieDatum, recips, g_dims, n: IdealSpec) -> Fraction:
+def _defect(d: CompactLieDatum, R, D: int, g_dims, n: IdealSpec) -> int:
+    """D times the codimension defect at n, for 1/p_j = R_j / D."""
     coeffs, bound = _halfspace(d, g_dims, n)
-    return sum((r * c for r, c in zip(recips, coeffs)), Fraction(0)) - bound
+    return sum([r * c for r, c in zip(R, coeffs)]) - bound * D
 
 
 def codimension_defect(
     d: CompactLieDatum, p: Sequence[Exponent], n: IdealSpec, g_dims=None
 ) -> Fraction:
     """lhs - rhs of the codimension inequality at the ideal n (<= 0 means ok)."""
-    recips = _reciprocals(d, p)
-    if g_dims is None:
-        g_dims = map_image_dims(d)
-    return _defect(d, recips, g_dims, n)
+    R, D = _reciprocals(d, p)
+    g_dims = map_image_dims(d) if g_dims is None else g_dims
+    return Fraction(_defect(d, R, D, g_dims, n), D)
 
 
 def codimension_check(
     d: CompactLieDatum, p: Sequence[Exponent], ideals: Sequence[IdealSpec]
 ) -> CodimReport:
     """Verify the codimension inequality for every listed proper ideal."""
-    recips = _reciprocals(d, p)
+    R, D = _reciprocals(d, p)
     g_dims = map_image_dims(d)
     for n in ideals:
         if _is_full(d, n):
             continue
-        defect = _defect(d, recips, g_dims, n)
+        defect = _defect(d, R, D, g_dims, n)
         if defect > 0:
-            return CodimReport(False, n, defect)
+            return CodimReport(False, n, Fraction(defect, D))
     return CodimReport(True)
 
 
@@ -391,15 +400,16 @@ def _all_constraints(P: RationalPolytope):
     return cons
 
 
-def _inside(cons, x) -> bool:
-    return all(sum(c * v for c, v in zip(coeffs, x)) <= b for coeffs, b in cons)
+def _inside(cons, X, D: int) -> bool:
+    """Whether X / D satisfies every c . x <= b, tested as c . X <= b D."""
+    return all(sum([c * v for c, v in zip(coeffs, X)]) <= b * D for coeffs, b in cons)
 
 
 def membership_point(P: RationalPolytope, point: Sequence) -> bool:
-    x = [Fraction(v) for v in point]
-    if len(x) != P.dim:
+    X, D = _over_one_denominator(point)
+    if len(X) != P.dim:
         raise ValueError("point dimension mismatch")
-    return _inside(_all_constraints(P), x)
+    return _inside(_all_constraints(P), X, D)
 
 
 def membership(P: RationalPolytope, p: Sequence) -> bool:
@@ -408,15 +418,18 @@ def membership(P: RationalPolytope, p: Sequence) -> bool:
 
 
 def vertices(P: RationalPolytope) -> list[tuple[Fraction, ...]]:
-    """Exact vertices: feasible solutions of full-rank J-subsets of constraints."""
+    """Exact vertices: feasible solutions of full-rank J-subsets of constraints.
+
+    Each solution is tested on ints, as numerators over one denominator;
+    only the feasible ones become Fractions."""
     if P.dim > VERTEX_DIM_CAP:
         raise SizeCapError(f"vertex enumeration capped at dimension {VERTEX_DIM_CAP}")
     cons = _all_constraints(P)
     out = set()
     for subset in combinations(cons, P.dim):
-        x = solve_square([c for c, _ in subset], [b for _, b in subset])
-        if x is not None and _inside(cons, x):
-            out.add(x)
+        x = int_solve([c for c, _ in subset], [b for _, b in subset])
+        if x is not None and _inside(cons, *x):
+            out.add(tuple([Fraction(v, x[1]) for v in x[0]]))
     return sorted(out)
 
 
@@ -424,7 +437,8 @@ def facet_status(P: RationalPolytope, verts=None) -> list[bool]:
     """Per halfspace: True if tight at some vertex, False if redundant;
     verts, if given, must be vertices(P), which is then not run again."""
     verts = vertices(P) if verts is None else verts
-    return [any(sum(c * v for c, v in zip(coeffs, x)) == b for x in verts)
+    points = [_over_one_denominator(x) for x in verts]
+    return [any(sum([c * v for c, v in zip(coeffs, X)]) == b * D for X, D in points)
             for coeffs, b in P.halfspaces]
 
 
@@ -447,18 +461,16 @@ def bcct_check(
     d: CompactLieDatum, p: Sequence[Exponent], subspace_pool: Sequence[IdealSpec]
 ) -> BCCTReport:
     """Scaling equality plus dimension inequalities over the given subspaces."""
-    recips = _reciprocals(d, p)
+    R, D = _reciprocals(d, p)
     g_dims = map_image_dims(d)
-    scaling_defect = sum(
-        (r * gd for r, gd in zip(recips, g_dims)), Fraction(0)
-    ) - d.group_dim()
+    scaling = sum([r * gd for r, gd in zip(R, g_dims)]) - d.group_dim() * D
     witness = None
     for n in subspace_pool:
         dim_n, image_dims = ideal_dims(d, n)
-        if dim_n > sum((r * i for r, i in zip(recips, image_dims)), Fraction(0)):
+        if dim_n * D > sum([r * i for r, i in zip(R, image_dims)]):
             witness = n
             break
-    return BCCTReport(scaling_defect == 0, scaling_defect, witness is None, witness)
+    return BCCTReport(scaling == 0, Fraction(scaling, D), witness is None, witness)
 
 
 # -- finiteness -------------------------------------------------------------
@@ -518,17 +530,17 @@ def brute_force_torus_violator(
     """
     if d.simple_dims:
         raise ValueError("brute force scan applies to pure torus data")
-    recips = _reciprocals(d, p)
+    R, D = _reciprocals(d, p)
     g_dims = map_image_dims(d)
     top = max(0, d.torus_dim - 1)
     for basis in enumerate_box_subspaces(d.torus_dim, box, top):
         n = IdealSpec((), basis)
-        if _defect(d, recips, g_dims, n) > 0:
+        if _defect(d, R, D, g_dims, n) > 0:
             return n
     return None
 
 
-def _first_failing_subset(c: list[Fraction]) -> tuple[int, ...]:
+def _first_failing_subset(c: list[int]) -> tuple[int, ...]:
     """The first proper S in (|S|, S) order with sum_{i not in S} c_i > 0,
     for c with a positive entry.  That holds iff sum_{i in S} c_i < sum(c),
     so |S| is the least k whose k smallest c_i sum below sum(c), and S takes,
@@ -550,30 +562,31 @@ def finiteness(
     """Decide finiteness of the constant at p, against the closed ideal pool.
 
     Every verdict is read off the defects of the proper pool ideals, each
-    computed once; the first positive one, in pool order, settles INFINITE.
+    computed once, on ints: D times the defect, with 1/p_j = R_j / D
+    (_reciprocals), so only a reported slack becomes a Fraction.  The first
+    positive one, in pool order, settles INFINITE.
     Else the first failing part is reported through its lift, (S, full
     torus) or (all summands, T): S in (|S|, S) order, found iff some c_i > 0
     (module docstring), then T in (dim T, T) order, at defect(n) minus the
     c_i outside S(n) for a pool member n with torus part T.  A closure that
     does not stabilize within max_closure rounds leaves the verdict UNDECIDED.
     """
-    recips = _reciprocals(d, p)  # a wrong exponent count fails before the closure
+    R, D = _reciprocals(d, p)  # a wrong exponent count fails before the closure
     pool, complete = closed_pool(d, max_closure)
     pool_tuple = tuple(pool)
 
-    R = [sum((r for r, m in zip(recips, d.maps) if i in m.kept_simple), Fraction(0))
-         for i in range(len(d.simple_dims))]
-    c = [dim * (Ri - 1) for dim, Ri in zip(d.simple_dims, R)]
+    c = [dim * (sum([r for r, m in zip(R, d.maps) if i in m.kept_simple]) - D)
+         for i, dim in enumerate(d.simple_dims)]
     total = sum(c)
     g_dims = map_image_dims(d)
-    failing_tori = []  # (dim T, RREF of T, defect_T(T), T) for each failing torus part
+    failing_tori = []  # (dim T, RREF of T, D defect_T(T), T) for each failing torus part
     for n in pool:
         if _is_full(d, n):
             continue
-        defect = _defect(d, recips, g_dims, n)
+        defect = _defect(d, R, D, g_dims, n)
         if defect > 0:
             return FinitenessReport(
-                Verdict.INFINITE, n, defect, pool_tuple,
+                Verdict.INFINITE, n, Fraction(defect, D), pool_tuple,
                 "violating ideal found in the pool",
             )
         t = defect - total + sum(c[i] for i in n.simple_part)
@@ -584,7 +597,7 @@ def finiteness(
         S = _first_failing_subset(c)
         return FinitenessReport(
             Verdict.INFINITE, IdealSpec._canonical(S, full_ideal(d).torus_rows),
-            total - sum(c[i] for i in S), pool_tuple,
+            Fraction(total - sum(c[i] for i in S), D), pool_tuple,
             "violating ideal found among simple summand subsets",
         )
     if d.torus_dim == 0:
@@ -597,7 +610,7 @@ def finiteness(
         _, _, slack, T = min(failing_tori)
         return FinitenessReport(
             Verdict.INFINITE, IdealSpec._canonical(full_ideal(d).simple_part, T),
-            slack, pool_tuple, "violating torus subspace found in the pool",
+            Fraction(slack, D), pool_tuple, "violating torus subspace found in the pool",
         )
 
     if complete:

@@ -5,14 +5,15 @@ basis with each row scaled to a primitive integer vector (gcd 1) with a
 positive pivot, so subspaces compare and hash as tuples of ints.  `primitive`
 brings rational rows (ints, Fractions or strings) to it, all rows scaled by
 the lcm of their denominators, which keeps their span.  The `int_*` functions
-take and return that form and never build a Fraction.  Gauss-Jordan
+take integer rows and never build a Fraction: `int_image`, `int_kernel`,
+`int_sum` and `int_meet` return the integer form, and `int_solve` returns a
+solution as integer numerators over one common denominator.  Gauss-Jordan
 elimination replaces a row r by a r - b p for the pivot row p (a its leading
 entry, b the entry of r in the pivot column), then divides r by the gcd of
 its entries.  Fractions are made only where values leave the integer form:
 `fractions` divides each row by its pivot, giving the RREF (unique, so the
-one Fraction elimination gives), which `rref`, `nullspace`, `image_basis`,
-`subspace_sum` and `subspace_intersection` return; `solve_square` returns
-Fractions too.  Nothing is approximated.
+one Fraction elimination gives), which `rref` and `enumerate_box_subspaces`
+return.  Nothing is approximated.
 """
 
 from __future__ import annotations
@@ -118,11 +119,6 @@ def int_image(M: IntMatrix, P: IntMatrix) -> IntMatrix:
                            for vec in P]))
 
 
-def image_basis(M: Iterable[Sequence], vectors: Iterable[Sequence]) -> Matrix:
-    """RREF basis of { M v : v in span(vectors) }; vectors are rows."""
-    return fractions(int_image(scaled(M), primitive(vectors)))
-
-
 def int_kernel(M: IntMatrix, ncols: int) -> IntMatrix:
     """Integer form of the kernel of M (rows act on column vectors): free
     column f gives L at f and -R[f] L / a at the pivot column of each pivot
@@ -140,17 +136,8 @@ def int_kernel(M: IntMatrix, ncols: int) -> IntMatrix:
     return _rows(_echelon(basis))
 
 
-def nullspace(M: Iterable[Sequence], ncols: int) -> Matrix:
-    """RREF basis of the kernel of the matrix (rows act on column vectors)."""
-    return fractions(int_kernel(scaled(M), ncols))
-
-
 def int_sum(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return _rows(_echelon(list(A + B)))
-
-
-def subspace_sum(A: Matrix, B: Matrix) -> Matrix:
-    return rref(list(A) + list(B))
 
 
 def int_meet(A: IntMatrix, B: IntMatrix, ncols: int) -> IntMatrix:
@@ -164,42 +151,41 @@ def int_meet(A: IntMatrix, B: IntMatrix, ncols: int) -> IntMatrix:
     return tuple([tuple(row[ncols:]) for col, row in _echelon(block) if col >= ncols])
 
 
-def subspace_intersection(A: Matrix, B: Matrix, ncols: int) -> Matrix:
-    return fractions(int_meet(primitive(A), primitive(B), ncols))
-
-
-def solve_square(A: Iterable[Sequence], b: Sequence) -> Optional[Row]:
-    """Unique solution of A x = b, or None if A is singular.
+def int_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[tuple[int, ...], int]]:
+    """Unique solution of A x = b as (X, D) with x = X / D, or None if A is
+    singular.
 
     The echelon form of [A | b] has pivot columns 0..n-1 exactly when A is
-    nonsingular; row i then reads a x_i = c, with a its pivot, c its last entry.
+    nonsingular; row i then reads a x_i = c, with a its pivot, c its last
+    entry, so x_i = c (D / a) / D with D the lcm of the pivots.
     """
-    rows = list(scaled([list(row) + [v] for row, v in zip(A, b)]))
-    pivots = _echelon(rows)
-    if [col for col, _ in pivots] != list(range(len(rows))):
+    pivots = _echelon([list(row) + [v] for row, v in zip(A, b)])
+    if [col for col, _ in pivots] != list(range(len(A))):
         return None
-    return tuple([Fraction(row[-1], row[col]) for col, row in pivots])
+    D = lcm(*[row[col] for col, row in pivots])
+    return tuple([row[-1] * (D // row[col]) for col, row in pivots]), D
 
 
 def enumerate_box_subspaces(n: int, box: int, max_dim: Optional[int] = None):
     """All subspaces of Q^n spanned by vectors with entries in [-box, box].
 
-    Yields canonical RREF bases, the zero subspace included, deduplicated.
-    Spans of every subset of distinct lines are covered because any subspace
-    spanned by box vectors contains an independent spanning subset of them.
+    Sums integer forms, deduplicates them, and yields each one's RREF basis,
+    the zero subspace included, lines in RREF order.  Spans of every subset of
+    distinct lines are covered because any subspace spanned by box vectors
+    contains an independent spanning subset of them.
     """
-    if max_dim is None:
-        max_dim = n
-    lines = sorted({rref([v]) for v in product(range(-box, box + 1), repeat=n) if any(v)})
+    max_dim = n if max_dim is None else max_dim
+    vectors = product(range(-box, box + 1), repeat=n)
+    lines = sorted({primitive([v]) for v in vectors if any(v)}, key=fractions)
     yield ()
     seen, current = {()}, [()]
     for dim in range(1, max_dim + 1):
         nxt = []
         for basis in current:
             for line in lines:
-                s = subspace_sum(basis, line)
+                s = int_sum(basis, line)
                 if len(s) == dim and s not in seen:
                     seen.add(s)
                     nxt.append(s)
-                    yield s
+                    yield fractions(s)
         current = nxt

@@ -169,6 +169,67 @@ def test_light_test_agrees_with_full_scan_on_reduced_latin_squares():
     assert sum(verdicts) == 1 + 1 + 4 + 6  # Z2, Z3, four of order 4, six Z5
 
 
+def reference_is_group(table, e):
+    """The check that construction ran before inverses were checked on the
+    generators only: entries in range, a trivial identity row and column,
+    every row a permutation, and the full associativity scan."""
+    n = len(table)
+    return (all(0 <= v < n for row in table for v in row)
+            and table[e] == tuple(range(n)) and all(table[x][e] == x for x in range(n))
+            and all(len(set(row)) == n for row in table)
+            and reference_is_associative(table))
+
+
+def accepts(table, e):
+    try:
+        FiniteGroup(len(table), table, e)
+    except GroupStructureError:
+        return False
+    return True
+
+
+def identity_zero_table(n, free):
+    """The order-n table whose row and column 0 are those of an identity 0,
+    with the other entries taken from `free` row by row."""
+    free = list(free)
+    return tuple([tuple(range(n))] + [tuple([x] + free[(x - 1) * (n - 1):x * (n - 1)])
+                                      for x in range(1, n)])
+
+
+def multiplicative_monoid(n):
+    """Z_n under multiplication: associative with identity 1, not a group."""
+    return tuple(tuple(x * y % n for y in range(n)) for x in range(n))
+
+
+def test_multiplicative_monoids_are_rejected():
+    for n in (4, 6):
+        with pytest.raises(GroupStructureError, match="no right inverse"):
+            from_cayley_table(multiplicative_monoid(n))
+
+
+def test_inverse_check_on_generators_agrees_with_row_permutations():
+    # every order-3 table with identity 0, a seeded sample of order 4, and
+    # every one-entry change of four order-4 monoids, two of them groups
+    cases = [(identity_zero_table(3, free), 0) for free in product(range(3), repeat=4)]
+    rng = random.Random(71)
+    cases += [(identity_zero_table(4, [rng.randrange(4) for _ in range(9)]), 0)
+              for _ in range(2000)]
+    klein = tuple(tuple(x ^ y for y in range(4)) for x in range(4))
+    cyclic = tuple(tuple((x + y) % 4 for y in range(4)) for x in range(4))
+    max_monoid = tuple(tuple(max(x, y) for y in range(4)) for x in range(4))
+    for table, e in ((klein, 0), (cyclic, 0), (max_monoid, 0),
+                     (multiplicative_monoid(4), 1)):
+        cases.append((table, e))
+        for x, y, v in product(range(4), range(4), range(4)):
+            if v != table[x][y]:
+                rows = [list(row) for row in table]
+                rows[x][y] = v
+                cases.append((tuple(map(tuple, rows)), e))
+    verdicts = [accepts(table, e) for table, e in cases]
+    assert verdicts == [reference_is_group(table, e) for table, e in cases]
+    assert 3 <= sum(verdicts) < 20
+
+
 def test_permutation_closure_s3(S3):
     assert S3.order == 6
     assert S3.identity == 0

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from blgroups.heisenberg import (
     DilationStructure,
     HeisenbergElement,
     ScanBudgetError,
+    _rational_lcm,
     divergence_witness,
     heisenberg_commutator,
     heisenberg_dilations,
@@ -186,6 +189,55 @@ def test_kronecker_rejects_bad_arguments():
 def test_kronecker_budget_error():
     with pytest.raises(ScanBudgetError):
         kronecker_sequence([F(1)], F(1, 10), 5, F(100), budget=3)
+
+
+def reference_kronecker_sequence(alphas, eps, count, spacing, budget=10**8):
+    """The grid scan that the closed form replaced: walk L m for m = 1, 2, ...
+    and keep each time at least `spacing` past the last one kept."""
+    alphas = [F(a) for a in alphas]
+    L = _rational_lcm(alphas)
+    times, integers, last, m = [], [], None, 0
+    while len(times) < count:
+        m += 1
+        if m > budget:
+            raise ScanBudgetError(
+                f"scanned {budget} grid points but found only {len(times)} of "
+                f"{count} witnesses"
+            )
+        t = L * m
+        if last is not None and t - last < spacing:
+            continue
+        ks = [t / a for a in alphas]
+        if any(k.denominator != 1 for k in ks):
+            continue
+        times.append(t)
+        integers.append(tuple(int(k) for k in ks))
+        last = t
+    return tuple(times), tuple(integers)
+
+
+def test_kronecker_closed_form_matches_grid_scan():
+    rationals = (F(1), F(1, 2), F(2, 3), F(3, 4), F(5), F(7, 6), F(1, 3))
+    alpha_sets = [[a] for a in rationals] + [list(c) for c in combinations(rationals, 2)]
+    spacings = (F(-1), F(0), F(1, 7), F(1), F(5, 2), F(13))
+    outcomes = Counter()
+    for alphas, spacing, count, budget in product(
+            alpha_sets, spacings, (1, 2, 5), (0, 1, 3, 10, 10**8)):
+        try:
+            want = reference_kronecker_sequence(alphas, spacing=spacing, eps=F(1, 10),
+                                                count=count, budget=budget)
+        except ScanBudgetError as exc:
+            with pytest.raises(ScanBudgetError) as got:
+                kronecker_sequence(alphas, F(1, 10), count, spacing, budget=budget)
+            assert str(got.value) == str(exc)
+            outcomes["budget"] += 1
+            continue
+        w = kronecker_sequence(alphas, F(1, 10), count, spacing, budget=budget)
+        assert (w.times, w.integers) == want
+        assert all(type(t) is F for t in w.times)
+        assert all(type(k) is int for ks in w.integers for k in ks)
+        outcomes["found"] += 1
+    assert sum(outcomes.values()) == 2520 and min(outcomes.values()) > 300, outcomes
 
 
 @settings(max_examples=30, deadline=None)

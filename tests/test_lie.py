@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blgroups.lie as lie
 from blgroups.datum import Exponent
 from blgroups.lie import (
     CompactLieDatum,
@@ -32,14 +35,16 @@ from blgroups.lie import (
     zero_ideal,
 )
 from blgroups.rational_linalg import (
-    image_basis,
-    nullspace,
+    fractions,
+    int_image,
+    int_kernel,
+    int_meet,
+    int_solve,
+    int_sum,
     primitive,
     rank,
     rref,
-    solve_square,
-    subspace_intersection,
-    subspace_sum,
+    scaled,
 )
 
 E = Exponent.of
@@ -71,14 +76,15 @@ def test_rref_canonical():
 def test_rank_and_nullspace():
     M = [[2, -1, 0], [0, 2, -1]]
     assert rank(M) == 2
-    ns = nullspace(M, 3)
+    ns = fractions(int_kernel(scaled(M), 3))
     assert len(ns) == 1
     v = ns[0]
     assert 2 * v[0] - v[1] == 0 and 2 * v[1] - v[2] == 0
 
 
 def reference_solve_square(A, b):
-    """Fraction Gauss-Jordan elimination, the former `solve_square`."""
+    """Fraction Gauss-Jordan elimination, the Fraction solver that int_solve
+    replaced."""
     A = [list(map(Fraction, row)) for row in A]
     b = [Fraction(v) for v in b]
     n = len(A)
@@ -99,7 +105,7 @@ def reference_solve_square(A, b):
     return tuple(b)
 
 
-def test_solve_square_matches_fraction_elimination():
+def test_int_solve_matches_fraction_elimination():
     rng = random.Random(4242)
     singular = 0
     for _ in range(2000):
@@ -110,10 +116,17 @@ def test_solve_square_matches_fraction_elimination():
             i, j = rng.randrange(n), rng.randrange(n)
             A[i] = [2 * v for v in A[j]] if i != j else [Fraction(0)] * n
         b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-        x = solve_square(A, b)
-        assert x == reference_solve_square(A, b)
-        assert x is None or all(type(v) is Fraction for v in x)
-        singular += x is None
+        # one common factor keeps the solution of the augmented system
+        aug = scaled([row + [v] for row, v in zip(A, b)])
+        got = int_solve([row[:-1] for row in aug], [row[-1] for row in aug])
+        want = reference_solve_square(A, b)
+        if got is None:
+            assert want is None
+            singular += 1
+            continue
+        X, D = got
+        assert type(D) is int and D > 0 and all(type(v) is int for v in X)
+        assert tuple(Fraction(v, D) for v in X) == want
     assert 400 < singular < 1000
 
 
@@ -131,10 +144,10 @@ def test_solve_square_matches_fraction_elimination():
     ),
 )
 def test_subspace_dimension_formula(a_rows, b_rows):
-    A = rref(a_rows)
-    B = rref(b_rows)
-    s = subspace_sum(A, B)
-    i = subspace_intersection(A, B, 3)
+    A = primitive(a_rows)
+    B = primitive(b_rows)
+    s = int_sum(A, B)
+    i = int_meet(A, B, 3)
     assert len(s) + len(i) == len(A) + len(B)
 
 
@@ -228,13 +241,16 @@ def test_linear_algebra_matches_fraction_reference():
         ncols = rng.randint(1, 5)
         rows = random_rows(rng, rng.randint(0, 6), ncols, rational)
         assert_same_matrix(rref(rows), reference_rref(rows))
-        assert_same_matrix(nullspace(rows, ncols), reference_nullspace(rows, ncols))
+        assert_same_matrix(fractions(int_kernel(scaled(rows), ncols)),
+                           reference_nullspace(rows, ncols))
         M = random_rows(rng, rng.randint(0, 4), ncols, rational)
-        assert_same_matrix(image_basis(M, rows), reference_image_basis(M, rows))
+        assert_same_matrix(fractions(int_image(scaled(M), primitive(rows))),
+                           reference_image_basis(M, rows))
         A = rref(rows)
         B = rref(random_rows(rng, rng.randint(0, 6), ncols, not rational))
-        assert_same_matrix(subspace_sum(A, B), reference_rref(list(A) + list(B)))
-        assert_same_matrix(subspace_intersection(A, B, ncols),
+        assert_same_matrix(fractions(int_sum(primitive(A), primitive(B))),
+                           reference_rref(list(A) + list(B)))
+        assert_same_matrix(fractions(int_meet(primitive(A), primitive(B), ncols)),
                            reference_intersection(A, B, ncols))
 
 
@@ -243,8 +259,9 @@ def test_image_basis_of_a_rational_map():
     F = Fraction
     M = [[F(1, 2), 0], [0, F(1, 3)]]
     vectors = [[2, 6], [F(1, 4), F(3, 4)]]
-    assert_same_matrix(image_basis(M, vectors), ((F(1), F(2)),))
-    assert_same_matrix(image_basis(M, vectors), reference_image_basis(M, vectors))
+    image = fractions(int_image(scaled(M), primitive(vectors)))
+    assert_same_matrix(image, ((F(1), F(2)),))
+    assert_same_matrix(image, reference_image_basis(M, vectors))
 
 
 def test_wide_zassenhaus_blocks():
@@ -254,7 +271,7 @@ def test_wide_zassenhaus_blocks():
         shared = random_rows(rng, 2, 6, True)
         A = rref(shared + random_rows(rng, 2, 6, True))
         B = rref(shared + random_rows(rng, 3, 6, False))
-        assert_same_matrix(subspace_intersection(A, B, 6),
+        assert_same_matrix(fractions(int_meet(primitive(A), primitive(B), 6)),
                            reference_intersection(A, B, 6))
 
 
@@ -366,10 +383,9 @@ def all_pairs_closed_pool(d, max_closure):
         for a in pool:
             for b in pool:
                 out.add(IdealSpec(a.simple_part + b.simple_part,
-                                  subspace_sum(a.torus_basis, b.torus_basis)))
+                                  int_sum(a.torus_rows, b.torus_rows)))
                 out.add(IdealSpec(set(a.simple_part) & set(b.simple_part),
-                                  subspace_intersection(a.torus_basis, b.torus_basis,
-                                                        d.torus_dim)))
+                                  int_meet(a.torus_rows, b.torus_rows, d.torus_dim)))
         return out
 
     pool = {zero_ideal()} | {map_kernel(d, j) for j in range(d.J)}
@@ -407,8 +423,6 @@ def pair(n):
 
 
 def test_closed_pool_members_are_canonical_and_shortcuts_match_zassenhaus():
-    import blgroups.lie as lie
-
     for d in random_lie_data(41, 36):
         pool, _ = closed_pool(d)
         for n in pool:
@@ -418,9 +432,8 @@ def test_closed_pool_members_are_canonical_and_shortcuts_match_zassenhaus():
             for b in pool:
                 s, meet = (lie._ideal(*c) for c in lie._sum_and_intersection(
                     d.torus_dim, pair(a), pair(b)))
-                assert s.torus_basis == subspace_sum(a.torus_basis, b.torus_basis)
-                assert meet.torus_basis == subspace_intersection(
-                    a.torus_basis, b.torus_basis, d.torus_dim)
+                assert s.torus_rows == int_sum(a.torus_rows, b.torus_rows)
+                assert meet.torus_rows == int_meet(a.torus_rows, b.torus_rows, d.torus_dim)
                 assert s.simple_part == tuple(sorted({*a.simple_part, *b.simple_part}))
                 assert meet.simple_part == tuple(sorted({*a.simple_part} & {*b.simple_part}))
 
@@ -653,8 +666,6 @@ def test_finiteness_unclosed_pool_stays_undecided():
 
 def test_finiteness_checks_each_ideal_once(monkeypatch):
     # the part checks reuse the pool's defects: no split datum, no second rank
-    import blgroups.lie as lie
-
     calls = Counter()
     real = lie.ideal_dims
 
@@ -704,8 +715,6 @@ def test_finiteness_reports_failing_summand_subset():
 def test_finiteness_builds_full_ideal_and_image_dims_once_per_datum(monkeypatch):
     # one finiteness call builds the full ideal of its datum at most once,
     # and the image dimensions of its datum once
-    import blgroups.lie as lie
-
     calls = Counter()
     for name in ("full_ideal", "map_image_dims"):
         real = getattr(lie, name)
@@ -734,8 +743,6 @@ def test_finiteness_builds_full_ideal_and_image_dims_once_per_datum(monkeypatch)
 
 
 def test_finiteness_runs_no_dense_scan(monkeypatch):
-    import blgroups.lie as lie
-
     def refuse(*args, **kwargs):
         raise AssertionError("dense scan on the verdict path")
 
@@ -906,8 +913,6 @@ def reference_ideal_dims(d, n):
 def test_integer_closure_matches_fraction_reference(monkeypatch):
     # IdealSpec equality reads the integer form only, so the Fraction bases
     # are compared through repr as well
-    import blgroups.lie as lie
-
     rng = random.Random(43)
     choices = ("1", "3/2", "2", "5/2", "3", "4", "inf")
     cases = [(d, [E(rng.choice(choices)) for _ in d.maps]) for d in random_lie_data(41, 36)]
@@ -933,6 +938,159 @@ def test_integer_closure_matches_fraction_reference(monkeypatch):
             assert rep == want and repr(rep) == repr(want)
             verdicts[want.verdict] += 1
     assert set(verdicts) == set(Verdict), verdicts
+
+
+# -- Fraction references for the integer defects and vertices ------------------------
+
+
+def fraction_defect(d, recips, g_dims, n):
+    """The codimension defect at n in Fraction arithmetic, recips the 1/p_j."""
+    coeffs, bound = lie._halfspace(d, g_dims, n)
+    return sum((r * c for r, c in zip(recips, coeffs)), Fraction(0)) - bound
+
+
+def fraction_finiteness(d, p, max_closure):
+    """finiteness with its defect loop in Fraction arithmetic, as it was before
+    the defects became ints over one denominator."""
+    recips = [E(pj).reciprocal() for pj in p]
+    pool, complete = closed_pool(d, max_closure)
+    pool_tuple = tuple(pool)
+    R = [sum((r for r, m in zip(recips, d.maps) if i in m.kept_simple), Fraction(0))
+         for i in range(len(d.simple_dims))]
+    c = [dim * (Ri - 1) for dim, Ri in zip(d.simple_dims, R)]
+    total = sum(c)
+    g_dims = lie.map_image_dims(d)
+    full = full_ideal(d)
+    failing_tori = []
+    for n in pool:
+        if n == full:
+            continue
+        defect = fraction_defect(d, recips, g_dims, n)
+        if defect > 0:
+            return FinitenessReport(Verdict.INFINITE, n, defect, pool_tuple,
+                                    "violating ideal found in the pool")
+        t = defect - total + sum(c[i] for i in n.simple_part)
+        if t > 0:
+            failing_tori.append((len(n.torus_basis), n.torus_basis, t))
+    if any(ci > 0 for ci in c):
+        S = lie._first_failing_subset(c)
+        return FinitenessReport(Verdict.INFINITE, IdealSpec(S, full.torus_basis),
+                                total - sum(c[i] for i in S), pool_tuple,
+                                "violating ideal found among simple summand subsets")
+    if d.torus_dim == 0:
+        return FinitenessReport(Verdict.FINITE, None, None, pool_tuple,
+                                "semisimple datum: every ideal passes, summand by "
+                                "summand (constant 1 under probability Haar)")
+    if failing_tori:
+        _, T, slack = min(failing_tori)
+        return FinitenessReport(Verdict.INFINITE, IdealSpec(full.simple_part, T), slack,
+                                pool_tuple, "violating torus subspace found in the pool")
+    if complete:
+        return FinitenessReport(Verdict.FINITE, None, None, pool_tuple,
+                                "the closed kernel-lattice pool passes, so every torus "
+                                "subspace passes (constant 1 under probability Haar)")
+    return FinitenessReport(Verdict.UNDECIDED, None, None, pool_tuple,
+                            f"pool passes but the pool closure did not stabilize "
+                            f"within {max_closure} rounds")
+
+
+def fraction_inside(cons, x):
+    return all(sum(c * v for c, v in zip(coeffs, x)) <= b for coeffs, b in cons)
+
+
+def fraction_vertices(P):
+    """Vertex enumeration with Fraction feasibility tests, as before vertices
+    tested on ints: each solution as Fractions (int_solve is checked against
+    reference_solve_square above), then fraction_inside."""
+    cons = lie._all_constraints(P)
+    out = set()
+    for subset in itertools.combinations(cons, P.dim):
+        sol = int_solve([c for c, _ in subset], [b for _, b in subset])
+        if sol is not None:
+            x = tuple(Fraction(v, sol[1]) for v in sol[0])
+            if fraction_inside(cons, x):
+                out.add(x)
+    return sorted(out)
+
+
+def fraction_facet_status(P, verts):
+    return [any(sum(c * v for c, v in zip(coeffs, x)) == b for x in verts)
+            for coeffs, b in P.halfspaces]
+
+
+def tentpole_cases():
+    """The seeded torus and mixed data of this module, LW and the four planes."""
+    rng = random.Random(43)
+    choices = ("1", "3/2", "2", "5/2", "3", "4", "inf")
+    cases = [(d, [E(rng.choice(choices)) for _ in d.maps]) for d in random_lie_data(41, 36)]
+    cases += list(random_mixed_lie_data(47, 90))
+    lw = t3_loomis_whitney()
+    return cases + [(lw, [E(2)] * 3), (lw, [E("3/2"), E(2), E(2)]),
+                    (four_generic_planes(), [E(4)] * 4)]
+
+
+def test_integer_defects_match_fraction_reference():
+    verdicts, scaled_slacks = Counter(), 0
+    for d, p in tentpole_cases():
+        recips = [E(pj).reciprocal() for pj in p]
+        g_dims = lie.map_image_dims(d)
+        for max_closure in range(5):
+            rep = finiteness(d, p, max_closure)
+            want = fraction_finiteness(d, p, max_closure)
+            assert rep == want and repr(rep) == repr(want)
+            assert rep.slack is None or type(rep.slack) is Fraction
+            verdicts[rep.certification.split(" within")[0]] += 1
+            scaled_slacks += rep.slack is not None and rep.slack.denominator > 1
+            pool = closed_pool(d, max_closure)[0]
+            defects = [codimension_defect(d, p, n) for n in pool]
+            assert defects == [fraction_defect(d, recips, g_dims, n) for n in pool]
+            assert all(type(v) is Fraction for v in defects)
+            first = next(((n, v) for n, v in zip(pool, defects)
+                          if v > 0 and n != full_ideal(d)), None)
+            want = lie.CodimReport(True) if first is None else lie.CodimReport(False, *first)
+            report = codimension_check(d, p, pool)
+            assert report == want and repr(report) == repr(want)
+            scaling = sum((r * g for r, g in zip(recips, g_dims)), Fraction(0)) - d.group_dim()
+            witness = next((n for n in pool if ideal_dims(d, n)[0] > sum(
+                (r * i for r, i in zip(recips, ideal_dims(d, n)[1])), Fraction(0))), None)
+            want = lie.BCCTReport(scaling == 0, scaling, witness is None, witness)
+            assert repr(bcct_check(d, p, pool)) == repr(want)
+    assert len(verdicts) == 6, verdicts
+    assert scaled_slacks > 0
+
+
+def test_integer_vertices_match_fraction_reference():
+    # the Fraction reference is slow, so the seeded data contribute the
+    # polytopes with at most 300 constraint subsets; LW and the planes all
+    rng = random.Random(61)
+    cases = tentpole_cases()
+    seen = set()
+    for k, (d, p) in enumerate(cases):
+        for max_closure in range(5):
+            P = bl_polytope(d, closed_pool(d, max_closure)[0])
+            subsets = math.comb(len(P.halfspaces) + 2 * P.dim, P.dim)
+            if P in seen or (subsets > 300 and k < len(cases) - 3):
+                continue
+            seen.add(P)
+            verts = vertices(P)
+            assert verts == fraction_vertices(P)
+            assert all(type(v) is Fraction for x in verts for v in x)
+            assert facet_status(P, verts) == fraction_facet_status(P, verts)
+            cons = lie._all_constraints(P)
+            points = verts + [[Fraction(rng.randint(-1, 7), rng.choice((1, 2, 3, 6)))
+                               for _ in range(P.dim)] for _ in range(20)]
+            for x in points:
+                assert membership_point(P, x) == fraction_inside(cons, x)
+    assert len(seen) > 120 and {P.dim for P in seen} == {1, 2, 3, 4}
+
+
+def test_polytope_with_no_maps_has_the_empty_vertex():
+    d = CompactLieDatum((3,), 2, ())
+    P = bl_polytope(d, [zero_ideal()])
+    assert P.dim == 0 and P.halfspaces == (((), 5),)
+    assert vertices(P) == fraction_vertices(P) == [()]
+    assert facet_status(P) == [False] and membership_point(P, [])
+    assert finiteness(d, []).verdict is Verdict.FINITE
 
 
 def spanning_sets(rng, basis):
