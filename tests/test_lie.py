@@ -1060,8 +1060,9 @@ def test_integer_defects_match_fraction_reference():
 
 
 def test_integer_vertices_match_fraction_reference():
-    # the Fraction reference is slow, so the seeded data contribute the
-    # polytopes with at most 300 constraint subsets; LW and the planes all
+    # the Fraction reference is slow, so the seeded data contribute only
+    # their polytopes with at most 300 constraint subsets; the last three
+    # cases (LW and the four planes) enter at every closure
     rng = random.Random(61)
     cases = tentpole_cases()
     seen = set()
