@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -261,13 +262,19 @@ def make_cyclic_product(
 
     # Fold in one factor Z_m at a time: the element (i, a) of (earlier
     # factors) x Z_m has index i*m + a, so its row is the earlier row i with
-    # each entry t spread over t*m + (a + b) % m for b in 0..m-1.
+    # each entry t spread over t*m + (a + b) % m for b in 0..m-1, the block
+    # t*m..t*m+m-1 rotated left by a.  Joining shared rotated blocks reuses
+    # their ints instead of making order^2 new ones.
     table: list[tuple[int, ...]] = [(0,)]
     digits: list[tuple[int, ...]] = [()]
     for m in moduli:
-        shifts = [tuple((a + b) % m for b in range(m)) for a in range(m)]
-        table = [tuple(t * m + c for t in row for c in shift)
-                 for row in table for shift in shifts]
+        blocks = [tuple(range(t * m, t * m + m)) for t in range(len(table))]
+        folded: list = [None] * (len(table) * m)
+        for a in range(m):
+            turned = [blk[a:] + blk[:a] for blk in blocks]
+            folded[a::m] = [tuple(chain.from_iterable(map(turned.__getitem__, row)))
+                            for row in table]
+        table = folded
         digits = [ds + (a,) for ds in digits for a in range(m)]
     if len(moduli) == 1:
         labels = tuple(str(i) for i in range(order))

@@ -22,6 +22,26 @@ less than E = uL(J + 5)^2 in all.  A tuple that ties the true maximum lies
 within 2E of the float maximum, so the margin, 1e-9 or 4E if that is
 larger, keeps every one, and the exact first-wins argmax over the survivors
 is the argmax over all tuples.
+
+The search cuts a branch without changing its result.  With the sets of
+codomains 0..j-1 chosen, the remaining points form the mask m, and every
+later set s_k is nonempty, so log|s_k| >= 0 and r_k >= 0 give every tuple
+below the bound B = log|m| + log w_G - D - R, where D is the branch's
+denominator log and R = sum_{k >= j} r_k log w_k.  The float B is built
+from at most 2 + 2J logs, J brackets and J + 3 additions of partial sums
+bounded by (J + 2)L, so it errs by less than uL(J^2 + 12J + 10) < 2E, and a
+tuple's float log-quotient is below the float B plus 3E < margin.  A branch
+whose float B is below the running maximum less 2 margins therefore holds
+only tuples below the running maximum less one margin: the unpruned scan
+drops each of them on arrival without changing its state, so the finalists,
+their order and the result are those of the unpruned scan.
+
+The ascent runs each sweep on prefix products: with g_j = f_j o sigma_j and
+P_k = w g_0 ... g_{k-1} over blocks already updated, block k integrates
+P_k g_{k+1} ... g_{J-1}, multiplied in index order.  These are the products,
+in the same association, of the direct loop over x (a zero product stays
+zero, and adding it leaves a fibre sum unchanged), so every float is the
+same; P_J is the sweep's form integrand.
 """
 
 from __future__ import annotations
@@ -29,6 +49,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .datum import BLDatum
@@ -72,32 +93,28 @@ class _Form:
 
     def __init__(self, d: BLDatum, w):
         self.w = w
+        self.order = d.G.order
         self.maps = [h.map for h in d.maps]
-        self.whole = (0,) * d.G.order  # sends every x to one fiber
         self.sizes = [c.order for c in d.codomains]
         self.weights = [
             float(haar_weight(c, mode)) for c, mode in zip(d.codomains, d.haar_codomains)
         ]
-        self.exponents = d.exponents
         self.powers = [None if p.is_infinite else float(p.value) for p in d.exponents]
+        self.unit = [p.value == 1 for p in d.exponents]
 
-    def _fiber_sums(self, funcs, key, size: int, skip: int = -1) -> list:
-        """Sum of w * prod_{j != skip} f_j(sigma_j(x)) over each fiber of key."""
-        factors = [(f, m) for j, (f, m) in enumerate(zip(funcs, self.maps)) if j != skip]
+    def value(self, funcs):
+        """sum_x w * prod_j f_j(sigma_j(x)), leaving x out once a factor is 0."""
         w = self.w
-        sums = [w * 0] * size
-        for x, y in enumerate(key):
+        total = w * 0
+        for x in range(self.order):
             prod = w
-            for f, m in factors:
+            for f, m in zip(funcs, self.maps):
                 prod *= f[m[x]]
                 if not prod:
                     break
             if prod:
-                sums[y] += prod
-        return sums
-
-    def value(self, funcs):
-        return self._fiber_sums(funcs, self.whole, 1)[0]
+                total += prod
+        return total
 
     def norm(self, j: int, f: Sequence) -> float:
         """The p_j-norm of f on codomain j, weighted by its Haar mode."""
@@ -107,28 +124,32 @@ class _Form:
         w = self.weights[j]
         return (sum(w * abs(float(v)) ** pv for v in f)) ** (1.0 / pv)
 
+    def float_norm(self, j: int, f: list[float]) -> float:
+        """norm(j, f) for nonnegative floats, bit for bit."""
+        pv = self.powers[j]
+        if pv is None:
+            return max(f)
+        w = self.weights[j]
+        return sum([w * v**pv for v in f]) ** (1.0 / pv)
+
     def rayleigh(self, funcs) -> float:
         norms = [self.norm(j, f) for j, f in enumerate(funcs)]
         if any(n == 0 for n in norms):
             raise ValueError("all inputs must have positive norm")
         return float(self.value(funcs)) / math.prod(norms)
 
-    def update(self, funcs: list[list[float]], k: int) -> list[float]:
-        """Exact maximizer of the form over f_k with its p_k-norm fixed."""
-        size = self.sizes[k]
-        wk = self._fiber_sums(funcs, self.maps[k], size, skip=k)
-        p = self.exponents[k]
-        if p.is_infinite:
-            return [1.0] * size
-        if p.value == 1:
-            top = max(wk)
+    def maximizer(self, k: int, sums: list[float]) -> list[float]:
+        """Exact maximizer of the form over f_k with its p_k-norm fixed, for
+        finite p_k, from the fibre sums of the integrand without f_k."""
+        if self.unit[k]:
+            top = max(sums)
             if top <= 0.0:
-                return [1.0] * size
-            arg = [1.0 if v >= top else 0.0 for v in wk]
+                return [1.0] * len(sums)
+            arg = [1.0 if v >= top else 0.0 for v in sums]
             share = sum(arg)
             return [v / share for v in arg]
         q = 1.0 / (self.powers[k] - 1.0)
-        return [v**q for v in wk]
+        return [v**q for v in sums]
 
 
 def _exact_form(d: BLDatum, t: InputTuple) -> _Form:
@@ -154,34 +175,65 @@ def alternating_ascent(
     init: InputTuple,
     tol: float = 1e-12,
     max_sweeps: int = 10_000,
+    *,
+    form: _Form | None = None,
 ) -> tuple[float, InputTuple, AscentTrace]:
     """Block-coordinate ascent on the Rayleigh quotient.
 
     Each sweep maximizes over every block in turn; the trace of sweep values
     is nondecreasing up to renormalization jitter.  Inputs are renormalized
     each sweep to unit norm to avoid overflow.  A negative tol never
-    converges, so exactly max_sweeps sweeps run.
+    converges, so exactly max_sweeps sweeps run.  `form` is the datum's
+    float form, passed by callers that run several starts.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    form = _Form(d, float(haar_weight(d.G, d.haar_G)))
+    if form is None:
+        form = _Form(d, float(haar_weight(d.G, d.haar_G)))
+    maps, sizes, powers = form.maps, form.sizes, form.powers
     funcs = [[float(v) for v in f] for f in init.functions]
     for j in range(d.J):
-        n = form.norm(j, funcs[j])
+        if not all(map(math.isfinite, funcs[j])):
+            raise NumericError(f"input {j} is not finite")
+        n = form.float_norm(j, funcs[j])
         if n == 0:
             raise ValueError(f"input {j} has zero norm")
         funcs[j] = [v / n for v in funcs[j]]
+    # pulled[j][x] = f_j(sigma_j(x)), or None once f_j is a p = inf block's
+    # constant 1, since multiplying by 1.0 is exact
+    pulled: list = [[f[y] for y in m] for f, m in zip(funcs, maps)]
+    norms = [1.0] * d.J
+    start = [form.w] * form.order
     values: list[float] = []
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
+        prefix = start  # w * g_0 * ... * g_{k-1}, with blocks < k updated
         for k in range(d.J):
-            funcs[k] = form.update(funcs, k)
-            n = form.norm(k, funcs[k])
+            if powers[k] is None:
+                funcs[k] = [1.0] * sizes[k]
+                pulled[k] = None
+                continue
+            integrand = prefix
+            for g in pulled[k + 1:]:
+                if g is not None:
+                    integrand = map(mul, integrand, g)
+            sums = [0.0] * sizes[k]
+            for y, v in zip(maps[k], integrand):
+                sums[y] += v
+            f = form.maximizer(k, sums)
+            n = form.float_norm(k, f)
             if n == 0 or not math.isfinite(n):
                 raise NumericError(f"block {k} degenerated during sweep {sweeps}")
-            funcs[k] = [v / n for v in funcs[k]]
-        value = form.rayleigh(funcs)
+            f = [v / n for v in f]
+            funcs[k] = f
+            norms[k] = form.float_norm(k, f)
+            pulled[k] = [f[y] for y in maps[k]]
+            prefix = list(map(mul, prefix, pulled[k]))
+        total = 0.0
+        for v in prefix:
+            total += v
+        value = total / math.prod(norms)
         if not math.isfinite(value):
             raise NumericError(f"non-finite objective in sweep {sweeps}")
         values.append(value)
@@ -231,8 +283,9 @@ def oracle_constant(
                 ]
             )
         )
+    form = _Form(d, float(haar_weight(d.G, d.haar_G)))
     for t in seeds:
-        value, _, _ = alternating_ascent(d, t, tol, max_sweeps)
+        value, _, _ = alternating_ascent(d, t, tol, max_sweeps, form=form)
         best = max(best, value)
     return best
 
@@ -275,34 +328,49 @@ def exhaustive_indicator_search(
     codomain_w = [haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
     log_w = [log_haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
 
+    J = d.J
     best_log = -math.inf
     largest = max([d.G.order, *(c.order for c in d.codomains)])
-    margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
+    margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (J + 5) ** 2)
     near: list[tuple[float, tuple[int, ...], int]] = []
+    logs = [0.0] + [math.log(c) for c in range(1, largest + 1)]
+    # terms[j][s] = r_j (log|s| + log w_j), set s's share of the
+    # denominator's log
+    terms = [
+        [0.0] + [r * (logs[s.bit_count()] + lw) if r else 0.0 for s in range(1, len(arr))]
+        for r, lw, arr in zip(recips_f, log_w, subset_masks)
+    ]
+    # rest[j] = sum_{k >= j} r_k log w_k: the sets j.. add at least this
+    rest = [0.0] * (J + 1)
+    for k in reversed(range(J)):
+        rest[k] = rest[k + 1] + recips_f[k] * log_w[k]
 
     def scan(j: int, mask: int, chosen: tuple[int, ...], log_den: float):
         nonlocal best_log, near
-        if j == d.J:
-            count = mask.bit_count()
-            if count == 0:
-                return
-            log_val = math.log(count) + log_w_G - log_den
+        masks, term = subset_masks[j], terms[j]
+        if j + 1 < J:
+            for s in range(1, len(masks)):
+                m = mask & masks[s]
+                if not m:
+                    continue
+                den = log_den + term[s]
+                # the cut proved in the module docstring
+                if logs[m.bit_count()] + log_w_G - den - rest[j + 1] < best_log - 2 * margin:
+                    continue
+                scan(j + 1, m, chosen + (s,), den)
+            return
+        for s in range(1, len(masks)):
+            m = mask & masks[s]
+            if not m:
+                continue
+            count = m.bit_count()
+            log_val = logs[count] + log_w_G - (log_den + term[s])
             if log_val < best_log - margin:
-                return
+                continue
             if log_val > best_log:
                 best_log = log_val
                 near = [c for c in near if c[0] >= best_log - margin]
-            near.append((log_val, chosen, count))
-            return
-        rj = recips_f[j]
-        for s in range(1, len(subset_masks[j])):
-            m = mask & subset_masks[j][s]
-            if not m:
-                continue
-            extra = 0.0
-            if rj:
-                extra = rj * (math.log(s.bit_count()) + log_w[j])
-            scan(j + 1, m, chosen + (s,), log_den + extra)
+            near.append((log_val, chosen + (s,), count))
 
     scan(0, (1 << d.G.order) - 1, (), 0.0)
     if not near:

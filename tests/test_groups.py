@@ -108,6 +108,28 @@ def test_cyclic_table_matches_decode_encode_reference(moduli):
     assert G.identity == 0
 
 
+def reference_folded_table(moduli):
+    """The former fold, which spread each entry t over t*m + (a + b) % m with
+    fresh ints: fast enough to check orders the decode/encode reference
+    cannot."""
+    table = [(0,)]
+    for m in moduli:
+        shifts = [tuple((a + b) % m for b in range(m)) for a in range(m)]
+        table = [tuple(t * m + c for t in row for c in shift)
+                 for row in table for shift in shifts]
+    return tuple(table)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    CYCLIC_MODULI + [[64], [256], [2] * 8, [4, 4, 4, 4], [3] * 5, [1, 64], [64, 1],
+                     [2, 1, 2, 1, 2, 1, 2], [1, 7, 1, 9], [6, 6, 6], [5, 25]],
+    ids=lambda ms: "x".join(map(str, ms)),
+)
+def test_cyclic_table_matches_the_former_fold(moduli):
+    assert make_cyclic_product(moduli).table == reference_folded_table(moduli)
+
+
 def test_cyclic_order_cap():
     with pytest.raises(SizeCapError):
         make_cyclic_product([100], order_cap=50)

@@ -18,6 +18,7 @@ from blgroups.groups import (
 from blgroups.oracle import (
     BudgetError,
     InputTuple,
+    NumericError,
     alternating_ascent,
     evaluate_form,
     exhaustive_indicator_search,
@@ -217,9 +218,11 @@ def test_oracle_deterministic_given_seed():
     assert a == b
 
 
-def _reference_ascent(d, init, sweeps):
+def _reference_ascent(d, init, sweeps, tol=None):
     """Block ascent with every weight, norm and map re-derived from the datum
-    on each use: the arithmetic the hoisted ascent must reproduce bit for bit."""
+    on each use: the arithmetic the hoisted ascent must reproduce bit for bit.
+    Runs `sweeps` sweeps, or stops earlier at the ascent's convergence test
+    when tol is given; returns the sweep values and the final inputs."""
     from blgroups.groups import haar_weight
 
     def norm(j, f):
@@ -242,11 +245,13 @@ def _reference_ascent(d, init, sweeps):
         if p.is_infinite:
             return [1.0] * len(wk)
         if p.value == 1:
+            if max(wk) <= 0.0:
+                return [1.0] * len(wk)
             arg = [1.0 if v >= max(wk) else 0.0 for v in wk]
             return [v / sum(arg) for v in arg]
         return [v ** (1.0 / (float(p.value) - 1.0)) for v in wk]
 
-    funcs = [[v / norm(j, f) for v in f] for j, f in enumerate(init.functions)]
+    funcs = [[float(v) / norm(j, f) for v in f] for j, f in enumerate(init.functions)]
     values = []
     for _ in range(sweeps):
         for k in range(d.J):
@@ -255,7 +260,41 @@ def _reference_ascent(d, init, sweeps):
             funcs[k] = [v / n for v in funcs[k]]
         norms = [norm(j, f) for j, f in enumerate(funcs)]
         values.append(float(evaluate_form(d, InputTuple(funcs))) / math.prod(norms))
-    return values
+        if tol is not None and len(values) >= 2:
+            if values[-1] - values[-2] <= tol * max(abs(values[-1]), 1e-300):
+                break
+    return values, funcs
+
+
+def reference_oracle(d, restarts, seed):
+    """oracle_constant's starts, each run to convergence by _reference_ascent."""
+    rng = random.Random(seed)
+    starts = [[[1.0] * c.order for c in d.codomains],
+              [[float(y == c.identity) for y in range(c.order)] for c in d.codomains]]
+    for _ in range(restarts):
+        starts.append([[0.05 + rng.random() for _ in range(c.order)] for c in d.codomains])
+    return max(_reference_ascent(d, InputTuple(t), 10_000, tol=1e-12)[0][-1]
+               for t in starts)
+
+
+def corpus_sample(seed, count, max_order):
+    """`count` seeded corpus data with groups of order <= max_order, under
+    both Haar modes, whose exponents cover every kind at J = 2 and J = 3."""
+    from blgroups import corpus
+
+    rng = random.Random(seed)
+    frames = [f for f in corpus.standard_frames() if f.group.order <= max_order]
+    kinds = corpus.EXPONENT_CHOICES
+    data = []
+    for i in range(count):
+        # i cycles through the Haar modes, J = 2 and 3, and the first exponent
+        J, kind = 2 + i // 2 % 2, kinds[i // 4 % len(kinds)]
+        f = rng.choice([f for f in frames if f.J == J])
+        p = rng.choice([p for p in corpus.exponent_grid(J) if str(p[0]) == kind])
+        data.append(corpus.frame_datum(f, p, (P, C)[i % 2]))
+    covered = {(d.J, d.haar_G, str(e)) for d in data for e in d.exponents}
+    assert covered == {(J, h, e) for J in (2, 3) for h in (P, C) for e in kinds}
+    return data
 
 
 def test_ascent_matches_reference_bit_for_bit():
@@ -264,12 +303,61 @@ def test_ascent_matches_reference_bit_for_bit():
     rng = random.Random(23)
     cases = [hoelder(3, ("1", "3/2")), lw_z2z2(("3/2", "3")), lw_z2z2(("1", "inf")),
              split_product(hoelder(2, ("2", "3")), hoelder(2, ("2", "3")))]
+    cases += corpus_sample(23, 200, 36)
     for d in cases:
-        init = InputTuple(
-            [[0.05 + rng.random() for _ in range(c.order)] for c in d.codomains]
-        )
-        _, _, trace = alternating_ascent(d, init, tol=-1.0, max_sweeps=5)
-        assert trace.values == _reference_ascent(d, init, 5)
+        starts = [
+            [[1.0] * c.order for c in d.codomains],
+            [[float(y == c.identity) for y in range(c.order)] for c in d.codomains],
+            [[0.05 + rng.random() for _ in range(c.order)] for c in d.codomains],
+        ]
+        for t in starts:
+            init = InputTuple(t)
+            _, out, trace = alternating_ascent(d, init, tol=-1.0, max_sweeps=5)
+            assert (trace.values, out.functions) == _reference_ascent(d, init, 5)
+
+
+def test_oracle_matches_reference_oracle_bit_for_bit():
+    for i, d in enumerate(corpus_sample(29, 60, 36)):
+        assert oracle_constant(d, restarts=3, seed=i) == reference_oracle(d, 3, i)
+
+
+def test_infinite_blocks_sum_no_fibres_and_the_form_is_built_once(monkeypatch):
+    import blgroups.oracle as oracle
+
+    class CountedMap(tuple):
+        iterations = 0
+
+        def __iter__(self):
+            CountedMap.iterations += 1
+            return super().__iter__()
+
+    d = hoelder(3, ("2", "inf", "3/2"))
+    form = oracle._Form(d, float(Fraction(1, 3)))
+    form.maps[1] = CountedMap(form.maps[1])
+    init = InputTuple([[0.5, 1.0, 2.0]] * 3)
+    _, _, trace = alternating_ascent(d, init, tol=-1.0, max_sweeps=7, form=form)
+    assert trace.iterations == 7
+    # the one pass pulls the start back; no sweep reads the inf block's map
+    assert CountedMap.iterations == 1
+    assert alternating_ascent(d, init, tol=-1.0, max_sweeps=7)[2] == trace
+
+    built = []
+
+    class CountedForm(oracle._Form):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(oracle, "_Form", CountedForm)
+    oracle_constant(d, restarts=4, seed=0)
+    assert len(built) == 1
+
+
+def test_non_finite_inputs_are_rejected():
+    d = hoelder(2, ("2", "inf"))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NumericError, match="input 1"):
+            alternating_ascent(d, InputTuple([[1.0, 1.0], [bad, 1.0]]))
 
 
 # -- exhaustive indicator search ---------------------------------------------------
@@ -314,3 +402,71 @@ def test_exhaustive_agrees_with_formula():
     for d in cases:
         value, _ = exhaustive_indicator_search(d)
         assert value.compare(bl_constant(d).value) == 0
+
+
+def reference_exhaustive_search(d):
+    """The indicator search without the cut: every nonzero tuple reaches the
+    float prefilter, which keeps those within the margin of the maximum."""
+    from blgroups.exact import ExactValue, exact_max
+    from blgroups.groups import haar_weight, log_haar_weight, mask_members
+
+    subset_masks = []
+    for h in d.maps:
+        arr = [0] * (2**h.codomain.order)
+        for s in range(1, len(arr)):
+            low = s & -s
+            arr[s] = arr[s ^ low] | h.fibres[low.bit_length() - 1]
+        subset_masks.append(arr)
+    w_G = haar_weight(d.G, d.haar_G)
+    log_w_G = log_haar_weight(d.G, d.haar_G)
+    recips = [p.reciprocal() for p in d.exponents]
+    codomain_w = [haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
+    log_w = [log_haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
+    largest = max([d.G.order, *(c.order for c in d.codomains)])
+    margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
+    best_log, near = -math.inf, []
+
+    def scan(j, mask, chosen, log_den):
+        nonlocal best_log, near
+        if j == d.J:
+            log_val = math.log(mask.bit_count()) + log_w_G - log_den
+            if log_val < best_log - margin:
+                return
+            if log_val > best_log:
+                best_log = log_val
+                near = [c for c in near if c[0] >= best_log - margin]
+            near.append((log_val, chosen, mask.bit_count()))
+            return
+        rj = float(recips[j])
+        for s in range(1, len(subset_masks[j])):
+            m = mask & subset_masks[j][s]
+            if m:
+                extra = rj * (math.log(s.bit_count()) + log_w[j]) if rj else 0.0
+                scan(j + 1, m, chosen + (s,), log_den + extra)
+
+    scan(0, (1 << d.G.order) - 1, (), 0.0)
+    finalists = [(c, cnt) for lv, c, cnt in near if lv >= best_log - margin]
+    values = []
+    for chosen, count in finalists:
+        v = ExactValue.from_rational(count * w_G)
+        for j, s in enumerate(chosen):
+            if recips[j]:
+                v = v / ExactValue.from_rational(s.bit_count() * codomain_w[j]) ** recips[j]
+        values.append(v)
+    best, value, _ = exact_max(values)
+    return value, [mask_members(s) for s in finalists[best][0]]
+
+
+def test_cut_keeps_the_unpruned_search_results():
+    from blgroups import corpus
+
+    first = {}
+    for f in corpus.standard_frames():
+        first.setdefault(f.group, f)
+    assert len(first) == 42
+    openers = [corpus.frame_datum(f, corpus.exponent_grid(f.J)[0], h)
+               for f in first.values() for h in (P, C)]
+    for d in openers + corpus_sample(31, 300, 36):
+        value, sets = exhaustive_indicator_search(d)
+        expected, expected_sets = reference_exhaustive_search(d)
+        assert (value.factors, sets) == (expected.factors, expected_sets)
