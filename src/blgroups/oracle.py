@@ -62,7 +62,7 @@ class BudgetError(BudgetExceededError):
 
 
 class NumericError(ArithmeticError):
-    """A non-finite intermediate appeared during ascent."""
+    """A non-finite input or intermediate appeared during ascent."""
 
 
 @dataclass
@@ -298,7 +298,8 @@ def exhaustive_indicator_search(
     Subsets are enumerated as bitmasks per codomain; the intersection count
     behind the numerator is a popcount of AND-ed fiber masks.  A float
     prefilter, with the margin proved in the module docstring, keeps the
-    exact comparisons to the near-maximal candidates.
+    exact comparisons to the near-maximal candidates, and a cut proved
+    there skips the branches that hold none of them.
     """
     if d.J == 0:
         total = haar_weight(d.G, d.haar_G) * d.G.order
