@@ -50,7 +50,6 @@ import math
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
 
 from .datum import BLDatum
 from .exact import ExactValue, exact_max
@@ -116,16 +115,9 @@ class _Form:
                 total += prod
         return total
 
-    def norm(self, j: int, f: Sequence) -> float:
-        """The p_j-norm of f on codomain j, weighted by its Haar mode."""
-        pv = self.powers[j]
-        if pv is None:
-            return max(abs(float(v)) for v in f)
-        w = self.weights[j]
-        return (sum(w * abs(float(v)) ** pv for v in f)) ** (1.0 / pv)
-
-    def float_norm(self, j: int, f: list[float]) -> float:
-        """norm(j, f) for nonnegative floats, bit for bit."""
+    def norm(self, j: int, f: list[float]) -> float:
+        """The p_j-norm of the nonnegative floats f on codomain j, weighted
+        by its Haar mode."""
         pv = self.powers[j]
         if pv is None:
             return max(f)
@@ -133,7 +125,7 @@ class _Form:
         return sum([w * v**pv for v in f]) ** (1.0 / pv)
 
     def rayleigh(self, funcs) -> float:
-        norms = [self.norm(j, f) for j, f in enumerate(funcs)]
+        norms = [self.norm(j, [float(v) for v in f]) for j, f in enumerate(funcs)]
         if any(n == 0 for n in norms):
             raise ValueError("all inputs must have positive norm")
         return float(self.value(funcs)) / math.prod(norms)
@@ -183,8 +175,9 @@ def alternating_ascent(
     Each sweep maximizes over every block in turn; the trace of sweep values
     is nondecreasing up to renormalization jitter.  Inputs are renormalized
     each sweep to unit norm to avoid overflow.  A negative tol never
-    converges, so exactly max_sweeps sweeps run.  `form` is the datum's
-    float form, passed by callers that run several starts.
+    converges, so exactly max_sweeps sweeps run.  An initial input with an
+    infinite or NaN entry raises NumericError.  `form` is the datum's float
+    form, passed by callers that run several starts.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -195,7 +188,7 @@ def alternating_ascent(
     for j in range(d.J):
         if not all(map(math.isfinite, funcs[j])):
             raise NumericError(f"input {j} is not finite")
-        n = form.float_norm(j, funcs[j])
+        n = form.norm(j, funcs[j])
         if n == 0:
             raise ValueError(f"input {j} has zero norm")
         funcs[j] = [v / n for v in funcs[j]]
@@ -222,12 +215,12 @@ def alternating_ascent(
             for y, v in zip(maps[k], integrand):
                 sums[y] += v
             f = form.maximizer(k, sums)
-            n = form.float_norm(k, f)
+            n = form.norm(k, f)
             if n == 0 or not math.isfinite(n):
                 raise NumericError(f"block {k} degenerated during sweep {sweeps}")
             f = [v / n for v in f]
             funcs[k] = f
-            norms[k] = form.float_norm(k, f)
+            norms[k] = form.norm(k, f)
             pulled[k] = [f[y] for y in maps[k]]
             prefix = list(map(mul, prefix, pulled[k]))
         total = 0.0
