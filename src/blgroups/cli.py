@@ -6,9 +6,12 @@ whose content is a pure function of the command line, the input file, and
 the seed; timing lives in its own field so the rest of the report is
 byte-reproducible.  Exit codes: 0 success, 1 verify disagreement or an exact
 comparison still undecided at 4096 bits, 2 precondition error (bad input
-file, path or JSON shape, bad index, iteration count or tolerance, an
-operation the datum does not admit), 3 budget or size error (a
-`groups.BudgetExceededError`), 4 finiteness UNDECIDED.
+file, path or JSON shape, a rational with a zero denominator, bad index,
+iteration count or tolerance, an operation the datum does not admit), 3
+budget or size error (a `groups.BudgetExceededError`), 4 finiteness
+UNDECIDED, 5 numeric failure of the float ascent (`oracle.NumericError`,
+for example a block that underflows to zero at exponents near 1, or a
+float overflow).
 
 `main` does what every subcommand shares: it loads `--in`, times the run,
 builds the report envelope, emits it and maps errors to exit codes.  A
@@ -36,11 +39,13 @@ EXIT_FAILURE = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_UNDECIDED = 4
+EXIT_NUMERIC = 5
 
 # The library's precondition errors (GroupStructureError, WrongExponentError,
 # SchemaError, ...) and bad JSON are ValueErrors; OSError covers an input or
-# cache path that cannot be read or created.
-_PRECONDITION_ERRORS = (ValueError, KeyError, OSError)
+# cache path that cannot be read or created; Fraction("1/0") raises
+# ZeroDivisionError.
+_PRECONDITION_ERRORS = (ValueError, KeyError, OSError, ZeroDivisionError)
 
 
 def _print_table(obj, indent=0):
@@ -333,6 +338,10 @@ def main(argv=None) -> int:
                      right=exc.right.to_json(), bits=exc.bits)
     except _PRECONDITION_ERRORS as exc:
         return _fail(EXIT_PRECONDITION, "precondition", exc)
+    except ArithmeticError as exc:
+        # oracle.NumericError, caught by its base so that main does not
+        # import the ascent layer, and float overflow
+        return _fail(EXIT_NUMERIC, "numeric", exc)
     flags = {k: v for k, v in vars(args).items()
              if k not in ("func", "command") and v is not None}
     digest = hashlib.sha256(

@@ -18,6 +18,12 @@ image under each map is sigma_j(H), so one pass over the fibres gives both
 the candidate and the image orders of its denominator, and the exact ratio
 is built from those orders.
 
+An exact ratio is one product of integer powers n^e (`datum.mass_quotient`):
+|S|^1, |G|^-1 under probability Haar, and for each map |sigma_j(S)|^(-r_j)
+and, under probability Haar, |G_j|^(r_j), with r_j = 1/p_j.
+`ExactValue.from_powers` factorizes each integer once and sums the
+valuations, weighted by the exponents, into one canonical value.
+
 The scan ranks candidates by a float log-ratio first and builds exact values
 only for those within a margin of the float maximum.  Each float is
 
@@ -44,12 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .datum import BLDatum, CanonicalTag, canonical_tag
+from .datum import BLDatum, CanonicalTag, canonical_tag, mass_quotient
 from .exact import ExactValue, exact_max
 from .groups import (
     Subgroup,
     all_subgroups,
-    haar_weight,
     log_haar_weight,
     mask_members,
 )
@@ -57,23 +62,12 @@ from .groups import (
 _MARGIN = 1e-9
 
 
-def _exact_ratio(d: BLDatum, order: int, image_orders) -> ExactValue:
-    """The ratio of a subgroup of the given order with these image orders."""
-    value = ExactValue.from_rational(order * haar_weight(d.G, d.haar_G))
-    for j, count in enumerate(image_orders):
-        r = d.exponents[j].reciprocal()
-        if r:
-            mass = count * haar_weight(d.codomains[j], d.haar_codomains[j])
-            value = value / ExactValue.from_rational(mass) ** r
-    return value
-
-
 def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
     """mass(H) / prod_j mass(sigma_j(H))^(1/p_j); the term for p = inf is 1."""
     if H.parent != d.G:
         raise ValueError("subgroup does not live in the datum's source group")
     counts = [h.image_mask(H.mask).bit_count() for h in d.maps]
-    return _exact_ratio(d, H.order, counts)
+    return mass_quotient(d, H.order, counts)
 
 
 def _saturation(d: BLDatum, H: Subgroup) -> tuple[int, tuple[int, ...]]:
@@ -152,7 +146,7 @@ def bl_constant(
         for mask, f in logs.items()
         if f >= top - margin
     )
-    best, value, tie = exact_max([_exact_ratio(d, n, found[mask]) for n, _, mask in near])
+    best, value, tie = exact_max([mass_quotient(d, n, found[mask]) for n, _, mask in near])
 
     all_cands = None
     if include_candidates:

@@ -158,6 +158,27 @@ def make_datum(G, maps, exponents, haar_G=HaarMode.PROBABILITY, haar_codomains=N
     )
 
 
+def mass_quotient(d: BLDatum, count: int, sizes) -> ExactValue:
+    """mass(X) / prod_j mass(Y_j)^(1/p_j) for a set X of `count` points of G
+    and sets Y_j of sizes[j] points of G_j.
+
+    This is the subgroup formula's ratio (X = S, Y_j = sigma_j(S)) and the
+    Rayleigh quotient of an indicator tuple (Y_j its sets, X their common
+    preimage).  It is built exactly as one product of integer powers:
+    count^1, |G|^-1 under probability Haar, and for each j sizes[j]^(-r_j)
+    and, under probability Haar, |G_j|^(r_j), with r_j = 1/p_j.
+    """
+    terms = [(count, 1)]
+    if d.haar_G is HaarMode.PROBABILITY:
+        terms.append((d.G.order, -1))
+    for size, c, mode, e in zip(sizes, d.codomains, d.haar_codomains, d.exponents):
+        r = e.reciprocal()
+        terms.append((size, -r))
+        if mode is HaarMode.PROBABILITY:
+            terms.append((c.order, r))
+    return ExactValue.from_powers(terms)
+
+
 @dataclass(frozen=True)
 class CanonicalTag:
     """Whether a datum is canonical, and the exact constant bookkeeping.

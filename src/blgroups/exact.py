@@ -7,6 +7,13 @@ Representing them as prime -> exponent maps keeps multiplication, division
 and rational powers exact, and makes multiplicativity identities testable
 with no floating point at all.
 
+A constant's candidate is a product of powers n^e of small integers n
+(subgroup, image and group orders) with rational exponents e.
+`ExactValue.from_powers` builds it in one step: it factorizes each n once
+and sums the valuation vectors, weighted by the exponents, into one
+canonical value.  `from_rational` and the algebra below serve everything
+else (canonicalization factors, reductions, tests).
+
 Comparison of two distinct values reduces to the sign of sum_p e_p*log(p),
 which is never zero for a nonzero exponent vector (unique factorization),
 so interval arithmetic at escalating precision always terminates in
@@ -39,7 +46,7 @@ class UndecidedComparisonError(ArithmeticError):
 
 
 def _factorize(n: int) -> dict[int, int]:
-    if n <= 0:
+    if not isinstance(n, int) or n <= 0:
         raise ValueError(f"only positive integers factorize here, got {n}")
     out: dict[int, int] = {}
     d = 2
@@ -82,6 +89,21 @@ class ExactValue:
             exps[p] = exps.get(p, Fraction(0)) + k
         for p, k in _factorize(q.denominator).items():
             exps[p] = exps.get(p, Fraction(0)) - k
+        return ExactValue._from_dict(exps)
+
+    @staticmethod
+    def from_powers(terms) -> "ExactValue":
+        """prod n^e over pairs (n, e) of a positive int n and an int or Fraction e.
+
+        Each n is factorized once, and its valuations times e are summed per
+        prime, so no intermediate ExactValue is built.  A term with e = 0 is
+        skipped.
+        """
+        exps: dict[int, Fraction] = {}
+        for n, e in terms:
+            if e:
+                for p, k in _factorize(n).items():
+                    exps[p] = exps.get(p, Fraction(0)) + k * e
         return ExactValue._from_dict(exps)
 
     @staticmethod

@@ -21,7 +21,11 @@ additions of partial sums bounded by (J + 2)L by at most (J + 1)(J + 2)uL:
 less than E = uL(J + 5)^2 in all.  A tuple that ties the true maximum lies
 within 2E of the float maximum, so the margin, 1e-9 or 4E if that is
 larger, keeps every one, and the exact first-wins argmax over the survivors
-is the argmax over all tuples.
+is the argmax over all tuples.  A finalist's exact quotient is one product
+of integer powers of its count, its set sizes and the group orders
+(`datum.mass_quotient`, built by `ExactValue.from_powers`); the subgroup
+formula builds its ratios the same way, so a Fraction test, not the
+agreement of the two routes, pins that builder.
 
 The search cuts a branch without changing its result.  With the sets of
 codomains 0..j-1 chosen, the remaining points form the mask m, and every
@@ -51,7 +55,7 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .datum import BLDatum
+from .datum import BLDatum, mass_quotient
 from .exact import ExactValue, exact_max
 from .groups import BudgetExceededError, haar_weight, log_haar_weight, mask_members
 
@@ -75,6 +79,15 @@ class InputTuple:
             raise ValueError("inputs must be nonnegative")
         if all(not any(f) for f in self.functions):
             raise ValueError("at least one input must be nonzero")
+
+    @classmethod
+    def _built(cls, functions: list[list]) -> "InputTuple":
+        """Inputs the oracle built itself, nonnegative with a nonzero entry
+        by construction, so the scan above is skipped.  Outside input goes
+        through the constructor."""
+        t = cls.__new__(cls)
+        t.functions = functions
+        return t
 
 
 @dataclass
@@ -235,7 +248,7 @@ def alternating_ascent(
             if value - prev <= tol * max(abs(value), 1e-300):
                 converged = True
                 break
-    return values[-1], InputTuple(funcs), AscentTrace(values, sweeps, converged)
+    return values[-1], InputTuple._built(funcs), AscentTrace(values, sweeps, converged)
 
 
 def oracle_constant(
@@ -262,23 +275,14 @@ def oracle_constant(
     rng = random.Random(seed)
     best = -math.inf
     seeds = [
-        InputTuple([[1.0] * c.order for c in d.codomains]),
-        InputTuple(
-            [[float(y == c.identity) for y in range(c.order)] for c in d.codomains]
-        ),
+        [[1.0] * c.order for c in d.codomains],
+        [[float(y == c.identity) for y in range(c.order)] for c in d.codomains],
     ]
     for _ in range(restarts):
-        seeds.append(
-            InputTuple(
-                [
-                    [0.05 + rng.random() for _ in range(c.order)]
-                    for c in d.codomains
-                ]
-            )
-        )
+        seeds.append([[0.05 + rng.random() for _ in range(c.order)] for c in d.codomains])
     form = _Form(d, float(haar_weight(d.G, d.haar_G)))
     for t in seeds:
-        value, _, _ = alternating_ascent(d, t, tol, max_sweeps, form=form)
+        value, _, _ = alternating_ascent(d, InputTuple._built(t), tol, max_sweeps, form=form)
         best = max(best, value)
     return best
 
@@ -295,8 +299,7 @@ def exhaustive_indicator_search(
     there skips the branches that hold none of them.
     """
     if d.J == 0:
-        total = haar_weight(d.G, d.haar_G) * d.G.order
-        return ExactValue.from_rational(total), []
+        return mass_quotient(d, d.G.order, ()), []
     work = 1
     for c in d.codomains:
         work *= 2**c.order
@@ -315,11 +318,8 @@ def exhaustive_indicator_search(
             arr[s] = arr[s ^ low] | h.fibres[low.bit_length() - 1]
         subset_masks.append(arr)
 
-    w_G = haar_weight(d.G, d.haar_G)
     log_w_G = log_haar_weight(d.G, d.haar_G)
-    recips = [p.reciprocal() for p in d.exponents]
-    recips_f = [float(r) for r in recips]
-    codomain_w = [haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
+    recips_f = [float(p.reciprocal()) for p in d.exponents]
     log_w = [log_haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
 
     J = d.J
@@ -371,21 +371,10 @@ def exhaustive_indicator_search(
         raise ValueError("no nonzero indicator tuple found")
 
     finalists = [(c, cnt) for lv, c, cnt in near if lv >= best_log - margin]
-    # The exact value depends only on the count and the subset sizes, which
+    # The exact value depends only on the count and the set sizes, which
     # many finalists share.
-    by_key: dict[tuple[int, ...], ExactValue] = {}
-    exact_values = []
-    for chosen, count in finalists:
-        key = (count,) + tuple(s.bit_count() for s in chosen)
-        v = by_key.get(key)
-        if v is None:
-            v = ExactValue.from_rational(count * w_G)
-            for j, size in enumerate(key[1:]):
-                if recips[j]:
-                    mass = size * codomain_w[j]
-                    v = v / ExactValue.from_rational(mass) ** recips[j]
-            by_key[key] = v
-        exact_values.append(v)
-    best, value, _ = exact_max(exact_values)
+    keys = [(count, tuple(s.bit_count() for s in chosen)) for chosen, count in finalists]
+    values = {key: mass_quotient(d, *key) for key in dict.fromkeys(keys)}
+    best, value, _ = exact_max([values[key] for key in keys])
     chosen = finalists[best][0]
     return value, [mask_members(s) for s in chosen]

@@ -242,6 +242,38 @@ def test_negative_or_nan_tolerance_is_a_precondition(write, capsys, command, tol
     assert_precondition(capsys, argv + (["--no-cache"] if command == "verify" else []))
 
 
+# Three identity maps of Z4^3 at p = 1001/1000: the power update v^1000 of
+# the first block underflows to zero in the ascent's first sweep.
+NEAR_ONE_Z4_CUBED = {
+    "group": {"cyclic": [4, 4, 4]},
+    "codomains": [{"cyclic": [4, 4, 4]}] * 3,
+    "maps": [list(range(64))] * 3,
+    "p": ["1001/1000"] * 3,
+}
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_degenerate_ascent_exits_numeric(write, capsys, command):
+    argv = [command, "--in", write("z4.json", NEAR_ONE_Z4_CUBED), "--no-cache"]
+    code = main(argv[:-1] if command == "oracle" else argv)
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "block 0 degenerated during sweep 1",
+                                        "kind": "numeric"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["constant", "--in", "{bad}", "--no-cache"],
+    ["check-codim", "--in", "{t3}", "--p", "1/0,2,2"],
+    ["heisenberg-demo", "--M", "1/0"],
+])
+def test_zero_denominators_are_preconditions(write, capsys, argv):
+    paths = {"{bad}": write("bad.json", dict(HOELDER_Z2, p=["1/0", "1"])),
+             "{t3}": write("t3.json", T3_LW)}
+    assert_precondition(capsys, [paths.get(a, a) for a in argv])
+
+
 def test_unusable_paths_are_preconditions(write, capsys, tmp_path):
     path = write("lw.json", LW_Z2Z2)
     assert_precondition(capsys, ["constant", "--in", str(tmp_path), "--no-cache"])

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -47,6 +48,56 @@ def test_division_matches_rationals(a, b):
 def test_power_law(a, r):
     v = ExactValue.from_rational(a) ** r
     assert (v ** 2).compare(ExactValue.from_rational(a) ** (2 * r)) == 0
+
+
+powers = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=5000),
+        st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        ),
+    ),
+    max_size=8,
+)
+
+
+def from_rational_chain(terms):
+    """prod n^e through from_rational, ** and *: the chain from_powers replaced."""
+    v = ExactValue.one()
+    for n, e in terms:
+        v = v * ExactValue.from_rational(n) ** e
+    return v
+
+
+def fraction_power(terms, L):
+    """(prod n^e)^L in Fraction arithmetic, for an L that clears every e."""
+    out = Fraction(1)
+    for n, e in terms:
+        k = Fraction(e) * L
+        assert k.denominator == 1
+        out *= Fraction(n) ** int(k)
+    return out
+
+
+@given(powers)
+def test_from_powers_matches_fractions_and_the_chain(terms):
+    v = ExactValue.from_powers(terms)
+    L = math.lcm(*(Fraction(e).denominator for _, e in terms))
+    assert (v ** L).as_fraction() == fraction_power(terms, L)
+    assert v.factors == from_rational_chain(terms).factors
+
+
+def test_from_powers_examples():
+    assert ExactValue.from_powers([]).is_one
+    assert ExactValue.from_powers([(12, 1), (6, -1)]).factors == ((2, Fraction(1)),)
+    half = Fraction(1, 2)
+    assert ExactValue.from_powers([(8, half), (2, half)]).factors == ((2, Fraction(2)),)
+    assert ExactValue.from_powers([(0, 0), (3, Fraction(-2, 3))]).factors == (
+        (3, Fraction(-2, 3)),)
+    for bad in (0, -4, Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            ExactValue.from_powers([(bad, 1)])
 
 
 def test_compare_identical_maps():

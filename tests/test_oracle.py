@@ -404,11 +404,98 @@ def test_exhaustive_agrees_with_formula():
         assert value.compare(bl_constant(d).value) == 0
 
 
+def from_rational_quotient(d, count, sizes):
+    """mass(X) / prod_j mass(Y_j)^(1/p_j) for |X| = count and |Y_j| = sizes[j],
+    by the from_rational, ** and / chain that mass_quotient replaced."""
+    from blgroups.exact import ExactValue
+    from blgroups.groups import haar_weight
+
+    v = ExactValue.from_rational(count * haar_weight(d.G, d.haar_G))
+    for size, c, mode, e in zip(sizes, d.codomains, d.haar_codomains, d.exponents):
+        r = e.reciprocal()
+        if r:
+            v = v / ExactValue.from_rational(size * haar_weight(c, mode)) ** r
+    return v
+
+
+def fraction_quotient_power(d, count, sizes, L):
+    """(mass(X) / prod_j mass(Y_j)^(1/p_j))^L in Fraction arithmetic alone,
+    for an L that clears the denominators of every 1/p_j."""
+    def mass(n, group, mode):
+        return Fraction(n, group.order) if mode is P else Fraction(n)
+
+    out = mass(count, d.G, d.haar_G) ** L
+    for size, c, mode, e in zip(sizes, d.codomains, d.haar_codomains, d.exponents):
+        k = e.reciprocal() * L
+        assert k.denominator == 1
+        out /= mass(size, c, mode) ** int(k)
+    return out
+
+
+def test_shared_quotient_builder_matches_fraction_arithmetic(monkeypatch):
+    # The formula and the search build their exact values with one builder,
+    # so their agreement cannot catch a bug in it; Fraction arithmetic does.
+    import blgroups.constant
+    import blgroups.oracle
+    from blgroups.datum import mass_quotient
+
+    calls = []
+
+    def recording(d, count, sizes):
+        v = mass_quotient(d, count, sizes)
+        calls.append((d, count, tuple(sizes), v))
+        return v
+
+    for module in (blgroups.constant, blgroups.oracle):
+        monkeypatch.setattr(module, "mass_quotient", recording)
+    Z6 = make_cyclic_product([6])
+    mixed = [make_datum(Z6, [identity_map(Z6)] * 2, p, haar_G=hg, haar_codomains=hc)
+             for p, hg, hc in [(("1", "3"), C, [P, C]), (("3/2", "inf"), P, [C, P]),
+                               (("2", "3"), C, [P, P])]]
+    for d in mixed + corpus_sample(37, 200, 36):
+        start = len(calls)
+        value = bl_constant(d).value
+        formula = len(calls) - start
+        search_value, _ = exhaustive_indicator_search(d)
+        assert 0 < formula < len(calls) - start
+        assert value in [v for *_, v in calls[start:start + formula]]
+        assert search_value in [v for *_, v in calls[start + formula:]]
+    for d, count, sizes, v in calls:
+        L = math.lcm(*(e.reciprocal().denominator for e in d.exponents))
+        assert (v ** L).as_fraction() == fraction_quotient_power(d, count, sizes, L)
+        assert v.factors == from_rational_quotient(d, count, sizes).factors
+
+
+def test_oracle_validates_only_outside_input(monkeypatch):
+    checked = []
+    scan = InputTuple.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        scan(self)
+
+    monkeypatch.setattr(InputTuple, "__post_init__", counted)
+    d = lw_z2z2(("3/2", "3"))
+    assert oracle_constant(d, restarts=4, seed=1) == reference_oracle(d, 4, 1)
+    checked.clear()  # the reference built its own starts through the constructor
+    oracle_constant(d, restarts=4, seed=1)
+    assert not checked
+    init = InputTuple([[1.0, 2.0], [0.5, 0.5]])
+    assert checked == [init]
+    with pytest.raises(ValueError, match="nonnegative"):
+        InputTuple([[-1.0, 1.0], [1.0, 1.0]])
+    # the ascent's own output, built unchecked, passes the check
+    for d in corpus_sample(41, 40, 36):
+        t = InputTuple([[0.05 + i % 3 for i in range(c.order)] for c in d.codomains])
+        _, out, _ = alternating_ascent(d, t, max_sweeps=20)
+        assert InputTuple(out.functions) == out
+
+
 def reference_exhaustive_search(d):
     """The indicator search without the cut: every nonzero tuple reaches the
     float prefilter, which keeps those within the margin of the maximum."""
-    from blgroups.exact import ExactValue, exact_max
-    from blgroups.groups import haar_weight, log_haar_weight, mask_members
+    from blgroups.exact import exact_max
+    from blgroups.groups import log_haar_weight, mask_members
 
     subset_masks = []
     for h in d.maps:
@@ -417,10 +504,8 @@ def reference_exhaustive_search(d):
             low = s & -s
             arr[s] = arr[s ^ low] | h.fibres[low.bit_length() - 1]
         subset_masks.append(arr)
-    w_G = haar_weight(d.G, d.haar_G)
     log_w_G = log_haar_weight(d.G, d.haar_G)
     recips = [p.reciprocal() for p in d.exponents]
-    codomain_w = [haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
     log_w = [log_haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
     largest = max([d.G.order, *(c.order for c in d.codomains)])
     margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
@@ -446,13 +531,8 @@ def reference_exhaustive_search(d):
 
     scan(0, (1 << d.G.order) - 1, (), 0.0)
     finalists = [(c, cnt) for lv, c, cnt in near if lv >= best_log - margin]
-    values = []
-    for chosen, count in finalists:
-        v = ExactValue.from_rational(count * w_G)
-        for j, s in enumerate(chosen):
-            if recips[j]:
-                v = v / ExactValue.from_rational(s.bit_count() * codomain_w[j]) ** recips[j]
-        values.append(v)
+    values = [from_rational_quotient(d, count, [s.bit_count() for s in chosen])
+              for chosen, count in finalists]
     best, value, _ = exact_max(values)
     return value, [mask_members(s) for s in finalists[best][0]]
 
