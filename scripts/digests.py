@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Print the three answer digests that gate a change to the library.
+
+Run from the repository root, at the parent commit and at the change, and
+compare the output:
+
+    PYTHONPATH=src python scripts/digests.py
+
+* subgroups: the member lists, in order, of `all_subgroups` on the 42
+  corpus groups (in order of first appearance in `standard_frames()`), then
+  S4, S5, Z2^5, Z4^3, Z3^4, Z2^6 and Z2^7;
+* formula: `bl_constant` on the 15,550 corpus data (every frame and
+  exponent tuple, under probability and then counting Haar), hashing
+  `repr` of the value's factors, the argmax members, the tie flag and the
+  canonicalization tag;
+* oracle: on the same data, `oracle_constant(d, restarts=8, seed=20)` as
+  `float.hex`, and the exhaustive search's value factors and argmax sets.
+
+Each digest is the SHA-256 of one `repr` line per item.  The digests go
+to stdout and the time of each pass to stderr, so two runs compare with
+`diff`.  The oracle pass takes the longest.
+"""
+
+import hashlib
+import sys
+import time
+
+from blgroups.constant import bl_constant
+from blgroups.corpus import exponent_grid, frame_datum, standard_frames
+from blgroups.groups import (
+    HaarMode,
+    all_subgroups,
+    from_permutations,
+    make_cyclic_product,
+)
+from blgroups.oracle import exhaustive_indicator_search, oracle_constant
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(repr(line).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _symmetric(n):
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    return from_permutations(n, [swap, cycle])
+
+
+def _large_groups():
+    yield _symmetric(4)
+    yield _symmetric(5)
+    for moduli in ([2] * 5, [4] * 3, [3] * 4, [2] * 6, [2] * 7):
+        yield make_cyclic_product(moduli)
+
+
+def _corpus_data(frames, lattices):
+    for haar in (HaarMode.PROBABILITY, HaarMode.COUNTING):
+        for frame in frames:
+            for p in exponent_grid(frame.J):
+                yield frame_datum(frame, p, haar), lattices[frame.group]
+
+
+def main():
+    frames = standard_frames()
+    lattices = {G: all_subgroups(G) for G in dict.fromkeys(f.group for f in frames)}
+
+    def subgroup_lines():
+        for G in [*lattices, *_large_groups()]:
+            yield [s.members for s in all_subgroups(G)]
+
+    def formula_lines():
+        for d, subs in _corpus_data(frames, lattices):
+            rep = bl_constant(d, subgroups=subs)
+            yield (rep.value.factors, rep.argmax_subgroup.members, rep.tie,
+                   rep.canonicalization)
+
+    def oracle_lines():
+        for d, _ in _corpus_data(frames, lattices):
+            value, sets = exhaustive_indicator_search(d)
+            yield (oracle_constant(d, restarts=8, seed=20).hex(), value.factors, sets)
+
+    for name, lines in (("subgroups", subgroup_lines), ("formula", formula_lines),
+                        ("oracle", oracle_lines)):
+        start = time.perf_counter()
+        print(name, _digest(lines()), flush=True)
+        print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

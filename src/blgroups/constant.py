@@ -99,9 +99,6 @@ class ConstantReport:
     canonicalization: Optional[CanonicalTag] = None
     all_candidates: Optional[tuple[tuple[Subgroup, ExactValue], ...]] = None
 
-    def approx(self) -> float:
-        return self.value.to_float()
-
 
 def bl_constant(
     d: BLDatum,

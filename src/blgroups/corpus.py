@@ -88,22 +88,16 @@ def subdirect_frames(factor_names: Sequence[str]) -> list[Frame]:
 
 
 def standard_frames(
-    pair_universes: bool = True,
-    triple_universes: bool = True,
     max_triple_order: int = 36,
     max_group_order: int = 64,
 ) -> list[Frame]:
     names = ("Z2", "Z3", "Z4", "S3")
     orders = {"Z2": 2, "Z3": 3, "Z4": 4, "S3": 6}
-    universes: list[tuple[str, ...]] = []
-    if pair_universes:
-        universes += list(itertools.combinations_with_replacement(names, 2))
-    if triple_universes:
-        universes += [
-            u
-            for u in itertools.combinations_with_replacement(names, 3)
-            if orders[u[0]] * orders[u[1]] * orders[u[2]] <= max_triple_order
-        ]
+    universes = list(itertools.combinations_with_replacement(names, 2)) + [
+        u
+        for u in itertools.combinations_with_replacement(names, 3)
+        if orders[u[0]] * orders[u[1]] * orders[u[2]] <= max_triple_order
+    ]
     frames = []
     for u in universes:
         for f in subdirect_frames(u):

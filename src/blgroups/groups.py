@@ -8,12 +8,20 @@ elements is an int bitset with bit x set for each member x, as in
 the sorted tuple that `Subgroup.members` keeps as the public form.
 
 One closure routine, `_extend`, serves enumeration and validation.
-Enumeration is bottom-up cyclic extension, after Neubüser: each known
-subgroup H is extended by one representative x of each left coset xH, since
-<H, x> = <H, xh> for h in H.  A closure that outgrows |G|/p, with p the
-least prime dividing |G|, is G by Lagrange and stops there.  S5 (156
-subgroups) and Z2^6 (2825) are listed in well under a second; the
-configurable order cap bounds |G|.  Validation of a member set M grows K
+Enumeration is orderly generation (R. C. Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978).  The greedy sequence of a subgroup K is
+g_1 = min(K∖{e}), g_i = min(K∖<g_1, ..., g_{i-1}>).  A depth-first walk
+from ({e}, g = -1) extends H, reached with last generator g, by each
+x > g outside H with x = min(xH), and keeps K = <H, x> iff x = min(K∖H).
+- Each K is built once: for a kept K, every element of K∖H is >= x > g,
+  so greedy(K) = greedy(H) followed by x, and K's parent is unique.
+- Every K is built: with H_i = <g_1, ..., g_i>, the step x = g_{i+1} =
+  min(K∖H_i) > g_i is kept at H_i, since xH_i and <H_i, x> lie in K.
+- The coset filter only prunes: if min(xH) < x, then min(K∖H) < x.
+The closure stops at the first coset with an element below x, which also
+stops most closures that would reach G.  S5 (156 subgroups) and Z2^6
+(2825) are listed in well under a second; the configurable order cap
+bounds |G|.  Validation of a member set M grows K
 from {e} to <K, x> for each member x not in K, and fails as soon as K
 leaves M.  A subgroup contains every closure built from its members, so
 it passes; a set that never escapes contains the last K and lies in it, so
@@ -143,13 +151,6 @@ class FiniteGroup:
                         reached.add(row[a])
                         stack.append(row[a])
         return tuple(gens)
-
-    @cached_property
-    def _max_proper_order(self) -> int:
-        # By Lagrange a proper subgroup has order |G|/k for some divisor
-        # k > 1, so at most |G|/p with p the least prime dividing |G|.
-        n = self.order
-        return n // next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
 
 
 def _check_associativity(table, gens):
@@ -381,7 +382,9 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _extend(G: FiniteGroup, H: int, hmem: Sequence[int], x: int) -> tuple[int, list[int]]:
+def _extend(
+    G: FiniteGroup, H: int, hmem: Sequence[int], x: int, floor: int = 0
+) -> Optional[tuple[int, list[int]]]:
     """<H, x> as (mask, members) for a subgroup H of G, given as mask and members.
 
     A breadth-first search from H right-multiplies by x and, on reaching an
@@ -389,20 +392,20 @@ def _extend(G: FiniteGroup, H: int, hmem: Sequence[int], x: int) -> tuple[int, l
     it builds contains the identity and is closed under right multiplication
     by x and by H, so it is <H, x>.  Each member of K = <H, x> is multiplied
     by x once and each coset of H in K is built once: O(|K|) table lookups.
-    Once the union outgrows every proper subgroup, K is G, so G is returned
-    without listing the rest.
+    Every coset added lies in K∖H, so the search returns None as soon as one
+    holds an element below `floor`: then min(K∖H) < floor.
     """
-    table, bound = G.table, G._max_proper_order
+    table = G.table
     K, mem = H, list(hmem)
     for y in mem:
         z = table[y][x]
         if not K >> z & 1:
-            rz = table[z]
-            for h in hmem:
-                K |= 1 << rz[h]
-                mem.append(rz[h])
-            if len(mem) > bound:
-                return (1 << G.order) - 1, list(range(G.order))
+            coset = [table[z][h] for h in hmem]
+            if min(coset) < floor:
+                return None
+            for w in coset:
+                K |= 1 << w
+            mem += coset
     return K, mem
 
 
@@ -411,33 +414,31 @@ def all_subgroups(
 ) -> list[Subgroup]:
     """Every subgroup of G, canonically ordered by (order, members).
 
-    Each subgroup H found is grown to <H, x> for one x per left coset xH.
-    Closures are de-duplicated as masks; a Subgroup, with its O(|H|)
-    validation, is built only at the return.
+    Orderly generation (module docstring) closes each subgroup once.  A
+    Subgroup, with its O(|H|) validation, is built only at the return.
     """
     if G.order > order_cap:
         raise SizeCapError(f"|G| = {G.order} exceeds cap {order_cap}")
     table = G.table
     e = G.identity
-    found = {1 << e: (e,)}
-    frontier = list(found.items())
-    while frontier:
-        nxt = []
-        for H, hmem in frontier:
-            covered = H
-            for x in range(G.order):
-                if covered >> x & 1:
-                    continue
-                row = table[x]
-                for h in hmem:
-                    covered |= 1 << row[h]
-                K, mem = _extend(G, H, hmem, x)
-                if K not in found:
-                    mem.sort()
-                    found[K] = tuple(mem)
-                    nxt.append((K, found[K]))
-        frontier = nxt
-    listed = sorted(found.values(), key=lambda m: (len(m), m))
+    listed = [(e,)]
+    stack = [(1 << e, [e], -1)]
+    while stack:
+        H, hmem, g = stack.pop()
+        covered = H
+        for x in range(g + 1, G.order):
+            if covered >> x & 1:
+                continue
+            coset = [table[x][h] for h in hmem]
+            for w in coset:
+                covered |= 1 << w
+            if min(coset) < x:
+                continue
+            closed = _extend(G, H, hmem, x, floor=x)
+            if closed:
+                stack.append((*closed, x))
+                listed.append(tuple(sorted(closed[1])))
+    listed.sort(key=lambda m: (len(m), m))
     return [Subgroup(G, m) for m in listed]
 
 

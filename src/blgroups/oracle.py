@@ -70,11 +70,16 @@ class NumericError(ArithmeticError):
 
 @dataclass
 class InputTuple:
-    """One nonnegative vector per codomain, indexed by element."""
+    """One nonnegative vector per codomain, indexed by element; construction
+    checks outside input (NumericError if an entry is infinite or NaN)."""
 
     functions: list[list]
 
     def __post_init__(self):
+        for j, f in enumerate(self.functions):
+            # comparisons, not math.isfinite, so exact ints beyond float range pass
+            if not all(-math.inf < v < math.inf for v in f):
+                raise NumericError(f"input {j} is not finite")
         if any(v < 0 for f in self.functions for v in f):
             raise ValueError("inputs must be nonnegative")
         if all(not any(f) for f in self.functions):
@@ -82,9 +87,9 @@ class InputTuple:
 
     @classmethod
     def _built(cls, functions: list[list]) -> "InputTuple":
-        """Inputs the oracle built itself, nonnegative with a nonzero entry
-        by construction, so the scan above is skipped.  Outside input goes
-        through the constructor."""
+        """Inputs the oracle built itself, finite and nonnegative with a
+        nonzero entry by construction, so the scans above are skipped.
+        Outside input goes through the constructor."""
         t = cls.__new__(cls)
         t.functions = functions
         return t
@@ -188,9 +193,8 @@ def alternating_ascent(
     Each sweep maximizes over every block in turn; the trace of sweep values
     is nondecreasing up to renormalization jitter.  Inputs are renormalized
     each sweep to unit norm to avoid overflow.  A negative tol never
-    converges, so exactly max_sweeps sweeps run.  An initial input with an
-    infinite or NaN entry raises NumericError.  `form` is the datum's float
-    form, passed by callers that run several starts.
+    converges, so exactly max_sweeps sweeps run.  `form` is the datum's
+    float form, passed by callers that run several starts.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -199,8 +203,6 @@ def alternating_ascent(
     maps, sizes, powers = form.maps, form.sizes, form.powers
     funcs = [[float(v) for v in f] for f in init.functions]
     for j in range(d.J):
-        if not all(map(math.isfinite, funcs[j])):
-            raise NumericError(f"input {j} is not finite")
         n = form.norm(j, funcs[j])
         if n == 0:
             raise ValueError(f"input {j} has zero norm")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blgroups import corpus
+from blgroups import corpus, groups
 from blgroups.cache import SubgroupCache, cache_key
 from blgroups.groups import (
     FiniteGroup,
@@ -334,6 +334,60 @@ def reference_all_subgroups(G):
     return sorted((tuple(sorted(K)) for K in found), key=lambda m: (len(m), m))
 
 
+def coset_extension_subgroups(G):
+    """The cyclic-extension enumerator the orderly one replaced, kept as the
+    reference for the large tier, which the all-pairs one is too slow for.
+
+    Grows each known subgroup H to <H, x> for one x per left coset xH and
+    de-duplicates the closures as masks.  <H, x> is the union of left
+    H-cosets that a breadth-first search from H reaches by right
+    multiplication with x.
+    """
+    table = G.table
+
+    def extend(H, hmem, x):
+        K, mem = H, list(hmem)
+        for y in mem:
+            z = table[y][x]
+            if not K >> z & 1:
+                for h in hmem:
+                    K |= 1 << table[z][h]
+                    mem.append(table[z][h])
+        return K, mem
+
+    found = {1 << G.identity: (G.identity,)}
+    frontier = list(found.items())
+    while frontier:
+        nxt = []
+        for H, hmem in frontier:
+            covered = H
+            for x in range(G.order):
+                if covered >> x & 1:
+                    continue
+                for h in hmem:
+                    covered |= 1 << table[x][h]
+                K, mem = extend(H, hmem, x)
+                if K not in found:
+                    found[K] = tuple(sorted(mem))
+                    nxt.append((K, found[K]))
+        frontier = nxt
+    return sorted(found.values(), key=lambda m: (len(m), m))
+
+
+def relabeled(G, seed):
+    """G with its elements shuffled so that the identity is not element 0."""
+    n = G.order
+    new = list(range(n))
+    random.Random(seed).shuffle(new)
+    spot = new.index(n // 2)
+    new[G.identity], new[spot] = new[spot], new[G.identity]
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[new[a]][new[b]] = new[G.table[a][b]]
+    return from_cayley_table(table)
+
+
 def _members(subgroups):
     return [s.members for s in subgroups]
 
@@ -356,14 +410,40 @@ def test_subgroups_s3(S3):
     "moduli", [[6], [2, 2, 2], [12], [2, 4], [3, 3], [4, 4], [2, 2, 4]]
 )
 def test_subgroups_match_brute_force(moduli):
+    # the walk's start and its floor test depend on labels, so each table is
+    # also listed with its identity moved off element 0
     G = make_cyclic_product(moduli)
-    expected = brute_force_subgroups(G)
-    assert _members(all_subgroups(G)) == expected == reference_all_subgroups(G)
+    for H in (G, relabeled(G, str(moduli))):
+        assert H.identity == (0 if H is G else G.order // 2)
+        expected = brute_force_subgroups(H)
+        assert _members(all_subgroups(H)) == expected == reference_all_subgroups(H)
 
 
 def test_subgroups_match_brute_force_s3(S3):
-    expected = brute_force_subgroups(S3)
-    assert _members(all_subgroups(S3)) == expected == reference_all_subgroups(S3)
+    for G in (S3, relabeled(S3, "S3")):
+        expected = brute_force_subgroups(G)
+        assert _members(all_subgroups(G)) == expected == reference_all_subgroups(G)
+
+
+def test_enumeration_closes_each_subgroup_once(monkeypatch):
+    # every nontrivial subgroup is the closure of exactly one _extend call;
+    # validation is stubbed out, as its closure chains repeat subgroups
+    G = _symmetric(5)
+    closed = []
+    extend = groups._extend
+
+    def recording(*args, **kwargs):
+        out = extend(*args, **kwargs)
+        if out is not None:
+            closed.append(out[0])
+        return out
+
+    monkeypatch.setattr(groups, "_extend", recording)
+    monkeypatch.setattr(groups, "Subgroup", lambda parent, members: members)
+    listed = all_subgroups(G)
+    assert len(listed) == 156
+    assert sorted(closed) == sorted(set(closed))
+    assert len(closed) == len(listed) - 1
 
 
 def test_subgroups_match_reference_on_corpus_groups():
@@ -519,6 +599,7 @@ def test_large_group_subgroup_counts(make, order, count):
     keys = [(s.order, s.members) for s in all_subgroups(G)]
     assert len(keys) == count
     assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert [m for _, m in keys] == coset_extension_subgroups(G)
 
 
 # -- homomorphisms -----------------------------------------------------------

@@ -354,10 +354,19 @@ def test_infinite_blocks_sum_no_fibres_and_the_form_is_built_once(monkeypatch):
 
 
 def test_non_finite_inputs_are_rejected():
+    # the constructor is the one check, so the form, the quotient and the
+    # ascent all reject a non-finite entry before they start
     d = hoelder(2, ("2", "inf"))
-    for bad in (math.inf, math.nan):
+    for bad in (math.inf, math.nan, -math.inf):
         with pytest.raises(NumericError, match="input 1"):
-            alternating_ascent(d, InputTuple([[1.0, 1.0], [bad, 1.0]]))
+            InputTuple([[1.0, 1.0], [bad, 1.0]])
+        for run in (evaluate_form, rayleigh, alternating_ascent):
+            with pytest.raises(NumericError, match="input 1"):
+                run(d, InputTuple([[1.0, 1.0], [bad, 1.0]]))
+    # exact ints beyond float range are finite and stay exact
+    big = 10**400
+    unit = evaluate_form(d, InputTuple([[1, 0], [1, 1]]))
+    assert evaluate_form(d, InputTuple([[big, 0], [1, 1]])) == big * unit
 
 
 # -- exhaustive indicator search ---------------------------------------------------
