@@ -24,23 +24,7 @@ and, under probability Haar, |G_j|^(r_j), with r_j = 1/p_j.
 `ExactValue.from_powers` factorizes each integer once and sums the
 valuations, weighted by the exponents, into one canonical value.
 
-The scan ranks candidates by a float log-ratio first and builds exact values
-only for those within a margin of the float maximum.  Each float is
-
-    log|S| + log w_G - sum_j r_j (log|sigma_j(S)| + log w_j),
-
-at most 2 + 2J logs of integers no larger than N, the largest group order
-in the datum, with w the Haar weight of one element (1 or 1/order) and
-r_j = 1/p_j in [0, 1].  With u = 2^-53 and L = log N, each log (libm's,
-accurate to one ulp) errs by at most 2uL, each bracket and its product with
-the rounded r_j by at most 7uL, and the J + 1 additions of partial sums
-bounded by (J + 2)L by at most (J + 1)(J + 2)uL.  So a float log-ratio errs
-by less than E = uL(J + 5)^2: about 6e-14 for three maps on a group of
-order 4096.  A candidate that ties the true maximum therefore lies within 2E
-of the float maximum, and the margin, 1e-9 or 4E if that is larger, keeps
-every one.  The exact first-wins argmax over the survivors, in (order,
-members) order, is then the argmax over all candidates, with the same value
-and tie flag.
+The float ranking, its proved margin and the exact argmax are in `datum`.
 """
 
 from __future__ import annotations
@@ -50,16 +34,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .datum import BLDatum, CanonicalTag, canonical_tag, mass_quotient
-from .exact import ExactValue, exact_max
-from .groups import (
-    Subgroup,
-    all_subgroups,
-    log_haar_weight,
-    mask_members,
+from .datum import (
+    BLDatum,
+    CanonicalTag,
+    canonical_tag,
+    exact_argmax,
+    mass_quotient,
+    quotient_logs,
 )
-
-_MARGIN = 1e-9
+from .exact import ExactValue
+from .groups import Subgroup, all_subgroups, mask_members
 
 
 def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
@@ -124,26 +108,20 @@ def bl_constant(
         mask, counts = _saturation(d, H)
         found.setdefault(mask, counts)
 
-    log_w_G = log_haar_weight(d.G, d.haar_G)
-    terms = [
-        (j, float(r), log_haar_weight(d.codomains[j], d.haar_codomains[j]))
-        for j, r in enumerate(e.reciprocal() for e in d.exponents)
-        if r
-    ]
+    log_w_G, terms, margin = quotient_logs(d)
+    active = [(j, r, lw) for j, (r, lw) in enumerate(terms) if r]
     logs = {
         mask: math.log(mask.bit_count()) + log_w_G
-        - sum(r * (math.log(counts[j]) + lw) for j, r, lw in terms)
+        - sum(r * (math.log(counts[j]) + lw) for j, r, lw in active)
         for mask, counts in found.items()
     }
     top = max(logs.values(), default=0.0)
-    largest = max([d.G.order, *(c.order for c in d.codomains)])
-    margin = max(_MARGIN, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
     near = sorted(
         (mask.bit_count(), mask_members(mask), mask)
         for mask, f in logs.items()
         if f >= top - margin
     )
-    best, value, tie = exact_max([mass_quotient(d, n, found[mask]) for n, _, mask in near])
+    best, value, tie = exact_argmax(d, [(n, found[mask]) for n, _, mask in near])
 
     all_cands = None
     if include_candidates:

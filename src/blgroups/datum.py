@@ -21,11 +21,12 @@ which is what makes deletion of a p = inf index exact down to J = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactValue
+from .exact import ExactValue, exact_max
 from .groups import (
     FiniteGroup,
     GroupStructureError,
@@ -36,6 +37,7 @@ from .groups import (
     haar_weight,
     image,
     kernel,
+    log_haar_weight,
     mask_members,
     normality_witness,
     quotient,
@@ -177,6 +179,41 @@ def mass_quotient(d: BLDatum, count: int, sizes) -> ExactValue:
         if mode is HaarMode.PROBABILITY:
             terms.append((c.order, r))
     return ExactValue.from_powers(terms)
+
+
+def quotient_logs(d: BLDatum) -> tuple[float, list[tuple[float, float]], float]:
+    """(log w_G, terms, margin) for ranking mass quotients by float logs.
+
+    terms[j] = (r_j, log w_j): r_j = 1/p_j (0.0 for p = inf), w the Haar
+    weight of one element.  The float log of `mass_quotient` is
+    log count + log w_G - sum_j r_j (log sizes[j] + log w_j): at most 2 + 2J
+    logs of integers no larger than N, the largest group order, with r_j in
+    [0, 1].  With u = 2^-53 and L = log N, each log (libm's, one ulp) errs by
+    at most 2uL, each bracket times the rounded r_j by at most 7uL, and the
+    J + 1 additions of partial sums bounded by (J + 2)L by at most
+    (J + 1)(J + 2)uL: less than E = uL(J + 5)^2 in all, about 6e-14 for three
+    maps at order 4096.  A candidate that ties the true maximum lies within
+    2E of the float maximum, so the margin, 1e-9 or 4E if larger, keeps every
+    one, and the exact first-wins argmax (`exact_argmax`) over the survivors
+    is the argmax over all candidates, with the same value and tie flag.
+    """
+    terms = [
+        (float(e.reciprocal()), log_haar_weight(c, mode))
+        for e, c, mode in zip(d.exponents, d.codomains, d.haar_codomains)
+    ]
+    largest = max([d.G.order, *(c.order for c in d.codomains)])
+    margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
+    return log_haar_weight(d.G, d.haar_G), terms, margin
+
+
+def exact_argmax(d: BLDatum, keys: list) -> tuple[int, ExactValue, bool]:
+    """`exact_max` over mass_quotient(d, count, sizes) for the (count, sizes)
+    keys in order, sizes a tuple; each distinct key's value is built once."""
+    values = {}
+    for key in keys:
+        if key not in values:
+            values[key] = mass_quotient(d, *key)
+    return exact_max(map(values.__getitem__, keys))
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,12 @@ Three routes, none of which touches the subgroup formula:
   * exhaustive search over all nonzero indicator inputs, which is an exact
     maximum because extremizers are subgroup indicators.
 
-The exhaustive search compares exactly only the indicator tuples whose
-float log-quotient log c + log w_G - sum_j r_j (log|s_j| + log w_j) is near
-the float maximum; c counts the points whose images all lie in the sets
-s_j, w is the Haar weight of one element, and r_j = 1/p_j is in [0, 1].
-These are at most 2 + 2J logs of integers no larger than N, the largest
-group order.  With u = 2^-53 and L = log N, each log (one ulp) errs by at
-most 2uL, each bracket times the rounded r_j by at most 7uL, and the J + 1
-additions of partial sums bounded by (J + 2)L by at most (J + 1)(J + 2)uL:
-less than E = uL(J + 5)^2 in all.  A tuple that ties the true maximum lies
-within 2E of the float maximum, so the margin, 1e-9 or 4E if that is
-larger, keeps every one, and the exact first-wins argmax over the survivors
-is the argmax over all tuples.  A finalist's exact quotient is one product
-of integer powers of its count, its set sizes and the group orders
-(`datum.mass_quotient`, built by `ExactValue.from_powers`); the subgroup
-formula builds its ratios the same way, so a Fraction test, not the
-agreement of the two routes, pins that builder.
+The exhaustive search ranks indicator tuples by the float log-quotient
+log c + log w_G - sum_j r_j (log|s_j| + log w_j), c counting the points
+whose images all lie in the sets s_j.  Like the subgroup formula, it takes
+the floats, the margin and its error bound E from `datum.quotient_logs` and
+the exact argmax from `datum.exact_argmax`, so a Fraction test, not the
+agreement of the two routes, pins the exact builder.
 
 The search cuts a branch without changing its result.  With the sets of
 codomains 0..j-1 chosen, the remaining points form the mask m, and every
@@ -33,7 +23,8 @@ later set s_k is nonempty, so log|s_k| >= 0 and r_k >= 0 give every tuple
 below the bound B = log|m| + log w_G - D - R, where D is the branch's
 denominator log and R = sum_{k >= j} r_k log w_k.  The float B is built
 from at most 2 + 2J logs, J brackets and J + 3 additions of partial sums
-bounded by (J + 2)L, so it errs by less than uL(J^2 + 12J + 10) < 2E, and a
+bounded by (J + 2)L, so, with u, L and E = uL(J + 5)^2 as in
+`datum.quotient_logs`, it errs by less than uL(J^2 + 12J + 10) < 2E, and a
 tuple's float log-quotient is below the float B plus 3E < margin.  A branch
 whose float B is below the running maximum less 2 margins therefore holds
 only tuples below the running maximum less one margin: the unpruned scan
@@ -55,9 +46,9 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .datum import BLDatum, mass_quotient
-from .exact import ExactValue, exact_max
-from .groups import BudgetExceededError, haar_weight, log_haar_weight, mask_members
+from .datum import BLDatum, exact_argmax, mass_quotient, quotient_logs
+from .exact import ExactValue
+from .groups import BudgetExceededError, haar_weight, mask_members
 
 
 class BudgetError(BudgetExceededError):
@@ -296,9 +287,9 @@ def exhaustive_indicator_search(
 
     Subsets are enumerated as bitmasks per codomain; the intersection count
     behind the numerator is a popcount of AND-ed fiber masks.  A float
-    prefilter, with the margin proved in the module docstring, keeps the
-    exact comparisons to the near-maximal candidates, and a cut proved
-    there skips the branches that hold none of them.
+    prefilter, with the margin proved in `datum.quotient_logs`, keeps the
+    exact comparisons to the near-maximal candidates, and a cut proved in
+    the module docstring skips the branches that hold none of them.
     """
     if d.J == 0:
         return mass_quotient(d, d.G.order, ()), []
@@ -320,26 +311,22 @@ def exhaustive_indicator_search(
             arr[s] = arr[s ^ low] | h.fibres[low.bit_length() - 1]
         subset_masks.append(arr)
 
-    log_w_G = log_haar_weight(d.G, d.haar_G)
-    recips_f = [float(p.reciprocal()) for p in d.exponents]
-    log_w = [log_haar_weight(c, h) for c, h in zip(d.codomains, d.haar_codomains)]
-
+    log_w_G, quotient_terms, margin = quotient_logs(d)
     J = d.J
     best_log = -math.inf
     largest = max([d.G.order, *(c.order for c in d.codomains)])
-    margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (J + 5) ** 2)
     near: list[tuple[float, tuple[int, ...], int]] = []
     logs = [0.0] + [math.log(c) for c in range(1, largest + 1)]
     # terms[j][s] = r_j (log|s| + log w_j), set s's share of the
     # denominator's log
     terms = [
         [0.0] + [r * (logs[s.bit_count()] + lw) if r else 0.0 for s in range(1, len(arr))]
-        for r, lw, arr in zip(recips_f, log_w, subset_masks)
+        for (r, lw), arr in zip(quotient_terms, subset_masks)
     ]
     # rest[j] = sum_{k >= j} r_k log w_k: the sets j.. add at least this
     rest = [0.0] * (J + 1)
-    for k in reversed(range(J)):
-        rest[k] = rest[k + 1] + recips_f[k] * log_w[k]
+    for k, (r, lw) in reversed(list(enumerate(quotient_terms))):
+        rest[k] = rest[k + 1] + r * lw
 
     def scan(j: int, mask: int, chosen: tuple[int, ...], log_den: float):
         nonlocal best_log, near
@@ -373,10 +360,6 @@ def exhaustive_indicator_search(
         raise ValueError("no nonzero indicator tuple found")
 
     finalists = [(c, cnt) for lv, c, cnt in near if lv >= best_log - margin]
-    # The exact value depends only on the count and the set sizes, which
-    # many finalists share.
     keys = [(count, tuple(s.bit_count() for s in chosen)) for chosen, count in finalists]
-    values = {key: mass_quotient(d, *key) for key in dict.fromkeys(keys)}
-    best, value, _ = exact_max([values[key] for key in keys])
-    chosen = finalists[best][0]
-    return value, [mask_members(s) for s in chosen]
+    best, value, _ = exact_argmax(d, keys)
+    return value, [mask_members(s) for s in finalists[best][0]]

@@ -1,12 +1,17 @@
+import itertools
 import os
 from pathlib import Path
 
 import pytest
 
 import blgroups
+from blgroups.datum import make_datum
 from blgroups.groups import (
+    HaarMode,
+    Homomorphism,
     direct_product,
     from_permutations,
+    identity_map,
     make_cyclic_product,
     trivial_group,
 )
@@ -45,6 +50,40 @@ def Z2xZ2():
 @pytest.fixture(scope="session")
 def E1():
     return trivial_group()
+
+
+@pytest.fixture(scope="session")
+def edge_data():
+    """Data at the edges of the float prefilter shared by the subgroup
+    formula and the exhaustive indicator search; each fits the search's
+    default budget."""
+    C, P = HaarMode.COUNTING, HaarMode.PROBABILITY
+    Z2, Z4, Z6 = (make_cyclic_product([n]) for n in (2, 4, 6))
+    V, va, vb = direct_product(Z2, Z2)
+    G, pa, pb = direct_product(Z2, make_cyclic_product([3]))
+
+    def lw(p=("2", "2")):
+        return make_datum(V, [va, vb], p)
+
+    data = [lw(("4/3", "5/2")), lw(("1000/999", "4/3")), lw(("5/2", "5/2")),
+            # 1/p_1 = 1 - 1e-10: two distinct candidates inside the float margin
+            lw(("10000000000/9999999999", "2")),
+            make_datum(Z2, [identity_map(Z2)] * 3, ("4/3", "5/2", "1000/999")),
+            # the diagonal (0, 3) and the whole group tie at 1; the lattice
+            # lists (0, 2), which saturates to the whole group, before the
+            # diagonal, yet the diagonal wins by its smaller order
+            make_datum(V, [va, Homomorphism(V, Z2, (0, 1, 1, 0))], ("2", "1")),
+            make_datum(G, [pa, pb], ("4/3", "1000/999"))]
+    for haar_G, haar in itertools.product((C, P), repeat=2):
+        for p in (("4/3", "5/2"), ("1000/999", "3"), ("1", "inf")):
+            data.append(make_datum(Z6, [identity_map(Z6)] * 2, p, haar_G=haar_G,
+                                   haar_codomains=[haar, C]))
+            data.append(lw(p).with_haar(haar_G, (haar, C)))
+    # non-canonical: the doubling map of Z4 and a map with a kernel
+    double = Homomorphism(Z4, Z4, (0, 2, 0, 2))
+    data.append(make_datum(Z4, [double], ["5/2"]))
+    data.append(make_datum(Z4, [double, identity_map(Z4)], ["4/3", "1000/999"]))
+    return data
 
 
 @pytest.fixture(scope="session")

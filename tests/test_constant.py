@@ -224,37 +224,28 @@ def test_scan_matches_reference_on_corpus_slice():
             assert _report_key(bl_constant(d, subgroups=subs)) == reference_bl_constant(d, subs)
 
 
-def _edge_data():
-    Z4 = make_cyclic_product([4])
-    Z6 = make_cyclic_product([6])
-    G, pa, pb = direct_product(make_cyclic_product([2]), make_cyclic_product([3]))
-    yield lw_z2z2(("4/3", "5/2"))
-    yield lw_z2z2(("1000/999", "4/3"))
-    yield lw_z2z2(("5/2", "5/2"))
-    # 1/p_1 = 1 - 1e-10: two distinct candidates inside the float margin
-    yield lw_z2z2(("10000000000/9999999999", "2"))
-    yield hoelder_z2(("4/3", "5/2", "1000/999"))
-    # the diagonal (0, 3) and the whole group tie at 1; the lattice lists
-    # (0, 2), which saturates to the whole group, before the diagonal, yet
-    # the diagonal wins by its smaller order
-    lw = lw_z2z2()
-    Z2 = lw.codomains[0]
-    yield make_datum(lw.G, [lw.maps[0], Homomorphism(lw.G, Z2, (0, 1, 1, 0))], ("2", "1"))
-    yield make_datum(G, [pa, pb], ("4/3", "1000/999"))
-    for haar_G, haar in itertools.product((C, P), repeat=2):
-        for p in (("4/3", "5/2"), ("1000/999", "3"), ("1", "inf")):
-            yield make_datum(Z6, [identity_map(Z6)] * 2, p, haar_G=haar_G,
-                             haar_codomains=[haar, C])
-            yield lw_z2z2(p).with_haar(haar_G, (haar, C))
-    # non-canonical: the doubling map of Z4 and a map with a kernel
-    yield make_datum(Z4, [Homomorphism(Z4, Z4, (0, 2, 0, 2))], ["5/2"])
-    yield make_datum(Z4, [Homomorphism(Z4, Z4, (0, 2, 0, 2)), identity_map(Z4)],
-                     ["4/3", "1000/999"])
-
-
-def test_scan_matches_reference_on_edge_data():
-    for d in _edge_data():
+def test_scan_matches_reference_on_edge_data(edge_data):
+    for d in edge_data:
         assert _report_key(bl_constant(d)) == reference_bl_constant(d)
+
+
+def test_constant_builds_one_exact_value_per_key(monkeypatch):
+    # six near-maximal candidates share four (order, image orders) keys;
+    # three of them tie at (2, (2, 2))
+    import blgroups.datum
+
+    frame, = [f for f in corpus.standard_frames() if f.name == "Z2xS3#s14o6"]
+    d = corpus.frame_datum(frame, ("inf", "1"), P)
+    expected = bl_constant(d)
+    build, calls = blgroups.datum.mass_quotient, []
+
+    def recording(d, count, sizes):
+        calls.append((count, tuple(sizes)))
+        return build(d, count, sizes)
+
+    monkeypatch.setattr(blgroups.datum, "mass_quotient", recording)
+    assert bl_constant(d) == expected and expected.tie
+    assert sorted(calls) == [(1, (1, 1)), (2, (2, 2)), (3, (1, 3)), (6, (2, 6))]
 
 
 def _coordinate_projection(G, coords):

@@ -444,8 +444,7 @@ def fraction_quotient_power(d, count, sizes, L):
 def test_shared_quotient_builder_matches_fraction_arithmetic(monkeypatch):
     # The formula and the search build their exact values with one builder,
     # so their agreement cannot catch a bug in it; Fraction arithmetic does.
-    import blgroups.constant
-    import blgroups.oracle
+    import blgroups.datum
     from blgroups.datum import mass_quotient
 
     calls = []
@@ -455,8 +454,8 @@ def test_shared_quotient_builder_matches_fraction_arithmetic(monkeypatch):
         calls.append((d, count, tuple(sizes), v))
         return v
 
-    for module in (blgroups.constant, blgroups.oracle):
-        monkeypatch.setattr(module, "mass_quotient", recording)
+    # both routes reach the builder through datum.exact_argmax
+    monkeypatch.setattr(blgroups.datum, "mass_quotient", recording)
     Z6 = make_cyclic_product([6])
     mixed = [make_datum(Z6, [identity_map(Z6)] * 2, p, haar_G=hg, haar_codomains=hc)
              for p, hg, hc in [(("1", "3"), C, [P, C]), (("3/2", "inf"), P, [C, P]),
@@ -556,6 +555,15 @@ def test_cut_keeps_the_unpruned_search_results():
     openers = [corpus.frame_datum(f, corpus.exponent_grid(f.J)[0], h)
                for f in first.values() for h in (P, C)]
     for d in openers + corpus_sample(31, 300, 36):
+        value, sets = exhaustive_indicator_search(d)
+        expected, expected_sets = reference_exhaustive_search(d)
+        assert (value.factors, sets) == (expected.factors, expected_sets)
+
+
+def test_search_matches_reference_on_edge_data(edge_data):
+    # the formula's edge data: near-margin exponents, mixed Haar and
+    # non-canonical maps, so both references pin the shared prefilter
+    for d in edge_data:
         value, sets = exhaustive_indicator_search(d)
         expected, expected_sets = reference_exhaustive_search(d)
         assert (value.factors, sets) == (expected.factors, expected_sets)

@@ -1,7 +1,9 @@
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +44,18 @@ def test_bare_import_loads_no_submodule(package_env):
     bare, used = json.loads(proc.stdout)
     assert bare == []
     assert used == ["blgroups.groups"]
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names for --trace, so renaming or
+    # deleting one breaks the traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, qualname in tracer.TARGETS:
+        obj = importlib.import_module(f"blgroups.{module}")
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), (module, qualname)
