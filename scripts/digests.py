@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the three answer digests that gate a change to the library.
+"""Print the four answer digests that gate a change to the library.
 
 Run from the repository root, at the parent commit and at the change, and
 compare the output:
@@ -14,7 +14,14 @@ compare the output:
   `repr` of the value's factors, the argmax members, the tie flag and the
   canonicalization tag;
 * oracle: on the same data, `oracle_constant(d, restarts=8, seed=20)` as
-  `float.hex`, and the exhaustive search's value factors and argmax sets.
+  `float.hex`, and the exhaustive search's value factors and argmax sets;
+* reductions: `datum_to_json` and `tag_to_json` of `canonicalize`, and of
+  `drop_infinite_exponent` and `reduce_p1` at every index (or the error's
+  type and text), on the same data and on two non-canonical tensors of each
+  corpus frame: with Z2 under trivial maps, and with Z2 under the identity
+  as its first map and trivial maps after it.  At the first exponent tuple
+  of each frame and Haar mode it adds both halves of `quotient_split` (or
+  the error) along every subgroup of the source group.
 
 Each digest is the SHA-256 of one `repr` line per item.  The digests go
 to stdout and the time of each pass to stderr, so two runs compare with
@@ -27,13 +34,26 @@ import time
 
 from blgroups.constant import bl_constant
 from blgroups.corpus import exponent_grid, frame_datum, standard_frames
+from blgroups.datum import (
+    BLDatum,
+    CanonicalTag,
+    canonicalize,
+    drop_infinite_exponent,
+    make_datum,
+    quotient_split,
+    reduce_p1,
+    split_product,
+)
 from blgroups.groups import (
     HaarMode,
+    Homomorphism,
     all_subgroups,
     from_permutations,
+    identity_map,
     make_cyclic_product,
 )
 from blgroups.oracle import exhaustive_indicator_search, oracle_constant
+from blgroups.serialize import datum_to_json, tag_to_json
 
 
 def _digest(lines):
@@ -63,6 +83,45 @@ def _corpus_data(frames, lattices):
                 yield frame_datum(frame, p, haar), lattices[frame.group]
 
 
+def _json(out):
+    if isinstance(out, BLDatum):
+        return datum_to_json(out)
+    if isinstance(out, CanonicalTag):
+        return tag_to_json(out)
+    return [_json(x) for x in out]
+
+
+def _attempt(op, *args):
+    """op(*args) as JSON, or the type and text of the error it raises."""
+    try:
+        return _json(op(*args))
+    except ValueError as err:
+        return type(err).__name__, str(err)
+
+
+def _reduction_lines(frames):
+    Z2 = make_cyclic_product([2])
+    trivial = Homomorphism(Z2, Z2, (0, 0))
+    for haar in (HaarMode.PROBABILITY, HaarMode.COUNTING):
+        for frame in frames:
+            grid = exponent_grid(frame.J)
+            base = frame_datum(frame, grid[0], haar)
+            tensors = [base]
+            for first in (trivial, identity_map(Z2)):
+                maps = [first] + [trivial] * (frame.J - 1)
+                factor = make_datum(Z2, maps, grid[0], haar, [haar] * frame.J)
+                tensors.append(split_product(base, factor))
+            for t in tensors:
+                for p in grid:
+                    d = make_datum(t.G, t.maps, p, haar, [haar] * t.J)
+                    yield _attempt(canonicalize, d)
+                    for k in range(d.J):
+                        yield _attempt(drop_infinite_exponent, d, k)
+                        yield _attempt(reduce_p1, d, k)
+                for N in all_subgroups(t.G):
+                    yield _attempt(quotient_split, t, N)
+
+
 def main():
     frames = standard_frames()
     lattices = {G: all_subgroups(G) for G in dict.fromkeys(f.group for f in frames)}
@@ -83,7 +142,8 @@ def main():
             yield (oracle_constant(d, restarts=8, seed=20).hex(), value.factors, sets)
 
     for name, lines in (("subgroups", subgroup_lines), ("formula", formula_lines),
-                        ("oracle", oracle_lines)):
+                        ("oracle", oracle_lines),
+                        ("reductions", lambda: _reduction_lines(frames))):
         start = time.perf_counter()
         print(name, _digest(lines()), flush=True)
         print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)

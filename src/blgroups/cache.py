@@ -22,7 +22,13 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .groups import FiniteGroup, GroupStructureError, Subgroup, all_subgroups
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    FiniteGroup,
+    GroupStructureError,
+    Subgroup,
+    all_subgroups,
+)
 
 ENV_CACHE_DIR = "BLGROUPS_CACHE_DIR"
 FORMAT_VERSION = 2
@@ -80,7 +86,9 @@ class SubgroupCache:
     def _path(self, digest: str) -> Path:
         return self.directory / f"{digest}.json"
 
-    def subgroups(self, G: FiniteGroup, order_cap: int = 4096) -> list[Subgroup]:
+    def subgroups(
+        self, G: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
+    ) -> list[Subgroup]:
         """Cached subgroup lattice of G, computing and storing on a miss."""
         self.last_hit = False
         if not self.enabled:

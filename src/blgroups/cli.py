@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exact import UndecidedComparisonError
-from .groups import BudgetExceededError, HaarMode
+from .groups import DEFAULT_ORDER_CAP, BudgetExceededError, HaarMode
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     infile.add_argument("--in", dest="input", required=True)
     finite = argparse.ArgumentParser(add_help=False, parents=[infile])
     finite.add_argument("--haar", choices=("counting", "probability"))
-    finite.add_argument("--order-cap", type=int, default=4096)
+    finite.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     lie = argparse.ArgumentParser(add_help=False, parents=[infile])
     lie.add_argument("--max-closure", type=int, default=3)
     ascent = argparse.ArgumentParser(add_help=False)

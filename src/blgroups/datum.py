@@ -1,9 +1,10 @@
 """Brascamp-Lieb data on finite groups and their reduction calculus.
 
-A datum is a source group G, codomain groups G_j, homomorphisms G -> G_j,
-Lebesgue exponents p_j in [1, inf], and a Haar normalization (counting or
-probability) for every group involved.  The reductions implemented here
-transform a datum while controlling its constant exactly:
+A datum is a source group G, homomorphisms G -> G_j, Lebesgue exponents
+p_j in [1, inf], and a Haar normalization (counting or probability) for
+every group involved; the codomains G_j are read off the maps.  The
+reductions implemented here transform a datum while controlling its
+constant exactly:
 
   * canonicalize     quotient out the joint kernel, shrink codomains to
                      images; the constant changes by an explicit exact factor
@@ -28,22 +29,20 @@ from typing import Optional
 
 from .exact import ExactValue, exact_max
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupStructureError,
     HaarMode,
     Homomorphism,
     Subgroup,
     direct_product,
-    haar_weight,
     image,
     kernel,
     log_haar_weight,
     mask_members,
     normality_witness,
     quotient,
-    restrict,
     subgroup_group,
-    whole_group,
 )
 
 
@@ -106,8 +105,11 @@ INF = Exponent(None)
 
 @dataclass(frozen=True)
 class BLDatum:
+    """G, maps G -> G_j, exponents p_j and Haar modes.  The codomains G_j
+    are read off the maps into the attribute `codomains`, which is not a
+    field."""
+
     G: FiniteGroup
-    codomains: tuple[FiniteGroup, ...]
     maps: tuple[Homomorphism, ...]
     exponents: tuple[Exponent, ...]
     haar_G: HaarMode = HaarMode.PROBABILITY
@@ -118,14 +120,15 @@ class BLDatum:
             object.__setattr__(
                 self, "haar_codomains", tuple(HaarMode.PROBABILITY for _ in self.maps)
             )
-        J = len(self.maps)
-        if not (len(self.codomains) == len(self.exponents) == len(self.haar_codomains) == J):
-            raise GroupStructureError("codomains, maps, exponents must have equal length")
+        if not (len(self.exponents) == len(self.haar_codomains) == len(self.maps)):
+            raise GroupStructureError("maps, exponents must have equal length")
         for j, h in enumerate(self.maps):
             if h.domain != self.G:
                 raise GroupStructureError(f"map {j} has the wrong domain")
-            if h.codomain != self.codomains[j]:
-                raise GroupStructureError(f"map {j} has the wrong codomain")
+        # Read on every mass_quotient and quotient_logs call, so stored once.
+        # Not a cached_property: its write to __dict__ makes every later
+        # attribute load on the datum several times slower (CPython 3.11).
+        object.__setattr__(self, "codomains", tuple(h.codomain for h in self.maps))
 
     @property
     def J(self) -> int:
@@ -134,7 +137,6 @@ class BLDatum:
     def with_haar(self, haar_G=None, haar_codomains=None) -> "BLDatum":
         return BLDatum(
             self.G,
-            self.codomains,
             self.maps,
             self.exponents,
             haar_G or self.haar_G,
@@ -147,14 +149,11 @@ class BLDatum:
 
 
 def make_datum(G, maps, exponents, haar_G=HaarMode.PROBABILITY, haar_codomains=None):
-    """Convenience constructor: codomains read off the maps, exponents coerced."""
-    maps = tuple(maps)
-    exps = tuple(Exponent.of(p) for p in exponents)
+    """Convenience constructor: maps and Haar modes made tuples, exponents coerced."""
     return BLDatum(
         G,
-        tuple(h.codomain for h in maps),
-        maps,
-        exps,
+        tuple(maps),
+        tuple(Exponent.of(p) for p in exponents),
         haar_G,
         tuple(haar_codomains) if haar_codomains else None,
     )
@@ -246,21 +245,46 @@ def canonical_tag(d: BLDatum) -> CanonicalTag:
     return CanonicalTag(True)
 
 
-def _image_index_factor(
-    d: BLDatum, H: Subgroup, skip: Optional[int] = None
-) -> ExactValue:
-    """prod [G_j : sigma_j(H)]^(1/p_j) over probability codomains j != skip."""
-    factor = ExactValue.one()
-    for j, h in enumerate(d.maps):
-        if j != skip and d.haar_codomains[j] is HaarMode.PROBABILITY:
-            index = Fraction(h.codomain.order, h.image_mask(H.mask).bit_count())
-            factor = factor * ExactValue.from_rational(index) ** d.exponents[j].reciprocal()
-    return factor
+def _index_terms(d: BLDatum, onto: BLDatum, skip: Optional[int] = None) -> list:
+    """The (n, e) terms of prod [G_j : onto's G_j]^(1/p_j) over probability
+    codomains j != skip, where `onto` maps onto the images of d's maps."""
+    terms = []
+    for j, (c, m, mode, e) in enumerate(
+        zip(d.codomains, onto.codomains, d.haar_codomains, d.exponents)
+    ):
+        if j != skip and mode is HaarMode.PROBABILITY:
+            terms += [(c.order, e.reciprocal()), (m.order, -e.reciprocal())]
+    return terms
 
 
 def _coset_representatives(proj: Homomorphism) -> list[int]:
     """The least element of each fibre of a quotient map, in coset order."""
     return [(f & -f).bit_length() - 1 for f in proj.fibres]
+
+
+def _onto_image(X: FiniteGroup, points, h: Homomorphism) -> Homomorphism:
+    """The map x -> h(points[x]) from X onto its image, a subgroup of
+    h.codomain presented as a group by `subgroup_group`."""
+    values = [h.map[x] for x in points]
+    img = Subgroup(h.codomain, tuple(sorted(set(values))))
+    M, _ = subgroup_group(img)
+    index = {y: i for i, y in enumerate(img.members)}
+    return Homomorphism(X, M, tuple(index[y] for y in values))
+
+
+def _restricted(d: BLDatum, N: Subgroup) -> BLDatum:
+    """d on the subgroup N, each map restricted onto its image."""
+    K, _ = subgroup_group(N)
+    maps = tuple(_onto_image(K, N.members, h) for h in d.maps)
+    return BLDatum(K, maps, d.exponents, d.haar_G, d.haar_codomains)
+
+
+def _without(d: BLDatum, k: int) -> BLDatum:
+    """d with index k deleted."""
+    maps, exps, modes = (
+        t[:k] + t[k + 1:] for t in (d.maps, d.exponents, d.haar_codomains)
+    )
+    return BLDatum(d.G, maps, exps, d.haar_G, modes)
 
 
 def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
@@ -275,29 +299,14 @@ def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
     if tag.is_canonical:
         return d, tag
     K = joint_kernel(d)
-    factor = _image_index_factor(d, whole_group(d.G))
-    if d.haar_G is HaarMode.COUNTING:
-        factor = factor * ExactValue.from_rational(K.order)
     Q, proj = quotient(d.G, K)
     reps = _coset_representatives(proj)
-    new_maps = []
-    new_codomains = []
-    for h in d.maps:
-        img = image(h, whole_group(d.G))
-        M, _incl = subgroup_group(img)
-        idx = {v: i for i, v in enumerate(img.members)}
-        new_map = Homomorphism(Q, M, tuple(idx[h.map[reps[c]]] for c in range(Q.order)))
-        new_maps.append(new_map)
-        new_codomains.append(M)
-    out = BLDatum(
-        Q,
-        tuple(new_codomains),
-        tuple(new_maps),
-        d.exponents,
-        d.haar_G,
-        d.haar_codomains,
-    )
-    return out, CanonicalTag(False, tag.witness, factor)
+    maps = tuple(_onto_image(Q, reps, h) for h in d.maps)
+    out = BLDatum(Q, maps, d.exponents, d.haar_G, d.haar_codomains)
+    terms = _index_terms(d, out)
+    if d.haar_G is HaarMode.COUNTING:
+        terms.append((K.order, 1))
+    return out, CanonicalTag(False, tag.witness, ExactValue.from_powers(terms))
 
 
 def _check_index(d: BLDatum, k: int) -> None:
@@ -310,15 +319,7 @@ def drop_infinite_exponent(d: BLDatum, k: int) -> BLDatum:
     _check_index(d, k)
     if not d.exponents[k].is_infinite:
         raise WrongExponentError(f"exponent {k} is {d.exponents[k]}, not inf")
-    keep = [j for j in range(d.J) if j != k]
-    return BLDatum(
-        d.G,
-        tuple(d.codomains[j] for j in keep),
-        tuple(d.maps[j] for j in keep),
-        tuple(d.exponents[j] for j in keep),
-        d.haar_G,
-        tuple(d.haar_codomains[j] for j in keep),
-    )
+    return _without(d, k)
 
 
 def reduce_p1(d: BLDatum, k: int) -> BLDatum:
@@ -336,37 +337,26 @@ def reduce_p1(d: BLDatum, k: int) -> BLDatum:
     if not canonical_tag(d).is_canonical:
         raise NotCanonicalError("reduce at p = 1 requires a canonical datum")
     N = kernel(d.maps[k])
+    restricted = _restricted(d, N)
 
-    # exactness factor between the original and reduced constants; must be 1
-    w_G = haar_weight(d.G, d.haar_G)
-    w_Gk = haar_weight(d.codomains[k], d.haar_codomains[k])
-    w_N = Fraction(1) if d.haar_G is HaarMode.COUNTING else Fraction(1, N.order)
-    factor = ExactValue.from_rational(w_G / (w_Gk * w_N)) * _image_index_factor(d, N, k)
+    # the exactness factor w_G / (w_Gk w_N) * index terms must be 1
+    terms = _index_terms(d, restricted, k)
+    if d.haar_G is HaarMode.PROBABILITY:
+        terms += [(d.G.order, -1), (N.order, 1)]
+    if d.haar_codomains[k] is HaarMode.PROBABILITY:
+        terms.append((d.codomains[k].order, 1))
+    factor = ExactValue.from_powers(terms)
     if not factor.is_one:
         raise NormalizationError(
             f"inherited Haar modes change the constant by {factor}; "
             "the prescribed restricted measures are not representable"
         )
-
-    new_maps = []
-    new_codomains = []
-    keep = [j for j in range(d.J) if j != k]
-    for j in keep:
-        h, M = restrict(d.maps[j], N)
-        new_maps.append(h)
-        new_codomains.append(M)
-    G_N = new_maps[0].domain if new_maps else subgroup_group(N)[0]
-    return BLDatum(
-        G_N,
-        tuple(new_codomains),
-        tuple(new_maps),
-        tuple(d.exponents[j] for j in keep),
-        d.haar_G,
-        tuple(d.haar_codomains[j] for j in keep),
-    )
+    return _without(restricted, k)
 
 
-def split_product(d1: BLDatum, d2: BLDatum, order_cap: int = 4096) -> BLDatum:
+def split_product(
+    d1: BLDatum, d2: BLDatum, order_cap: int = DEFAULT_ORDER_CAP
+) -> BLDatum:
     """Tensor datum on G1 x G2; the constants multiply exactly."""
     if d1.J != d2.J:
         raise WrongExponentError("tensor factors must have equal length")
@@ -381,22 +371,12 @@ def split_product(d1: BLDatum, d2: BLDatum, order_cap: int = 4096) -> BLDatum:
         )
     P, pa, pb = direct_product(d1.G, d2.G, order_cap)
     maps = []
-    codomains = []
-    for j in range(d1.J):
-        C, _, _ = direct_product(d1.codomains[j], d2.codomains[j], order_cap)
-        nb = d2.codomains[j].order
-        m1, m2 = d1.maps[j].map, d2.maps[j].map
-        fused = tuple(m1[pa.map[x]] * nb + m2[pb.map[x]] for x in range(P.order))
+    for h1, h2 in zip(d1.maps, d2.maps):
+        C, _, _ = direct_product(h1.codomain, h2.codomain, order_cap)
+        nb = h2.codomain.order
+        fused = tuple(h1.map[a] * nb + h2.map[b] for a, b in zip(pa.map, pb.map))
         maps.append(Homomorphism(P, C, fused))
-        codomains.append(C)
-    return BLDatum(
-        P,
-        tuple(codomains),
-        tuple(maps),
-        d1.exponents,
-        d1.haar_G,
-        d1.haar_codomains,
-    )
+    return BLDatum(P, tuple(maps), d1.exponents, d1.haar_G, d1.haar_codomains)
 
 
 def quotient_split(d: BLDatum, N: Subgroup) -> tuple[BLDatum, BLDatum]:
@@ -406,55 +386,18 @@ def quotient_split(d: BLDatum, N: Subgroup) -> tuple[BLDatum, BLDatum]:
     quotient) triple satisfy the quotient integral formula, and the constant
     of d is at most the product of the two returned constants.
     """
-    if N.parent != d.G:
-        raise GroupStructureError("subgroup parent mismatch")
-    w = normality_witness(d.G, N)
-    if w is not None:
-        raise GroupStructureError(
-            f"subgroup is not normal: conjugating member {w[1]} by {w[0]} escapes"
-        )
-    images = [image(h, N) for h in d.maps]
-    for j, img in enumerate(images):
-        w = normality_witness(d.codomains[j], img)
+    Q, proj = quotient(d.G, N)  # checks that N is a normal subgroup of G
+    reps = _coset_representatives(proj)
+    maps = []
+    for j, h in enumerate(d.maps):
+        img = image(h, N)
+        w = normality_witness(h.codomain, img)
         if w is not None:
             raise GroupStructureError(
                 f"image under map {j} is not normal: member {w[1]} conjugated "
                 f"by {w[0]} escapes"
             )
-
-    restricted_maps = []
-    restricted_codomains = []
-    for h in d.maps:
-        rh, M = restrict(h, N)
-        restricted_maps.append(rh)
-        restricted_codomains.append(M)
-    G_N = restricted_maps[0].domain if restricted_maps else subgroup_group(N)[0]
-    restricted = BLDatum(
-        G_N,
-        tuple(restricted_codomains),
-        tuple(restricted_maps),
-        d.exponents,
-        d.haar_G,
-        d.haar_codomains,
-    )
-
-    Q, proj = quotient(d.G, N)
-    reps = _coset_representatives(proj)
-    quotient_maps = []
-    quotient_codomains = []
-    for j, h in enumerate(d.maps):
-        Qj, proj_j = quotient(d.codomains[j], images[j])
-        qmap = Homomorphism(
-            Q, Qj, tuple(proj_j.map[h.map[reps[c]]] for c in range(Q.order))
-        )
-        quotient_maps.append(qmap)
-        quotient_codomains.append(Qj)
-    quot = BLDatum(
-        Q,
-        tuple(quotient_codomains),
-        tuple(quotient_maps),
-        d.exponents,
-        d.haar_G,
-        d.haar_codomains,
-    )
-    return restricted, quot
+        Qj, proj_j = quotient(h.codomain, img)
+        maps.append(Homomorphism(Q, Qj, tuple(proj_j.map[h.map[r]] for r in reps)))
+    quot = BLDatum(Q, tuple(maps), d.exponents, d.haar_G, d.haar_codomains)
+    return _restricted(d, N), quot

@@ -11,8 +11,9 @@ A constant's candidate is a product of powers n^e of small integers n
 (subgroup, image and group orders) with rational exponents e.
 `ExactValue.from_powers` builds it in one step: it factorizes each n once
 and sums the valuation vectors, weighted by the exponents, into one
-canonical value.  `from_rational` and the algebra below serve everything
-else (canonicalization factors, reductions, tests).
+canonical value.  The constants, the canonicalization and reduction factors
+and `from_rational` are all built by it; the algebra below serves the
+comparison and the tests.
 
 Comparison of two distinct values reduces to the sign of sum_p e_p*log(p),
 which is never zero for a nonzero exponent vector (unique factorization),
@@ -84,12 +85,7 @@ class ExactValue:
         q = Fraction(q)
         if q <= 0:
             raise ValueError(f"ExactValue is positive, got {q}")
-        exps: dict[int, Fraction] = {}
-        for p, k in _factorize(q.numerator).items():
-            exps[p] = exps.get(p, Fraction(0)) + k
-        for p, k in _factorize(q.denominator).items():
-            exps[p] = exps.get(p, Fraction(0)) - k
-        return ExactValue._from_dict(exps)
+        return ExactValue.from_powers([(q.numerator, 1), (q.denominator, -1)])
 
     @staticmethod
     def from_powers(terms) -> "ExactValue":

@@ -520,18 +520,6 @@ def subgroup_group(H: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     return K, incl
 
 
-def restrict(h: Homomorphism, H: Subgroup) -> tuple[Homomorphism, FiniteGroup]:
-    """Restriction of h to H, with codomain shrunk to the image h(H)."""
-    if H.parent != h.domain:
-        raise GroupStructureError("subgroup parent is not the homomorphism domain")
-    K, incl = subgroup_group(H)
-    img = image(h, H)
-    M, _ = subgroup_group(img)
-    img_index = {x: i for i, x in enumerate(img.members)}
-    rmap = tuple(img_index[h.map[x]] for x in H.members)
-    return Homomorphism(K, M, rmap), M
-
-
 def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     if inner.codomain != outer.domain:
         raise GroupStructureError("composition domain mismatch")

@@ -23,10 +23,12 @@ from typing import TYPE_CHECKING
 from .datum import BLDatum, CanonicalTag, Exponent
 from .exact import ExactValue
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupStructureError,
     HaarMode,
     Homomorphism,
+    SizeCapError,
     Subgroup,
     from_cayley_table,
     from_permutations,
@@ -76,15 +78,17 @@ def _rational(v, what: str) -> Fraction:
     return Fraction(v)
 
 
-def parse_group(obj: dict, order_cap: int = 4096) -> FiniteGroup:
+def parse_group(obj: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     _expect(obj, dict, "group spec")
     if "cyclic" in obj:
         return make_cyclic_product(_array(obj["cyclic"], int, "cyclic"), order_cap)
     if "table" in obj:
+        table = _matrix(obj["table"], int, "table")
+        if len(table) > order_cap:
+            raise SizeCapError(f"order {len(table)} exceeds cap {order_cap}")
         labels = obj.get("labels")
         return from_cayley_table(
-            _matrix(obj["table"], int, "table"),
-            None if labels is None else _expect(labels, list, "labels"),
+            table, None if labels is None else _expect(labels, list, "labels")
         )
     if "generators" in obj:
         return from_permutations(
@@ -112,7 +116,7 @@ def _parse_haar(s: str) -> HaarMode:
         raise GroupStructureError(f"unknown Haar mode {s!r}") from None
 
 
-def parse_datum(obj: dict, order_cap: int = 4096) -> BLDatum:
+def parse_datum(obj: dict, order_cap: int = DEFAULT_ORDER_CAP) -> BLDatum:
     _expect(obj, dict, "datum")
     G = parse_group(obj["group"], order_cap)
     codomains = tuple(
@@ -130,7 +134,7 @@ def parse_datum(obj: dict, order_cap: int = 4096) -> BLDatum:
         for m in _expect(haar.get("codomains", ["probability"] * len(maps)), list,
                          "haar codomains")
     )
-    return BLDatum(G, codomains, maps, exponents, haar_G, haar_codomains)
+    return BLDatum(G, maps, exponents, haar_G, haar_codomains)
 
 
 def datum_to_json(d: BLDatum) -> dict:

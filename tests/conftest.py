@@ -73,7 +73,11 @@ def edge_data():
             # lists (0, 2), which saturates to the whole group, before the
             # diagonal, yet the diagonal wins by its smaller order
             make_datum(V, [va, Homomorphism(V, Z2, (0, 1, 1, 0))], ("2", "1")),
-            make_datum(G, [pa, pb], ("4/3", "1000/999"))]
+            make_datum(G, [pa, pb], ("4/3", "1000/999")),
+            # every subgroup ties at 1, but the float log of the order-2
+            # subgroup rounds 2^-52 above that of {e}: only the margin keeps
+            # {e}, the first-wins argmax
+            make_datum(G, [pa, pb], ("1", "1"))]
     for haar_G, haar in itertools.product((C, P), repeat=2):
         for p in (("4/3", "5/2"), ("1000/999", "3"), ("1", "inf")):
             data.append(make_datum(Z6, [identity_map(Z6)] * 2, p, haar_G=haar_G,

@@ -189,6 +189,20 @@ def test_exit_code_budget(write, capsys):
     assert "budget" in captured.err
 
 
+@pytest.mark.parametrize("command", [["oracle"], ["reduce", "--op", "canonicalize"]],
+                         ids=lambda c: c[-1])
+def test_order_cap_bounds_table_specs(write, capsys, command):
+    # a Cayley-table group is capped like a cyclic or permutation spec
+    z20 = {"order": 20, "table": [[(a + b) % 20 for b in range(20)] for a in range(20)]}
+    datum = {"group": z20, "codomains": [{"cyclic": [2]}],
+             "maps": [[x % 2 for x in range(20)]], "p": ["2"]}
+    path = write("z20.json", datum)
+    code = main([command[0], "--in", path, *command[1:], "--order-cap", "8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.err) == {"error": "order 20 exceeds cap 8", "kind": "budget"}
+
+
 @pytest.mark.parametrize("error", [SizeCapError, BudgetError, ScanBudgetError],
                          ids=lambda e: e.__name__)
 def test_every_budget_error_exits_3(write, capsys, monkeypatch, error):

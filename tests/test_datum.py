@@ -68,7 +68,6 @@ def test_datum_validation(Z2, Z4):
     with pytest.raises(GroupStructureError):
         BLDatum(
             Z4,
-            (Z2,),
             (identity_map(Z2),),  # wrong domain
             (Exponent.of(2),),
         )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blgroups import corpus, groups
 from blgroups.cache import SubgroupCache, cache_key
+from blgroups.datum import _onto_image
 from blgroups.groups import (
     FiniteGroup,
     GroupStructureError,
@@ -29,7 +30,6 @@ from blgroups.groups import (
     make_cyclic_product,
     normality_witness,
     quotient,
-    restrict,
     subgroup_group,
     trivial_subgroup,
     whole_group,
@@ -694,7 +694,7 @@ def test_image_kernel_order_identity(S3, Z2):
         S3, Z2, tuple(0 if S3.element_order(x) in (1, 3) else 1 for x in S3.elements())
     )
     for H in all_subgroups(S3):
-        h, _ = restrict(sign, H)
+        h = _onto_image(subgroup_group(H)[0], H.members, sign)
         assert H.order == kernel(h).order * image(sign, H).order
 
 
