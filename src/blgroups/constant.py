@@ -21,8 +21,9 @@ is built from those orders.
 An exact ratio is one product of integer powers n^e (`datum.mass_quotient`):
 |S|^1, |G|^-1 under probability Haar, and for each map |sigma_j(S)|^(-r_j)
 and, under probability Haar, |G_j|^(r_j), with r_j = 1/p_j.
-`ExactValue.from_powers` factorizes each integer once and sums the
-valuations, weighted by the exponents, into one canonical value.
+`ExactValue.from_powers` writes the exponents as integer numerators over
+one common denominator, factorizes each integer once, sums valuation times
+numerator per prime as ints, and makes one Fraction per prime.
 
 The float ranking, its proved margin and the exact argmax are in `datum`.
 """

@@ -9,11 +9,22 @@ with no floating point at all.
 
 A constant's candidate is a product of powers n^e of small integers n
 (subgroup, image and group orders) with rational exponents e.
-`ExactValue.from_powers` builds it in one step: it factorizes each n once
-and sums the valuation vectors, weighted by the exponents, into one
-canonical value.  The constants, the canonicalization and reduction factors
-and `from_rational` are all built by it; the algebra below serves the
-comparison and the tests.
+`ExactValue.from_powers` builds it in one step on integers: it scales every
+exponent to an integer numerator over L, the lcm of their denominators,
+factorizes each n once, sums valuation times numerator per prime as ints,
+and makes one Fraction (sum / L) per prime that survives.  The constants,
+the canonicalization and reduction factors and `from_rational` are all
+built by it; the algebra below serves the comparison and the tests.
+
+The public constructor and `from_json` check their input: bases prime and
+sorted, exponents ints or Fractions and nonzero.  Two values are equal
+exactly when their factor tuples are, so a composite base would break the
+hash/eq contract.  Primality is decided by Miller-Rabin on the prime bases
+up to 41, which is proven for n < 3.3e24 (Sorenson and Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); larger bases
+are refused as unsupported.  Values built here (`from_powers`, `one` and
+the algebra) are canonical by construction and take `_canonical`, which
+skips the check.
 
 Comparison of two distinct values reduces to the sign of sum_p e_p*log(p),
 which is never zero for a nonzero exponent vector (unique factorization),
@@ -61,6 +72,36 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+# Miller-Rabin with these bases decides primality for every n below the
+# limit, the least strong pseudoprime to all of them (psi_13).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic for 0 <= n < _PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ExactValue:
     """A positive real prod p^e_p, canonically sorted, zero exponents dropped."""
@@ -68,17 +109,35 @@ class ExactValue:
     factors: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self):
+        for p, e in self.factors:
+            if type(p) is not int or p < 2:
+                raise ValueError(f"base {p!r} is not an int >= 2")
+            if p >= _PRIME_LIMIT:
+                raise ValueError(f"base {p} is unsupported: primality is "
+                                 f"proven here only below {_PRIME_LIMIT}")
+            if not _is_prime(p):
+                raise ValueError(f"base {p} is not prime")
+            if isinstance(e, bool) or not isinstance(e, (int, Fraction)):
+                raise ValueError(f"exponent {e!r} is not an int or a Fraction")
+            if e == 0:
+                raise ValueError("zero exponents must be dropped")
         primes = [p for p, _ in self.factors]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("factors must be sorted by prime and distinct")
-        if any(e == 0 for _, e in self.factors):
-            raise ValueError("zero exponents must be dropped")
+
+    @classmethod
+    def _canonical(cls, factors: tuple[tuple[int, Fraction], ...]) -> "ExactValue":
+        """A value from factors already canonical, which are not checked
+        again: distinct primes in increasing order, nonzero exponents."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "factors", factors)
+        return v
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def one() -> "ExactValue":
-        return ExactValue(())
+        return ExactValue._canonical(())
 
     @staticmethod
     def from_rational(q) -> "ExactValue":
@@ -91,20 +150,26 @@ class ExactValue:
     def from_powers(terms) -> "ExactValue":
         """prod n^e over pairs (n, e) of a positive int n and an int or Fraction e.
 
-        Each n is factorized once, and its valuations times e are summed per
-        prime, so no intermediate ExactValue is built.  A term with e = 0 is
-        skipped.
+        The exponents become integer numerators c = e*L over one denominator
+        L, the lcm of their denominators (1 when all are ints).  Each n is
+        factorized once, its valuations times c are summed per prime as ints,
+        and each prime whose sum is nonzero gets one Fraction(sum, L).  A term
+        with e = 0 is skipped.
         """
-        exps: dict[int, Fraction] = {}
+        terms = [(n, e) for n, e in terms if e]
+        L = math.lcm(*[e.denominator for _, e in terms])
+        sums: dict[int, int] = {}
         for n, e in terms:
-            if e:
-                for p, k in _factorize(n).items():
-                    exps[p] = exps.get(p, Fraction(0)) + k * e
-        return ExactValue._from_dict(exps)
+            c = e.numerator * (L // e.denominator)
+            for p, k in _factorize(n).items():
+                sums[p] = sums.get(p, 0) + k * c
+        return ExactValue._canonical(
+            tuple(sorted((p, Fraction(t, L)) for p, t in sums.items() if t)))
 
     @staticmethod
     def _from_dict(exps: dict[int, Fraction]) -> "ExactValue":
-        return ExactValue(tuple(sorted((p, e) for p, e in exps.items() if e != 0)))
+        return ExactValue._canonical(
+            tuple(sorted((p, e) for p, e in exps.items() if e != 0)))
 
     # -- algebra -------------------------------------------------------
 
@@ -124,7 +189,7 @@ class ExactValue:
         r = Fraction(exponent)
         if r == 0:
             return ExactValue.one()
-        return ExactValue(tuple((p, e * r) for p, e in self.factors))
+        return ExactValue._canonical(tuple((p, e * r) for p, e in self.factors))
 
     @property
     def is_one(self) -> bool:
@@ -201,8 +266,10 @@ class ExactValue:
 
     @staticmethod
     def from_json(obj: dict) -> "ExactValue":
-        exps = {int(p): Fraction(e) for p, e in obj["primes"].items()}
-        return ExactValue._from_dict(exps)
+        """The value of `to_json`'s output; zero exponents are dropped, and
+        the factors go through the public constructor's check."""
+        factors = sorted((int(p), Fraction(e)) for p, e in obj["primes"].items())
+        return ExactValue(tuple((p, e) for p, e in factors if e))
 
 
 def exact_max(values):

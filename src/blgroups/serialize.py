@@ -6,6 +6,9 @@ Group specs come in three shapes:
     {"cyclic": [n1, ..., nk]}                         product of cyclic groups
     {"degree": d, "generators": [[...], ...]}         permutation generators
 
+A table spec's "order" may be left out; when given, it must equal the
+number of rows.
+
 A datum bundles a group, codomains, maps as image lists, exponents as
 strings ("2", "3/2", "inf"), and Haar modes.  All fractions are serialized
 as strings so the JSON round-trips exactly.
@@ -84,6 +87,9 @@ def parse_group(obj: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         return make_cyclic_product(_array(obj["cyclic"], int, "cyclic"), order_cap)
     if "table" in obj:
         table = _matrix(obj["table"], int, "table")
+        if "order" in obj and _expect(obj["order"], int, "order") != len(table):
+            raise SchemaError(f"order {obj['order']} does not match a table of "
+                              f"{len(table)} rows")
         if len(table) > order_cap:
             raise SizeCapError(f"order {len(table)} exceeds cap {order_cap}")
         labels = obj.get("labels")

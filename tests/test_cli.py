@@ -203,6 +203,19 @@ def test_order_cap_bounds_table_specs(write, capsys, command):
     assert json.loads(captured.err) == {"error": "order 20 exceeds cap 8", "kind": "budget"}
 
 
+def test_table_order_must_match_its_rows(write, capsys):
+    spec = {"order": 20, "table": [[0, 1], [1, 0]]}
+    message = "order 20 does not match a table of 2 rows"
+    with pytest.raises(SchemaError, match=message):
+        parse_group(spec)
+    assert parse_group(dict(spec, order=2)).order == 2
+    datum = {"group": spec, "codomains": [{"cyclic": [2]}], "maps": [[0, 1]], "p": ["2"]}
+    code = main(["constant", "--in", write("order.json", datum), "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {"error": message, "kind": "precondition"}
+
+
 @pytest.mark.parametrize("error", [SizeCapError, BudgetError, ScanBudgetError],
                          ids=lambda e: e.__name__)
 def test_every_budget_error_exits_3(write, capsys, monkeypatch, error):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from mpmath import iv
 
-from blgroups.exact import ExactValue, UndecidedComparisonError, exact_max
+from blgroups.exact import (
+    ExactValue,
+    UndecidedComparisonError,
+    _factorize,
+    _is_prime,
+    exact_max,
+)
 
 rationals = st.fractions(
     min_value=Fraction(1, 200), max_value=Fraction(500), max_denominator=200
@@ -50,16 +56,24 @@ def test_power_law(a, r):
     assert (v ** 2).compare(ExactValue.from_rational(a) ** (2 * r)) == 0
 
 
-powers = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=5000),
-        st.one_of(
-            st.integers(min_value=-3, max_value=3),
-            st.fractions(min_value=-3, max_value=3, max_denominator=12),
+def power_terms(max_denominator):
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=5000),
+            st.one_of(
+                st.integers(min_value=-3, max_value=3),
+                st.fractions(min_value=-3, max_value=3,
+                             max_denominator=max_denominator),
+            ),
         ),
-    ),
-    max_size=8,
-)
+        max_size=8,
+    )
+
+
+# The common denominator of `powers` is far too large for an L-th power in
+# Fraction arithmetic; `small_powers` keeps it small enough for that check.
+powers = power_terms(1000)
+small_powers = power_terms(12)
 
 
 def from_rational_chain(terms):
@@ -80,7 +94,21 @@ def fraction_power(terms, L):
     return out
 
 
-@given(powers)
+def fraction_valuations(terms):
+    """The factors of prod n^e: sum of e * v_p(n) per prime p, in Fraction
+    arithmetic, with v_p found by trial division."""
+    out = {}
+    for n, e in terms:
+        p = 2
+        while n > 1:
+            while n % p == 0:
+                out[p] = out.get(p, Fraction(0)) + Fraction(e)
+                n //= p
+            p += 1
+    return tuple(sorted((p, e) for p, e in out.items() if e))
+
+
+@given(small_powers)
 def test_from_powers_matches_fractions_and_the_chain(terms):
     v = ExactValue.from_powers(terms)
     L = math.lcm(*(Fraction(e).denominator for _, e in terms))
@@ -88,16 +116,95 @@ def test_from_powers_matches_fractions_and_the_chain(terms):
     assert v.factors == from_rational_chain(terms).factors
 
 
+@given(powers)
+def test_from_powers_matches_fraction_valuations(terms):
+    v = ExactValue.from_powers(terms)
+    assert v.factors == fraction_valuations(terms)
+    assert v.factors == from_rational_chain(terms).factors
+    assert all(type(e) is Fraction for _, e in v.factors)
+
+
 def test_from_powers_examples():
     assert ExactValue.from_powers([]).is_one
     assert ExactValue.from_powers([(12, 1), (6, -1)]).factors == ((2, Fraction(1)),)
     half = Fraction(1, 2)
     assert ExactValue.from_powers([(8, half), (2, half)]).factors == ((2, Fraction(2)),)
+    # a term with exponent 0 is skipped, even one whose base is no positive int
     assert ExactValue.from_powers([(0, 0), (3, Fraction(-2, 3))]).factors == (
         (3, Fraction(-2, 3)),)
     for bad in (0, -4, Fraction(3, 2)):
         with pytest.raises(ValueError):
             ExactValue.from_powers([(bad, 1)])
+
+
+def test_from_powers_integer_sums():
+    F = Fraction
+    # denominators 7, 11 and 13: one common denominator L = 1001
+    assert ExactValue.from_powers([(6, F(1, 7)), (10, F(3, 11)), (15, F(5, 13))]).factors == (
+        (2, F(32, 77)), (3, F(48, 91)), (5, F(94, 143)))
+    # the sum for 2 cancels, so 2 is dropped
+    assert ExactValue.from_powers([(12, F(1, 3)), (2, F(-2, 3)), (5, 1)]).factors == (
+        (3, F(1, 3)), (5, F(1)))
+    # int exponents only (L = 1): the exponents are still Fractions
+    v = ExactValue.from_powers([(12, 2), (18, -1)])
+    assert v.factors == ((2, F(3)),)
+    assert type(v.factors[0][1]) is Fraction
+    assert ExactValue.from_powers([(6, 1), (3, -1), (2, -1)]).is_one
+
+
+@given(powers, powers, st.fractions(min_value=-3, max_value=3, max_denominator=30))
+def test_library_built_values_pass_the_public_check(a, b, r):
+    # every path that skips the constructor's check builds what it accepts
+    x, y = ExactValue.from_powers(a), ExactValue.from_powers(b)
+    for v in (ExactValue.one(), x, x * y, x / y, x ** r, x ** 0,
+              ExactValue.from_rational(Fraction(len(a) + 1, len(b) + 1))):
+        checked = ExactValue(v.factors)
+        assert checked == v and hash(checked) == hash(v)
+        assert ExactValue.from_json(v.to_json()) == v
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20000):
+        assert _is_prime(n) == (n >= 2 and _factorize(n) == {n: 1}), n
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(399165290221 * 798330580441)
+    assert _is_prime(2**61 - 1) and _is_prime(2**31 - 1)
+
+
+@pytest.mark.parametrize("factors,message", [
+    (((4, 1),), "not prime"),
+    (((1, 1),), "not an int"),
+    (((0, 1),), "not an int"),
+    (((-3, 1),), "not an int"),
+    (((True, 1),), "not an int"),
+    (((2.0, 1),), "not an int"),
+    (((2**89 - 1, 1),), "unsupported"),  # a prime, past the proven range
+    (((3825123056546413051, 1),), "not prime"),
+    (((2, 0.5),), "not an int or a Fraction"),
+    (((2, Fraction(0)),), "zero exponents"),
+    (((3, 1), (2, 1)), "sorted"),
+    (((2, 1), (2, 1)), "distinct"),
+    ((("2", 1), (3, 1)), "not an int"),
+])
+def test_constructor_rejects_bad_factors(factors, message):
+    with pytest.raises(ValueError, match=message):
+        ExactValue(factors)
+
+
+def test_composite_bases_are_rejected_at_both_entry_points():
+    # accepting 4^1 would give a second representation of 4 = 2^2, with a
+    # different hash and an undecidable comparison
+    with pytest.raises(ValueError, match="base 4 is not prime"):
+        ExactValue(((4, 1),))
+    with pytest.raises(ValueError, match="base 4 is not prime"):
+        ExactValue.from_json({"primes": {"4": "1"}})
+    with pytest.raises(ValueError, match="distinct"):
+        ExactValue.from_json({"primes": {"2": "1", "02": "1"}})
+    assert ExactValue(((2, 2),)) == ExactValue.from_rational(4)
+    assert ExactValue.from_json({"primes": {"3": "1/2", "2": "0"}}) == (
+        ExactValue.from_rational(3) ** Fraction(1, 2))
 
 
 def test_compare_identical_maps():
