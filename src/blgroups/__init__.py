@@ -40,7 +40,6 @@ _EXPORTS = {
             "from_permutations",
             "haar_mass",
             "image",
-            "is_normal",
             "kernel",
             "make_cyclic_product",
             "quotient",
@@ -53,7 +52,6 @@ _EXPORTS = {
             "divergence_witness",
             "heisenberg_commutator",
             "heisenberg_multiply",
-            "homogeneous_dimension",
             "kronecker_sequence",
             "scaling_condition",
         ),

@@ -85,7 +85,9 @@ class Exponent:
             if s in ("inf", "infinity", "oo"):
                 return INF
             return Exponent(Fraction(s))
-        if isinstance(x, float) and x == float("inf"):
+        if isinstance(x, float) and math.isinf(x):
+            if x < 0:
+                raise ValueError(f"exponent must be >= 1, got {x}")
             return INF
         return Exponent(Fraction(x))
 

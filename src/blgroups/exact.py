@@ -26,18 +26,24 @@ are refused as unsupported.  Values built here (`from_powers`, `one` and
 the algebra) are canonical by construction and take `_canonical`, which
 skips the check.
 
-Comparison of two distinct values reduces to the sign of sum_p e_p*log(p),
-which is never zero for a nonzero exponent vector (unique factorization),
-so interval arithmetic at escalating precision always terminates in
-principle; we cap the precision and surface the failure rather than guess.
-mpmath is imported at the first such comparison, not with this module:
-identical values compare equal without it, and most runs need nothing more.
+Comparing two distinct values is finding the sign of x = sum_p a_p ln p,
+with a_p = e_p*L the exponents of their quotient over the lcm L of its
+denominators.  x != 0 for a != 0 (unique factorization; Baker, 1966, bounds
+|x| below), so escalating precision decides it; a cap surfaces the failure
+rather than guess.  `_log_interval` works at P = 3b/10 + 1 digits for b
+bits in `decimal` contexts of its own, never the thread's.  `Decimal.ln` is
+correctly rounded, so its neighbours bracket ln p; products and sums round
+down for the lower end and up for the upper.  With u = 10^(1-P), n primes
+and S = sum_p |a_p| ln p, the brackets err by 2uS, the products by uS and
+the n - 1 additions by (n - 1)uS, to first order in u, so each end is within
+(n + 3)uS of x, and every |x| > (n + 3)uS is decided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
 _START_BITS = 128
@@ -209,38 +215,40 @@ class ExactValue:
 
     # -- order ---------------------------------------------------------
 
-    def _log_interval(self, bits: int):
-        from mpmath import iv
-
-        iv.prec = bits
-        total = iv.mpf(0)
+    def _log_interval(self, bits: int) -> tuple[Decimal, Decimal]:
+        """Decimals lo <= sum_p a_p*ln(p) <= hi at about `bits` bits, with
+        a_p = e_p*L the exponents over the lcm L of their denominators; the
+        bound is in the module docstring."""
+        L = math.lcm(*[e.denominator for _, e in self.factors])
+        prec = bits * 3 // 10 + 1
+        down = Context(prec=prec, rounding=ROUND_FLOOR, Emax=MAX_EMAX)
+        up = Context(prec=prec, rounding=ROUND_CEILING, Emax=MAX_EMAX)
+        lo = hi = Decimal(0)
         for p, e in self.factors:
-            total += iv.log(p) * e.numerator / iv.mpf(e.denominator)
-        return total
+            a = Decimal(e.numerator * (L // e.denominator))
+            ln = Decimal(p).ln(down)  # correctly rounded, whatever the mode
+            below, above = ln.next_minus(down), ln.next_plus(down)
+            if a < 0:
+                below, above = above, below
+            lo = down.add(lo, down.multiply(a, below))
+            hi = up.add(hi, up.multiply(a, above))
+        return lo, hi
 
     def compare(self, other: "ExactValue") -> int:
         """Return -1, 0 or 1; exact zero only for identical factor maps."""
         if self.factors == other.factors:
             return 0
         diff = self / other
-        if diff.is_one:
-            return 0
-        from mpmath import iv
-
-        bits, reached = _START_BITS, 0
-        caller_prec = iv.prec  # iv is global state and has no workprec
-        try:
-            while bits <= _MAX_BITS:
-                reached = bits
-                box = diff._log_interval(bits)
-                if box.a > 0:
-                    return 1
-                if box.b < 0:
-                    return -1
-                bits *= 2
-        finally:
-            iv.prec = caller_prec
-        raise UndecidedComparisonError(self, other, reached)
+        bits = _START_BITS
+        while True:
+            lo, hi = diff._log_interval(bits)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            if bits >= _MAX_BITS:
+                raise UndecidedComparisonError(self, other, bits)
+            bits *= 2
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -471,10 +471,6 @@ def normality_witness(G: FiniteGroup, H: Subgroup):
     return None
 
 
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    return normality_witness(G, H) is None
-
-
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     """Quotient by a normal subgroup; cosets are ordered by least member."""
     if N.parent != G:

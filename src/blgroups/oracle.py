@@ -149,8 +149,11 @@ class _Form:
             arg = [1.0 if v >= top else 0.0 for v in sums]
             share = sum(arg)
             return [v / share for v in arg]
+        # the caller renormalizes, so scaling the top sum to 1.0 first keeps
+        # v**q from underflowing the whole block or overflowing for p_k near 1
+        top = max(sums) or 1.0
         q = 1.0 / (self.powers[k] - 1.0)
-        return [v**q for v in sums]
+        return [(v / top) ** q for v in sums]
 
 
 def _exact_form(d: BLDatum, t: InputTuple) -> _Form:
@@ -201,7 +204,6 @@ def alternating_ascent(
     # pulled[j][x] = f_j(sigma_j(x)), or None once f_j is a p = inf block's
     # constant 1, since multiplying by 1.0 is exact
     pulled: list = [[f[y] for y in m] for f, m in zip(funcs, maps)]
-    norms = [1.0] * d.J
     start = [form.w] * form.order
     values: list[float] = []
     converged = False
@@ -226,13 +228,11 @@ def alternating_ascent(
                 raise NumericError(f"block {k} degenerated during sweep {sweeps}")
             f = [v / n for v in f]
             funcs[k] = f
-            norms[k] = form.norm(k, f)
             pulled[k] = [f[y] for y in maps[k]]
             prefix = list(map(mul, prefix, pulled[k]))
-        total = 0.0
+        value = 0.0  # the form at inputs of unit norm
         for v in prefix:
-            total += v
-        value = total / math.prod(norms)
+            value += v
         if not math.isfinite(value):
             raise NumericError(f"non-finite objective in sweep {sweeps}")
         values.append(value)

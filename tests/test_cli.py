@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -9,7 +10,7 @@ from blgroups.cache import SubgroupCache, cache_key
 from blgroups.cli import main
 from blgroups.groups import SizeCapError, from_cayley_table, make_cyclic_product
 from blgroups.heisenberg import ScanBudgetError
-from blgroups.oracle import BudgetError
+from blgroups.oracle import BudgetError, _Form
 from blgroups.serialize import SchemaError, parse_datum, parse_group, parse_lie_datum
 
 LW_Z2Z2 = {
@@ -270,7 +271,8 @@ def test_negative_or_nan_tolerance_is_a_precondition(write, capsys, command, tol
 
 
 # Three identity maps of Z4^3 at p = 1001/1000: the power update v^1000 of
-# the first block underflows to zero in the ascent's first sweep.
+# the raw fibre sums underflows the first block to zero in sweep 1, so the
+# ascent must divide them by their maximum first.
 NEAR_ONE_Z4_CUBED = {
     "group": {"cyclic": [4, 4, 4]},
     "codomains": [{"cyclic": [4, 4, 4]}] * 3,
@@ -280,7 +282,8 @@ NEAR_ONE_Z4_CUBED = {
 
 
 @pytest.mark.parametrize("command", ["oracle", "verify"])
-def test_degenerate_ascent_exits_numeric(write, capsys, command):
+def test_degenerate_ascent_exits_numeric(write, capsys, monkeypatch, command):
+    monkeypatch.setattr(_Form, "maximizer", lambda self, k, sums: [0.0] * len(sums))
     argv = [command, "--in", write("z4.json", NEAR_ONE_Z4_CUBED), "--no-cache"]
     code = main(argv[:-1] if command == "oracle" else argv)
     captured = capsys.readouterr()
@@ -288,6 +291,19 @@ def test_degenerate_ascent_exits_numeric(write, capsys, command):
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "block 0 degenerated during sweep 1",
                                         "kind": "numeric"}
+
+
+@pytest.mark.parametrize("p", ["1001/1000", "10001/10000", "1000"])
+def test_ascent_matches_the_formula_at_extreme_exponents(write, capsys, p):
+    path = write("z4.json", dict(NEAR_ONE_Z4_CUBED, p=[p] * 3))
+    _, formula = run_cli(capsys, ["constant", "--in", path, "--no-cache"])
+    expected = formula["result"]["value_approx"]
+    code, rep = run_cli(capsys, ["oracle", "--in", path])
+    assert code == 0
+    assert rep["result"]["value_approx"] == pytest.approx(expected, rel=1e-9)
+    code, rep = run_cli(capsys, ["verify", "--in", path, "--no-cache"])
+    assert code == 0 and rep["result"]["all_agree"] is True
+    assert rep["result"]["oracle"]["value_approx"] == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,6 +331,7 @@ def test_unusable_paths_are_preconditions(write, capsys, tmp_path):
     ("constant", dict(HOELDER_Z2, maps=[[0, 1], [0, 1], [0, 1]])),
     ("check-codim", LW_Z2Z2),
     ("polytope", [T3_LW]),
+    ("constant", dict(HOELDER_Z2, p=[float("-inf"), "2"])),  # -Infinity in JSON
 ])
 def test_wrong_input_shapes_are_preconditions(write, capsys, command, obj):
     path = write("bad.json", obj)
@@ -502,12 +519,10 @@ def test_console_entry_point(write, tmp_path, package_env):
 
 
 def test_undecided_comparison_reports_values_and_bits(write, capsys, monkeypatch):
-    from mpmath import iv
-
     from blgroups.exact import ExactValue
 
     monkeypatch.setattr(ExactValue, "_log_interval",
-                        lambda self, bits: iv.mpf([-1, 1]))
+                        lambda self, bits: (Decimal(-1), Decimal(1)))
     # 1/p_1 = 1 - 1e-10: the axis {0} x Z2 scores 2^(-1e-10), within the
     # float margin of the whole group's 1, so the two are compared exactly
     near_tie = dict(LW_Z2Z2, p=["10000000000/9999999999", "2"])

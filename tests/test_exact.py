@@ -1,6 +1,9 @@
+import decimal
+import json
 import math
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -233,6 +236,65 @@ def test_compare_agrees_with_rationals(a, b):
     assert cmp == (a > b) - (a < b)
 
 
+# Bases and exponents small enough for the L-th powers to be Fractions.
+tiny_powers = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=60),
+              st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+    max_size=4,
+)
+
+
+@given(tiny_powers, tiny_powers)
+def test_compare_agrees_with_fraction_powers(s, t):
+    L = math.lcm(*(Fraction(e).denominator for _, e in s + t))
+    a, b = fraction_power(s, L), fraction_power(t, L)
+    cmp = ExactValue.from_powers(s).compare(ExactValue.from_powers(t))
+    assert cmp == (a > b) - (a < b)
+
+
+def mpmath_sign(v: ExactValue) -> int:
+    """The sign of log v by mpmath intervals at 1024 bits."""
+    if v.is_one:
+        return 0
+    saved = iv.prec
+    try:
+        iv.prec = 1024
+        box = iv.mpf(0)
+        for p, e in v.factors:
+            box += iv.log(p) * e.numerator / iv.mpf(e.denominator)
+    finally:
+        iv.prec = saved
+    assert box.a > 0 or box.b < 0
+    return 1 if box.a > 0 else -1
+
+
+@given(powers, powers)
+def test_compare_agrees_with_mpmath(s, t):
+    a, b = ExactValue.from_powers(s), ExactValue.from_powers(t)
+    assert a.compare(b) == mpmath_sign(a / b)
+
+
+# h/k are convergents of log2(3), so 2^h / 3^k is within about 1/k of 1
+# and its sign is undecided at the first precision.
+@pytest.mark.parametrize("h,k,bits", [
+    (36143248623210700400, 22803850947114245497, 256),
+    (140690488826696872097589025558558402300,
+     88765815445275743487588285864370556199, 512),
+], ids=["256-bits", "512-bits"])
+def test_compare_escalates_on_near_ties(monkeypatch, h, k, bits):
+    v = ExactValue.from_powers([(2, h), (3, -k)])
+    tried = []
+    log_interval = ExactValue._log_interval
+
+    def recording(self, b):
+        tried.append(b)
+        return log_interval(self, b)
+
+    monkeypatch.setattr(ExactValue, "_log_interval", recording)
+    assert v.compare(ExactValue.one()) == mpmath_sign(v)
+    assert tried[-1] == bits and tried[0] == 128
+
+
 def test_close_values_separate():
     # 2^1000001 vs 2^1000000 * 2: equal; and a genuinely tiny gap
     a = ExactValue.from_rational(2) ** Fraction(10**12 + 1, 10**12)
@@ -278,41 +340,52 @@ def test_exact_max_tie_check_matches_compare():
         assert exact_max(values) == _exact_max_by_compare(values)
 
 
-def test_compare_restores_interval_precision():
-    saved = iv.prec
-    try:
-        iv.prec = 64
-        a = ExactValue.from_rational(2) ** Fraction(1, 2)
-        b = ExactValue.from_rational(3) ** Fraction(1, 3)
+def test_compare_leaves_the_decimal_context_unchanged():
+    a = ExactValue.from_rational(2) ** Fraction(1, 2)
+    b = ExactValue.from_rational(3) ** Fraction(1, 3)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 3, decimal.ROUND_UP
+        saved = str(ctx)
         assert a.compare(b) == -1  # distinct values: decided by intervals
-        assert iv.prec == 64
-    finally:
-        iv.prec = saved
+        assert decimal.getcontext() is ctx and str(ctx) == saved
 
 
-MPMATH_DEFERRED = """
+STDLIB_ONLY = """
 import sys
+sys.modules["mpmath"] = None  # importing mpmath now raises ImportError
 from fractions import Fraction
 
 from blgroups import ExactValue, bl_constant, direct_product, make_cyclic_product, make_datum
+from blgroups.cli import main
 
 Z2 = make_cyclic_product([2])
 G, pa, pb = direct_product(Z2, Z2)
 assert bl_constant(make_datum(G, [pa, pb], ["2", "2"])).value.is_one
-assert "mpmath" not in sys.modules
 a = ExactValue.from_rational(2) ** Fraction(1, 2)
 b = ExactValue.from_rational(3) ** Fraction(1, 3)
 assert a.compare(b) == -1
-from mpmath import iv
-assert iv.prec == 53
+assert main(["verify", "--in", sys.argv[1], "--no-cache"]) == 0
 """
 
+# Loomis-Whitney on Z2 x Z2 at 1/p_1 = 1 - 1e-10: the axis {0} x Z2 scores
+# 2^(-1e-10), within the float margin of the whole group's 1, so the formula
+# compares the two exactly.
+NEAR_TIE = {
+    "group": {"cyclic": [2, 2]},
+    "codomains": [{"cyclic": [2]}, {"cyclic": [2]}],
+    "maps": [[0, 0, 1, 1], [0, 1, 0, 1]],
+    "p": ["10000000000/9999999999", "2"],
+}
 
-def test_mpmath_is_imported_at_the_first_interval_comparison(package_env):
-    # A fresh interpreter: this test process has imported mpmath already.
-    proc = subprocess.run([sys.executable, "-c", MPMATH_DEFERRED],
+
+def test_runtime_needs_only_the_standard_library(package_env, tmp_path):
+    # A fresh interpreter, in which mpmath cannot be imported.
+    path = tmp_path / "near_tie.json"
+    path.write_text(json.dumps(NEAR_TIE))
+    proc = subprocess.run([sys.executable, "-c", STDLIB_ONLY, str(path)],
                           capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["all_agree"] is True
 
 
 def test_json_round_trip():
@@ -322,7 +395,7 @@ def test_json_round_trip():
 
 def test_undecided_comparison_carries_values_and_bits(monkeypatch):
     monkeypatch.setattr(ExactValue, "_log_interval",
-                        lambda self, bits: iv.mpf([-1, 1]))
+                        lambda self, bits: (Decimal(-1), Decimal(1)))
     a, b = ExactValue.from_rational(2), ExactValue.from_rational(3)
     with pytest.raises(UndecidedComparisonError) as info:
         a.compare(b)

@@ -15,7 +15,6 @@ from blgroups.heisenberg import (
     heisenberg_commutator,
     heisenberg_dilations,
     heisenberg_multiply,
-    homogeneous_dimension,
     kronecker_sequence,
     scaling_condition,
 )
@@ -35,17 +34,17 @@ def elem(re, im, t):
 
 
 def test_homogeneous_dimension_euclidean():
-    assert homogeneous_dimension(DilationStructure((1, 1, 1))) == 3
+    assert DilationStructure((1, 1, 1)).Q() == 3
 
 
 def test_homogeneous_dimension_heisenberg():
     # weights (1, 1, 2) for C x R; Q = 2n + 2 at n = 1
-    assert homogeneous_dimension(heisenberg_dilations(1)) == 4
-    assert homogeneous_dimension(heisenberg_dilations(3)) == 8
+    assert heisenberg_dilations(1).Q() == 4
+    assert heisenberg_dilations(3).Q() == 8
 
 
 def test_homogeneous_dimension_rational_weights():
-    assert homogeneous_dimension(DilationStructure((F(1, 2), F(3, 2)))) == 2
+    assert DilationStructure((F(1, 2), F(3, 2))).Q() == 2
 
 
 def test_scaling_condition_examples():

@@ -249,7 +249,8 @@ def _reference_ascent(d, init, sweeps, tol=None):
                 return [1.0] * len(wk)
             arg = [1.0 if v >= max(wk) else 0.0 for v in wk]
             return [v / sum(arg) for v in arg]
-        return [v ** (1.0 / (float(p.value) - 1.0)) for v in wk]
+        top = max(wk) or 1.0
+        return [(v / top) ** (1.0 / (float(p.value) - 1.0)) for v in wk]
 
     funcs = [[float(v) / norm(j, f) for v in f] for j, f in enumerate(init.functions)]
     values = []
@@ -258,8 +259,7 @@ def _reference_ascent(d, init, sweeps, tol=None):
             funcs[k] = update(funcs, k)
             n = norm(k, funcs[k])
             funcs[k] = [v / n for v in funcs[k]]
-        norms = [norm(j, f) for j, f in enumerate(funcs)]
-        values.append(float(evaluate_form(d, InputTuple(funcs))) / math.prod(norms))
+        values.append(float(evaluate_form(d, InputTuple(funcs))))
         if tol is not None and len(values) >= 2:
             if values[-1] - values[-2] <= tol * max(abs(values[-1]), 1e-300):
                 break
