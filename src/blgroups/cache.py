@@ -2,9 +2,12 @@
 
 Relabeled but equal tables hash identically because the key covers exactly
 (order, table, identity); isomorphic groups with different tables hash
-differently, which is documented behavior (no isomorphism testing).  Writes
-are atomic (temp file + rename) and guarded by an advisory lock so that
-concurrent CLI invocations do not corrupt entries.
+differently, which is documented behavior (no isomorphism testing).  A
+writer takes an advisory lock on the directory's `.lock` file, writes
+`<digest>.tmp` and renames it over the entry; the lock keeps concurrent CLI
+invocations from sharing the temp name.  Readers take no lock: the rename
+is atomic, so a reader opens either the old entry or the whole new one,
+never a partial write.
 
 An entry records its format version, the group order, the subgroup count
 and a digest of the member lists.  An entry that is missing, unreadable, not
@@ -125,10 +128,6 @@ class SubgroupCache:
         """The parsed entry, or None if it is missing, unreadable or not JSON."""
         try:
             with open(path) as fh:
-                fcntl.flock(fh, fcntl.LOCK_SH)
-                try:
-                    return json.load(fh)
-                finally:
-                    fcntl.flock(fh, fcntl.LOCK_UN)
+                return json.load(fh)
         except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
             return None

@@ -38,7 +38,7 @@ from typing import Optional
 from .datum import (
     BLDatum,
     CanonicalTag,
-    canonical_tag,
+    canonicalize,
     exact_argmax,
     mass_quotient,
     quotient_logs,
@@ -79,7 +79,6 @@ def saturate(d: BLDatum, H: Subgroup) -> Subgroup:
 class ConstantReport:
     value: ExactValue
     argmax_subgroup: Subgroup
-    saturated: bool
     tie: bool
     canonicalization: Optional[CanonicalTag] = None
     all_candidates: Optional[tuple[tuple[Subgroup, ExactValue], ...]] = None
@@ -96,13 +95,13 @@ def bl_constant(
     those whose float log-ratio is near the float maximum (see the module
     docstring).  Ties break toward smaller subgroup order, then lexicographic
     member lists; the report says whether a tie occurred.  For non-canonical
-    input the canonicalization tag (with its exact constant factor) is
-    attached for reference; the value reported is that of the datum as given.
+    input the tag of `canonicalize` is attached for reference, with its
+    exact factor BL(d) / BL(canonical); the value is that of d as given.
     `subgroups` defaults to all_subgroups(d.G) under its default order cap.
     """
     if subgroups is None:
         subgroups = all_subgroups(d.G)
-    tag = canonical_tag(d)
+    _, tag = canonicalize(d)
 
     found: dict[int, tuple[int, ...]] = {}
     for H in subgroups:
@@ -131,7 +130,6 @@ def bl_constant(
     return ConstantReport(
         value=value,
         argmax_subgroup=Subgroup(d.G, near[best][1]),
-        saturated=True,
         tie=tie,
         canonicalization=None if tag.is_canonical else tag,
         all_candidates=all_cands,

@@ -127,9 +127,8 @@ class BLDatum:
         for j, h in enumerate(self.maps):
             if h.domain != self.G:
                 raise GroupStructureError(f"map {j} has the wrong domain")
-        # Read on every mass_quotient and quotient_logs call, so stored once.
-        # Not a cached_property: its write to __dict__ makes every later
-        # attribute load on the datum several times slower (CPython 3.11).
+        # Read on every mass_quotient and quotient_logs call, so stored once,
+        # eagerly: the `groups` module docstring says why.
         object.__setattr__(self, "codomains", tuple(h.codomain for h in self.maps))
 
     @property

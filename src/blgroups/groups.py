@@ -46,6 +46,13 @@ A map m with m(e) = e is a homomorphism when m(xa) = m(x)m(a) for all x
 and each a in A, n |A| lookups against n^2.  The same argument applies,
 both tables being associative: if a and b pass, then
 m(x(ab)) = m((xa)b) = m(xa)m(b) = m(x)m(a)m(b) = m(x)m(ab).
+
+Derived state (`FiniteGroup._generators` and `_hash`, `Homomorphism.fibres`,
+`Subgroup.mask`, `datum.BLDatum.codomains`) is set once in `__post_init__`
+by `object.__setattr__`, outside eq and repr.  Not as a `cached_property`:
+on CPython 3.11 its write to the instance `__dict__` makes every later
+attribute load on the instance several times slower, and the constant's
+scan reads these objects for every subgroup.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -99,15 +105,18 @@ class FiniteGroup:
             self.table[x][e] != x for x in range(n)
         ):
             raise GroupStructureError("identity row/column must be trivial")
-        for a in self._generators:  # enough, by the module docstring
+        gens = _greedy_generators(self.table, e)
+        for a in gens:  # enough, by the module docstring
             if e not in self.table[a]:
                 raise GroupStructureError(f"element {a} has no right inverse")
-        _check_associativity(self.table, self._generators)
+        _check_associativity(self.table, gens)
         if self.labels is not None and len(self.labels) != n:
             raise GroupStructureError("labels length must match order")
+        object.__setattr__(self, "_generators", gens)
+        object.__setattr__(self, "_hash", hash((n, e, self.table)))
 
     def inv(self, x: int) -> int:
-        return self._inverses[x]
+        return self.table[x].index(self.identity)
 
     def elements(self) -> range:
         return range(self.order)
@@ -125,32 +134,22 @@ class FiniteGroup:
     def __hash__(self):
         return self._hash
 
-    @cached_property
-    def _hash(self) -> int:
-        # the table is immutable, so hash it once per group, not per call
-        return hash((self.order, self.identity, self.table))
 
-    @cached_property
-    def _inverses(self) -> tuple[int, ...]:
-        # one search per row, once per group, so inv is a lookup
-        return tuple(row.index(self.identity) for row in self.table)
-
-    @cached_property
-    def _generators(self) -> tuple[int, ...]:
-        # The greedy generating set A of the module docstring; () for {e}.
-        table, gens, reached = self.table, [], {self.identity}
-        for g in range(self.order):
-            if g in reached:
-                continue
-            gens.append(g)
-            stack = list(reached)
-            while stack:
-                row = table[stack.pop()]
-                for a in gens:
-                    if row[a] not in reached:
-                        reached.add(row[a])
-                        stack.append(row[a])
-        return tuple(gens)
+def _greedy_generators(table, identity) -> tuple[int, ...]:
+    """The greedy generating set A of the module docstring; () for {e}."""
+    gens, reached = [], {identity}
+    for g in range(len(table)):
+        if g in reached:
+            continue
+        gens.append(g)
+        stack = list(reached)
+        while stack:
+            row = table[stack.pop()]
+            for a in gens:
+                if row[a] not in reached:
+                    reached.add(row[a])
+                    stack.append(row[a])
+    return tuple(gens)
 
 
 def _check_associativity(table, gens):
@@ -206,7 +205,8 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A homomorphism given by the image of every domain element."""
+    """A homomorphism given by the image of every domain element; `fibres`
+    holds one mask per codomain element y, with bit x set when map[x] = y."""
 
     domain: FiniteGroup
     codomain: FiniteGroup
@@ -226,17 +226,13 @@ class Homomorphism:
             for x in range(G.order):
                 if m[gt[x][a]] != ht[m[x]][ma]:
                     raise GroupStructureError(f"not multiplicative at ({x},{a})")
+        fibres = [0] * H.order
+        for x, y in enumerate(m):
+            fibres[y] |= 1 << x
+        object.__setattr__(self, "fibres", tuple(fibres))
 
     def __call__(self, x: int) -> int:
         return self.map[x]
-
-    @cached_property
-    def fibres(self) -> tuple[int, ...]:
-        """One mask per codomain element y, with bit x set when map[x] = y."""
-        masks = [0] * self.codomain.order
-        for x, y in enumerate(self.map):
-            masks[y] |= 1 << x
-        return tuple(masks)
 
     def image_mask(self, mask: int) -> int:
         """The mask of the image of the domain elements in `mask`."""
@@ -461,12 +457,18 @@ def kernel(h: Homomorphism) -> Subgroup:
 
 
 def normality_witness(G: FiniteGroup, H: Subgroup):
-    """Return None if H is normal, else a pair (x, n) with x*n*x^-1 outside H."""
-    mask = H.mask
+    """Return None if H is normal, else a pair (x, n) with x*n*x^-1 outside H.
+
+    x n x^-1 lies in H exactly when x n lies in the right coset Hx, so each
+    x needs one coset mask and no inverse.
+    """
+    table = G.table
     for x in range(G.order):
-        xi = G.inv(x)
+        hx = 0
+        for h in H.members:
+            hx |= 1 << table[h][x]
         for n in H.members:
-            if not mask >> G.table[G.table[x][n]][xi] & 1:
+            if not hx >> table[x][n] & 1:
                 return (x, n)
     return None
 

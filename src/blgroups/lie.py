@@ -143,7 +143,9 @@ class LinearizedMap:
 
     @cached_property
     def int_matrix(self) -> IntMatrix:
-        """The torus block over ints (rational_linalg.scaled): the same ranks."""
+        """The torus block over ints (rational_linalg.scaled): the same ranks.
+        Lazy: built eagerly, it slowed the `torus-verdicts` setup's
+        `torus_pool()` from 10.3-11.3 to 15.3-15.7 ms (best of 40)."""
         return scaled(self.torus_matrix)
 
 

@@ -224,7 +224,6 @@ def constant_report_to_json(rep: ConstantReport) -> dict:
         "value": exact_value_to_json(rep.value),
         "value_approx": rep.value.to_float(),
         "argmax": subgroup_to_json(rep.argmax_subgroup),
-        "saturated": rep.saturated,
         "tie": rep.tie,
     }
     if rep.canonicalization is not None:

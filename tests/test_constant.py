@@ -6,7 +6,7 @@ import pytest
 
 from blgroups import corpus
 from blgroups.constant import bl_constant, extremizer, ratio, saturate
-from blgroups.datum import Exponent, canonical_tag, make_datum
+from blgroups.datum import Exponent, canonical_tag, canonicalize, make_datum
 from blgroups.exact import ExactValue, exact_max
 from blgroups.groups import (
     HaarMode,
@@ -166,15 +166,24 @@ def test_exponent_monotonicity_probability():
                 assert bl_constant(d2).value.compare(bl_constant(d1).value) <= 0
 
 
-def test_non_canonical_datum_reports_tag():
+def test_non_canonical_datum_reports_tag(edge_data):
     Z4 = make_cyclic_product([4])
-    from blgroups.groups import Homomorphism
-
     dbl = Homomorphism(Z4, Z4, (0, 2, 0, 2))
     d = make_datum(Z4, [dbl], [2])
     rep = bl_constant(d)
     assert rep.canonicalization is not None
     assert not rep.canonicalization.is_canonical
+    # BL(d) = 2^(1/2) BL(canonical): the image {0, 2} has index 2 in Z4
+    assert rep.canonicalization.constant_factor == ExactValue.from_rational(2) ** Fraction(1, 2)
+    # the factor relates the two constants exactly, under every Haar pair
+    non_canonical = [d for d in edge_data if not canonical_tag(d).is_canonical]
+    assert len(non_canonical) == 2
+    for d, (haar_G, haar) in itertools.product(non_canonical, itertools.product((C, P), repeat=2)):
+        d = d.with_haar(haar_G, (haar,) * d.J)
+        out, tag = canonicalize(d)
+        rep = bl_constant(d)
+        assert rep.canonicalization == tag
+        assert tag.constant_factor * bl_constant(out).value == rep.value
 
 
 def test_tie_reporting():
@@ -207,7 +216,7 @@ def reference_bl_constant(d, subgroups=None):
         ))
     ordered = sorted(candidates, key=lambda m: (len(m), m))
     best, value, tie = exact_max([ratio(d, Subgroup(d.G, m)) for m in ordered])
-    tag = canonical_tag(d)
+    _, tag = canonicalize(d)
     return value, ordered[best], tie, None if tag.is_canonical else tag
 
 

@@ -1,7 +1,10 @@
 import hashlib
+import inspect
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 import pytest
@@ -678,6 +681,48 @@ def test_quotient_non_normal_names_witness(S3):
     assert S3.table[S3.table[x][n]][xi] not in H.members
     with pytest.raises(GroupStructureError, match="not normal"):
         quotient(S3, H)
+
+
+def reference_normality_witness(G, H):
+    """The conjugation definition, kept as the test oracle: the first x,
+    then the first n in H, with x n x^-1 outside H; x^-1 by a row search."""
+    for x in range(G.order):
+        xi = next(y for y in range(G.order) if G.table[x][y] == G.identity)
+        for n in H.members:
+            if G.table[G.table[x][n]][xi] not in H.members:
+                return (x, n)
+    return None
+
+
+@pytest.mark.parametrize("make, count, normal", [
+    (lambda: _symmetric(4), 30, 4),
+    (lambda: from_permutations(4, [(1, 2, 3, 0), (0, 3, 2, 1)]), 10, 6),
+    (lambda: make_cyclic_product([2, 4]), 8, 8),
+    (lambda: direct_product(_symmetric(3), make_cyclic_product([2]))[0], 16, 7),
+], ids=["S4", "D4", "Z2xZ4", "S3xZ2"])
+def test_normality_witness_matches_conjugation(make, count, normal):
+    G = make()
+    subgroups = all_subgroups(G)
+    witnesses = [normality_witness(G, H) for H in subgroups]
+    assert witnesses == [reference_normality_witness(G, H) for H in subgroups]
+    assert (len(witnesses), witnesses.count(None)) == (count, normal)
+
+
+def test_derived_state_is_built_at_construction():
+    table = make_cyclic_product([4]).table
+    G1, G2 = FiniteGroup(4, table, 0, ("a", "b", "c", "d")), FiniteGroup(4, table, 0)
+    h1, h2 = (Homomorphism(G, G, (0, 2, 0, 2)) for G in (G1, G2))
+    for obj, names in ((G1, {"_generators", "_hash"}), (h1, {"fibres"})):
+        assert names <= set(vars(obj))
+        assert not names & {f.name for f in fields(obj)}
+        assert not any(name in repr(obj) for name in names)
+    assert G1._generators == (1,) and h1.fibres == (5, 0, 10, 0)
+    assert repr(G1) != repr(G2)
+    assert G1 == G2 and hash(G1) == hash(G2) == hash((4, 0, table))
+    assert h1 == h2 and hash(h1) == hash(h2)
+    for _, cls in inspect.getmembers(groups, inspect.isclass):
+        if cls.__module__ == groups.__name__:
+            assert not any(isinstance(a, cached_property) for a in vars(cls).values())
 
 
 def test_normal_subgroup_of_s3(S3):
