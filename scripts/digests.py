@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the four answer digests that gate a change to the library.
+"""Print the five answer digests that gate a change to the library.
 
 Run from the repository root, at the parent commit and at the change, and
 compare the output:
@@ -21,22 +21,29 @@ compare the output:
   corpus frame: with Z2 under trivial maps, and with Z2 under the identity
   as its first map and trivial maps after it.  At the first exponent tuple
   of each frame and Haar mode it adds both halves of `quotient_split` (or
-  the error) along every subgroup of the source group.
+  the error) along every subgroup of the source group;
+* lie: the 1815 Lie cases, the 360 data of the `torus-verdicts` benchmark
+  (`perfbench/workloads.py` `torus_pool()`), Loomis-Whitney on T^3 at
+  (2, 2, 2) and (3/2, 2, 2) and four generic planes of T^3 at (4, 4, 4, 4),
+  each at `max_closure` 0 to 4, hashing `finiteness` and `closed_pool`
+  and, where the pool closed, `bl_polytope`, `vertices` and `facet_status`.
 
 Each digest is the SHA-256 of one `repr` line per item.  The digests go
 to stdout and the time of each pass to stderr, so two runs compare with
-`diff`.  The oracle pass takes the longest.
+`diff`.  The reductions and oracle passes take the longest.
 """
 
 import hashlib
 import sys
 import time
+from pathlib import Path
 
 from blgroups.constant import bl_constant
 from blgroups.corpus import exponent_grid, frame_datum, standard_frames
 from blgroups.datum import (
     BLDatum,
     CanonicalTag,
+    Exponent,
     canonicalize,
     drop_infinite_exponent,
     make_datum,
@@ -51,6 +58,15 @@ from blgroups.groups import (
     from_permutations,
     identity_map,
     make_cyclic_product,
+)
+from blgroups.lie import (
+    CompactLieDatum,
+    LinearizedMap,
+    bl_polytope,
+    closed_pool,
+    facet_status,
+    finiteness,
+    vertices,
 )
 from blgroups.oracle import exhaustive_indicator_search, oracle_constant
 from blgroups.serialize import datum_to_json, tag_to_json
@@ -122,6 +138,34 @@ def _reduction_lines(frames):
                     yield _attempt(quotient_split, t, N)
 
 
+def _lie_cases():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import torus_pool
+
+    for d, p in torus_pool():
+        yield d, [Exponent.of(x) for x in p]
+    unit = [[int(c == r) for c in range(3)] for r in range(3)]
+    lw = CompactLieDatum((), 3, tuple(LinearizedMap((), unit[:j] + unit[j + 1:])
+                                      for j in range(3)))
+    yield lw, [Exponent.of(2)] * 3
+    yield lw, [Exponent.of("3/2"), Exponent.of(2), Exponent.of(2)]
+    planes = unit + [[1, 1, 1]]
+    yield (CompactLieDatum((), 3, tuple(LinearizedMap((), [r]) for r in planes)),
+           [Exponent.of(4)] * 4)
+
+
+def _lie_lines():
+    for d, p in _lie_cases():
+        for max_closure in range(5):
+            yield finiteness(d, p, max_closure)
+            pool, closed = closed_pool(d, max_closure)
+            yield pool, closed
+            if closed:
+                P = bl_polytope(d, pool)
+                verts = vertices(P)
+                yield P, verts, facet_status(P, verts)
+
+
 def main():
     frames = standard_frames()
     lattices = {G: all_subgroups(G) for G in dict.fromkeys(f.group for f in frames)}
@@ -143,7 +187,8 @@ def main():
 
     for name, lines in (("subgroups", subgroup_lines), ("formula", formula_lines),
                         ("oracle", oracle_lines),
-                        ("reductions", lambda: _reduction_lines(frames))):
+                        ("reductions", lambda: _reduction_lines(frames)),
+                        ("lie", _lie_lines)):
         start = time.perf_counter()
         print(name, _digest(lines()), flush=True)
         print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)

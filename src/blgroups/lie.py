@@ -4,7 +4,8 @@ A compact Lie algebra splits as (sum of simple ideals) + (central torus), and
 every ideal is a subset of the simple summands plus a rational subspace of
 the torus.  A homomorphism kills or keeps each simple summand and acts on the
 torus by an integer matrix, so all the dimension counting in the codimension
-conditions reduces to subset bookkeeping plus rational matrix ranks.
+conditions reduces to subset bookkeeping plus sums of torus subspaces
+(below: no image is built).
 
 The codimension defect is additive over the simple summands and the torus.
 With r_j = 1/p_j, R_i the sum of r_j over the maps that keep summand i, and
@@ -18,8 +19,13 @@ FINITE verdict is a proof, not a sample, and what is not proved is UNDECIDED.
 Torus certificate
 -----------------
 Let V = Q^n be the Lie algebra of T^n, K_j = ker dsigma_j and r_j = 1/p_j in
-[0, 1].  Since dim dsigma_j(W) = dim W - dim(W cap K_j), the codimension
-inequality at a subspace W reads
+[0, 1].  By rank-nullity on W, then dim(W cap K_j) = dim W + dim K_j -
+dim(W + K_j),
+
+    dim dsigma_j(W) = dim W - dim(W cap K_j) = dim(W + K_j) - dim K_j,
+
+so the rank of map j on V is n - dim K_j, every image dimension is read off a
+sum with a kernel (_Sums), and the codimension inequality at W reads
 
     (C_W)    codim W >= sum_j r_j codim(W + K_j).
 
@@ -110,13 +116,11 @@ from .rational_linalg import (
     as_matrix,
     enumerate_box_subspaces,
     fractions,
-    int_image,
     int_kernel,
     int_meet,
     int_solve,
     int_sum,
     primitive,
-    rank,
     scaled,
 )
 
@@ -219,18 +223,74 @@ def _is_full(d: CompactLieDatum, n: IdealSpec) -> bool:
             and all(len(row) == t for row in n.torus_rows))
 
 
+class _Sums:
+    """One call's eliminations on a datum, each made once: the map kernels as
+    (bitmask of the summands the map kills, integer-form torus rows), the map
+    image dimensions g_dims read off them, and every torus sum, kept by the
+    unordered pair of integer-form parts (module docstring).  It lives for
+    one call, so no state outlives the call."""
+
+    def __init__(self, d: CompactLieDatum):
+        self.d, self._sums = d, {}
+        summands = range(len(d.simple_dims))
+        self.kernels = [(sum(1 << i for i in summands if i not in m.kept_simple),
+                         int_kernel(m.int_matrix, d.torus_dim)) for m in d.maps]
+        self.g_dims = [sum(d.simple_dims[i] for i in m.kept_simple) + d.torus_dim - len(K)
+                       for m, (_, K) in zip(d.maps, self.kernels)]
+
+    def torus_sum(self, A: IntMatrix, B: IntMatrix) -> IntMatrix:
+        """A + B; a sum with 0, or of a part with itself, needs no elimination."""
+        if not A or not B or A == B:
+            return A or B
+        key = (A, B) if A < B else (B, A)
+        if key not in self._sums:
+            self._sums[key] = int_sum(A, B)
+        return self._sums[key]
+
+    def sum_and_intersection(self, a, b) -> tuple:
+        """(a + b, a cap b) for ideals as (summand bitmask, integer-form torus
+        rows), the meet read off dimensions where it can be (closed_pool)."""
+        (sa, A), (sb, B) = a, b
+        s = self.torus_sum(A, B)
+        if len(s) == len(A):
+            meet = B
+        elif len(s) == len(B):
+            meet = A
+        elif len(s) == len(A) + len(B):
+            meet = ()
+        else:
+            meet = int_meet(A, B, self.d.torus_dim)
+        return (sa | sb, s), (sa & sb, meet)
+
+    def ideal_dims(self, n: IdealSpec) -> tuple[int, list[int]]:
+        d, T = self.d, n.torus_rows
+        if any(len(row) != d.torus_dim for row in T):
+            raise ValueError("torus basis rows must have torus_dim entries")
+        dim_n = sum(d.simple_dims[i] for i in n.simple_part) + len(T)
+        return dim_n, [sum(d.simple_dims[i] for i in n.simple_part if i in m.kept_simple)
+                       + len(self.torus_sum(T, K)) - len(K)
+                       for m, (_, K) in zip(d.maps, self.kernels)]
+
+    def halfspace(self, n: IdealSpec) -> tuple[tuple[int, ...], int]:
+        """(coeffs, bound) with the codimension inequality at n as r . coeffs <= bound."""
+        dim_n, image_dims = self.ideal_dims(n)
+        return (tuple([g - i for g, i in zip(self.g_dims, image_dims)]),
+                self.d.group_dim() - dim_n)
+
+    def defect(self, R, D: int, n: IdealSpec) -> int:
+        """D times the codimension defect at n, for 1/p_j = R_j / D."""
+        coeffs, bound = self.halfspace(n)
+        return sum([r * c for r, c in zip(R, coeffs)]) - bound * D
+
+
 def ideal_dims(d: CompactLieDatum, n: IdealSpec) -> tuple[int, list[int]]:
-    """(dim n, [dim dsigma_j(n) for each map]), all by exact rank."""
-    if any(len(row) != d.torus_dim for row in n.torus_rows):
-        raise ValueError("torus basis rows must have torus_dim entries")
-    dim_n = sum(d.simple_dims[i] for i in n.simple_part) + len(n.torus_rows)
-    return dim_n, [sum(d.simple_dims[i] for i in n.simple_part if i in m.kept_simple)
-                   + len(int_image(m.int_matrix, n.torus_rows)) for m in d.maps]
+    """(dim n, [dim dsigma_j(n) for each map]), from sums with the kernels."""
+    return _Sums(d).ideal_dims(n)
 
 
 def map_image_dims(d: CompactLieDatum) -> list[int]:
-    """dim dsigma_j(g) per map: its kept summands plus the rank of its torus block."""
-    return [sum(d.simple_dims[i] for i in m.kept_simple) + rank(m.int_matrix) for m in d.maps]
+    """dim dsigma_j(g) per map: its kept summands plus torus_dim - dim K_j."""
+    return _Sums(d).g_dims
 
 
 @dataclass(frozen=True)
@@ -255,25 +315,16 @@ def _reciprocals(d: CompactLieDatum, p: Sequence[Exponent]) -> tuple[list[int], 
     return _over_one_denominator([Exponent.of(pj).reciprocal() for pj in p])
 
 
-def _halfspace(d: CompactLieDatum, g_dims, n: IdealSpec) -> tuple[tuple[int, ...], int]:
-    """(coeffs, bound) with the codimension inequality at n as r . coeffs <= bound."""
-    dim_n, image_dims = ideal_dims(d, n)
-    return tuple(g - i for g, i in zip(g_dims, image_dims)), d.group_dim() - dim_n
-
-
-def _defect(d: CompactLieDatum, R, D: int, g_dims, n: IdealSpec) -> int:
-    """D times the codimension defect at n, for 1/p_j = R_j / D."""
-    coeffs, bound = _halfspace(d, g_dims, n)
-    return sum([r * c for r, c in zip(R, coeffs)]) - bound * D
-
-
 def codimension_defect(
     d: CompactLieDatum, p: Sequence[Exponent], n: IdealSpec, g_dims=None
 ) -> Fraction:
-    """lhs - rhs of the codimension inequality at the ideal n (<= 0 means ok)."""
+    """lhs - rhs of the codimension inequality at the ideal n (<= 0 means ok).
+    g_dims, if given, is used as map_image_dims(d)."""
     R, D = _reciprocals(d, p)
-    g_dims = map_image_dims(d) if g_dims is None else g_dims
-    return Fraction(_defect(d, R, D, g_dims, n), D)
+    sums = _Sums(d)
+    if g_dims is not None:
+        sums.g_dims = list(g_dims)
+    return Fraction(sums.defect(R, D, n), D)
 
 
 def codimension_check(
@@ -281,11 +332,11 @@ def codimension_check(
 ) -> CodimReport:
     """Verify the codimension inequality for every listed proper ideal."""
     R, D = _reciprocals(d, p)
-    g_dims = map_image_dims(d)
+    sums = _Sums(d)
     for n in ideals:
         if _is_full(d, n):
             continue
-        defect = _defect(d, R, D, g_dims, n)
+        defect = sums.defect(R, D, n)
         if defect > 0:
             return CodimReport(False, n, Fraction(defect, D))
     return CodimReport(True)
@@ -295,34 +346,12 @@ def codimension_check(
 
 
 def map_kernel(d: CompactLieDatum, j: int) -> IdealSpec:
-    return _ideal(*_kernel(d, d.maps[j]))
-
-
-def _kernel(d: CompactLieDatum, m: LinearizedMap) -> tuple[int, IntMatrix]:
-    """ker m as (bitmask of the summands m kills, integer-form torus rows)."""
-    killed = sum(1 << i for i in range(len(d.simple_dims)) if i not in m.kept_simple)
-    return killed, int_kernel(m.int_matrix, d.torus_dim)
+    return _ideal(*_Sums(d).kernels[j])
 
 
 def _ideal(mask: int, rows: IntMatrix) -> IdealSpec:
     summands = tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
     return IdealSpec._canonical(summands, rows)
-
-
-def _sum_and_intersection(t: int, a, b) -> tuple:
-    """(a + b, a cap b) for ideals as (summand bitmask, integer-form torus
-    rows), the torus meet read off dimensions where it can be (closed_pool)."""
-    (sa, A), (sb, B) = a, b
-    s = int_sum(A, B)
-    if len(s) == len(A):
-        meet = B
-    elif len(s) == len(B):
-        meet = A
-    elif len(s) == len(A) + len(B):
-        meet = ()
-    else:
-        meet = int_meet(A, B, t)
-    return (sa | sb, s), (sa & sb, meet)
 
 
 def closed_pool(
@@ -340,23 +369,29 @@ def closed_pool(
     The closure adds, intersects and hashes (summand bitmask, integer-form
     torus rows) pairs, all ints; each member becomes an IdealSpec, with its
     Fraction basis, at the end, sorted by (dimension, summands, RREF basis).
-    Each pair costs one elimination for the torus sum s = A + B.  Since
-    dim(A cap B) = dim A + dim B - dim s, the intersection is read off the
-    dimensions where they pin it down: dim s = dim A means B lies in A, so
-    A cap B = B; dim s = dim B means A cap B = A; dim s = dim A + dim B means
-    A cap B = 0.  Only the other pairs run Zassenhaus.
+    A pair of torus parts costs one elimination for s = A + B, kept in the
+    _Sums that finiteness shares with its defect loop, whose sums T + K_j
+    the closure has all made.  Since dim(A cap B) = dim A + dim B - dim s,
+    the meet is read off the dimensions where they pin it down: dim s =
+    dim A means B lies in A, so A cap B = B; dim s = dim B means A cap B = A;
+    dim s = dim A + dim B means A cap B = 0.  Only the other pairs run
+    Zassenhaus.
     """
+    return _closed_pool(_Sums(d), max_closure)
+
+
+def _closed_pool(sums: _Sums, max_closure: int) -> tuple[list[IdealSpec], bool]:
     if max_closure < 0:
         raise ValueError("max_closure must be >= 0")
     pool = {(0, ())}
-    pool.update(_kernel(d, m) for m in d.maps)
+    pool.update(sums.kernels)
     old: list = []
     fresh = list(pool)
     for done in range(max_closure + 1):
         new = set()
         for i, a in enumerate(fresh):
             for b in old + fresh[i + 1 :]:
-                new.update(_sum_and_intersection(d.torus_dim, a, b))
+                new.update(sums.sum_and_intersection(a, b))
         new -= pool
         if not new or done == max_closure:
             break
@@ -387,8 +422,8 @@ def bl_polytope(d: CompactLieDatum, ideals: Sequence[IdealSpec]) -> RationalPoly
     """One halfspace per distinct dimension vector over the given ideals."""
     if not any(n == zero_ideal() for n in ideals):
         raise ValueError("the ideal list must contain the zero ideal")
-    g_dims = map_image_dims(d)
-    halfspaces = {_halfspace(d, g_dims, n) for n in ideals if not _is_full(d, n)}
+    sums = _Sums(d)
+    halfspaces = {sums.halfspace(n) for n in ideals if not _is_full(d, n)}
     return RationalPolytope(d.J, tuple(sorted(halfspaces)))
 
 
@@ -464,11 +499,11 @@ def bcct_check(
 ) -> BCCTReport:
     """Scaling equality plus dimension inequalities over the given subspaces."""
     R, D = _reciprocals(d, p)
-    g_dims = map_image_dims(d)
-    scaling = sum([r * gd for r, gd in zip(R, g_dims)]) - d.group_dim() * D
+    sums = _Sums(d)
+    scaling = sum([r * gd for r, gd in zip(R, sums.g_dims)]) - d.group_dim() * D
     witness = None
     for n in subspace_pool:
-        dim_n, image_dims = ideal_dims(d, n)
+        dim_n, image_dims = sums.ideal_dims(n)
         if dim_n * D > sum([r * i for r, i in zip(R, image_dims)]):
             witness = n
             break
@@ -533,11 +568,11 @@ def brute_force_torus_violator(
     if d.simple_dims:
         raise ValueError("brute force scan applies to pure torus data")
     R, D = _reciprocals(d, p)
-    g_dims = map_image_dims(d)
+    sums = _Sums(d)
     top = max(0, d.torus_dim - 1)
     for basis in enumerate_box_subspaces(d.torus_dim, box, top):
         n = IdealSpec((), basis)
-        if _defect(d, R, D, g_dims, n) > 0:
+        if sums.defect(R, D, n) > 0:
             return n
     return None
 
@@ -574,18 +609,18 @@ def finiteness(
     does not stabilize within max_closure rounds leaves the verdict UNDECIDED.
     """
     R, D = _reciprocals(d, p)  # a wrong exponent count fails before the closure
-    pool, complete = closed_pool(d, max_closure)
+    sums = _Sums(d)
+    pool, complete = _closed_pool(sums, max_closure)
     pool_tuple = tuple(pool)
 
     c = [dim * (sum([r for r, m in zip(R, d.maps) if i in m.kept_simple]) - D)
          for i, dim in enumerate(d.simple_dims)]
     total = sum(c)
-    g_dims = map_image_dims(d)
     failing_tori = []  # (dim T, RREF of T, D defect_T(T), T) for each failing torus part
     for n in pool:
         if _is_full(d, n):
             continue
-        defect = _defect(d, R, D, g_dims, n)
+        defect = sums.defect(R, D, n)
         if defect > 0:
             return FinitenessReport(
                 Verdict.INFINITE, n, Fraction(defect, D), pool_tuple,

@@ -5,9 +5,9 @@ basis with each row scaled to a primitive integer vector (gcd 1) with a
 positive pivot, so subspaces compare and hash as tuples of ints.  `primitive`
 brings rational rows (ints, Fractions or strings) to it, all rows scaled by
 the lcm of their denominators, which keeps their span.  The `int_*` functions
-take integer rows and never build a Fraction: `int_image`, `int_kernel`,
-`int_sum` and `int_meet` return the integer form, and `int_solve` returns a
-solution as integer numerators over one common denominator.  Gauss-Jordan
+take integer rows and never build a Fraction: `int_kernel`, `int_sum` and
+`int_meet` return the integer form, and `int_solve` returns a solution as
+integer numerators over one common denominator.  Gauss-Jordan
 elimination replaces a row r by a r - b p for the pivot row p (a its leading
 entry, b the entry of r in the pivot column), then divides r by the gcd of
 its entries.  Fractions are made only where values leave the integer form:
@@ -107,16 +107,6 @@ def fractions(P: IntMatrix) -> Matrix:
 def rref(rows: Iterable[Sequence]) -> Matrix:
     """Reduced row echelon form with zero rows dropped; canonical per subspace."""
     return fractions(primitive(rows))
-
-
-def rank(rows: Iterable[Sequence]) -> int:
-    return len(_echelon(list(scaled(rows))))
-
-
-def int_image(M: IntMatrix, P: IntMatrix) -> IntMatrix:
-    """Integer form of M(span P), for an integer matrix M."""
-    return _rows(_echelon([[sum(m * v for m, v in zip(mrow, vec)) for mrow in M]
-                           for vec in P]))
 
 
 def int_kernel(M: IntMatrix, ncols: int) -> IntMatrix:

@@ -35,14 +35,13 @@ from blgroups.lie import (
     zero_ideal,
 )
 from blgroups.rational_linalg import (
+    enumerate_box_subspaces,
     fractions,
-    int_image,
     int_kernel,
     int_meet,
     int_solve,
     int_sum,
     primitive,
-    rank,
     rref,
     scaled,
 )
@@ -75,7 +74,7 @@ def test_rref_canonical():
 
 def test_rank_and_nullspace():
     M = [[2, -1, 0], [0, 2, -1]]
-    assert rank(M) == 2
+    assert len(primitive(M)) == 2
     ns = fractions(int_kernel(scaled(M), 3))
     assert len(ns) == 1
     v = ns[0]
@@ -243,25 +242,17 @@ def test_linear_algebra_matches_fraction_reference():
         assert_same_matrix(rref(rows), reference_rref(rows))
         assert_same_matrix(fractions(int_kernel(scaled(rows), ncols)),
                            reference_nullspace(rows, ncols))
+        # rank-nullity, as lie reads image dimensions: dim M(W) = dim(W + ker M) - dim ker M
         M = random_rows(rng, rng.randint(0, 4), ncols, rational)
-        assert_same_matrix(fractions(int_image(scaled(M), primitive(rows))),
-                           reference_image_basis(M, rows))
+        K = int_kernel(scaled(M), ncols)
+        assert (len(reference_image_basis(M, rows))
+                == len(int_sum(primitive(rows), K)) - len(K))
         A = rref(rows)
         B = rref(random_rows(rng, rng.randint(0, 6), ncols, not rational))
         assert_same_matrix(fractions(int_sum(primitive(A), primitive(B))),
                            reference_rref(list(A) + list(B)))
         assert_same_matrix(fractions(int_meet(primitive(A), primitive(B), ncols)),
                            reference_intersection(A, B, ncols))
-
-
-def test_image_basis_of_a_rational_map():
-    # scaling the rows of M one by one would give the span of (1, 3), not (1, 2)
-    F = Fraction
-    M = [[F(1, 2), 0], [0, F(1, 3)]]
-    vectors = [[2, 6], [F(1, 4), F(3, 4)]]
-    image = fractions(int_image(scaled(M), primitive(vectors)))
-    assert_same_matrix(image, ((F(1), F(2)),))
-    assert_same_matrix(image, reference_image_basis(M, vectors))
 
 
 def test_wide_zassenhaus_blocks():
@@ -428,10 +419,10 @@ def test_closed_pool_members_are_canonical_and_shortcuts_match_zassenhaus():
         for n in pool:
             again = IdealSpec(n.simple_part, n.torus_basis)
             assert again == n and hash(again) == hash(n)
+        sums = lie._Sums(d)  # one table, so (b, a) reads the sum made for (a, b)
         for a in pool:
             for b in pool:
-                s, meet = (lie._ideal(*c) for c in lie._sum_and_intersection(
-                    d.torus_dim, pair(a), pair(b)))
+                s, meet = (lie._ideal(*c) for c in sums.sum_and_intersection(pair(a), pair(b)))
                 assert s.torus_rows == int_sum(a.torus_rows, b.torus_rows)
                 assert meet.torus_rows == int_meet(a.torus_rows, b.torus_rows, d.torus_dim)
                 assert s.simple_part == tuple(sorted({*a.simple_part, *b.simple_part}))
@@ -664,29 +655,69 @@ def test_finiteness_unclosed_pool_stays_undecided():
     assert finiteness(lw, [E(2)] * 3, max_closure=0).verdict is Verdict.UNDECIDED
 
 
-def test_finiteness_checks_each_ideal_once(monkeypatch):
-    # the part checks reuse the pool's defects: no split datum, no second rank
-    calls = Counter()
-    real = lie.ideal_dims
+def test_finiteness_eliminates_each_pair_once(monkeypatch):
+    # one finiteness call finds each map kernel once and each sum of two
+    # distinct nonzero torus parts at most once: its defect loop reads the
+    # sums T + K_j that its closure made, and a pair met under several
+    # summand masks is summed once.  It takes the halfspace of each proper
+    # pool ideal once, with no split datum, and builds the full ideal of its
+    # datum at most once.
+    sums, kernels, halfspaces, fulls = Counter(), Counter(), Counter(), Counter()
+    real_sum, real_kernel = lie.int_sum, lie.int_kernel
+    real_halfspace, real_full = lie._Sums.halfspace, lie.full_ideal
 
-    def counting(d, n):
-        calls[d, n] += 1
-        return real(d, n)
+    def int_sum(A, B):
+        assert A and B and A != B
+        sums[frozenset((A, B))] += 1
+        return real_sum(A, B)
 
-    monkeypatch.setattr(lie, "ideal_dims", counting)
+    def int_kernel(M, ncols):
+        kernels[M] += 1
+        return real_kernel(M, ncols)
+
+    def halfspace(self, n):
+        halfspaces[self.d, n] += 1
+        return real_halfspace(self, n)
+
+    def full_ideal(d):
+        fulls[d] += 1
+        return real_full(d)
+
+    monkeypatch.setattr(lie, "int_sum", int_sum)
+    monkeypatch.setattr(lie, "int_kernel", int_kernel)
+    monkeypatch.setattr(lie._Sums, "halfspace", halfspace)
+    monkeypatch.setattr(lie, "full_ideal", full_ideal)
     lw = t3_loomis_whitney()
     mixed = CompactLieDatum((3,), 2, (LinearizedMap((0,), [[1, 0]]),
                                       LinearizedMap((), [[0, 1]])))
-    for d, p, verdict in ((lw, [E(2)] * 3, Verdict.FINITE),
-                          (lw, [E("3/2"), E(2), E(2)], Verdict.INFINITE),
-                          (mixed, [E(2), E(2)], Verdict.FINITE)):
-        calls.clear()
-        rep = finiteness(d, p)
-        assert rep.verdict is verdict
-        assert calls and max(calls.values()) == 1
-        assert {datum for datum, _ in calls} == {d}
-        if verdict is Verdict.FINITE:
-            assert {n for _, n in calls} == {n for n in rep.pool if n != full_ideal(d)}
+    cases = [(lw, [E(2)] * 3, Verdict.FINITE), (lw, [E("3/2"), E(2), E(2)], Verdict.INFINITE),
+             (mixed, [E(2), E(2)], Verdict.FINITE), (mixed, [E(1), E(1)], None)]
+    cases += [(d, p, None) for d, p in random_mixed_lie_data(47, 30)]
+    cases += [(d, [E(2)] * d.J, None) for d in random_lie_data(41, 12)]
+    summed = 0
+    for d, p, verdict in cases:
+        for max_closure in (0, 3):
+            for table in (sums, kernels, halfspaces, fulls):
+                table.clear()
+            rep = finiteness(d, p, max_closure)
+            assert verdict is None or max_closure == 0 or rep.verdict is verdict
+            assert max(sums.values(), default=1) == 1
+            assert sum(kernels.values()) == d.J
+            assert {dd for dd, _ in halfspaces} <= {d}
+            assert max(halfspaces.values(), default=1) == 1
+            if rep.verdict is Verdict.FINITE:
+                assert {n for _, n in halfspaces} == {
+                    n for n in rep.pool if n != real_full(d)}
+            assert max(fulls.values(), default=1) == 1
+            summed += len(sums)
+    assert summed > 0
+
+    def refuse(rows):
+        raise AssertionError("the identity basis is in RREF already")
+
+    expected = IdealSpec((0,), [[1, 0], [0, 1]])
+    monkeypatch.setattr(lie, "primitive", refuse)
+    assert real_full(mixed) == expected
 
 
 def test_finiteness_reports_failing_summand_subset():
@@ -710,36 +741,6 @@ def test_finiteness_reports_failing_summand_subset():
         assert closed.verdict is Verdict.INFINITE
         assert closed.certification == "violating ideal found in the pool"
         assert 0 not in closed.violator.simple_part
-
-
-def test_finiteness_builds_full_ideal_and_image_dims_once_per_datum(monkeypatch):
-    # one finiteness call builds the full ideal of its datum at most once,
-    # and the image dimensions of its datum once
-    calls = Counter()
-    for name in ("full_ideal", "map_image_dims"):
-        real = getattr(lie, name)
-
-        def counting(d, name=name, real=real):
-            calls[name, d] += 1
-            return real(d)
-
-        monkeypatch.setattr(lie, name, counting)
-    mixed = CompactLieDatum((3,), 2, (LinearizedMap((0,), [[1, 0]]),
-                                      LinearizedMap((), [[0, 1]])))
-    lw = t3_loomis_whitney()
-    cases = ((lw, [E(2)] * 3), (lw, [E("3/2"), E(2), E(2)]),
-             (mixed, [E(2), E(2)]), (mixed, [E(1), E(1)]))
-    for d, p in cases:
-        calls.clear()
-        finiteness(d, p)
-        assert calls and max(calls.values()) == 1
-
-    def refuse(rows):
-        raise AssertionError("the identity basis is in RREF already")
-
-    expected = IdealSpec((0,), [[1, 0], [0, 1]])
-    monkeypatch.setattr(lie, "primitive", refuse)
-    assert full_ideal(mixed) == expected
 
 
 def test_finiteness_runs_no_dense_scan(monkeypatch):
@@ -910,9 +911,10 @@ def reference_ideal_dims(d, n):
                    for m in d.maps]
 
 
-def test_integer_closure_matches_fraction_reference(monkeypatch):
+def test_integer_closure_matches_fraction_reference():
     # IdealSpec equality reads the integer form only, so the Fraction bases
-    # are compared through repr as well
+    # are compared through repr as well; the reference verdict runs no
+    # library elimination
     rng = random.Random(43)
     choices = ("1", "3/2", "2", "5/2", "3", "4", "inf")
     cases = [(d, [E(rng.choice(choices)) for _ in d.maps]) for d in random_lie_data(41, 36)]
@@ -927,14 +929,11 @@ def test_integer_closure_matches_fraction_reference(monkeypatch):
             assert pool == want and repr(pool) == repr(want)
             assert all(type(v) is Fraction
                        for n in pool[0] for row in n.torus_basis for v in row)
-            got[k, max_closure] = finiteness(d, p, max_closure)
-    monkeypatch.setattr(lie, "closed_pool", reference_closed_pool)
-    monkeypatch.setattr(lie, "ideal_dims", reference_ideal_dims)
     verdicts = Counter()
-    for k, (d, p) in enumerate(cases):
+    for d, p in cases:
         for max_closure in range(5):
-            want = finiteness(d, p, max_closure)
-            rep = got[k, max_closure]
+            rep = finiteness(d, p, max_closure)
+            want = fraction_finiteness(d, p, max_closure, reference_closed_pool)
             assert rep == want and repr(rep) == repr(want)
             verdicts[want.verdict] += 1
     assert set(verdicts) == set(Verdict), verdicts
@@ -943,29 +942,33 @@ def test_integer_closure_matches_fraction_reference(monkeypatch):
 # -- Fraction references for the integer defects and vertices ------------------------
 
 
-def fraction_defect(d, recips, g_dims, n):
-    """The codimension defect at n in Fraction arithmetic, recips the 1/p_j."""
-    coeffs, bound = lie._halfspace(d, g_dims, n)
-    return sum((r * c for r, c in zip(recips, coeffs)), Fraction(0)) - bound
+def fraction_defect(d, recips, n):
+    """The codimension defect at n in Fraction arithmetic, recips the 1/p_j,
+    every dimension from reference_ideal_dims."""
+    dim_n, images = reference_ideal_dims(d, n)
+    dim_g, g_images = reference_ideal_dims(d, full_ideal(d))
+    return sum((r * (g - i) for r, g, i in zip(recips, g_images, images)),
+               Fraction(0)) - (dim_g - dim_n)
 
 
-def fraction_finiteness(d, p, max_closure):
+def fraction_finiteness(d, p, max_closure, pool_of=closed_pool):
     """finiteness with its defect loop in Fraction arithmetic, as it was before
-    the defects became ints over one denominator."""
+    the defects became ints over one denominator, on the pool that pool_of
+    builds; dimensions come from reference_ideal_dims, and a failing summand
+    subset is the first in (|S|, S) order."""
     recips = [E(pj).reciprocal() for pj in p]
-    pool, complete = closed_pool(d, max_closure)
+    pool, complete = pool_of(d, max_closure)
     pool_tuple = tuple(pool)
     R = [sum((r for r, m in zip(recips, d.maps) if i in m.kept_simple), Fraction(0))
          for i in range(len(d.simple_dims))]
     c = [dim * (Ri - 1) for dim, Ri in zip(d.simple_dims, R)]
     total = sum(c)
-    g_dims = lie.map_image_dims(d)
     full = full_ideal(d)
     failing_tori = []
     for n in pool:
         if n == full:
             continue
-        defect = fraction_defect(d, recips, g_dims, n)
+        defect = fraction_defect(d, recips, n)
         if defect > 0:
             return FinitenessReport(Verdict.INFINITE, n, defect, pool_tuple,
                                     "violating ideal found in the pool")
@@ -973,7 +976,8 @@ def fraction_finiteness(d, p, max_closure):
         if t > 0:
             failing_tori.append((len(n.torus_basis), n.torus_basis, t))
     if any(ci > 0 for ci in c):
-        S = lie._first_failing_subset(c)
+        S = next(n.simple_part for n in reference_semisimple_ideals(d)
+                 if total - sum(c[i] for i in n.simple_part) > 0)
         return FinitenessReport(Verdict.INFINITE, IdealSpec(S, full.torus_basis),
                                 total - sum(c[i] for i in S), pool_tuple,
                                 "violating ideal found among simple summand subsets")
@@ -1033,7 +1037,7 @@ def test_integer_defects_match_fraction_reference():
     verdicts, scaled_slacks = Counter(), 0
     for d, p in tentpole_cases():
         recips = [E(pj).reciprocal() for pj in p]
-        g_dims = lie.map_image_dims(d)
+        g_dims = reference_ideal_dims(d, full_ideal(d))[1]
         for max_closure in range(5):
             rep = finiteness(d, p, max_closure)
             want = fraction_finiteness(d, p, max_closure)
@@ -1043,7 +1047,7 @@ def test_integer_defects_match_fraction_reference():
             scaled_slacks += rep.slack is not None and rep.slack.denominator > 1
             pool = closed_pool(d, max_closure)[0]
             defects = [codimension_defect(d, p, n) for n in pool]
-            assert defects == [fraction_defect(d, recips, g_dims, n) for n in pool]
+            assert defects == [fraction_defect(d, recips, n) for n in pool]
             assert all(type(v) is Fraction for v in defects)
             first = next(((n, v) for n, v in zip(pool, defects)
                           if v > 0 and n != full_ideal(d)), None)
@@ -1051,12 +1055,46 @@ def test_integer_defects_match_fraction_reference():
             report = codimension_check(d, p, pool)
             assert report == want and repr(report) == repr(want)
             scaling = sum((r * g for r, g in zip(recips, g_dims)), Fraction(0)) - d.group_dim()
-            witness = next((n for n in pool if ideal_dims(d, n)[0] > sum(
-                (r * i for r, i in zip(recips, ideal_dims(d, n)[1])), Fraction(0))), None)
+            witness = next((n for n in pool if reference_ideal_dims(d, n)[0] > sum(
+                (r * i for r, i in zip(recips, reference_ideal_dims(d, n)[1])),
+                Fraction(0))), None)
             want = lie.BCCTReport(scaling == 0, scaling, witness is None, witness)
             assert repr(bcct_check(d, p, pool)) == repr(want)
     assert len(verdicts) == 6, verdicts
     assert scaled_slacks > 0
+
+
+def test_dimensions_of_ideals_outside_the_pool():
+    # ideals that no closure forms miss the table of sums, so each runs its
+    # own eliminations: box-1 subspaces up to T^3 and random rows on T^4,
+    # under random summand sets, checked against the Fraction reference
+    # through ideal_dims, codimension_defect and bl_polytope
+    rng = random.Random(71)
+    choices = ("1", "3/2", "2", "5/2", "3", "4", "inf")
+    outside = 0
+    for d in list(random_lie_data(41, 36)) + [t3_loomis_whitney(), four_generic_planes()]:
+        pool = set(closed_pool(d)[0])
+        s, t = len(d.simple_dims), d.torus_dim
+        bases = (list(enumerate_box_subspaces(t, 1)) if t <= 3 else
+                 [random_rows(rng, rng.randint(1, 3), t, k % 2 == 1) for k in range(12)])
+        ideals = [IdealSpec([i for i in range(s) if rng.random() < 0.5], basis)
+                  for basis in bases]
+        ideals = [n for n in ideals if n not in pool]
+        outside += len(ideals)
+        p = [E(rng.choice(choices)) for _ in d.maps]
+        recips = [pj.reciprocal() for pj in p]
+        for n in ideals:
+            assert ideal_dims(d, n) == reference_ideal_dims(d, n)
+            assert codimension_defect(d, p, n) == fraction_defect(d, recips, n)
+        dim_g, g_images = reference_ideal_dims(d, full_ideal(d))
+        halfspaces = set()
+        for n in ideals + [zero_ideal()]:
+            if n != full_ideal(d):
+                dim_n, images = reference_ideal_dims(d, n)
+                halfspaces.add((tuple(g - i for g, i in zip(g_images, images)), dim_g - dim_n))
+        P = bl_polytope(d, ideals + [zero_ideal()])
+        assert P == lie.RationalPolytope(d.J, tuple(sorted(halfspaces)))
+    assert outside > 500
 
 
 def test_integer_vertices_match_fraction_reference():
