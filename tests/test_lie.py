@@ -655,16 +655,59 @@ def test_finiteness_unclosed_pool_stays_undecided():
     assert finiteness(lw, [E(2)] * 3, max_closure=0).verdict is Verdict.UNDECIDED
 
 
+def finiteness_count_cases():
+    """(datum, exponents, verdict or None) for the elimination-count tests."""
+    lw = t3_loomis_whitney()
+    mixed = CompactLieDatum((3,), 2, (LinearizedMap((0,), [[1, 0]]),
+                                      LinearizedMap((), [[0, 1]])))
+    cases = [(lw, [E(2)] * 3, Verdict.FINITE), (lw, [E("3/2"), E(2), E(2)], Verdict.INFINITE),
+             (mixed, [E(2), E(2)], Verdict.FINITE), (mixed, [E(1), E(1)], None)]
+    cases += [(d, p, None) for d, p in random_mixed_lie_data(47, 30)]
+    cases += [(d, [E(2)] * d.J, None) for d in random_lie_data(41, 12)]
+    return cases
+
+
+def counted_finiteness(tables):
+    """Yield (datum, report) for each count case and closure depth, each
+    table cleared before its call."""
+    for d, p, verdict in finiteness_count_cases():
+        for max_closure in (0, 3):
+            for table in tables:
+                table.clear()
+            rep = finiteness(d, p, max_closure)
+            assert verdict is None or max_closure == 0 or rep.verdict is verdict
+            yield d, rep
+
+
+def test_finiteness_checks_each_ideal_once(monkeypatch):
+    # the part checks reuse the pool's defects: the halfspace of each proper
+    # pool ideal is taken once, with no split datum
+    halfspaces = Counter()
+    real_halfspace = lie._Sums.halfspace
+
+    def halfspace(self, n):
+        halfspaces[self.d, n] += 1
+        return real_halfspace(self, n)
+
+    monkeypatch.setattr(lie._Sums, "halfspace", halfspace)
+    checked = 0
+    for d, rep in counted_finiteness([halfspaces]):
+        assert {dd for dd, _ in halfspaces} <= {d}
+        assert max(halfspaces.values(), default=1) == 1
+        if rep.verdict is Verdict.FINITE:
+            assert {n for _, n in halfspaces} == {
+                n for n in rep.pool if n != full_ideal(d)}
+        checked += len(halfspaces)
+    assert checked > 0
+
+
 def test_finiteness_eliminates_each_pair_once(monkeypatch):
     # one finiteness call finds each map kernel once and each sum of two
     # distinct nonzero torus parts at most once: its defect loop reads the
     # sums T + K_j that its closure made, and a pair met under several
-    # summand masks is summed once.  It takes the halfspace of each proper
-    # pool ideal once, with no split datum, and builds the full ideal of its
-    # datum at most once.
-    sums, kernels, halfspaces, fulls = Counter(), Counter(), Counter(), Counter()
+    # summand masks is summed once
+    sums, kernels = Counter(), Counter()
     real_sum, real_kernel = lie.int_sum, lie.int_kernel
-    real_halfspace, real_full = lie._Sums.halfspace, lie.full_ideal
 
     def int_sum(A, B):
         assert A and B and A != B
@@ -675,46 +718,41 @@ def test_finiteness_eliminates_each_pair_once(monkeypatch):
         kernels[M] += 1
         return real_kernel(M, ncols)
 
-    def halfspace(self, n):
-        halfspaces[self.d, n] += 1
-        return real_halfspace(self, n)
+    monkeypatch.setattr(lie, "int_sum", int_sum)
+    monkeypatch.setattr(lie, "int_kernel", int_kernel)
+    summed = 0
+    for d, _ in counted_finiteness([sums, kernels]):
+        assert max(sums.values(), default=1) == 1
+        assert sum(kernels.values()) == d.J
+        summed += len(sums)
+    assert summed > 0
+
+
+def test_finiteness_builds_full_ideal_and_image_dims_once_per_datum(monkeypatch):
+    # one finiteness call builds the full ideal of its datum at most once,
+    # and the image dimensions of its datum once, with its one table
+    fulls, tables = Counter(), Counter()
+    real_full, real_init = lie.full_ideal, lie._Sums.__init__
 
     def full_ideal(d):
         fulls[d] += 1
         return real_full(d)
 
-    monkeypatch.setattr(lie, "int_sum", int_sum)
-    monkeypatch.setattr(lie, "int_kernel", int_kernel)
-    monkeypatch.setattr(lie._Sums, "halfspace", halfspace)
+    def init(self, d):
+        tables[d] += 1
+        real_init(self, d)
+
     monkeypatch.setattr(lie, "full_ideal", full_ideal)
-    lw = t3_loomis_whitney()
-    mixed = CompactLieDatum((3,), 2, (LinearizedMap((0,), [[1, 0]]),
-                                      LinearizedMap((), [[0, 1]])))
-    cases = [(lw, [E(2)] * 3, Verdict.FINITE), (lw, [E("3/2"), E(2), E(2)], Verdict.INFINITE),
-             (mixed, [E(2), E(2)], Verdict.FINITE), (mixed, [E(1), E(1)], None)]
-    cases += [(d, p, None) for d, p in random_mixed_lie_data(47, 30)]
-    cases += [(d, [E(2)] * d.J, None) for d in random_lie_data(41, 12)]
-    summed = 0
-    for d, p, verdict in cases:
-        for max_closure in (0, 3):
-            for table in (sums, kernels, halfspaces, fulls):
-                table.clear()
-            rep = finiteness(d, p, max_closure)
-            assert verdict is None or max_closure == 0 or rep.verdict is verdict
-            assert max(sums.values(), default=1) == 1
-            assert sum(kernels.values()) == d.J
-            assert {dd for dd, _ in halfspaces} <= {d}
-            assert max(halfspaces.values(), default=1) == 1
-            if rep.verdict is Verdict.FINITE:
-                assert {n for _, n in halfspaces} == {
-                    n for n in rep.pool if n != real_full(d)}
-            assert max(fulls.values(), default=1) == 1
-            summed += len(sums)
-    assert summed > 0
+    monkeypatch.setattr(lie._Sums, "__init__", init)
+    for d, _ in counted_finiteness([fulls, tables]):
+        assert set(fulls) <= {d} and max(fulls.values(), default=1) == 1
+        assert tables == {d: 1}
 
     def refuse(rows):
         raise AssertionError("the identity basis is in RREF already")
 
+    mixed = CompactLieDatum((3,), 2, (LinearizedMap((0,), [[1, 0]]),
+                                      LinearizedMap((), [[0, 1]])))
     expected = IdealSpec((0,), [[1, 0], [0, 1]])
     monkeypatch.setattr(lie, "primitive", refuse)
     assert real_full(mixed) == expected
