@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the five answer digests that gate a change to the library.
+"""Print the six answer digests that gate a change to the library.
 
 Run from the repository root, at the parent commit and at the change, and
 compare the output:
@@ -26,7 +26,10 @@ compare the output:
   (`perfbench/workloads.py` `torus_pool()`), Loomis-Whitney on T^3 at
   (2, 2, 2) and (3/2, 2, 2) and four generic planes of T^3 at (4, 4, 4, 4),
   each at `max_closure` 0 to 4, hashing `finiteness` and `closed_pool`
-  and, where the pool closed, `bl_polytope`, `vertices` and `facet_status`.
+  and, where the pool closed, `bl_polytope`, `vertices` and `facet_status`;
+* scan: on the same Lie cases, `codimension_check` against `closed_pool` at
+  `max_closure` 3, and, where the torus part has dimension 1 to 3,
+  `brute_force_torus_violator` on it with box 1.
 
 Each digest is the SHA-256 of one `repr` line per item.  The digests go
 to stdout and the time of each pass to stderr, so two runs compare with
@@ -63,9 +66,12 @@ from blgroups.lie import (
     CompactLieDatum,
     LinearizedMap,
     bl_polytope,
+    brute_force_torus_violator,
     closed_pool,
+    codimension_check,
     facet_status,
     finiteness,
+    split_commutator_center,
     vertices,
 )
 from blgroups.oracle import exhaustive_indicator_search, oracle_constant
@@ -166,6 +172,14 @@ def _lie_lines():
                 yield P, verts, facet_status(P, verts)
 
 
+def _scan_lines():
+    for d, p in _lie_cases():
+        yield codimension_check(d, p, closed_pool(d, 3)[0])
+        torus = split_commutator_center(d)[1]
+        if 1 <= torus.torus_dim <= 3:
+            yield brute_force_torus_violator(torus, p, box=1)
+
+
 def main():
     frames = standard_frames()
     lattices = {G: all_subgroups(G) for G in dict.fromkeys(f.group for f in frames)}
@@ -188,7 +202,7 @@ def main():
     for name, lines in (("subgroups", subgroup_lines), ("formula", formula_lines),
                         ("oracle", oracle_lines),
                         ("reductions", lambda: _reduction_lines(frames)),
-                        ("lie", _lie_lines)):
+                        ("lie", _lie_lines), ("scan", _scan_lines)):
         start = time.perf_counter()
         print(name, _digest(lines()), flush=True)
         print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)

@@ -28,9 +28,9 @@ from blgroups.lie import (
     LinearizedMap,
     Verdict,
     bl_polytope,
+    codimension_check,
     codimension_defect,
     finiteness,
-    map_image_dims,
     split_commutator_center,
     vertices,
 )
@@ -75,25 +75,21 @@ def bench_pool_data():
 
 
 class Scanner:
-    """The dense scan, with each box enumeration made once per run."""
+    """The dense scan, with the subspaces of each box built once per run."""
 
     def __init__(self, box):
         self.box = box
-        self.bases = {}
+        self.subspaces = {}
         self.scans = 0
 
     def violator(self, torus, p):
         t = torus.torus_dim
         key = (t, self.box if t <= 3 else HIGH_DIM_BOX)
-        if key not in self.bases:
-            self.bases[key] = list(enumerate_box_subspaces(t, key[1], max(0, t - 1)))
+        if key not in self.subspaces:
+            bases = enumerate_box_subspaces(t, key[1], max(0, t - 1))
+            self.subspaces[key] = [IdealSpec((), basis) for basis in bases]
         self.scans += 1
-        g_dims = map_image_dims(torus)
-        for basis in self.bases[key]:
-            n = IdealSpec((), basis)
-            if codimension_defect(torus, p, n, g_dims) > 0:
-                return n
-        return None
+        return codimension_check(torus, p, self.subspaces[key]).violator
 
 
 def vertex_exponents(torus, pool):

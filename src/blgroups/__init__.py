@@ -61,7 +61,6 @@ _EXPORTS = {
             "LinearizedMap",
             "RationalPolytope",
             "Verdict",
-            "bcct_check",
             "bl_polytope",
             "closed_pool",
             "codimension_check",

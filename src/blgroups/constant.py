@@ -38,7 +38,7 @@ from typing import Optional
 from .datum import (
     BLDatum,
     CanonicalTag,
-    canonicalize,
+    canonical_tag,
     exact_argmax,
     mass_quotient,
     quotient_logs,
@@ -95,13 +95,13 @@ def bl_constant(
     those whose float log-ratio is near the float maximum (see the module
     docstring).  Ties break toward smaller subgroup order, then lexicographic
     member lists; the report says whether a tie occurred.  For non-canonical
-    input the tag of `canonicalize` is attached for reference, with its
+    input the tag of `canonical_tag` is attached for reference, with its
     exact factor BL(d) / BL(canonical); the value is that of d as given.
     `subgroups` defaults to all_subgroups(d.G) under its default order cap.
     """
     if subgroups is None:
         subgroups = all_subgroups(d.G)
-    _, tag = canonicalize(d)
+    tag = canonical_tag(d)
 
     found: dict[int, tuple[int, ...]] = {}
     for H in subgroups:

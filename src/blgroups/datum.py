@@ -237,24 +237,32 @@ def joint_kernel(d: BLDatum) -> Subgroup:
 
 
 def canonical_tag(d: BLDatum) -> CanonicalTag:
+    """Whether d is canonical; if not, the factor BL(d) / BL(canonicalize(d)[0]),
+    from the image orders (nonzero fibres) and |K|, with no quotient built."""
+    K = joint_kernel(d)
     for j, h in enumerate(d.maps):
         if not all(h.fibres):
-            return CanonicalTag(False, f"map {j} is not surjective")
-    K = joint_kernel(d)
-    if K.order > 1:
-        return CanonicalTag(False, f"joint kernel has order {K.order}")
-    return CanonicalTag(True)
+            witness = f"map {j} is not surjective"
+            break
+    else:
+        if K.order == 1:
+            return CanonicalTag(True)
+        witness = f"joint kernel has order {K.order}"
+    terms = _index_terms(d, [sum(map(bool, h.fibres)) for h in d.maps])
+    if d.haar_G is HaarMode.COUNTING:
+        terms.append((K.order, 1))
+    return CanonicalTag(False, witness, ExactValue.from_powers(terms))
 
 
-def _index_terms(d: BLDatum, onto: BLDatum, skip: Optional[int] = None) -> list:
-    """The (n, e) terms of prod [G_j : onto's G_j]^(1/p_j) over probability
-    codomains j != skip, where `onto` maps onto the images of d's maps."""
+def _index_terms(d: BLDatum, sizes: list[int], skip: Optional[int] = None) -> list:
+    """The (n, e) terms of prod [G_j : S_j]^(1/p_j) over probability
+    codomains j != skip, for subgroups S_j of the G_j of the given sizes."""
     terms = []
-    for j, (c, m, mode, e) in enumerate(
-        zip(d.codomains, onto.codomains, d.haar_codomains, d.exponents)
+    for j, (c, size, mode, e) in enumerate(
+        zip(d.codomains, sizes, d.haar_codomains, d.exponents)
     ):
         if j != skip and mode is HaarMode.PROBABILITY:
-            terms += [(c.order, e.reciprocal()), (m.order, -e.reciprocal())]
+            terms += [(c.order, e.reciprocal()), (size, -e.reciprocal())]
     return terms
 
 
@@ -299,15 +307,10 @@ def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
     tag = canonical_tag(d)
     if tag.is_canonical:
         return d, tag
-    K = joint_kernel(d)
-    Q, proj = quotient(d.G, K)
+    Q, proj = quotient(d.G, joint_kernel(d))
     reps = _coset_representatives(proj)
     maps = tuple(_onto_image(Q, reps, h) for h in d.maps)
-    out = BLDatum(Q, maps, d.exponents, d.haar_G, d.haar_codomains)
-    terms = _index_terms(d, out)
-    if d.haar_G is HaarMode.COUNTING:
-        terms.append((K.order, 1))
-    return out, CanonicalTag(False, tag.witness, ExactValue.from_powers(terms))
+    return BLDatum(Q, maps, d.exponents, d.haar_G, d.haar_codomains), tag
 
 
 def _check_index(d: BLDatum, k: int) -> None:
@@ -341,7 +344,7 @@ def reduce_p1(d: BLDatum, k: int) -> BLDatum:
     restricted = _restricted(d, N)
 
     # the exactness factor w_G / (w_Gk w_N) * index terms must be 1
-    terms = _index_terms(d, restricted, k)
+    terms = _index_terms(d, [c.order for c in restricted.codomains], k)
     if d.haar_G is HaarMode.PROBABILITY:
         terms += [(d.G.order, -1), (N.order, 1)]
     if d.haar_codomains[k] is HaarMode.PROBABILITY:

@@ -94,8 +94,11 @@ Hence the part checks of finiteness never fire on a closed pool: its passing
 covers each ideal (all summands, T), whose defect is defect_T(T), and if
 R_i > 1, the sum U of the kernels K_j of the maps that keep i omits summand
 i, so defect(U) >= (R_i - 1) codim U > 0, as codim(U + K_j) = codim U for
-those j, and the pool check reports U first.  The part checks only turn an
-unclosed pool's UNDECIDED into INFINITE.
+those j, and the pool check reports U first.  So finiteness decides a closed
+pool by the pool check alone; only an unclosed pool reaches the torus part
+check, which can turn its UNDECIDED into INFINITE.  Every ideal check
+(finiteness, codimension_check, brute_force_torus_violator) reads one scan,
+_Sums.defects.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .datum import Exponent
 from .groups import SizeCapError
@@ -226,7 +229,7 @@ def _is_full(d: CompactLieDatum, n: IdealSpec) -> bool:
 class _Sums:
     """One call's eliminations on a datum, each made once: the map kernels as
     (bitmask of the summands the map kills, integer-form torus rows), the map
-    image dimensions g_dims read off them, and every torus sum, kept by the
+    ranks (image dimensions) read off them, and every torus sum, kept by the
     unordered pair of integer-form parts (module docstring).  It lives for
     one call, so no state outlives the call."""
 
@@ -235,7 +238,7 @@ class _Sums:
         summands = range(len(d.simple_dims))
         self.kernels = [(sum(1 << i for i in summands if i not in m.kept_simple),
                          int_kernel(m.int_matrix, d.torus_dim)) for m in d.maps]
-        self.g_dims = [sum(d.simple_dims[i] for i in m.kept_simple) + d.torus_dim - len(K)
+        self.ranks = [sum(d.simple_dims[i] for i in m.kept_simple) + d.torus_dim - len(K)
                        for m, (_, K) in zip(d.maps, self.kernels)]
 
     def torus_sum(self, A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -274,13 +277,20 @@ class _Sums:
     def halfspace(self, n: IdealSpec) -> tuple[tuple[int, ...], int]:
         """(coeffs, bound) with the codimension inequality at n as r . coeffs <= bound."""
         dim_n, image_dims = self.ideal_dims(n)
-        return (tuple([g - i for g, i in zip(self.g_dims, image_dims)]),
+        return (tuple([g - i for g, i in zip(self.ranks, image_dims)]),
                 self.d.group_dim() - dim_n)
 
     def defect(self, R, D: int, n: IdealSpec) -> int:
         """D times the codimension defect at n, for 1/p_j = R_j / D."""
         coeffs, bound = self.halfspace(n)
         return sum([r * c for r, c in zip(R, coeffs)]) - bound * D
+
+    def defects(self, R, D: int, ideals):
+        """(n, D times the codimension defect at n) for each proper ideal n of
+        `ideals`, in order: the one scan over ideals (module docstring)."""
+        for n in ideals:
+            if not _is_full(self.d, n):
+                yield n, self.defect(R, D, n)
 
 
 def ideal_dims(d: CompactLieDatum, n: IdealSpec) -> tuple[int, list[int]]:
@@ -290,7 +300,7 @@ def ideal_dims(d: CompactLieDatum, n: IdealSpec) -> tuple[int, list[int]]:
 
 def map_image_dims(d: CompactLieDatum) -> list[int]:
     """dim dsigma_j(g) per map: its kept summands plus torus_dim - dim K_j."""
-    return _Sums(d).g_dims
+    return _Sums(d).ranks
 
 
 @dataclass(frozen=True)
@@ -315,28 +325,18 @@ def _reciprocals(d: CompactLieDatum, p: Sequence[Exponent]) -> tuple[list[int], 
     return _over_one_denominator([Exponent.of(pj).reciprocal() for pj in p])
 
 
-def codimension_defect(
-    d: CompactLieDatum, p: Sequence[Exponent], n: IdealSpec, g_dims=None
-) -> Fraction:
-    """lhs - rhs of the codimension inequality at the ideal n (<= 0 means ok).
-    g_dims, if given, is used as map_image_dims(d)."""
+def codimension_defect(d: CompactLieDatum, p: Sequence[Exponent], n: IdealSpec) -> Fraction:
+    """lhs - rhs of the codimension inequality at the ideal n (<= 0 means ok)."""
     R, D = _reciprocals(d, p)
-    sums = _Sums(d)
-    if g_dims is not None:
-        sums.g_dims = list(g_dims)
-    return Fraction(sums.defect(R, D, n), D)
+    return Fraction(_Sums(d).defect(R, D, n), D)
 
 
 def codimension_check(
-    d: CompactLieDatum, p: Sequence[Exponent], ideals: Sequence[IdealSpec]
+    d: CompactLieDatum, p: Sequence[Exponent], ideals: Iterable[IdealSpec]
 ) -> CodimReport:
-    """Verify the codimension inequality for every listed proper ideal."""
+    """The first proper ideal in `ideals`, read lazily, that violates the inequality."""
     R, D = _reciprocals(d, p)
-    sums = _Sums(d)
-    for n in ideals:
-        if _is_full(d, n):
-            continue
-        defect = sums.defect(R, D, n)
+    for n, defect in _Sums(d).defects(R, D, ideals):
         if defect > 0:
             return CodimReport(False, n, Fraction(defect, D))
     return CodimReport(True)
@@ -370,7 +370,7 @@ def closed_pool(
     torus rows) pairs, all ints; each member becomes an IdealSpec, with its
     Fraction basis, at the end, sorted by (dimension, summands, RREF basis).
     A pair of torus parts costs one elimination for s = A + B, kept in the
-    _Sums that finiteness shares with its defect loop, whose sums T + K_j
+    _Sums that finiteness shares with its defect scan, whose sums T + K_j
     the closure has all made.  Since dim(A cap B) = dim A + dim B - dim s,
     the meet is read off the dimensions where they pin it down: dim s =
     dim A means B lies in A, so A cap B = B; dim s = dim B means A cap B = A;
@@ -479,37 +479,6 @@ def facet_status(P: RationalPolytope, verts=None) -> list[bool]:
             for coeffs, b in P.halfspaces]
 
 
-# -- BCCT (linearized abelian) checks --------------------------------------
-
-
-@dataclass(frozen=True)
-class BCCTReport:
-    scaling_ok: bool
-    scaling_defect: Fraction
-    dimensions_ok: bool
-    witness: Optional[IdealSpec] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.scaling_ok and self.dimensions_ok
-
-
-def bcct_check(
-    d: CompactLieDatum, p: Sequence[Exponent], subspace_pool: Sequence[IdealSpec]
-) -> BCCTReport:
-    """Scaling equality plus dimension inequalities over the given subspaces."""
-    R, D = _reciprocals(d, p)
-    sums = _Sums(d)
-    scaling = sum([r * gd for r, gd in zip(R, sums.g_dims)]) - d.group_dim() * D
-    witness = None
-    for n in subspace_pool:
-        dim_n, image_dims = sums.ideal_dims(n)
-        if dim_n * D > sum([r * i for r, i in zip(R, image_dims)]):
-            witness = n
-            break
-    return BCCTReport(scaling == 0, Fraction(scaling, D), witness is None, witness)
-
-
 # -- finiteness -------------------------------------------------------------
 
 
@@ -560,21 +529,15 @@ def split_commutator_center(
 def brute_force_torus_violator(
     d: CompactLieDatum, p: Sequence[Exponent], box: int = 3
 ) -> Optional[IdealSpec]:
-    """Scan every subspace spanned by vectors with entries in [-box, box].
+    """Scan the subspaces spanned by vectors in [-box, box]^n to the first violator.
 
     An independent test oracle, off the verdict path: it samples subspaces
     and knows nothing of the kernel lattice.
     """
     if d.simple_dims:
         raise ValueError("brute force scan applies to pure torus data")
-    R, D = _reciprocals(d, p)
-    sums = _Sums(d)
-    top = max(0, d.torus_dim - 1)
-    for basis in enumerate_box_subspaces(d.torus_dim, box, top):
-        n = IdealSpec((), basis)
-        if sums.defect(R, D, n) > 0:
-            return n
-    return None
+    bases = enumerate_box_subspaces(d.torus_dim, box, max(0, d.torus_dim - 1))
+    return codimension_check(d, p, (IdealSpec((), b) for b in bases)).violator
 
 
 def _first_failing_subset(c: list[int]) -> tuple[int, ...]:
@@ -598,38 +561,34 @@ def finiteness(
 ) -> FinitenessReport:
     """Decide finiteness of the constant at p, against the closed ideal pool.
 
-    Every verdict is read off the defects of the proper pool ideals, each
-    computed once, on ints: D times the defect, with 1/p_j = R_j / D
+    Every verdict is read off one scan of the proper pool ideals
+    (_Sums.defects), on ints: D times the defect, with 1/p_j = R_j / D
     (_reciprocals), so only a reported slack becomes a Fraction.  The first
     positive one, in pool order, settles INFINITE.
     Else the first failing part is reported through its lift, (S, full
     torus) or (all summands, T): S in (|S|, S) order, found iff some c_i > 0
-    (module docstring), then T in (dim T, T) order, at defect(n) minus the
-    c_i outside S(n) for a pool member n with torus part T.  A closure that
-    does not stabilize within max_closure rounds leaves the verdict UNDECIDED.
+    (module docstring).  A closed pool then proves FINITE; only an unclosed
+    one is checked for T in (dim T, T) order, at defect(n) minus the c_i
+    outside S(n) for a pool member n with torus part T, and is UNDECIDED if
+    no T fails.
     """
     R, D = _reciprocals(d, p)  # a wrong exponent count fails before the closure
     sums = _Sums(d)
     pool, complete = _closed_pool(sums, max_closure)
     pool_tuple = tuple(pool)
 
-    c = [dim * (sum([r for r, m in zip(R, d.maps) if i in m.kept_simple]) - D)
-         for i, dim in enumerate(d.simple_dims)]
-    total = sum(c)
-    failing_tori = []  # (dim T, RREF of T, D defect_T(T), T) for each failing torus part
-    for n in pool:
-        if _is_full(d, n):
-            continue
-        defect = sums.defect(R, D, n)
+    scanned = []
+    for n, defect in sums.defects(R, D, pool):
         if defect > 0:
             return FinitenessReport(
                 Verdict.INFINITE, n, Fraction(defect, D), pool_tuple,
                 "violating ideal found in the pool",
             )
-        t = defect - total + sum(c[i] for i in n.simple_part)
-        if t > 0:
-            failing_tori.append((len(n.torus_basis), n.torus_basis, t, n.torus_rows))
+        scanned.append((n, defect))
 
+    c = [dim * (sum([r for r, m in zip(R, d.maps) if i in m.kept_simple]) - D)
+         for i, dim in enumerate(d.simple_dims)]
+    total = sum(c)
     if any(ci > 0 for ci in c):
         S = _first_failing_subset(c)
         return FinitenessReport(
@@ -643,18 +602,22 @@ def finiteness(
             "semisimple datum: every ideal passes, summand by summand "
             "(constant 1 under probability Haar)",
         )
-    if failing_tori:
-        _, _, slack, T = min(failing_tori)
-        return FinitenessReport(
-            Verdict.INFINITE, IdealSpec._canonical(full_ideal(d).simple_part, T),
-            Fraction(slack, D), pool_tuple, "violating torus subspace found in the pool",
-        )
-
     if complete:
         return FinitenessReport(
             Verdict.FINITE, None, None, pool_tuple,
             "the closed kernel-lattice pool passes, so every torus subspace "
             "passes (constant 1 under probability Haar)",
+        )
+
+    # (dim T, RREF of T, D defect_T(T), T) for each failing torus part
+    failing_tori = [(len(n.torus_basis), n.torus_basis, t, n.torus_rows)
+                    for n, defect in scanned
+                    if (t := defect - total + sum(c[i] for i in n.simple_part)) > 0]
+    if failing_tori:
+        _, _, slack, T = min(failing_tori)
+        return FinitenessReport(
+            Verdict.INFINITE, IdealSpec._canonical(full_ideal(d).simple_part, T),
+            Fraction(slack, D), pool_tuple, "violating torus subspace found in the pool",
         )
     return FinitenessReport(
         Verdict.UNDECIDED, None, None, pool_tuple,

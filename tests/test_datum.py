@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from blgroups.constant import bl_constant
+from blgroups.corpus import exponent_grid, frame_datum, standard_frames
 from blgroups.datum import (
     INF,
     BLDatum,
@@ -95,6 +96,34 @@ def test_canonical_tag_detects_failures(Z2, Z4):
     trivial_map = Homomorphism(Z2, Z2, (0, 0))
     tag2 = canonical_tag(make_datum(Z2, [trivial_map], [1]))
     assert not tag2.is_canonical and "surjective" in tag2.witness
+
+
+def test_canonical_tag_carries_the_canonicalize_factor(Z2, Z4, edge_data):
+    # canonical_tag reads the factor off the image orders and the joint
+    # kernel; canonicalize must return that tag with its quotient datum.  The
+    # data: the doubling map, the non-canonical edge data under every Haar
+    # pair, and the two tensors of each corpus frame with Z2 that the
+    # reductions digest builds (scripts/digests.py), at two exponent tuples
+    doubling = make_datum(Z4, [Homomorphism(Z4, Z4, (0, 2, 0, 2))], [2])
+    assert canonical_tag(doubling).constant_factor == ExactValue.from_rational(2) ** Fraction(1, 2)
+    data = [doubling] + [d.with_haar(haar_G, (haar,) * d.J) for d in edge_data
+                         for haar_G in (C, P) for haar in (C, P)]
+    trivial = Homomorphism(Z2, Z2, (0, 0))
+    for haar in (C, P):
+        for frame in standard_frames():
+            grid = exponent_grid(frame.J)
+            base = frame_datum(frame, grid[0], haar)
+            for first in (trivial, identity_map(Z2)):
+                maps = [first] + [trivial] * (frame.J - 1)
+                t = split_product(base, make_datum(Z2, maps, grid[0], haar, [haar] * frame.J))
+                data += [make_datum(t.G, t.maps, p, haar, [haar] * t.J) for p in (grid[0], grid[-1])]
+    tags = [(d, canonical_tag(d)) for d in data]
+    tags = [(d, tag) for d, tag in tags if not tag.is_canonical]
+    for d, tag in tags:
+        assert tag == canonicalize(d)[1]
+    # 1 + 2 * 4 + 83 frames * 2 Haar modes * 2 tensors * 2 tuples
+    assert len(tags) == 673
+    assert sum(not tag.constant_factor.is_one for _, tag in tags) == 338
 
 
 def test_canonicalize_fixed_point(Z2):

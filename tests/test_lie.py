@@ -17,7 +17,6 @@ from blgroups.lie import (
     IdealSpec,
     LinearizedMap,
     Verdict,
-    bcct_check,
     bl_polytope,
     brute_force_torus_violator,
     closed_pool,
@@ -324,8 +323,6 @@ def test_exponent_count_must_match_the_maps():
         with pytest.raises(ValueError, match="exponent count"):
             codimension_defect(d, p, zero_ideal())
         with pytest.raises(ValueError, match="exponent count"):
-            bcct_check(d, p, pool)
-        with pytest.raises(ValueError, match="exponent count"):
             finiteness(d, p)
 
 
@@ -522,28 +519,6 @@ def test_every_vertex_is_member_and_facets_are_tight_or_flagged():
             eps = Fraction(1, 1000)
             outside = [x + eps * c for x, c in zip(centroid, coeffs)]
             assert not membership_point(P, outside)
-
-
-# -- BCCT checks -----------------------------------------------------------------------
-
-
-def test_bcct_lw_scaling_holds():
-    d = t3_loomis_whitney()
-    rep = bcct_check(d, [E(2)] * 3, closed_pool(d)[0])
-    assert rep.scaling_ok and rep.dimensions_ok
-
-
-def test_bcct_identity_map():
-    d = CompactLieDatum((), 2, (LinearizedMap((), [[1, 0], [0, 1]]),))
-    rep = bcct_check(d, [E(1)], [zero_ideal(), full_ideal(d)])
-    assert rep.ok
-
-
-def test_bcct_t2_scaling_fails():
-    d = t2_two_projections()
-    rep = bcct_check(d, [E(2), E(2)], closed_pool(d)[0])
-    assert not rep.scaling_ok
-    assert rep.scaling_defect == -1
 
 
 # -- split and finiteness ----------------------------------------------------------------
@@ -806,6 +781,54 @@ def test_brute_force_scan_finds_kernel_line_violator():
     assert n is not None
     assert codimension_defect(d, p, n) > 0
     assert finiteness(d, p).verdict is Verdict.INFINITE
+
+
+@pytest.mark.parametrize("case", ["lw", "kernel line"])
+def test_brute_force_scan_stops_at_its_first_violator(monkeypatch, case):
+    # the scan draws box subspaces one at a time and takes one halfspace per
+    # subspace, up to the violator it returns
+    m = [[1, 0, 0], [0, 1, 0]]
+    d, p = {"lw": (t3_loomis_whitney(), [E("3/2"), E(2), E(2)]),
+            "kernel line": (CompactLieDatum((), 3, (LinearizedMap((), m),) * 2),
+                            [E("3/2"), E(2)])}[case]
+    order = list(enumerate_box_subspaces(3, 3, 2))
+    drawn, halfspaces = [], Counter()
+    real_enumerate, real_halfspace = lie.enumerate_box_subspaces, lie._Sums.halfspace
+
+    def enumerate_counted(*args):
+        for basis in real_enumerate(*args):
+            drawn.append(basis)
+            yield basis
+
+    def halfspace(self, n):
+        halfspaces[n] += 1
+        return real_halfspace(self, n)
+
+    monkeypatch.setattr(lie, "enumerate_box_subspaces", enumerate_counted)
+    monkeypatch.setattr(lie._Sums, "halfspace", halfspace)
+    n = brute_force_torus_violator(d, p, box=3)
+    position = order.index(n.torus_basis)
+    assert drawn == order[:position + 1]
+    assert sum(halfspaces.values()) == len(halfspaces) == position + 1
+    assert case == "lw" or position > 0
+
+
+def test_closed_pool_is_decided_by_the_scan_alone():
+    # on a closed pool the part checks never fire (lie module docstring), so
+    # only an unclosed pool reaches them
+    by_pool = Counter()
+    for d, p in tentpole_cases():
+        for max_closure in range(5):
+            closed = closed_pool(d, max_closure)[1]
+            kind = finiteness(d, p, max_closure).certification
+            by_pool[closed, kind.split(":")[0].split(" within")[0]] += 1
+    assert {kind for closed, kind in by_pool if closed} <= {
+        "violating ideal found in the pool", "semisimple datum",
+        "the closed kernel-lattice pool passes, so every torus subspace passes "
+        "(constant 1 under probability Haar)"}
+    for part_check in ("violating ideal found among simple summand subsets",
+                       "violating torus subspace found in the pool"):
+        assert by_pool[False, part_check] > 0
 
 
 def reference_semisimple_ideals(d):
@@ -1075,7 +1098,6 @@ def test_integer_defects_match_fraction_reference():
     verdicts, scaled_slacks = Counter(), 0
     for d, p in tentpole_cases():
         recips = [E(pj).reciprocal() for pj in p]
-        g_dims = reference_ideal_dims(d, full_ideal(d))[1]
         for max_closure in range(5):
             rep = finiteness(d, p, max_closure)
             want = fraction_finiteness(d, p, max_closure)
@@ -1092,12 +1114,6 @@ def test_integer_defects_match_fraction_reference():
             want = lie.CodimReport(True) if first is None else lie.CodimReport(False, *first)
             report = codimension_check(d, p, pool)
             assert report == want and repr(report) == repr(want)
-            scaling = sum((r * g for r, g in zip(recips, g_dims)), Fraction(0)) - d.group_dim()
-            witness = next((n for n in pool if reference_ideal_dims(d, n)[0] > sum(
-                (r * i for r, i in zip(recips, reference_ideal_dims(d, n)[1])),
-                Fraction(0))), None)
-            want = lie.BCCTReport(scaling == 0, scaling, witness is None, witness)
-            assert repr(bcct_check(d, p, pool)) == repr(want)
     assert len(verdicts) == 6, verdicts
     assert scaled_slacks > 0
 
