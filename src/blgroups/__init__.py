@@ -38,12 +38,10 @@ _EXPORTS = {
             "direct_product",
             "from_cayley_table",
             "from_permutations",
-            "haar_mass",
             "image",
             "kernel",
             "make_cyclic_product",
             "quotient",
-            "trivial_group",
         ),
         "heisenberg": (
             "ApproximationWitness",
@@ -65,7 +63,6 @@ _EXPORTS = {
             "closed_pool",
             "codimension_check",
             "finiteness",
-            "ideal_dims",
             "membership",
             "split_commutator_center",
             "vertices",

@@ -49,23 +49,18 @@ _PRECONDITION_ERRORS = (ValueError, KeyError, OSError, ZeroDivisionError)
 
 
 def _print_table(obj, indent=0):
+    """One `key: value` line per dict entry, in key order, and one `- value`
+    line per list item; a dict or list value gets a bare `key:` or `-` line
+    and its contents one level deeper."""
     pad = "  " * indent
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)):
-                print(f"{pad}{k}:")
-                _print_table(v, indent + 1)
-            else:
-                print(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                _print_table(v, indent)
-            else:
-                print(f"{pad}- {v}")
-    else:
-        print(f"{pad}{obj}")
+    heads = ([(f"{k}:", obj[k]) for k in sorted(obj)] if isinstance(obj, dict)
+             else [("-", v) for v in obj])
+    for head, v in heads:
+        if isinstance(v, (dict, list)):
+            print(pad + head)
+            _print_table(v, indent + 1)
+        else:
+            print(f"{pad}{head} {v}")
 
 
 def _datum(args, obj):

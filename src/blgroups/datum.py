@@ -229,28 +229,32 @@ class CanonicalTag:
     constant_factor: ExactValue = field(default_factory=ExactValue.one)
 
 
-def joint_kernel(d: BLDatum) -> Subgroup:
+def _joint_kernel_mask(d: BLDatum) -> int:
     mask = (1 << d.G.order) - 1
     for h in d.maps:
         mask &= h.fibres[h.codomain.identity]
-    return Subgroup(d.G, mask_members(mask))
+    return mask
+
+
+def joint_kernel(d: BLDatum) -> Subgroup:
+    return Subgroup(d.G, mask_members(_joint_kernel_mask(d)))
 
 
 def canonical_tag(d: BLDatum) -> CanonicalTag:
     """Whether d is canonical; if not, the factor BL(d) / BL(canonicalize(d)[0]),
     from the image orders (nonzero fibres) and |K|, with no quotient built."""
-    K = joint_kernel(d)
+    k = _joint_kernel_mask(d).bit_count()
     for j, h in enumerate(d.maps):
         if not all(h.fibres):
             witness = f"map {j} is not surjective"
             break
     else:
-        if K.order == 1:
+        if k == 1:
             return CanonicalTag(True)
-        witness = f"joint kernel has order {K.order}"
+        witness = f"joint kernel has order {k}"
     terms = _index_terms(d, [sum(map(bool, h.fibres)) for h in d.maps])
     if d.haar_G is HaarMode.COUNTING:
-        terms.append((K.order, 1))
+        terms.append((k, 1))
     return CanonicalTag(False, witness, ExactValue.from_powers(terms))
 
 

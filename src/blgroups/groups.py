@@ -115,19 +115,6 @@ class FiniteGroup:
         object.__setattr__(self, "_generators", gens)
         object.__setattr__(self, "_hash", hash((n, e, self.table)))
 
-    def inv(self, x: int) -> int:
-        return self.table[x].index(self.identity)
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != self.identity:
-            y = self.table[y][x]
-            k += 1
-        return k
-
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
 
@@ -230,9 +217,6 @@ class Homomorphism:
         for x, y in enumerate(m):
             fibres[y] |= 1 << x
         object.__setattr__(self, "fibres", tuple(fibres))
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
 
     def image_mask(self, mask: int) -> int:
         """The mask of the image of the domain elements in `mask`."""
@@ -361,10 +345,6 @@ def direct_product(
     return P, proj_a, proj_b
 
 
-def trivial_group() -> FiniteGroup:
-    return FiniteGroup(1, ((0,),), 0, ("e",))
-
-
 # -- subgroup machinery --------------------------------------------------
 
 
@@ -436,14 +416,6 @@ def all_subgroups(
                 listed.append(tuple(sorted(closed[1])))
     listed.sort(key=lambda m: (len(m), m))
     return [Subgroup(G, m) for m in listed]
-
-
-def whole_group(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (G.identity,))
 
 
 def image(h: Homomorphism, H: Subgroup) -> Subgroup:
@@ -528,12 +500,6 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
 
 def identity_map(G: FiniteGroup) -> Homomorphism:
     return Homomorphism(G, G, tuple(range(G.order)))
-
-
-def haar_mass(H: Subgroup, mode: HaarMode) -> Fraction:
-    if mode is HaarMode.COUNTING:
-        return Fraction(len(H.members))
-    return Fraction(len(H.members), H.parent.order)
 
 
 def haar_weight(G: FiniteGroup, mode: HaarMode) -> Fraction:

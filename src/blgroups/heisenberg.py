@@ -45,11 +45,6 @@ class DilationStructure:
         return sum(self.weights, Fraction(0))
 
 
-def heisenberg_dilations(n: int) -> DilationStructure:
-    """Standard dilations of C^n x R: weight 1 on z, weight 2 on the centre."""
-    return DilationStructure(tuple([Fraction(1)] * (2 * n) + [Fraction(2)]))
-
-
 def scaling_condition(
     Q: Fraction, Qj: Sequence[Fraction], p: Sequence
 ) -> tuple[bool, Fraction]:

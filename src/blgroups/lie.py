@@ -293,16 +293,6 @@ class _Sums:
                 yield n, self.defect(R, D, n)
 
 
-def ideal_dims(d: CompactLieDatum, n: IdealSpec) -> tuple[int, list[int]]:
-    """(dim n, [dim dsigma_j(n) for each map]), from sums with the kernels."""
-    return _Sums(d).ideal_dims(n)
-
-
-def map_image_dims(d: CompactLieDatum) -> list[int]:
-    """dim dsigma_j(g) per map: its kept summands plus torus_dim - dim K_j."""
-    return _Sums(d).ranks
-
-
 @dataclass(frozen=True)
 class CodimReport:
     ok: bool
@@ -343,10 +333,6 @@ def codimension_check(
 
 
 # -- pools ----------------------------------------------------------------
-
-
-def map_kernel(d: CompactLieDatum, j: int) -> IdealSpec:
-    return _ideal(*_Sums(d).kernels[j])
 
 
 def _ideal(mask: int, rows: IntMatrix) -> IdealSpec:
@@ -470,10 +456,9 @@ def vertices(P: RationalPolytope) -> list[tuple[Fraction, ...]]:
     return sorted(out)
 
 
-def facet_status(P: RationalPolytope, verts=None) -> list[bool]:
-    """Per halfspace: True if tight at some vertex, False if redundant;
-    verts, if given, must be vertices(P), which is then not run again."""
-    verts = vertices(P) if verts is None else verts
+def facet_status(P: RationalPolytope, verts) -> list[bool]:
+    """Per halfspace: True if tight at some vertex of verts = vertices(P),
+    False if redundant."""
     points = [_over_one_denominator(x) for x in verts]
     return [any(sum([c * v for c, v in zip(coeffs, X)]) == b * D for X, D in points)
             for coeffs, b in P.halfspaces]

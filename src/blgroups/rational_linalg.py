@@ -156,15 +156,15 @@ def int_solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[tuple[int, ...],
     return tuple([row[-1] * (D // row[col]) for col, row in pivots]), D
 
 
-def enumerate_box_subspaces(n: int, box: int, max_dim: Optional[int] = None):
-    """All subspaces of Q^n spanned by vectors with entries in [-box, box].
+def enumerate_box_subspaces(n: int, box: int, max_dim: int):
+    """The subspaces of Q^n of dimension at most max_dim spanned by vectors
+    with entries in [-box, box].
 
     Sums integer forms, deduplicates them, and yields each one's RREF basis,
     the zero subspace included, lines in RREF order.  Spans of every subset of
     distinct lines are covered because any subspace spanned by box vectors
     contains an independent spanning subset of them.
     """
-    max_dim = n if max_dim is None else max_dim
     vectors = product(range(-box, box + 1), repeat=n)
     lines = sorted({primitive([v]) for v in vectors if any(v)}, key=fractions)
     yield ()

@@ -190,19 +190,16 @@ def ideal_to_json(n: IdealSpec) -> dict:
     }
 
 
-def polytope_to_json(P: RationalPolytope, verts=None, facet_tight=None) -> dict:
-    out = {
+def polytope_to_json(P: RationalPolytope, verts, facet_tight) -> dict:
+    return {
         "dim": P.dim,
         "halfspaces": [
             {"coeffs": list(c), "bound": b} for c, b in P.halfspaces
         ],
         "box": "0 <= x_j <= 1",
+        "vertices": [[str(v) for v in x] for x in verts],
+        "facet_tight": list(facet_tight),
     }
-    if verts is not None:
-        out["vertices"] = [[str(v) for v in x] for x in verts]
-    if facet_tight is not None:
-        out["facet_tight"] = list(facet_tight)
-    return out
 
 
 def exact_value_to_json(v: ExactValue) -> dict:

@@ -13,8 +13,15 @@ from blgroups.groups import (
     from_permutations,
     identity_map,
     make_cyclic_product,
-    trivial_group,
 )
+
+
+def element_order(G, x):
+    """The least k >= 1 with x^k = e, by repeated right multiplication."""
+    k, y = 1, x
+    while y != G.identity:
+        y, k = G.table[y][x], k + 1
+    return k
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +56,7 @@ def Z2xZ2():
 
 @pytest.fixture(scope="session")
 def E1():
-    return trivial_group()
+    return make_cyclic_product([1])
 
 
 @pytest.fixture(scope="session")

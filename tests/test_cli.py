@@ -3,13 +3,21 @@ import json
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from blgroups.cache import SubgroupCache, cache_key
 from blgroups.cli import main
-from blgroups.groups import SizeCapError, from_cayley_table, make_cyclic_product
+from blgroups.exact import ExactValue, exact_max
+from blgroups.groups import (
+    SizeCapError,
+    all_subgroups,
+    from_cayley_table,
+    make_cyclic_product,
+)
 from blgroups.heisenberg import ScanBudgetError
+from blgroups.lie import IdealSpec, closed_pool
 from blgroups.oracle import BudgetError, _Form
 from blgroups.serialize import SchemaError, parse_datum, parse_group, parse_lie_datum
 
@@ -134,6 +142,57 @@ def test_polytope_command(write, capsys):
     assert ["1/2", "1/2", "1/2"] in r["vertices"]
     assert len(r["halfspaces"]) == 7
     assert r["pool_stabilized"] is True
+
+
+def test_polytope_table_keeps_list_items(write, capsys):
+    # each vertex is a `-` line over its coordinates, one level deeper
+    path = write("t3.json", T3_LW)
+    assert main(["polytope", "--in", path, "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    vertices = []
+    for line in lines[lines.index("  vertices:") + 1:]:
+        if line == "    -":
+            vertices.append([])
+        elif line.startswith("      - "):
+            vertices[-1].append(line[len("      - "):])
+        else:
+            break
+    _, rep = run_cli(capsys, ["polytope", "--in", path])
+    assert [len(x) for x in vertices] == [3] * 5
+    assert vertices == rep["result"]["vertices"]
+
+
+def test_check_codim_show_pool_lists_the_closed_pool(write, capsys):
+    path = write("t3.json", T3_LW)
+    code, rep = run_cli(capsys, ["check-codim", "--in", path, "--p", "2,2,2", "--show-pool"])
+    r = rep["result"]
+    shown = [IdealSpec(n["simple_part"], [[Fraction(v) for v in row] for row in n["torus_basis"]])
+             for n in r["pool"]]
+    assert code == 0 and len(shown) == r["pool_size"]
+    assert shown == closed_pool(parse_lie_datum(T3_LW))[0]
+
+
+def test_constant_candidates_cover_the_lattice(write, capsys):
+    path = write("lw.json", LW_Z2Z2)
+    code, rep = run_cli(capsys, ["constant", "--in", path, "--candidates", "--no-cache"])
+    r = rep["result"]
+    lattice = all_subgroups(parse_datum(LW_Z2Z2).G)
+    assert code == 0
+    assert [c["subgroup"] for c in r["candidates"]] == [list(H.members) for H in lattice]
+    values = [ExactValue.from_json(c["value"]) for c in r["candidates"]]
+    assert exact_max(values)[1] == ExactValue.from_json(r["value"])
+
+
+def test_constant_reports_the_canonicalization_factor(write, capsys):
+    # x -> 2x on Z4 is not onto: the report carries BL(d) / BL(canonicalize(d))
+    doubling = {"group": {"cyclic": [4]}, "codomains": [{"cyclic": [4]}],
+                "maps": [[0, 2, 0, 2]], "p": ["2"]}
+    path = write("doubling.json", doubling)
+    code, rep = run_cli(capsys, ["constant", "--in", path, "--no-cache"])
+    tag = rep["result"]["canonicalization"]
+    assert code == 0 and tag["is_canonical"] is False
+    assert tag["witness"] == "map 0 is not surjective"
+    assert tag["constant_factor"]["primes"] == {"2": "1/2"}
 
 
 def test_reduce_roundtrip(write, capsys):

@@ -16,8 +16,6 @@ from blgroups.groups import (
     direct_product,
     identity_map,
     make_cyclic_product,
-    trivial_subgroup,
-    whole_group,
 )
 from blgroups.oracle import InputTuple, evaluate_form
 
@@ -41,13 +39,13 @@ def hoelder_z2(p=("1", "1")):
 
 def test_ratio_hoelder_trivial_subgroup():
     d = hoelder_z2()
-    v = ratio(d, trivial_subgroup(d.G))
+    v = ratio(d, Subgroup(d.G, (d.G.identity,)))
     assert v.as_fraction() == 2
 
 
 def test_ratio_whole_group_probability_surjective():
     d = lw_z2z2(("3", "3/2"))
-    assert ratio(d, whole_group(d.G)).is_one
+    assert ratio(d, Subgroup(d.G, tuple(range(d.G.order)))).is_one
 
 
 def test_ratio_axis_subgroup_is_inverse_sqrt_two():
@@ -82,16 +80,16 @@ def test_saturate_diagonal_fills_group():
 
 def test_saturate_trivial_with_injective_joint_map():
     d = lw_z2z2()
-    assert saturate(d, trivial_subgroup(d.G)).members == (d.G.identity,)
+    assert saturate(d, Subgroup(d.G, (d.G.identity,))).members == (d.G.identity,)
 
 
 def test_saturate_rejects_foreign_subgroup():
     d = lw_z2z2()
     other = make_cyclic_product([4])
     with pytest.raises(ValueError, match="source group"):
-        saturate(d, trivial_subgroup(other))
+        saturate(d, Subgroup(other, (other.identity,)))
     with pytest.raises(ValueError, match="source group"):
-        bl_constant(d, subgroups=[trivial_subgroup(other)])
+        bl_constant(d, subgroups=[Subgroup(other, (other.identity,))])
 
 
 def test_saturation_never_lowers_ratio():

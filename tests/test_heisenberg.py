@@ -13,7 +13,6 @@ from blgroups.heisenberg import (
     _rational_lcm,
     divergence_witness,
     heisenberg_commutator,
-    heisenberg_dilations,
     heisenberg_multiply,
     kronecker_sequence,
     scaling_condition,
@@ -39,8 +38,8 @@ def test_homogeneous_dimension_euclidean():
 
 def test_homogeneous_dimension_heisenberg():
     # weights (1, 1, 2) for C x R; Q = 2n + 2 at n = 1
-    assert heisenberg_dilations(1).Q() == 4
-    assert heisenberg_dilations(3).Q() == 8
+    assert DilationStructure((1,) * 2 + (2,)).Q() == 4
+    assert DilationStructure((1,) * 6 + (2,)).Q() == 8
 
 
 def test_homogeneous_dimension_rational_weights():
@@ -305,8 +304,8 @@ def test_scaling_defect_vanishes_at_balanced_polytope_vertices():
         CompactLieDatum,
         LinearizedMap,
         bl_polytope,
+        _Sums,
         closed_pool,
-        map_image_dims,
         vertices,
     )
 
@@ -322,7 +321,7 @@ def test_scaling_defect_vanishes_at_balanced_polytope_vertices():
     ]
     checked = 0
     for d in data:
-        g_dims = map_image_dims(d)
+        g_dims = _Sums(d).ranks
         P = bl_polytope(d, closed_pool(d)[0])
         for v in vertices(P):
             if sum(x * g for x, g in zip(v, g_dims)) != d.torus_dim:

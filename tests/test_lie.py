@@ -25,8 +25,6 @@ from blgroups.lie import (
     facet_status,
     finiteness,
     full_ideal,
-    ideal_dims,
-    map_kernel,
     membership,
     membership_point,
     split_commutator_center,
@@ -270,23 +268,23 @@ def test_wide_zassenhaus_blocks():
 
 def test_ideal_dims_zero_ideal():
     d = t3_loomis_whitney()
-    dim_n, images = ideal_dims(d, zero_ideal())
+    dim_n, images = lie._Sums(d).ideal_dims(zero_ideal())
     assert dim_n == 0 and images == [0, 0, 0]
 
 
 def test_ideal_dims_simple_factor_killed():
     d = CompactLieDatum((3, 3), 0, (LinearizedMap((0,), ()),))
     first = IdealSpec((0,), ())
-    dim_n, images = ideal_dims(d, first)
+    dim_n, images = lie._Sums(d).ideal_dims(first)
     assert dim_n == 3 and images == [3]
     second = IdealSpec((1,), ())
-    assert ideal_dims(d, second) == (3, [0])
+    assert lie._Sums(d).ideal_dims(second) == (3, [0])
 
 
 def test_ideal_dims_torus_line():
     d = t3_loomis_whitney()
     line = IdealSpec((), [[1, 1, 1]])
-    dim_n, images = ideal_dims(d, line)
+    dim_n, images = lie._Sums(d).ideal_dims(line)
     assert dim_n == 1 and images == [1, 1, 1]
 
 
@@ -376,7 +374,7 @@ def all_pairs_closed_pool(d, max_closure):
                                   int_meet(a.torus_rows, b.torus_rows, d.torus_dim)))
         return out
 
-    pool = {zero_ideal()} | {map_kernel(d, j) for j in range(d.J)}
+    pool = {zero_ideal()} | {lie._ideal(*K) for K in lie._Sums(d).kernels}
     for _ in range(max_closure):
         new = combine(pool) - pool
         if not new:
@@ -441,7 +439,7 @@ def test_pool_two_simple_factors():
 
 def test_map_kernel_torus():
     d = t3_loomis_whitney()
-    k0 = map_kernel(d, 0)
+    k0 = lie._ideal(*lie._Sums(d).kernels[0])
     assert k0.torus_basis == ((Fraction(1), Fraction(0), Fraction(0)),)
 
 
@@ -505,7 +503,7 @@ def test_every_vertex_is_member_and_facets_are_tight_or_flagged():
         verts = vertices(P)
         for v in verts:
             assert membership_point(P, v)
-        status = facet_status(P)
+        status = facet_status(P, verts)
         for (coeffs, bound), tight in zip(P.halfspaces, status):
             if not tight:
                 continue
@@ -965,7 +963,7 @@ def reference_closed_pool(d, max_closure):
 
 
 def reference_ideal_dims(d, n):
-    """The Fraction ideal_dims: image ranks from reference_image_basis."""
+    """The Fraction _Sums.ideal_dims: image ranks from reference_image_basis."""
     dim_n = sum(d.simple_dims[i] for i in n.simple_part) + len(n.torus_basis)
     return dim_n, [sum(d.simple_dims[i] for i in n.simple_part if i in m.kept_simple)
                    + len(reference_image_basis(m.torus_matrix, n.torus_basis))
@@ -1122,14 +1120,14 @@ def test_dimensions_of_ideals_outside_the_pool():
     # ideals that no closure forms miss the table of sums, so each runs its
     # own eliminations: box-1 subspaces up to T^3 and random rows on T^4,
     # under random summand sets, checked against the Fraction reference
-    # through ideal_dims, codimension_defect and bl_polytope
+    # through _Sums.ideal_dims, codimension_defect and bl_polytope
     rng = random.Random(71)
     choices = ("1", "3/2", "2", "5/2", "3", "4", "inf")
     outside = 0
     for d in list(random_lie_data(41, 36)) + [t3_loomis_whitney(), four_generic_planes()]:
         pool = set(closed_pool(d)[0])
         s, t = len(d.simple_dims), d.torus_dim
-        bases = (list(enumerate_box_subspaces(t, 1)) if t <= 3 else
+        bases = (list(enumerate_box_subspaces(t, 1, t)) if t <= 3 else
                  [random_rows(rng, rng.randint(1, 3), t, k % 2 == 1) for k in range(12)])
         ideals = [IdealSpec([i for i in range(s) if rng.random() < 0.5], basis)
                   for basis in bases]
@@ -1138,7 +1136,7 @@ def test_dimensions_of_ideals_outside_the_pool():
         p = [E(rng.choice(choices)) for _ in d.maps]
         recips = [pj.reciprocal() for pj in p]
         for n in ideals:
-            assert ideal_dims(d, n) == reference_ideal_dims(d, n)
+            assert lie._Sums(d).ideal_dims(n) == reference_ideal_dims(d, n)
             assert codimension_defect(d, p, n) == fraction_defect(d, recips, n)
         dim_g, g_images = reference_ideal_dims(d, full_ideal(d))
         halfspaces = set()
@@ -1182,7 +1180,7 @@ def test_polytope_with_no_maps_has_the_empty_vertex():
     P = bl_polytope(d, [zero_ideal()])
     assert P.dim == 0 and P.halfspaces == (((), 5),)
     assert vertices(P) == fraction_vertices(P) == [()]
-    assert facet_status(P) == [False] and membership_point(P, [])
+    assert facet_status(P, vertices(P)) == [False] and membership_point(P, [])
     assert finiteness(d, []).verdict is Verdict.FINITE
 
 

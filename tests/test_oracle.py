@@ -13,7 +13,6 @@ from blgroups.groups import (
     direct_product,
     identity_map,
     make_cyclic_product,
-    trivial_group,
 )
 from blgroups.oracle import (
     BudgetError,
@@ -163,8 +162,8 @@ def test_ascent_trace_monotone(seed):
         assert b >= a - 1e-15 * max(1.0, abs(a))
 
 
-def test_oracle_trivial_group():
-    d = make_datum(trivial_group(), [identity_map(trivial_group())], ["2"])
+def test_oracle_trivial_group(E1):
+    d = make_datum(E1, [identity_map(E1)], ["2"])
     assert oracle_constant(d, restarts=1, seed=0) == pytest.approx(1.0)
 
 

@@ -59,3 +59,13 @@ def test_tracer_targets_resolve():
         for attr in qualname.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), (module, qualname)
+
+
+def test_digest_script_imports_resolve():
+    # scripts/digests.py gates every change to the answers: loading it, without
+    # running main, fails on any library name it imports that no longer exists
+    path = Path(__file__).resolve().parent.parent / "scripts" / "digests.py"
+    spec = importlib.util.spec_from_file_location("blgroups_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    assert callable(digests.main)
