@@ -4,7 +4,8 @@
 Run from the repository root, at the parent commit and at the change, and
 compare the output:
 
-    PYTHONPATH=src python scripts/digests.py
+    PYTHONPATH=src python scripts/digests.py              # all six
+    PYTHONPATH=src python scripts/digests.py formula oracle   # only these
 
 * subgroups: the member lists, in order, of `all_subgroups` on the 42
   corpus groups (in order of first appearance in `standard_frames()`), then
@@ -33,10 +34,14 @@ compare the output:
 
 Each digest is the SHA-256 of one `repr` line per item.  The digests go
 to stdout and the time of each pass to stderr, so two runs compare with
-`diff`.  The reductions and oracle passes take the longest.
+`diff`.  The reductions and oracle passes take the longest.  Each digest's
+line generator is a module-level function in `DIGESTS`, so tests can pin
+the fast digests (`tests/test_digests.py`), and the oracle on a slice.
 """
 
+import functools
 import hashlib
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -78,7 +83,7 @@ from blgroups.oracle import exhaustive_indicator_search, oracle_constant
 from blgroups.serialize import datum_to_json, tag_to_json
 
 
-def _digest(lines):
+def digest(lines):
     h = hashlib.sha256()
     for line in lines:
         h.update(repr(line).encode() + b"\n")
@@ -121,7 +126,8 @@ def _attempt(op, *args):
         return type(err).__name__, str(err)
 
 
-def _reduction_lines(frames):
+def reduction_lines():
+    frames = _corpus()[0]
     Z2 = make_cyclic_product([2])
     trivial = Homomorphism(Z2, Z2, (0, 0))
     for haar in (HaarMode.PROBABILITY, HaarMode.COUNTING):
@@ -180,31 +186,45 @@ def _scan_lines():
             yield brute_force_torus_violator(torus, p, box=1)
 
 
-def main():
+@functools.cache
+def _corpus():
+    """The corpus frames and the subgroup lattice of each frame's group."""
     frames = standard_frames()
-    lattices = {G: all_subgroups(G) for G in dict.fromkeys(f.group for f in frames)}
+    return frames, {G: all_subgroups(G) for G in dict.fromkeys(f.group for f in frames)}
 
-    def subgroup_lines():
-        for G in [*lattices, *_large_groups()]:
-            yield [s.members for s in all_subgroups(G)]
 
-    def formula_lines():
-        for d, subs in _corpus_data(frames, lattices):
-            rep = bl_constant(d, subgroups=subs)
-            yield (rep.value.factors, rep.argmax_subgroup.members, rep.tie,
-                   rep.canonicalization)
+def subgroup_lines():
+    for G in [*_corpus()[1], *_large_groups()]:
+        yield [s.members for s in all_subgroups(G)]
 
-    def oracle_lines():
-        for d, _ in _corpus_data(frames, lattices):
-            value, sets = exhaustive_indicator_search(d)
-            yield (oracle_constant(d, restarts=8, seed=20).hex(), value.factors, sets)
 
-    for name, lines in (("subgroups", subgroup_lines), ("formula", formula_lines),
-                        ("oracle", oracle_lines),
-                        ("reductions", lambda: _reduction_lines(frames)),
-                        ("lie", _lie_lines), ("scan", _scan_lines)):
+def formula_lines():
+    for d, subs in _corpus_data(*_corpus()):
+        rep = bl_constant(d, subgroups=subs)
+        yield (rep.value.factors, rep.argmax_subgroup.members, rep.tie,
+               rep.canonicalization)
+
+
+def oracle_lines(step=1):
+    """The oracle digest's lines; step > 1 keeps every step-th datum only."""
+    for d, _ in itertools.islice(_corpus_data(*_corpus()), 0, None, step):
+        value, sets = exhaustive_indicator_search(d)
+        yield (oracle_constant(d, restarts=8, seed=20).hex(), value.factors, sets)
+
+
+DIGESTS = {"subgroups": subgroup_lines, "formula": formula_lines,
+           "oracle": oracle_lines, "reductions": reduction_lines,
+           "lie": _lie_lines, "scan": _scan_lines}
+
+
+def main(argv=None):
+    names = sys.argv[1:] if argv is None else argv
+    unknown = [name for name in names if name not in DIGESTS]
+    if unknown:
+        sys.exit(f"unknown digest {unknown[0]!r}; choose from {', '.join(DIGESTS)}")
+    for name in names or DIGESTS:
         start = time.perf_counter()
-        print(name, _digest(lines()), flush=True)
+        print(name, digest(DIGESTS[name]()), flush=True)
         print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 

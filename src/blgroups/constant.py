@@ -18,14 +18,11 @@ image under each map is sigma_j(H), so one pass over the fibres gives both
 the candidate and the image orders of its denominator, and the exact ratio
 is built from those orders.
 
-An exact ratio is one product of integer powers n^e (`datum.mass_quotient`):
-|S|^1, |G|^-1 under probability Haar, and for each map |sigma_j(S)|^(-r_j)
-and, under probability Haar, |G_j|^(r_j), with r_j = 1/p_j.
-`ExactValue.from_powers` writes the exponents as integer numerators over
-one common denominator, factorizes each integer once, sums valuation times
-numerator per prime as ints, and makes one Fraction per prime.
-
-The float ranking, its proved margin and the exact argmax are in `datum`.
+An exact ratio is one product of integer powers n^e: |S|^1, |G|^-1 under
+probability Haar, and for each map |sigma_j(S)|^(-r_j) and, under
+probability Haar, |G_j|^(r_j), with r_j = 1/p_j.  The datum's quotient
+table builds it, and holds the float ranking terms, their proved margin and
+the exact argmax (`datum` module docstring).
 """
 
 from __future__ import annotations
@@ -35,14 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .datum import (
-    BLDatum,
-    CanonicalTag,
-    canonical_tag,
-    exact_argmax,
-    mass_quotient,
-    quotient_logs,
-)
+from .datum import BLDatum, CanonicalTag, _QuotientTable, canonical_tag
 from .exact import ExactValue
 from .groups import Subgroup, all_subgroups, mask_members
 
@@ -52,7 +42,7 @@ def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
     if H.parent != d.G:
         raise ValueError("subgroup does not live in the datum's source group")
     counts = [h.image_mask(H.mask).bit_count() for h in d.maps]
-    return mass_quotient(d, H.order, counts)
+    return _QuotientTable(d).value(H.order, counts)
 
 
 def _saturation(d: BLDatum, H: Subgroup) -> tuple[int, tuple[int, ...]]:
@@ -108,10 +98,10 @@ def bl_constant(
         mask, counts = _saturation(d, H)
         found.setdefault(mask, counts)
 
-    log_w_G, terms, margin = quotient_logs(d)
-    active = [(j, r, lw) for j, (r, lw) in enumerate(terms) if r]
+    table = _QuotientTable(d)
+    active = [(j, r, lw) for j, (r, lw) in enumerate(table.terms) if r]
     logs = {
-        mask: math.log(mask.bit_count()) + log_w_G
+        mask: math.log(mask.bit_count()) + table.log_w_G
         - sum(r * (math.log(counts[j]) + lw) for j, r, lw in active)
         for mask, counts in found.items()
     }
@@ -119,9 +109,9 @@ def bl_constant(
     near = sorted(
         (mask.bit_count(), mask_members(mask), mask)
         for mask, f in logs.items()
-        if f >= top - margin
+        if f >= top - table.margin
     )
-    best, value, tie = exact_argmax(d, [(n, found[mask]) for n, _, mask in near])
+    best, value, tie = table.argmax([(n, found[mask]) for n, _, mask in near])
 
     all_cands = None
     if include_candidates:

@@ -18,6 +18,35 @@ constant exactly:
 
 Empty data (J = 0) are allowed; their constant is the total Haar mass of G,
 which is what makes deletion of a p = inf index exact down to J = 0.
+
+Mass quotients
+--------------
+With r_j = 1/p_j, mass(X) / prod_j mass(Y_j)^(r_j), for a set X of `count`
+points of G and sets Y_j of sizes[j] points of G_j, is the subgroup
+formula's ratio (X = S, Y_j = sigma_j(S)) and the Rayleigh quotient of an
+indicator tuple (Y_j its sets, X their common preimage).  Both routes rank
+candidates by float logs and build exact values near the float maximum
+only, from one `_QuotientTable` per call.  It holds the r_j (read once per
+map), the float terms (r_j, log w_j), w the Haar weight of one element,
+log w_G, the margin below, D = lcm of the denominators of the r_j,
+c_j = r_j D, and the prime sums that no key changes: -D times the
+valuations of |G| and c_j times those of |G_j|, under probability Haar.  A
+key (count, sizes) adds D times the valuations of count and -c_j times
+those of sizes[j], each integer factorized once per table, and a prime
+with sum t != 0 gets the exponent t / D: `ExactValue.from_powers` on
+count^1, |G|^-1, sizes[j]^-r_j and |G_j|^(r_j), same lcm, same sums.
+
+The float log of a quotient is log count + log w_G - sum_j r_j (log
+sizes[j] + log w_j): at most 2 + 2J logs of integers no larger than N, the
+largest group order, with r_j in [0, 1].  With u = 2^-53 and L = log N, each
+log (libm's, one ulp) errs by at most 2uL, each bracket times the rounded
+r_j by at most 7uL, and the J + 1 additions of partial sums bounded by
+(J + 2)L by at most (J + 1)(J + 2)uL: less than E = uL(J + 5)^2 in all,
+about 6e-14 for three maps at order 4096.  A candidate that ties the true
+maximum lies within 2E of the float maximum, so the margin, 1e-9 or 4E if
+larger, keeps every one, and the exact first-wins argmax
+(`_QuotientTable.argmax`) over the survivors is the argmax over all
+candidates, with the same value and tie flag.
 """
 
 from __future__ import annotations
@@ -27,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactValue, exact_max
+from .exact import ExactValue, _factorize, exact_max
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -127,8 +156,8 @@ class BLDatum:
         for j, h in enumerate(self.maps):
             if h.domain != self.G:
                 raise GroupStructureError(f"map {j} has the wrong domain")
-        # Read on every mass_quotient and quotient_logs call, so stored once,
-        # eagerly: the `groups` module docstring says why.
+        # Read on every _QuotientTable build, so stored once, eagerly: the
+        # `groups` module docstring says why.
         object.__setattr__(self, "codomains", tuple(h.codomain for h in self.maps))
 
     @property
@@ -160,60 +189,45 @@ def make_datum(G, maps, exponents, haar_G=HaarMode.PROBABILITY, haar_codomains=N
     )
 
 
-def mass_quotient(d: BLDatum, count: int, sizes) -> ExactValue:
-    """mass(X) / prod_j mass(Y_j)^(1/p_j) for a set X of `count` points of G
-    and sets Y_j of sizes[j] points of G_j.
+class _QuotientTable:
+    """What every mass quotient of one datum shares (module docstring); the
+    argmax builds each distinct (count, sizes) key's exact value once."""
 
-    This is the subgroup formula's ratio (X = S, Y_j = sigma_j(S)) and the
-    Rayleigh quotient of an indicator tuple (Y_j its sets, X their common
-    preimage).  It is built exactly as one product of integer powers:
-    count^1, |G|^-1 under probability Haar, and for each j sizes[j]^(-r_j)
-    and, under probability Haar, |G_j|^(r_j), with r_j = 1/p_j.
-    """
-    terms = [(count, 1)]
-    if d.haar_G is HaarMode.PROBABILITY:
-        terms.append((d.G.order, -1))
-    for size, c, mode, e in zip(sizes, d.codomains, d.haar_codomains, d.exponents):
-        r = e.reciprocal()
-        terms.append((size, -r))
-        if mode is HaarMode.PROBABILITY:
-            terms.append((c.order, r))
-    return ExactValue.from_powers(terms)
+    def __init__(self, d: BLDatum):
+        r = [e.reciprocal() for e in d.exponents]
+        self.log_w_G = log_haar_weight(d.G, d.haar_G)
+        self.terms = [(float(rj), log_haar_weight(c, mode))
+                      for rj, c, mode in zip(r, d.codomains, d.haar_codomains)]
+        largest = max([d.G.order, *(c.order for c in d.codomains)])
+        self.margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
+        self.D = math.lcm(*[rj.denominator for rj in r])
+        self.c = [rj.numerator * (self.D // rj.denominator) for rj in r]
+        self._primes: dict[int, tuple] = {}  # each integer's factorization
+        self.base: dict[int, int] = {}
+        if d.haar_G is HaarMode.PROBABILITY:
+            self._add(self.base, d.G.order, -self.D)
+        for c, group, mode in zip(self.c, d.codomains, d.haar_codomains):
+            if mode is HaarMode.PROBABILITY:
+                self._add(self.base, group.order, c)
 
+    def _add(self, sums: dict, n: int, c: int) -> None:
+        primes = self._primes.get(n)
+        if primes is None:
+            primes = self._primes[n] = tuple(_factorize(n).items())
+        for p, k in primes:
+            sums[p] = sums.get(p, 0) + k * c
 
-def quotient_logs(d: BLDatum) -> tuple[float, list[tuple[float, float]], float]:
-    """(log w_G, terms, margin) for ranking mass quotients by float logs.
+    def value(self, count: int, sizes) -> ExactValue:
+        sums = dict(self.base)
+        self._add(sums, count, self.D)
+        for size, c in zip(sizes, self.c):
+            self._add(sums, size, -c)
+        return ExactValue._canonical(
+            tuple(sorted((p, Fraction(t, self.D)) for p, t in sums.items() if t)))
 
-    terms[j] = (r_j, log w_j): r_j = 1/p_j (0.0 for p = inf), w the Haar
-    weight of one element.  The float log of `mass_quotient` is
-    log count + log w_G - sum_j r_j (log sizes[j] + log w_j): at most 2 + 2J
-    logs of integers no larger than N, the largest group order, with r_j in
-    [0, 1].  With u = 2^-53 and L = log N, each log (libm's, one ulp) errs by
-    at most 2uL, each bracket times the rounded r_j by at most 7uL, and the
-    J + 1 additions of partial sums bounded by (J + 2)L by at most
-    (J + 1)(J + 2)uL: less than E = uL(J + 5)^2 in all, about 6e-14 for three
-    maps at order 4096.  A candidate that ties the true maximum lies within
-    2E of the float maximum, so the margin, 1e-9 or 4E if larger, keeps every
-    one, and the exact first-wins argmax (`exact_argmax`) over the survivors
-    is the argmax over all candidates, with the same value and tie flag.
-    """
-    terms = [
-        (float(e.reciprocal()), log_haar_weight(c, mode))
-        for e, c, mode in zip(d.exponents, d.codomains, d.haar_codomains)
-    ]
-    largest = max([d.G.order, *(c.order for c in d.codomains)])
-    margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
-    return log_haar_weight(d.G, d.haar_G), terms, margin
-
-
-def exact_argmax(d: BLDatum, keys: list) -> tuple[int, ExactValue, bool]:
-    """`exact_max` over mass_quotient(d, count, sizes) for the (count, sizes)
-    keys in order, sizes a tuple; each distinct key's value is built once."""
-    values = {}
-    for key in keys:
-        if key not in values:
-            values[key] = mass_quotient(d, *key)
-    return exact_max(map(values.__getitem__, keys))
+    def argmax(self, keys: list) -> tuple[int, ExactValue, bool]:
+        values = {key: self.value(*key) for key in dict.fromkeys(keys)}
+        return exact_max(map(values.__getitem__, keys))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ A constant's candidate is a product of powers n^e of small integers n
 `ExactValue.from_powers` builds it in one step on integers: it scales every
 exponent to an integer numerator over L, the lcm of their denominators,
 factorizes each n once, sums valuation times numerator per prime as ints,
-and makes one Fraction (sum / L) per prime that survives.  The constants,
-the canonicalization and reduction factors and `from_rational` are all
-built by it; the algebra below serves the comparison and the tests.
+and makes one Fraction (sum / L) per prime that survives.  The constants
+are built on the same sums by `datum._QuotientTable`, the other factors
+and `from_rational` by it; the algebra below serves comparison and tests.
 
 The public constructor and `from_json` check their input: bases prime and
 sorted, exponents ints or Fractions and nonzero.  Two values are equal

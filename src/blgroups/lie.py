@@ -584,14 +584,12 @@ def finiteness(
     if d.torus_dim == 0:
         return FinitenessReport(
             Verdict.FINITE, None, None, pool_tuple,
-            "semisimple datum: every ideal passes, summand by summand "
-            "(constant 1 under probability Haar)",
+            "semisimple datum: every ideal passes, summand by summand",
         )
     if complete:
         return FinitenessReport(
             Verdict.FINITE, None, None, pool_tuple,
-            "the closed kernel-lattice pool passes, so every torus subspace "
-            "passes (constant 1 under probability Haar)",
+            "the closed kernel-lattice pool passes, so every torus subspace passes",
         )
 
     # (dim T, RREF of T, D defect_T(T), T) for each failing torus part

@@ -13,9 +13,9 @@ Three routes, none of which touches the subgroup formula:
 The exhaustive search ranks indicator tuples by the float log-quotient
 log c + log w_G - sum_j r_j (log|s_j| + log w_j), c counting the points
 whose images all lie in the sets s_j.  Like the subgroup formula, it takes
-the floats, the margin and its error bound E from `datum.quotient_logs` and
-the exact argmax from `datum.exact_argmax`, so a Fraction test, not the
-agreement of the two routes, pins the exact builder.
+the floats, the margin, its error bound E and the exact argmax from the
+datum's quotient table (`datum` module docstring), so a Fraction test, not
+the agreement of the two routes, pins the exact builder.
 
 The search cuts a branch without changing its result.  With the sets of
 codomains 0..j-1 chosen, the remaining points form the mask m, and every
@@ -23,20 +23,28 @@ later set s_k is nonempty, so log|s_k| >= 0 and r_k >= 0 give every tuple
 below the bound B = log|m| + log w_G - D - R, where D is the branch's
 denominator log and R = sum_{k >= j} r_k log w_k.  The float B is built
 from at most 2 + 2J logs, J brackets and J + 3 additions of partial sums
-bounded by (J + 2)L, so, with u, L and E = uL(J + 5)^2 as in
-`datum.quotient_logs`, it errs by less than uL(J^2 + 12J + 10) < 2E, and a
+bounded by (J + 2)L, so, with u, L and E = uL(J + 5)^2 as in the
+`datum` module docstring, it errs by less than uL(J^2 + 12J + 10) < 2E, and a
 tuple's float log-quotient is below the float B plus 3E < margin.  A branch
 whose float B is below the running maximum less 2 margins therefore holds
 only tuples below the running maximum less one margin: the unpruned scan
 drops each of them on arrival without changing its state, so the finalists,
 their order and the result are those of the unpruned scan.
 
-The ascent runs each sweep on prefix products: with g_j = f_j o sigma_j and
-P_k = w g_0 ... g_{k-1} over blocks already updated, block k integrates
-P_k g_{k+1} ... g_{J-1}, multiplied in index order.  These are the products,
-in the same association, of the direct loop over x (a zero product stays
-zero, and adding it leaves a fibre sum unchanged), so every float is the
-same; P_J is the sweep's form integrand.
+The ascent runs all of `oracle_constant`'s starts in lockstep (`_ascend`;
+`alternating_ascent` is its one-lane call), on flat lane-major lists: entry
+l|G| + x is start l at the point x, block k holds |G_k| entries per lane,
+and index[k] sends l|G| + x to l|G_k| + sigma_k(x).  With g_j = f_j o sigma_j
+and P_k = w g_0 ... g_{k-1} over updated blocks, block k integrates
+P_k g_{k+1} ... g_{J-1}, multiplied elementwise in index order: per lane,
+the products of the direct loop over x in the same association (a zero
+product stays zero and adds nothing to a fibre sum).  A lane's fibre sums
+add its entries in increasing x, and its maximizer, norm and value (a
+left-to-right loop) read only its own segment, so every float is that of
+its start run alone.  Lanes that converge or fail leave at the end of the
+sweep, the rest move up in order (index lists shrink to prefixes), and the
+lowest-index failed start's error is raised once no lane below it runs:
+the error that one start at a time raises first.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .datum import BLDatum, exact_argmax, mass_quotient, quotient_logs
+from .datum import BLDatum, _QuotientTable
 from .exact import ExactValue
 from .groups import BudgetExceededError, haar_weight, mask_members
 
@@ -124,43 +132,58 @@ class _Form:
                 total += prod
         return total
 
-    def norm(self, j: int, f: list[float]) -> float:
-        """The p_j-norm of the nonnegative floats f on codomain j, weighted
-        by its Haar mode."""
-        pv = self.powers[j]
+    def norms(self, j: int, f: list[float]) -> list[float]:
+        """The p_j-norm, weighted by the Haar mode of codomain j, of each
+        lane of sizes[j] nonnegative floats in f."""
+        s, pv = self.sizes[j], self.powers[j]
         if pv is None:
-            return max(f)
+            return [max(f[a:a + s]) for a in range(0, len(f), s)]
         w = self.weights[j]
-        return sum([w * v**pv for v in f]) ** (1.0 / pv)
+        powered = [w * v**pv for v in f]
+        return [sum(powered[a:a + s]) ** (1.0 / pv) for a in range(0, len(f), s)]
 
     def rayleigh(self, funcs) -> float:
-        norms = [self.norm(j, [float(v) for v in f]) for j, f in enumerate(funcs)]
+        norms = [self.norms(j, [float(v) for v in f])[0] for j, f in enumerate(funcs)]
         if any(n == 0 for n in norms):
             raise ValueError("all inputs must have positive norm")
         return float(self.value(funcs)) / math.prod(norms)
 
     def maximizer(self, k: int, sums: list[float]) -> list[float]:
         """Exact maximizer of the form over f_k with its p_k-norm fixed, for
-        finite p_k, from the fibre sums of the integrand without f_k."""
+        finite p_k, in each lane of sizes[k] fibre sums of the integrand
+        without f_k."""
+        s = self.sizes[k]
+        cuts = range(0, len(sums), s)  # where each lane starts
         if self.unit[k]:
-            top = max(sums)
-            if top <= 0.0:
-                return [1.0] * len(sums)
-            arg = [1.0 if v >= top else 0.0 for v in sums]
-            share = sum(arg)
-            return [v / share for v in arg]
-        # the caller renormalizes, so scaling the top sum to 1.0 first keeps
-        # v**q from underflowing the whole block or overflowing for p_k near 1
-        top = max(sums) or 1.0
+            out = []
+            for a in cuts:
+                lane = sums[a:a + s]
+                top = max(lane)
+                if top <= 0.0:
+                    out += [1.0] * s
+                    continue
+                arg = [1.0 if v >= top else 0.0 for v in lane]
+                share = sum(arg)
+                out += [v / share for v in arg]
+            return out
+        # the caller renormalizes, so scaling each lane's top sum to 1.0 first
+        # keeps v**q from underflowing a block or overflowing for p_k near 1
+        tops = [max(sums[a:a + s]) or 1.0 for a in cuts]
         q = 1.0 / (self.powers[k] - 1.0)
-        return [(v / top) ** q for v in sums]
+        return [(v / top) ** q for a, top in zip(cuts, tops) for v in sums[a:a + s]]
 
 
-def _exact_form(d: BLDatum, t: InputTuple) -> _Form:
+def _check_lengths(d: BLDatum, t: InputTuple) -> None:
+    if len(t.functions) != d.J:
+        raise ValueError(f"expected {d.J} inputs, got {len(t.functions)}")
     for j, f in enumerate(t.functions):
         if len(f) != d.codomains[j].order:
             raise ValueError(f"input {j} has length {len(f)}, expected "
                              f"{d.codomains[j].order}")
+
+
+def _exact_form(d: BLDatum, t: InputTuple) -> _Form:
+    _check_lengths(d, t)
     return _Form(d, haar_weight(d.G, d.haar_G))
 
 
@@ -172,6 +195,88 @@ def evaluate_form(d: BLDatum, t: InputTuple):
 def rayleigh(d: BLDatum, t: InputTuple) -> float:
     """Form value divided by the product of input norms; scale invariant."""
     return _exact_form(d, t).rayleigh(t.functions)
+
+
+def _ascend(form: _Form, starts: list, tol: float, max_sweeps: int) -> list:
+    """Block ascent from every start in lockstep lanes (module docstring)."""
+    maps, sizes, powers, order = form.maps, form.sizes, form.powers, form.order
+    lanes = len(starts)
+    funcs = []  # funcs[k]: sizes[k] entries per lane
+    for j, s in enumerate(sizes):
+        f = [float(v) for t in starts for v in t[j]]
+        norms = form.norms(j, f)
+        if 0 in norms:
+            raise ValueError(f"input {j} has zero norm")
+        funcs.append([v / n for a, n in zip(range(0, lanes * s, s), norms)
+                      for v in f[a:a + s]])
+    ids = list(range(lanes))  # the start in each lane
+    # index[k][l * order + x] = l * sizes[k] + sigma_k(x)
+    index = full = []
+    for m, s in zip(maps, sizes):
+        m = list(m)  # each map is read once
+        full.append([lane * s + y for lane in ids for y in m])
+    # pulled[k][l * order + x] = f_k(sigma_k(x)) in lane l, or None once f_k
+    # is a p = inf block's constant 1, since multiplying by 1.0 is exact
+    pulled: list = [[f[i] for i in ix] for f, ix in zip(funcs, index)]
+    out: list = [None] * lanes  # (sweep values, final inputs, converged)
+    values: list = [[] for _ in starts]
+    errors: dict[int, Exception] = {}
+    sweep = 0
+    while ids and (not errors or ids[0] < min(errors)):
+        sweep += 1
+        prefix = [form.w] * (lanes * order)  # w g_0 ... g_{k-1}, blocks < k updated
+        for k, s in enumerate(sizes):
+            if powers[k] is None:
+                funcs[k] = [1.0] * (lanes * s)
+                pulled[k] = None
+                continue
+            integrand = prefix
+            for g in pulled[k + 1:]:
+                if g is not None:
+                    integrand = map(mul, integrand, g)
+            sums = [0.0] * (lanes * s)
+            for y, v in zip(index[k], integrand):
+                sums[y] += v
+            f = form.maximizer(k, sums)
+            norms = form.norms(k, f)
+            for lane, n in enumerate(norms):
+                if n == 0 or not math.isfinite(n):
+                    errors.setdefault(ids[lane], NumericError(
+                        f"block {k} degenerated during sweep {sweep}"))
+                    # the failed lane waits out the sweep on finite values
+                    f[lane * s:(lane + 1) * s] = [1.0] * s
+                    norms[lane] = 1.0
+            f = [v / n for a, n in zip(range(0, lanes * s, s), norms) for v in f[a:a + s]]
+            funcs[k] = f
+            pulled[k] = [f[y] for y in index[k]]
+            prefix = list(map(mul, prefix, pulled[k]))
+        for lane, i in enumerate(ids):
+            if i in errors:
+                continue
+            value = 0.0  # the form at inputs of unit norm
+            for v in prefix[lane * order:(lane + 1) * order]:
+                value += v
+            if not math.isfinite(value):
+                errors[i] = NumericError(f"non-finite objective in sweep {sweep}")
+                continue
+            trace = values[i]
+            trace.append(value)
+            converged = (len(trace) >= 2
+                         and value - trace[-2] <= tol * max(abs(value), 1e-300))
+            if converged or sweep == max_sweeps:
+                out[i] = (trace, [f[lane * s:(lane + 1) * s] for f, s in zip(funcs, sizes)],
+                          converged)
+        keep = [lane for lane, i in enumerate(ids) if out[i] is None and i not in errors]
+        if len(keep) < lanes:
+            # funcs needs no packing: each sweep rewrites every block first
+            pulled = [g and [v for i in keep for v in g[i * order:(i + 1) * order]]
+                      for g in pulled]
+            ids = [ids[lane] for lane in keep]
+            lanes = len(ids)
+            index = [ix[:lanes * order] for ix in full]
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def alternating_ascent(
@@ -192,56 +297,11 @@ def alternating_ascent(
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
+    _check_lengths(d, init)
     if form is None:
         form = _Form(d, float(haar_weight(d.G, d.haar_G)))
-    maps, sizes, powers = form.maps, form.sizes, form.powers
-    funcs = [[float(v) for v in f] for f in init.functions]
-    for j in range(d.J):
-        n = form.norm(j, funcs[j])
-        if n == 0:
-            raise ValueError(f"input {j} has zero norm")
-        funcs[j] = [v / n for v in funcs[j]]
-    # pulled[j][x] = f_j(sigma_j(x)), or None once f_j is a p = inf block's
-    # constant 1, since multiplying by 1.0 is exact
-    pulled: list = [[f[y] for y in m] for f, m in zip(funcs, maps)]
-    start = [form.w] * form.order
-    values: list[float] = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        prefix = start  # w * g_0 * ... * g_{k-1}, with blocks < k updated
-        for k in range(d.J):
-            if powers[k] is None:
-                funcs[k] = [1.0] * sizes[k]
-                pulled[k] = None
-                continue
-            integrand = prefix
-            for g in pulled[k + 1:]:
-                if g is not None:
-                    integrand = map(mul, integrand, g)
-            sums = [0.0] * sizes[k]
-            for y, v in zip(maps[k], integrand):
-                sums[y] += v
-            f = form.maximizer(k, sums)
-            n = form.norm(k, f)
-            if n == 0 or not math.isfinite(n):
-                raise NumericError(f"block {k} degenerated during sweep {sweeps}")
-            f = [v / n for v in f]
-            funcs[k] = f
-            pulled[k] = [f[y] for y in maps[k]]
-            prefix = list(map(mul, prefix, pulled[k]))
-        value = 0.0  # the form at inputs of unit norm
-        for v in prefix:
-            value += v
-        if not math.isfinite(value):
-            raise NumericError(f"non-finite objective in sweep {sweeps}")
-        values.append(value)
-        if len(values) >= 2:
-            prev = values[-2]
-            if value - prev <= tol * max(abs(value), 1e-300):
-                converged = True
-                break
-    return values[-1], InputTuple._built(funcs), AscentTrace(values, sweeps, converged)
+    [(values, funcs, converged)] = _ascend(form, [init.functions], tol, max_sweeps)
+    return values[-1], InputTuple._built(funcs), AscentTrace(values, len(values), converged)
 
 
 def oracle_constant(
@@ -266,7 +326,6 @@ def oracle_constant(
     if d.J == 0:
         return float(haar_weight(d.G, d.haar_G)) * d.G.order
     rng = random.Random(seed)
-    best = -math.inf
     seeds = [
         [[1.0] * c.order for c in d.codomains],
         [[float(y == c.identity) for y in range(c.order)] for c in d.codomains],
@@ -274,10 +333,7 @@ def oracle_constant(
     for _ in range(restarts):
         seeds.append([[0.05 + rng.random() for _ in range(c.order)] for c in d.codomains])
     form = _Form(d, float(haar_weight(d.G, d.haar_G)))
-    for t in seeds:
-        value, _, _ = alternating_ascent(d, InputTuple._built(t), tol, max_sweeps, form=form)
-        best = max(best, value)
-    return best
+    return max(values[-1] for values, _, _ in _ascend(form, seeds, tol, max_sweeps))
 
 
 def exhaustive_indicator_search(
@@ -287,12 +343,12 @@ def exhaustive_indicator_search(
 
     Subsets are enumerated as bitmasks per codomain; the intersection count
     behind the numerator is a popcount of AND-ed fiber masks.  A float
-    prefilter, with the margin proved in `datum.quotient_logs`, keeps the
-    exact comparisons to the near-maximal candidates, and a cut proved in
-    the module docstring skips the branches that hold none of them.
+    prefilter, with the margin proved in the `datum` module docstring, keeps
+    the exact comparisons to the near-maximal candidates, and a cut proved
+    in the module docstring skips the branches that hold none of them.
     """
     if d.J == 0:
-        return mass_quotient(d, d.G.order, ()), []
+        return _QuotientTable(d).value(d.G.order, ()), []
     work = 1
     for c in d.codomains:
         work *= 2**c.order
@@ -311,7 +367,8 @@ def exhaustive_indicator_search(
             arr[s] = arr[s ^ low] | h.fibres[low.bit_length() - 1]
         subset_masks.append(arr)
 
-    log_w_G, quotient_terms, margin = quotient_logs(d)
+    table = _QuotientTable(d)
+    log_w_G, margin = table.log_w_G, table.margin
     J = d.J
     best_log = -math.inf
     largest = max([d.G.order, *(c.order for c in d.codomains)])
@@ -321,11 +378,11 @@ def exhaustive_indicator_search(
     # denominator's log
     terms = [
         [0.0] + [r * (logs[s.bit_count()] + lw) if r else 0.0 for s in range(1, len(arr))]
-        for (r, lw), arr in zip(quotient_terms, subset_masks)
+        for (r, lw), arr in zip(table.terms, subset_masks)
     ]
     # rest[j] = sum_{k >= j} r_k log w_k: the sets j.. add at least this
     rest = [0.0] * (J + 1)
-    for k, (r, lw) in reversed(list(enumerate(quotient_terms))):
+    for k, (r, lw) in reversed(list(enumerate(table.terms))):
         rest[k] = rest[k + 1] + r * lw
 
     def scan(j: int, mask: int, chosen: tuple[int, ...], log_den: float):
@@ -361,5 +418,5 @@ def exhaustive_indicator_search(
 
     finalists = [(c, cnt) for lv, c, cnt in near if lv >= best_log - margin]
     keys = [(count, tuple(s.bit_count() for s in chosen)) for chosen, count in finalists]
-    best, value, _ = exact_argmax(d, keys)
+    best, value, _ = table.argmax(keys)
     return value, [mask_members(s) for s in finalists[best][0]]

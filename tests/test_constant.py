@@ -239,18 +239,18 @@ def test_scan_matches_reference_on_edge_data(edge_data):
 def test_constant_builds_one_exact_value_per_key(monkeypatch):
     # six near-maximal candidates share four (order, image orders) keys;
     # three of them tie at (2, (2, 2))
-    import blgroups.datum
+    from blgroups.datum import _QuotientTable
 
     frame, = [f for f in corpus.standard_frames() if f.name == "Z2xS3#s14o6"]
     d = corpus.frame_datum(frame, ("inf", "1"), P)
     expected = bl_constant(d)
-    build, calls = blgroups.datum.mass_quotient, []
+    build, calls = _QuotientTable.value, []
 
-    def recording(d, count, sizes):
+    def recording(self, count, sizes):
         calls.append((count, tuple(sizes)))
-        return build(d, count, sizes)
+        return build(self, count, sizes)
 
-    monkeypatch.setattr(blgroups.datum, "mass_quotient", recording)
+    monkeypatch.setattr(_QuotientTable, "value", recording)
     assert bl_constant(d) == expected and expected.tie
     assert sorted(calls) == [(1, (1, 1)), (2, (2, 2)), (3, (1, 3)), (6, (2, 6))]
 

@@ -822,8 +822,7 @@ def test_closed_pool_is_decided_by_the_scan_alone():
             by_pool[closed, kind.split(":")[0].split(" within")[0]] += 1
     assert {kind for closed, kind in by_pool if closed} <= {
         "violating ideal found in the pool", "semisimple datum",
-        "the closed kernel-lattice pool passes, so every torus subspace passes "
-        "(constant 1 under probability Haar)"}
+        "the closed kernel-lattice pool passes, so every torus subspace passes"}
     for part_check in ("violating ideal found among simple summand subsets",
                        "violating torus subspace found in the pool"):
         assert by_pool[False, part_check] > 0
@@ -860,7 +859,7 @@ def reference_finiteness(d, p, max_closure):
     if d.torus_dim == 0:
         return FinitenessReport(Verdict.FINITE, None, None, pool_tuple,
                                 "semisimple datum: every ideal passes, summand by "
-                                "summand (constant 1 under probability Haar)")
+                                "summand")
     lifted_t = {n.torus_basis for n in pool if n.simple_part == full.simple_part}
     torus_pool = {IdealSpec((), n.torus_basis) for n in pool
                   if n.torus_basis not in lifted_t}
@@ -872,7 +871,7 @@ def reference_finiteness(d, p, max_closure):
     if complete:
         return FinitenessReport(Verdict.FINITE, None, None, pool_tuple,
                                 "the closed kernel-lattice pool passes, so every torus "
-                                "subspace passes (constant 1 under probability Haar)")
+                                "subspace passes")
     return FinitenessReport(Verdict.UNDECIDED, None, None, pool_tuple,
                             f"pool passes but the pool closure did not stabilize "
                             f"within {max_closure} rounds")
@@ -1043,7 +1042,7 @@ def fraction_finiteness(d, p, max_closure, pool_of=closed_pool):
     if d.torus_dim == 0:
         return FinitenessReport(Verdict.FINITE, None, None, pool_tuple,
                                 "semisimple datum: every ideal passes, summand by "
-                                "summand (constant 1 under probability Haar)")
+                                "summand")
     if failing_tori:
         _, T, slack = min(failing_tori)
         return FinitenessReport(Verdict.INFINITE, IdealSpec(full.simple_part, T), slack,
@@ -1051,7 +1050,7 @@ def fraction_finiteness(d, p, max_closure, pool_of=closed_pool):
     if complete:
         return FinitenessReport(Verdict.FINITE, None, None, pool_tuple,
                                 "the closed kernel-lattice pool passes, so every torus "
-                                "subspace passes (constant 1 under probability Haar)")
+                                "subspace passes")
     return FinitenessReport(Verdict.UNDECIDED, None, None, pool_tuple,
                             f"pool passes but the pool closure did not stabilize "
                             f"within {max_closure} rounds")

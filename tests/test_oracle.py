@@ -265,15 +265,20 @@ def _reference_ascent(d, init, sweeps, tol=None):
     return values, funcs
 
 
-def reference_oracle(d, restarts, seed):
-    """oracle_constant's starts, each run to convergence by _reference_ascent."""
+def oracle_starts(d, restarts, seed):
+    """oracle_constant's starts, in its order, as checked InputTuples."""
     rng = random.Random(seed)
     starts = [[[1.0] * c.order for c in d.codomains],
               [[float(y == c.identity) for y in range(c.order)] for c in d.codomains]]
     for _ in range(restarts):
         starts.append([[0.05 + rng.random() for _ in range(c.order)] for c in d.codomains])
-    return max(_reference_ascent(d, InputTuple(t), 10_000, tol=1e-12)[0][-1]
-               for t in starts)
+    return [InputTuple(t) for t in starts]
+
+
+def reference_oracle(d, restarts, seed):
+    """oracle_constant's starts, each run to convergence by _reference_ascent."""
+    return max(_reference_ascent(d, t, 10_000, tol=1e-12)[0][-1]
+               for t in oracle_starts(d, restarts, seed))
 
 
 def corpus_sample(seed, count, max_order):
@@ -318,6 +323,75 @@ def test_ascent_matches_reference_bit_for_bit():
 def test_oracle_matches_reference_oracle_bit_for_bit():
     for i, d in enumerate(corpus_sample(29, 60, 36)):
         assert oracle_constant(d, restarts=3, seed=i) == reference_oracle(d, 3, i)
+
+
+def test_lanes_match_one_start_at_a_time():
+    # oracle_constant runs its starts in lockstep lanes and drops each lane as
+    # it converges; one start at a time must give the same floats
+    import blgroups.oracle as oracle
+    from blgroups.groups import haar_weight
+
+    staggered = 0
+    for d in corpus_sample(43, 40, 36):
+        starts = oracle_starts(d, 8, 20)
+        runs = [alternating_ascent(d, t) for t in starts]
+        assert oracle_constant(d, 8, 20).hex() == max(v for v, _, _ in runs).hex()
+        form = oracle._Form(d, float(haar_weight(d.G, d.haar_G)))
+        lanes = oracle._ascend(form, [t.functions for t in starts], 1e-12, 10_000)
+        assert lanes == [(tr.values, out.functions, tr.converged) for _, out, tr in runs]
+        staggered += len({trace.iterations for _, _, trace in runs}) > 1
+        for tol in (0.0, 1e-12):
+            for sweeps in (1, 2, 3, 10_000):
+                expected = max(alternating_ascent(d, t, tol, sweeps)[0] for t in starts)
+                assert oracle_constant(d, 8, 20, tol, sweeps).hex() == expected.hex()
+    assert staggered >= 10
+
+
+def test_failed_start_raises_as_one_start_at_a_time_does(monkeypatch):
+    # block 1 degenerates in some starts, at different sweeps: the lanes
+    # raise the lowest-index start's error, not the first to happen
+    import blgroups.oracle as oracle
+
+    power = oracle._Form.maximizer
+
+    def flaky(self, k, sums):
+        f, s = power(self, k, sums), self.sizes[k]
+        for a in range(0, len(f), s):  # each lane of s entries
+            if k == 1 and 0.999 < f[a] < 1.0:
+                f[a:a + s] = [0.0] * s
+        return f
+
+    monkeypatch.setattr(oracle._Form, "maximizer", flaky)
+    overtaken = 0
+    for d in corpus_sample(47, 120, 12):
+        failures = []
+        for i, t in enumerate(oracle_starts(d, 8, 20)):
+            try:
+                alternating_ascent(d, t)
+            except NumericError as err:
+                failures.append((int(str(err).rsplit(" ", 1)[1]), i, str(err)))
+        if not failures:
+            assert oracle_constant(d, 8, 20) > 0
+            continue
+        with pytest.raises(NumericError) as raised:
+            oracle_constant(d, 8, 20)
+        assert str(raised.value) == failures[0][2]
+        overtaken += min(failures) != failures[0]
+    assert overtaken > 0
+
+
+def test_ascent_checks_the_input_count_and_lengths():
+    # flat lanes would let an entry too many or too few spill into the next
+    # lane, so a wrong length is refused as the exact routes refuse it
+    d = hoelder(2, ("2", "3"))
+    cases = [([[1.0, 1.0, 1.0], [1.0, 1.0]], "input 0 has length 3, expected 2"),
+             ([[1.0, 1.0], [1.0]], "input 1 has length 1, expected 2"),
+             ([[1.0, 1.0]], "expected 2 inputs, got 1"),
+             ([[1.0, 1.0]] * 3, "expected 2 inputs, got 3")]
+    for functions, message in cases:
+        for run in (evaluate_form, rayleigh, alternating_ascent):
+            with pytest.raises(ValueError, match=message):
+                run(d, InputTuple(functions))
 
 
 def test_infinite_blocks_sum_no_fibres_and_the_form_is_built_once(monkeypatch):
@@ -414,7 +488,7 @@ def test_exhaustive_agrees_with_formula():
 
 def from_rational_quotient(d, count, sizes):
     """mass(X) / prod_j mass(Y_j)^(1/p_j) for |X| = count and |Y_j| = sizes[j],
-    by the from_rational, ** and / chain that mass_quotient replaced."""
+    by the from_rational, ** and / chain that the prime-sum builder replaced."""
     from blgroups.exact import ExactValue
     from blgroups.groups import haar_weight
 
@@ -443,23 +517,23 @@ def fraction_quotient_power(d, count, sizes, L):
 def test_shared_quotient_builder_matches_fraction_arithmetic(monkeypatch):
     # The formula and the search build their exact values with one builder,
     # so their agreement cannot catch a bug in it; Fraction arithmetic does.
-    import blgroups.datum
-    from blgroups.datum import mass_quotient
+    from blgroups.datum import _QuotientTable
 
-    calls = []
+    build, calls, current = _QuotientTable.value, [], []
 
-    def recording(d, count, sizes):
-        v = mass_quotient(d, count, sizes)
-        calls.append((d, count, tuple(sizes), v))
+    def recording(self, count, sizes):
+        v = build(self, count, sizes)
+        calls.append((current[0], count, tuple(sizes), v))
         return v
 
-    # both routes reach the builder through datum.exact_argmax
-    monkeypatch.setattr(blgroups.datum, "mass_quotient", recording)
+    # both routes reach the builder through the datum's _QuotientTable
+    monkeypatch.setattr(_QuotientTable, "value", recording)
     Z6 = make_cyclic_product([6])
     mixed = [make_datum(Z6, [identity_map(Z6)] * 2, p, haar_G=hg, haar_codomains=hc)
              for p, hg, hc in [(("1", "3"), C, [P, C]), (("3/2", "inf"), P, [C, P]),
                                (("2", "3"), C, [P, P])]]
     for d in mixed + corpus_sample(37, 200, 36):
+        current[:] = [d]
         start = len(calls)
         value = bl_constant(d).value
         formula = len(calls) - start
