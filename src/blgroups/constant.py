@@ -39,10 +39,15 @@ from .groups import Subgroup, all_subgroups, mask_members
 
 def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
     """mass(H) / prod_j mass(sigma_j(H))^(1/p_j); the term for p = inf is 1."""
+    return _ratio(d, _QuotientTable(d), H)
+
+
+def _ratio(d: BLDatum, table: _QuotientTable, H: Subgroup) -> ExactValue:
+    """`ratio` from the datum's quotient table, built once by the caller."""
     if H.parent != d.G:
         raise ValueError("subgroup does not live in the datum's source group")
     counts = [h.image_mask(H.mask).bit_count() for h in d.maps]
-    return _QuotientTable(d).value(H.order, counts)
+    return table.value(H.order, counts)
 
 
 def _saturation(d: BLDatum, H: Subgroup) -> tuple[int, tuple[int, ...]]:
@@ -62,7 +67,7 @@ def _saturation(d: BLDatum, H: Subgroup) -> tuple[int, tuple[int, ...]]:
 def saturate(d: BLDatum, H: Subgroup) -> Subgroup:
     """The intersection of preimages of the images of H; contains H."""
     mask, _ = _saturation(d, H)
-    return Subgroup(d.G, mask_members(mask))
+    return Subgroup._built(d.G, mask)
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,12 @@ def bl_constant(
 
     all_cands = None
     if include_candidates:
-        all_cands = tuple((H, ratio(d, H)) for H in subgroups)
+        all_cands = tuple((H, _ratio(d, table, H)) for H in subgroups)
 
+    _, members, mask = near[best]
     return ConstantReport(
         value=value,
-        argmax_subgroup=Subgroup(d.G, near[best][1]),
+        argmax_subgroup=Subgroup._built(d.G, mask, members),
         tie=tie,
         canonicalization=None if tag.is_canonical else tag,
         all_candidates=all_cands,

@@ -68,7 +68,6 @@ from .groups import (
     image,
     kernel,
     log_haar_weight,
-    mask_members,
     normality_witness,
     quotient,
     subgroup_group,
@@ -251,7 +250,7 @@ def _joint_kernel_mask(d: BLDatum) -> int:
 
 
 def joint_kernel(d: BLDatum) -> Subgroup:
-    return Subgroup(d.G, mask_members(_joint_kernel_mask(d)))
+    return Subgroup._built(d.G, _joint_kernel_mask(d))
 
 
 def canonical_tag(d: BLDatum) -> CanonicalTag:
@@ -291,9 +290,11 @@ def _coset_representatives(proj: Homomorphism) -> list[int]:
 
 def _onto_image(X: FiniteGroup, points, h: Homomorphism) -> Homomorphism:
     """The map x -> h(points[x]) from X onto its image, a subgroup of
-    h.codomain presented as a group by `subgroup_group`."""
+    h.codomain presented as a group by `subgroup_group`.  The points are a
+    subgroup, or coset representatives of a subgroup inside ker h, so their
+    image is the image of a subgroup."""
     values = [h.map[x] for x in points]
-    img = Subgroup(h.codomain, tuple(sorted(set(values))))
+    img = Subgroup._built(h.codomain, sum(1 << y for y in set(values)))
     M, _ = subgroup_group(img)
     index = {y: i for i, y in enumerate(img.members)}
     return Homomorphism(X, M, tuple(index[y] for y in values))

@@ -47,6 +47,19 @@ and each a in A, n |A| lookups against n^2.  The same argument applies,
 both tables being associative: if a and b pass, then
 m(x(ab)) = m((xa)b) = m(xa)m(b) = m(x)m(a)m(b) = m(x)m(ab).
 
+Trusted construction.  `Subgroup(parent, members)` is the boundary for
+outside input (cache entries, serialized data, user code) and validates
+every set.  The subgroups the library derives itself are built by the
+private `Subgroup._built`, which takes a mask and its sorted members as
+given, because each derived set is a subgroup by construction:
+- a listed subgroup is a closure <H, x> that `_extend` has just built;
+- an image h(H) and a kernel ker h are subgroups because h is a
+  homomorphism, checked when it was built;
+- a joint kernel is an intersection of kernels, and a saturation is an
+  intersection of preimages h_j^-1(h_j(H)) of images: a preimage of a
+  subgroup under a homomorphism is a subgroup, and so is an intersection
+  of subgroups.
+
 Derived state (`FiniteGroup._generators` and `_hash`, `Homomorphism.fibres`,
 `Subgroup.mask`, `datum.BLDatum.codomains`) is set once in `__post_init__`
 by `object.__setattr__`, outside eq and repr.  Not as a `cached_property`:
@@ -157,7 +170,8 @@ class Subgroup:
     Construction is the boundary for outside input such as cache entries.
     The members must be sorted, distinct, nonempty and in 0..order-1, and
     must survive the closure chain of the module docstring: sound, and
-    O(|H|) table lookups against |H|^2 for checking all products.
+    O(|H|) table lookups against |H|^2 for checking all products.  The
+    subgroups the library derives skip it through `_built`.
     """
 
     parent: FiniteGroup
@@ -181,6 +195,19 @@ class Subgroup:
                 if K & ~M:
                     raise GroupStructureError(f"not closed: members up to {x} escape")
         object.__setattr__(self, "mask", M)
+
+    @classmethod
+    def _built(
+        cls, parent: FiniteGroup, mask: int, members: Optional[tuple[int, ...]] = None
+    ) -> "Subgroup":
+        """A subgroup the library has proved to be one (module docstring),
+        from its mask and, when the caller has them, its sorted members; no
+        validation."""
+        H = object.__new__(cls)
+        object.__setattr__(H, "parent", parent)
+        object.__setattr__(H, "members", mask_members(mask) if members is None else members)
+        object.__setattr__(H, "mask", mask)
+        return H
 
     @property
     def order(self) -> int:
@@ -390,14 +417,14 @@ def all_subgroups(
 ) -> list[Subgroup]:
     """Every subgroup of G, canonically ordered by (order, members).
 
-    Orderly generation (module docstring) closes each subgroup once.  A
-    Subgroup, with its O(|H|) validation, is built only at the return.
+    Orderly generation (module docstring) closes each subgroup once, and
+    each closure is built as a trusted Subgroup from its members and mask.
     """
     if G.order > order_cap:
         raise SizeCapError(f"|G| = {G.order} exceeds cap {order_cap}")
     table = G.table
     e = G.identity
-    listed = [(e,)]
+    listed = [((e,), 1 << e)]
     stack = [(1 << e, [e], -1)]
     while stack:
         H, hmem, g = stack.pop()
@@ -412,20 +439,22 @@ def all_subgroups(
                 continue
             closed = _extend(G, H, hmem, x, floor=x)
             if closed:
-                stack.append((*closed, x))
-                listed.append(tuple(sorted(closed[1])))
-    listed.sort(key=lambda m: (len(m), m))
-    return [Subgroup(G, m) for m in listed]
+                K, kmem = closed
+                stack.append((K, kmem, x))
+                listed.append((tuple(sorted(kmem)), K))
+    listed.sort(key=lambda s: (len(s[0]), s[0]))
+    built = Subgroup._built
+    return [built(G, K, m) for m, K in listed]
 
 
 def image(h: Homomorphism, H: Subgroup) -> Subgroup:
     if H.parent != h.domain:
         raise GroupStructureError("subgroup parent is not the homomorphism domain")
-    return Subgroup(h.codomain, mask_members(h.image_mask(H.mask)))
+    return Subgroup._built(h.codomain, h.image_mask(H.mask))
 
 
 def kernel(h: Homomorphism) -> Subgroup:
-    return Subgroup(h.domain, mask_members(h.fibres[h.codomain.identity]))
+    return Subgroup._built(h.domain, h.fibres[h.codomain.identity])
 
 
 def normality_witness(G: FiniteGroup, H: Subgroup):

@@ -9,6 +9,7 @@ from blgroups.datum import make_datum
 from blgroups.groups import (
     HaarMode,
     Homomorphism,
+    Subgroup,
     direct_product,
     from_permutations,
     identity_map,
@@ -22,6 +23,14 @@ def element_order(G, x):
     while y != G.identity:
         y, k = G.table[y][x], k + 1
     return k
+
+
+def assert_validated(H):
+    """A subgroup the library built without validation equals the copy that
+    the validating constructor builds from its members, mask included."""
+    checked = Subgroup(H.parent, H.members)
+    assert type(H) is Subgroup
+    assert H == checked and H.mask == checked.mask
 
 
 @pytest.fixture(scope="session")

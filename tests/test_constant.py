@@ -6,7 +6,7 @@ import pytest
 
 from blgroups import corpus
 from blgroups.constant import bl_constant, extremizer, ratio, saturate
-from blgroups.datum import Exponent, canonical_tag, canonicalize, make_datum
+from blgroups.datum import Exponent, _QuotientTable, canonical_tag, canonicalize, make_datum
 from blgroups.exact import ExactValue, exact_max
 from blgroups.groups import (
     HaarMode,
@@ -18,6 +18,8 @@ from blgroups.groups import (
     make_cyclic_product,
 )
 from blgroups.oracle import InputTuple, evaluate_form
+
+from conftest import assert_validated
 
 C = HaarMode.COUNTING
 P = HaarMode.PROBABILITY
@@ -275,6 +277,49 @@ def test_scan_matches_reference_on_z2_6():
     subs = all_subgroups(G)
     assert len(subs) == 2825
     assert _report_key(bl_constant(d, subgroups=subs)) == reference_bl_constant(d, subs)
+
+
+def _corpus_slice_data():
+    """Every 7th exponent tuple of five seeded corpus frames."""
+    frames = random.Random(5).sample(corpus.standard_frames(), 5)
+    return [corpus.frame_datum(f, p) for f in frames for p in corpus.exponent_grid(f.J)[::7]]
+
+
+def _z2_6_datum():
+    G = make_cyclic_product([2] * 6)
+    maps = [_coordinate_projection(G, c) for c in ((0, 1, 2), (2, 3, 4), (4, 5, 0), (1, 3, 5))]
+    return make_datum(G, maps, ("3/2", "2", "3", "4/3"))
+
+
+def test_saturations_and_argmaxes_equal_their_validated_copies(edge_data):
+    for d in _corpus_slice_data() + edge_data:
+        subs = all_subgroups(d.G)
+        for H in subs:
+            S = saturate(d, H)
+            assert_validated(S)
+            images = [{h.map[x] for x in H.members} for h in d.maps]
+            assert S.members == tuple(x for x in range(d.G.order) if all(
+                h.map[x] in img for h, img in zip(d.maps, images)))
+        assert_validated(bl_constant(d, subgroups=subs).argmax_subgroup)
+
+
+def test_candidates_are_ratios_from_one_table(monkeypatch):
+    init, built = _QuotientTable.__init__, []
+
+    def counting(self, d):
+        built.append(d)
+        init(self, d)
+
+    for d in _corpus_slice_data() + [_z2_6_datum()]:
+        subs = all_subgroups(d.G)
+        expected = [ratio(d, H) for H in subs]
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_QuotientTable, "__init__", counting)
+            rep = bl_constant(d, subgroups=subs, include_candidates=True)
+        assert built == [d]
+        assert [H for H, _ in rep.all_candidates] == subs
+        assert [v for _, v in rep.all_candidates] == expected
 
 
 def test_constant_runs_no_interval_comparison(monkeypatch):

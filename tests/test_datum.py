@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from blgroups.datum import (
     canonical_tag,
     canonicalize,
     drop_infinite_exponent,
+    joint_kernel,
     make_datum,
     quotient_split,
     reduce_p1,
@@ -32,7 +34,7 @@ from blgroups.groups import (
     make_cyclic_product,
 )
 
-from conftest import element_order
+from conftest import assert_validated, element_order
 
 C = HaarMode.COUNTING
 P = HaarMode.PROBABILITY
@@ -178,6 +180,19 @@ def test_canonicalize_factor_is_exact(Z4, Z2, haar, p):
     lhs = bl_constant(d).value
     rhs = tag.constant_factor * bl_constant(out).value
     assert lhs.compare(rhs) == 0
+
+
+def test_joint_kernels_equal_their_validated_copies(edge_data):
+    # every prefix of the maps, so the kernels run from G down to the trivial one
+    frames = random.Random(5).sample(standard_frames(), 5)
+    data = [frame_datum(f, exponent_grid(f.J)[0]) for f in frames] + edge_data
+    for d in data:
+        for k in range(d.J + 1):
+            maps = d.maps[:k]
+            K = joint_kernel(make_datum(d.G, maps, d.exponents[:k]))
+            assert_validated(K)
+            assert K.members == tuple(x for x in range(d.G.order)
+                                      if all(h.map[x] == h.codomain.identity for h in maps))
 
 
 # -- deletion of an infinite exponent -----------------------------------------

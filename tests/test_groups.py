@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blgroups
 from blgroups import corpus, groups
 from blgroups.cache import SubgroupCache, cache_key
 from blgroups.datum import _onto_image
@@ -20,6 +21,7 @@ from blgroups.groups import (
     SizeCapError,
     Subgroup,
     all_subgroups,
+    compose,
     direct_product,
     from_cayley_table,
     from_permutations,
@@ -32,7 +34,7 @@ from blgroups.groups import (
     subgroup_group,
 )
 
-from conftest import element_order
+from conftest import assert_validated, element_order
 
 
 def reduction_mod2(Z4, Z2):
@@ -426,7 +428,8 @@ def test_subgroups_match_brute_force_s3(S3):
 
 def test_enumeration_closes_each_subgroup_once(monkeypatch):
     # every nontrivial subgroup is the closure of exactly one _extend call;
-    # validation is stubbed out, as its closure chains repeat subgroups
+    # validation would repeat closures in its chains, and the listing must
+    # not run it
     G = _symmetric(5)
     closed = []
     extend = groups._extend
@@ -438,7 +441,10 @@ def test_enumeration_closes_each_subgroup_once(monkeypatch):
         return out
 
     monkeypatch.setattr(groups, "_extend", recording)
-    monkeypatch.setattr(groups, "Subgroup", lambda parent, members: members)
+    def refuse(self):
+        raise AssertionError("the listing validated a subgroup")
+
+    monkeypatch.setattr(groups.Subgroup, "__post_init__", refuse)
     listed = all_subgroups(G)
     assert len(listed) == 156
     assert sorted(closed) == sorted(set(closed))
@@ -561,6 +567,15 @@ def test_subgroup_rejects_non_closed(Z4):
         Subgroup(Z4, (0, 1))
 
 
+def test_validation_still_rejects_sets_the_trusted_path_would_take(Z4):
+    # `_built` takes any set as given, so outside input must keep going
+    # through the validating constructor
+    assert Subgroup._built(Z4, 0b11).members == (0, 1)
+    with pytest.raises(GroupStructureError, match="not closed"):
+        Subgroup(Z4, (0, 1))
+    assert "_built" not in blgroups._EXPORTS
+
+
 def test_equal_subgroups_of_equal_groups_hash_alike():
     G1, G2 = make_cyclic_product([4]), make_cyclic_product([4])
     assert G1 is not G2 and G1 == G2 and hash(G1) == hash(G2)
@@ -601,7 +616,70 @@ def test_large_group_subgroup_counts(make, order, count):
     assert [m for _, m in keys] == coset_extension_subgroups(G)
 
 
+def test_listed_subgroups_equal_their_validated_copies():
+    lattices = list(dict.fromkeys(f.group for f in corpus.standard_frames()))
+    assert len(lattices) == 42
+    lattices += [make_cyclic_product([2] * 5), make_cyclic_product([4] * 3),
+                 _symmetric(5), make_cyclic_product([2] * 6)]
+    for G in lattices:
+        for H in all_subgroups(G):
+            assert_validated(H)
+
+
 # -- homomorphisms -----------------------------------------------------------
+
+
+def _shuffled(G, rng):
+    """G with its elements shuffled, and the isomorphisms to and from it."""
+    new = list(range(G.order))
+    rng.shuffle(new)
+    table = [[0] * G.order for _ in new]
+    for a, row in enumerate(G.table):
+        for b, c in enumerate(row):
+            table[new[a]][new[b]] = new[c]
+    S = from_cayley_table(table)
+    old = [0] * G.order
+    for x, y in enumerate(new):
+        old[y] = x
+    return Homomorphism(G, S, tuple(new)), Homomorphism(S, G, tuple(old))
+
+
+def random_homomorphisms(seed, count):
+    """Seeded homomorphisms with varied kernels and images: the inclusion of
+    a subgroup of a product of one to three standard factors, a coordinate
+    projection and the quotient map of that factor by a normal subgroup,
+    with the elements of both ends shuffled."""
+    rng = random.Random(seed)
+    homs = []
+    while len(homs) < count:
+        names = [rng.choice(("Z2", "Z3", "Z4", "S3")) for _ in range(rng.randrange(1, 4))]
+        P, projections = corpus.multi_product([corpus.standard_factor(n) for n in names])
+        if P.order > 36:
+            continue
+        K, incl = subgroup_group(rng.choice(all_subgroups(P)))
+        proj = rng.choice(projections)
+        F = proj.codomain
+        Q, q = quotient(F, rng.choice(
+            [N for N in all_subgroups(F) if normality_witness(F, N) is None]))
+        h = compose(q, compose(proj, incl))
+        _, from_K = _shuffled(K, rng)
+        to_Q, _ = _shuffled(Q, rng)
+        homs.append(compose(to_Q, compose(h, from_K)))
+    return homs
+
+
+def test_images_and_kernels_equal_their_validated_copies():
+    for h in random_homomorphisms("trusted", 60):
+        e = h.codomain.identity
+        K = kernel(h)
+        assert_validated(K)
+        assert K.members == tuple(x for x in range(h.domain.order) if h.map[x] == e)
+        for H in all_subgroups(h.domain):
+            img = image(h, H)
+            assert_validated(img)
+            assert img.members == tuple(sorted({h.map[x] for x in H.members}))
+            M, _ = subgroup_group(img)
+            assert _onto_image(subgroup_group(H)[0], H.members, h).codomain == M
 
 
 def test_image_identity(Z4):
