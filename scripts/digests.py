@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Print the six answer digests that gate a change to the library.
+"""Print the seven answer digests that gate a change to the library.
 
 Run from the repository root, at the parent commit and at the change, and
 compare the output:
 
-    PYTHONPATH=src python scripts/digests.py              # all six
+    PYTHONPATH=src python scripts/digests.py              # all seven
     PYTHONPATH=src python scripts/digests.py formula oracle   # only these
 
 * subgroups: the member lists, in order, of `all_subgroups` on the 42
@@ -13,7 +13,11 @@ compare the output:
 * formula: `bl_constant` on the 15,550 corpus data (every frame and
   exponent tuple, under probability and then counting Haar), hashing
   `repr` of the value's factors, the argmax members, the tie flag and the
-  canonicalization tag;
+  canonicalization tag.  `formula_lines(listed=False)` gives the same lines
+  through the kernel lattice, `bl_constant(d)`, in place of the listed one;
+* large: the same four items of `bl_constant(d)` on seeded data of the
+  large-group tier: S5 under identity, sign, trivial and inner-automorphism
+  maps, and Z2^6 and Z2^7 under random F2-linear maps;
 * oracle: on the same data, `oracle_constant(d, restarts=8, seed=20)` as
   `float.hex`, and the exhaustive search's value factors and argmax sets;
 * reductions: `datum_to_json` and `tag_to_json` of `canonicalize`, and of
@@ -42,6 +46,7 @@ the fast digests (`tests/test_digests.py`), and the oracle on a slice.
 import functools
 import hashlib
 import itertools
+import random
 import sys
 import time
 from pathlib import Path
@@ -66,6 +71,7 @@ from blgroups.groups import (
     from_permutations,
     identity_map,
     make_cyclic_product,
+    quotient,
 )
 from blgroups.lie import (
     CompactLieDatum,
@@ -198,11 +204,66 @@ def subgroup_lines():
         yield [s.members for s in all_subgroups(G)]
 
 
-def formula_lines():
+def _constant_line(rep):
+    return rep.value.factors, rep.argmax_subgroup.members, rep.tie, rep.canonicalization
+
+
+def formula_lines(listed=True):
+    """The formula digest's lines; listed=False ranks the kernel lattice."""
     for d, subs in _corpus_data(*_corpus()):
-        rep = bl_constant(d, subgroups=subs)
-        yield (rep.value.factors, rep.argmax_subgroup.members, rep.tie,
-               rep.canonicalization)
+        yield _constant_line(bl_constant(d, subgroups=subs) if listed else bl_constant(d))
+
+
+EXPONENTS = ["1", "4/3", "3/2", "2", "5/2", "3", "inf"]
+
+
+def _s5_maps(G):
+    """A draw of maps out of S5: the identity, the sign (the quotient by the
+    one subgroup of order 60), the trivial map, or conjugation by a random
+    element."""
+    subs = all_subgroups(G)
+    A5 = next(N for N in subs if N.order == 60)
+    fixed = [identity_map(G), quotient(G, A5)[1], quotient(G, subs[-1])[1]]
+
+    def draw(G, rng):
+        k = rng.randrange(len(fixed) + 1)
+        if k < len(fixed):
+            return fixed[k]
+        g = rng.randrange(G.order)
+        ginv = G.table[g].index(G.identity)
+        return Homomorphism(G, G, tuple(G.table[G.table[g][x]][ginv] for x in range(G.order)))
+
+    return draw
+
+
+def _f2_map(G, rng):
+    """A random F2-linear map from G = Z2^n into Z2^k, one random row of
+    bits per output coordinate."""
+    n = G.order.bit_length() - 1
+    rows = [rng.randrange(1, G.order) for _ in range(rng.randint(1, n - 1))]
+    target = make_cyclic_product([2] * len(rows))
+    images = tuple(sum((bin(r & x).count("1") & 1) << (len(rows) - 1 - i)
+                       for i, r in enumerate(rows)) for x in range(G.order))
+    return Homomorphism(G, target, images)
+
+
+def large_data():
+    """The large digest's data, seeded: 24 on S5, 24 on Z2^6 and 12 on Z2^7."""
+    S5 = _symmetric(5)
+    tiers = [(S5, 24, _s5_maps(S5)), (make_cyclic_product([2] * 6), 24, _f2_map),
+             (make_cyclic_product([2] * 7), 12, _f2_map)]
+    for seed, (G, count, draw) in enumerate(tiers):
+        rng = random.Random(seed)
+        for _ in range(count):
+            J = rng.randint(2, 4)
+            haar = rng.choice((HaarMode.PROBABILITY, HaarMode.COUNTING))
+            yield make_datum(G, [draw(G, rng) for _ in range(J)],
+                             [rng.choice(EXPONENTS) for _ in range(J)], haar, [haar] * J)
+
+
+def large_lines():
+    for d in large_data():
+        yield _constant_line(bl_constant(d))
 
 
 def oracle_lines(step=1):
@@ -214,7 +275,7 @@ def oracle_lines(step=1):
 
 DIGESTS = {"subgroups": subgroup_lines, "formula": formula_lines,
            "oracle": oracle_lines, "reductions": reduction_lines,
-           "lie": _lie_lines, "scan": _scan_lines}
+           "lie": _lie_lines, "scan": _scan_lines, "large": large_lines}
 
 
 def main(argv=None):

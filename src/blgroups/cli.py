@@ -18,7 +18,11 @@ builds the report envelope, emits it and maps errors to exit codes.  A
 `cmd_*` function only computes: it takes the parsed arguments and the loaded
 input and returns its report fields and its exit code.  Each imports its own
 layers, so a call loads only the modules its subcommand uses: `constant`
-never loads the Lie, Heisenberg or ascent layers.
+never loads the Lie, Heisenberg or ascent layers.  `constant` and `verify`
+rank the kernel lattice (`constant` module docstring), so neither lists nor
+reads the subgroup lattice; only `constant --candidates` lists it, through
+the lattice cache, and only its report has a `cache` block.  `--cache-dir`
+and `--no-cache` are accepted by both and act only there.
 """
 
 from __future__ import annotations
@@ -75,11 +79,16 @@ def _datum(args, obj):
 
 
 def _lattice(args, d):
-    """The subgroup lattice of d.G through the cache, and the report's cache block."""
+    """The subgroup lattice of d.G through the cache, and the report's cache
+    block.  An entry that lacks a member of d's kernel lattice is a miss: with
+    those members listed, the constant is right whatever else the entry lists
+    (`constant` module docstring)."""
     from .cache import SubgroupCache, cache_key
+    from .constant import _kernel_lattice
 
     cache = SubgroupCache(args.cache_dir, not args.no_cache)
-    subgroups = cache.subgroups(d.G, args.order_cap)
+    required = {H.mask for H in _kernel_lattice(d)}
+    subgroups = cache.subgroups(d.G, args.order_cap, required)
     return subgroups, {"enabled": cache.enabled, "hit": cache.last_hit,
                        "group_digest": cache_key(d.G)}
 
@@ -99,11 +108,15 @@ def cmd_constant(args, obj):
     from .serialize import constant_report_to_json
 
     d = _datum(args, obj)
-    subgroups, cache = _lattice(args, d)
-    rep = bl_constant(d, subgroups=subgroups, include_candidates=args.candidates)
+    fields = {}
+    if args.candidates:
+        subgroups, fields["cache"] = _lattice(args, d)
+        rep = bl_constant(d, subgroups=subgroups, include_candidates=True)
+    else:
+        rep = bl_constant(d)
     result = constant_report_to_json(rep)
     result["mixed_haar"] = d.mixed_haar()
-    return {"cache": cache, "result": result}, EXIT_OK
+    return {**fields, "result": result}, EXIT_OK
 
 
 def cmd_oracle(args, obj):
@@ -116,8 +129,7 @@ def cmd_verify(args, obj):
     from .serialize import constant_report_to_json, exact_value_to_json
 
     d = _datum(args, obj)
-    subgroups, cache = _lattice(args, d)
-    rep = bl_constant(d, subgroups=subgroups)
+    rep = bl_constant(d)
     exact = rep.value
     numeric = _oracle(args, d)
     approx = exact.to_float()
@@ -139,7 +151,7 @@ def cmd_verify(args, obj):
         result["exhaustive"] = {"skipped": str(exc)}
     result["mixed_haar"] = d.mixed_haar()
     result["all_agree"] = ok = oracle_ok and exhaustive_ok
-    return {"cache": cache, "result": result}, EXIT_OK if ok else EXIT_FAILURE
+    return {"result": result}, EXIT_OK if ok else EXIT_FAILURE
 
 
 def cmd_polytope(args, obj):
@@ -266,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     ascent.add_argument("--max-sweeps", type=int, default=10_000)
     ascent.add_argument("--seed", type=int, default=0)
     cache = argparse.ArgumentParser(add_help=False)
-    cache.add_argument("--cache-dir")
-    cache.add_argument("--no-cache", action="store_true")
+    cache.add_argument("--cache-dir", help="subgroup lattice cache of --candidates")
+    cache.add_argument("--no-cache", action="store_true",
+                       help="list the lattice of --candidates afresh")
 
     def command(name, func, help, *parents):
         p = sub.add_parser(name, help=help, parents=parents)

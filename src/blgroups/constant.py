@@ -23,6 +23,69 @@ probability Haar, and for each map |sigma_j(S)|^(-r_j) and, under
 probability Haar, |G_j|^(r_j), with r_j = 1/p_j.  The datum's quotient
 table builds it, and holds the float ranking terms, their proved margin and
 the exact argmax (`datum` module docstring).
+
+The kernel lattice
+------------------
+Without a subgroup list, `bl_constant` ranks the saturations of the members
+of L, the closure of {1, G, K_1, ..., K_J}, K_j = ker sigma_j, under product
+and intersection (`_kernel_lattice`), and gets the value, argmax and tie of
+the scan over every subgroup.  Every member of L is normal, as the K_j are.
+Write r_j = 1/p_j, R = sum_j r_j and, for a subgroup H,
+
+    F(H) = (1 - R) log|H| + sum_j r_j log|H cap K_j|,
+
+the log ratio of H up to a constant, as |sigma_j(H)| = |H| / |H cap K_j|.
+Let M be the maximum of F over all subgroups.
+
+Lemma.  For A normal and B any subgroup, F(AB) + F(A cap B) >= F(A) + F(B).
+AB is a subgroup and |AB| |A cap B| = |A| |B|, so the log|.| terms balance
+whatever the sign of 1 - R; and (A cap K_j)(B cap K_j), a subset of
+AB cap K_j, has |A cap K_j| |B cap K_j| / |A cap B cap K_j| elements, with
+every r_j >= 0.
+
+Chain.  Fix any subgroup H and run the chain of the `lie` docstring's proof
+on L, with dim replaced by g(T) = log|T|, sum by product, U cap T by
+H cap T and E_j by K_j: T_0 = 1, T_i the product of the T in L attaining
+the largest slope lambda_i of h(T) = log|H cap T| over T_{i-1}, up to
+T_q = G.  Its facts hold: g is modular on L; h is supermodular, by the
+lemma's count with H in place of K_j; 0 <= lambda_i <= 1, since for T' in
+T the cosets of H cap T' in H cap T map one to one into those of T' in T;
+and in the domination step X = H cap K_j cap T_i and Y = H cap T_{i-1}
+lie in H cap T, for T = (K_j cap T_i) T_{i-1} in L, and meet in
+H cap K_j cap T_{i-1}, so |XY| <= |H cap T|.  As F(1) = 0, the step and
+Abel summation give, with weights mu_i >= 0 that sum to 1 over i = 0..q,
+
+    (*)  F(H) <= sum_i mu_i F(T_i)   and   log|H| = sum_i mu_i log|T_i|:
+
+the second exactly, as the chain's (i) is an equality and log|H| = h(G),
+so the sign of 1 - R does not matter, while the step bounds each
+log|H cap K_j| and every r_j >= 0.
+
+Theorem.  (1) M is attained in L: by (*), F(H) <= max_i F(T_i).
+(2) Let H_0 be a maximizer of least order: it lies in L and in every
+maximizer, so it is unique.  In (*) for H = H_0, each T_i with mu_i > 0
+is a maximizer, so |T_i| >= |H_0|, and the equality makes |T_i| = |H_0|
+for one of them, T.  The lemma with A = T, B = H_0 makes T cap H_0 a
+maximizer of order at most |H_0|, so T cap H_0 = H_0 = T.  For any
+maximizer B, the lemma with A = H_0 makes H_0 cap B a maximizer, so
+H_0 cap B = H_0.
+(3) The scan ranks distinct saturated masks, first wins in (order,
+members).  The saturation sat(H) = cap_j H K_j contains H, is monotone in
+H and does not lower F.  Every saturated maximizer S contains H_0 by (2),
+so S = sat(S) contains sat(H_0), itself a maximizer: sat(H_0) is the
+unique saturated maximizer of least order, the argmax of every candidate
+list that holds it.  Both lists hold it, as H_0 is in L.
+(4) The candidates over L are among those over all subgroups, so a tie over
+L is a tie over all.  Conversely, take a saturated maximizer S other than
+sat(H_0), so |S| > |sat(H_0)|.  In (*) for H = S, log|S| averages the
+log|T_i| of maximizers in L, so one of them has |T_i| >= |S|; its
+saturation is a maximizing candidate over L other than sat(H_0).
+
+The float prefilter keeps every candidate that ties the maximum of its list
+(`datum` docstring), so the scan over L returns the full scan's value,
+argmax and tie exactly.  This is the finite counterpart of the reduction
+to the lattice generated by the kernels in Valdimarsson, "The
+Brascamp-Lieb polyhedron", Canad. J. Math. 62 (2010).
 """
 
 from __future__ import annotations
@@ -34,7 +97,7 @@ from typing import Optional
 
 from .datum import BLDatum, CanonicalTag, _QuotientTable, canonical_tag
 from .exact import ExactValue
-from .groups import Subgroup, all_subgroups, mask_members
+from .groups import Subgroup, _semi_naive_closure, all_subgroups, mask_members
 
 
 def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
@@ -70,6 +133,42 @@ def saturate(d: BLDatum, H: Subgroup) -> Subgroup:
     return Subgroup._built(d.G, mask)
 
 
+def _kernel_lattice(d: BLDatum) -> list[Subgroup]:
+    """L of the module docstring, by mask, in mask order.
+
+    A product AB of normal subgroups is the union of the cosets yA over y in
+    B, built by table lookups from the members of the larger factor; one
+    factor containing the other needs none.
+    """
+    G = d.G
+    table = G.table
+    members: dict[int, tuple[int, ...]] = {}
+
+    def elements(mask: int) -> tuple[int, ...]:
+        if mask not in members:
+            members[mask] = mask_members(mask)
+        return members[mask]
+
+    def product_and_meet(a: int, b: int) -> tuple[int, int]:
+        meet = a & b
+        if meet == a or meet == b:
+            return a | b, meet
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
+        amem, ab = elements(a), a
+        for y in elements(b):
+            if not ab >> y & 1:
+                row = table[y]
+                for x in amem:
+                    ab |= 1 << row[x]
+        return ab, meet
+
+    seeds = [1 << G.identity, (1 << G.order) - 1]
+    seeds += [h.fibres[h.codomain.identity] for h in d.maps]
+    lattice, _ = _semi_naive_closure(seeds, product_and_meet)
+    return [Subgroup._built(G, mask, members.get(mask)) for mask in sorted(lattice)]
+
+
 @dataclass(frozen=True)
 class ConstantReport:
     value: ExactValue
@@ -92,10 +191,13 @@ def bl_constant(
     member lists; the report says whether a tie occurred.  For non-canonical
     input the tag of `canonical_tag` is attached for reference, with its
     exact factor BL(d) / BL(canonical); the value is that of d as given.
-    `subgroups` defaults to all_subgroups(d.G) under its default order cap.
+    Without `subgroups`, the scan runs over the kernel lattice, which gives
+    the value, argmax and tie of a scan over every subgroup (module
+    docstring); `include_candidates` then lists every subgroup under the
+    default order cap, and scans that list.
     """
     if subgroups is None:
-        subgroups = all_subgroups(d.G)
+        subgroups = all_subgroups(d.G) if include_candidates else _kernel_lattice(d)
     tag = canonical_tag(d)
 
     found: dict[int, tuple[int, ...]] = {}

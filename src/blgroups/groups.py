@@ -447,6 +447,40 @@ def all_subgroups(
     return [built(G, K, m) for m, K in listed]
 
 
+def _semi_naive_closure(seeds, combine, max_rounds=None, cap=None, what="closure"):
+    """Close `seeds` under `combine(a, b)`, an iterable of new elements for
+    each unordered pair, as (closure, closed).
+
+    Semi-naive: a pair of elements that were both present a round ago was
+    combined then, so each round combines only pairs with a member added by
+    the round before.  A round that adds nothing proves the set closed.
+    With `max_rounds`, the closure stops after that many rounds that add
+    elements, and runs one more only to find out whether it would add any;
+    `closed` is False if it would.  A closure larger than `cap` raises
+    SizeCapError.  `constant`'s kernel lattice (products and intersections
+    of normal subgroups) and `lie`'s ideal pool (sums and intersections)
+    both run here.
+    """
+    pool = set(seeds)
+    old: list = []
+    fresh = list(pool)
+    rounds = 0
+    while True:
+        new = set()
+        for i, a in enumerate(fresh):
+            for b in old + fresh[i + 1 :]:
+                new.update(combine(a, b))
+        new -= pool
+        if not new or rounds == max_rounds:
+            return pool, not new
+        pool.update(new)
+        if cap is not None and len(pool) > cap:
+            raise SizeCapError(f"{what} exceeds cap {cap}")
+        old += fresh
+        fresh = list(new)
+        rounds += 1
+
+
 def image(h: Homomorphism, H: Subgroup) -> Subgroup:
     if H.parent != h.domain:
         raise GroupStructureError("subgroup parent is not the homomorphism domain")

@@ -112,7 +112,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .datum import Exponent
-from .groups import SizeCapError
+from .groups import SizeCapError, _semi_naive_closure
 from .rational_linalg import (
     IntMatrix,
     Matrix,
@@ -346,10 +346,10 @@ def closed_pool(
     """Close the kernels and {0} under pairwise sum and intersection.
 
     Returns the pool (canonically sorted) and whether the closure reached a
-    fixed point within max_closure rounds.  The closure is semi-naive: a pair
-    of ideals that were both in the pool a round ago was combined then, so
-    each round combines only pairs with a member added by the round before.
-    A round that adds nothing proves the pool closed; one round beyond
+    fixed point within max_closure rounds.  The closure is the semi-naive
+    one that `constant` also runs (groups._semi_naive_closure): each round
+    combines only pairs with a member added by the round before, a round
+    that adds nothing proves the pool closed, and one round beyond
     max_closure is run only to find out whether it would.
 
     The closure adds, intersects and hashes (summand bitmask, integer-form
@@ -369,24 +369,9 @@ def closed_pool(
 def _closed_pool(sums: _Sums, max_closure: int) -> tuple[list[IdealSpec], bool]:
     if max_closure < 0:
         raise ValueError("max_closure must be >= 0")
-    pool = {(0, ())}
-    pool.update(sums.kernels)
-    old: list = []
-    fresh = list(pool)
-    for done in range(max_closure + 1):
-        new = set()
-        for i, a in enumerate(fresh):
-            for b in old + fresh[i + 1 :]:
-                new.update(sums.sum_and_intersection(a, b))
-        new -= pool
-        if not new or done == max_closure:
-            break
-        pool.update(new)
-        if len(pool) > POOL_CAP:
-            raise SizeCapError(f"ideal pool exceeds cap {POOL_CAP}")
-        old += fresh
-        fresh = list(new)
-    return sorted([_ideal(*c) for c in pool], key=_ideal_key), not new
+    pool, closed = _semi_naive_closure([(0, ()), *sums.kernels], sums.sum_and_intersection,
+                                       max_closure, POOL_CAP, "ideal pool")
+    return sorted([_ideal(*c) for c in pool], key=_ideal_key), closed
 
 
 def _ideal_key(n: IdealSpec):

@@ -380,7 +380,12 @@ def test_unusable_paths_are_preconditions(write, capsys, tmp_path):
     path = write("lw.json", LW_Z2Z2)
     assert_precondition(capsys, ["constant", "--in", str(tmp_path), "--no-cache"])
     assert_precondition(capsys, ["constant", "--in", str(tmp_path / "none.json")])
-    assert_precondition(capsys, ["constant", "--in", path, "--cache-dir", path])
+    # only --candidates reads the lattice cache, so only it needs a usable one
+    assert_precondition(capsys, ["constant", "--in", path, "--candidates",
+                                 "--cache-dir", path])
+    for command in ("constant", "verify"):
+        code, _ = run_cli(capsys, [command, "--in", path, "--cache-dir", path])
+        assert code == 0
 
 
 @pytest.mark.parametrize("command,obj", [
@@ -475,7 +480,8 @@ def test_schema_errors_name_the_node():
 # flag it accepts appears in the report; a flag shared through a parent parser
 # with the wrong subcommand changes the set.
 ENVELOPE = {
-    "constant": (["--in", "{lw}", "--haar", "probability", "--cache-dir", "{cache}"],
+    "constant": (["--in", "{lw}", "--haar", "probability", "--candidates",
+                  "--cache-dir", "{cache}"],
                  {"format", "input", "haar", "order_cap", "candidates", "cache_dir",
                   "no_cache"}),
     "oracle": (["--in", "{lw}", "--haar", "probability", "--restarts", "1"],
@@ -502,7 +508,8 @@ def test_report_envelope(write, capsys, tmp_path, command):
              "{cache}": str(tmp_path / "cache")}
     code, rep = run_cli(capsys, [command, *(paths.get(a, a) for a in argv)])
     assert code == 0
-    cached = command in ("constant", "verify")
+    # only constant --candidates reads the lattice cache
+    cached = command == "constant"
     assert set(rep) == ENVELOPE_KEYS | ({"cache"} if cached else set())
     assert set(rep["flags"]) == flags
     assert rep["command"] == command
@@ -533,12 +540,9 @@ def test_determinism_and_roundtrip(write, capsys, tmp_path):
 
 def test_cache_warm_equals_cold(write, capsys, tmp_path):
     path = write("lw.json", LW_Z2Z2)
-    cold_code, cold = run_cli(
-        capsys, ["constant", "--in", path, "--cache-dir", str(tmp_path / "c")]
-    )
-    warm_code, warm = run_cli(
-        capsys, ["constant", "--in", path, "--cache-dir", str(tmp_path / "c")]
-    )
+    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(tmp_path / "c")]
+    cold_code, cold = run_cli(capsys, argv)
+    warm_code, warm = run_cli(capsys, argv)
     assert cold_code == warm_code == 0
     assert not cold["cache"]["hit"] and warm["cache"]["hit"]
     assert cold["result"] == warm["result"]
@@ -603,9 +607,9 @@ def _entry(cache_dir, obj):
 def test_cache_truncated_entry_is_a_miss(write, capsys, tmp_path):
     # a well-formed list that lacks the maximizing subgroups must not be used
     path = write("lw.json", LW_Z2Z2)
-    _, fresh = run_cli(capsys, ["constant", "--in", path, "--no-cache"])
+    _, fresh = run_cli(capsys, ["constant", "--in", path, "--candidates", "--no-cache"])
     cache_dir = tmp_path / "c"
-    argv = ["constant", "--in", path, "--cache-dir", str(cache_dir)]
+    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(cache_dir)]
     run_cli(capsys, argv)
     entry = _entry(cache_dir, LW_Z2Z2)
     stored = json.loads(entry.read_text())
@@ -626,9 +630,9 @@ def test_cache_truncated_entry_is_a_miss(write, capsys, tmp_path):
 def test_cache_entry_of_non_subgroups_is_a_miss(write, capsys, tmp_path):
     # digest-valid entries whose lists are not subgroups of G are recomputed
     path = write("lw.json", LW_Z2Z2)
-    _, fresh = run_cli(capsys, ["constant", "--in", path, "--no-cache"])
+    _, fresh = run_cli(capsys, ["constant", "--in", path, "--candidates", "--no-cache"])
     cache_dir = tmp_path / "c"
-    argv = ["constant", "--in", path, "--cache-dir", str(cache_dir)]
+    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(cache_dir)]
     run_cli(capsys, argv)
     entry = _entry(cache_dir, LW_Z2Z2)
     stored = json.loads(entry.read_text())
@@ -648,16 +652,52 @@ def test_cache_entry_of_non_subgroups_is_a_miss(write, capsys, tmp_path):
 
 def test_cache_corrupt_entry_is_a_miss(write, capsys, tmp_path):
     path = write("lw.json", LW_Z2Z2)
-    _, fresh = run_cli(capsys, ["constant", "--in", path, "--no-cache"])
+    _, fresh = run_cli(capsys, ["constant", "--in", path, "--candidates", "--no-cache"])
     cache_dir = tmp_path / "c"
     cache_dir.mkdir()
     entry = _entry(cache_dir, LW_Z2Z2)
-    argv = ["constant", "--in", path, "--cache-dir", str(cache_dir)]
+    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(cache_dir)]
     for junk in (b'{"order": 4, "subgroups": [[0], [0, 1', b"\xff\xfe\x00garbage", b"[1, 2]"):
         entry.write_bytes(junk)
         code, rep = run_cli(capsys, argv)
         assert code == 0 and not rep["cache"]["hit"]
         assert rep["result"]["value"] == fresh["result"]["value"]
+    code, rep = run_cli(capsys, argv)
+    assert code == 0 and rep["cache"]["hit"]
+
+
+def _pair_projections(rank, pairs):
+    """Z2^rank onto Z2^2 by each pair of coordinates (0 = leftmost)."""
+    def digit(x, c):
+        return x >> (rank - 1 - c) & 1
+    return {"group": {"cyclic": [2] * rank},
+            "codomains": [{"cyclic": [2, 2]} for _ in pairs],
+            "maps": [[2 * digit(x, a) + digit(x, b) for x in range(2**rank)]
+                     for a, b in pairs]}
+
+
+def test_cache_entry_without_the_kernel_lattice_is_a_miss(write, capsys, tmp_path):
+    # a well-formed entry, count and digest matching, that lists only {e}:
+    # it lacks the kernel lattice, so it must not be the answer
+    datum = dict(_pair_projections(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+                 p=["2", "2", "2", "2"])
+    path = write("z2_5.json", datum)
+    cache_dir = tmp_path / "c"
+    cache_dir.mkdir()
+    entry = _entry(cache_dir, datum)
+    only_e = [[0]]
+    digest = hashlib.sha256(json.dumps(only_e, separators=(",", ":")).encode()).hexdigest()
+    entry.write_text(json.dumps({"format": 2, "order": 32, "count": 1, "digest": digest,
+                                 "subgroups": only_e}))
+    code, plain = run_cli(capsys, ["constant", "--in", path, "--cache-dir", str(cache_dir)])
+    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(cache_dir)]
+    code_candidates, rep = run_cli(capsys, argv)
+    assert code == code_candidates == 0
+    for result in (plain["result"], rep["result"]):
+        assert result["value"]["primes"] == {} and result["argmax"] == [0, 1, 16, 17]
+    assert "cache" not in plain and not rep["cache"]["hit"]
+    assert len(rep["result"]["candidates"]) == 374
+    assert json.loads(entry.read_text())["count"] == 374  # overwritten
     code, rep = run_cli(capsys, argv)
     assert code == 0 and rep["cache"]["hit"]
 
@@ -674,10 +714,11 @@ print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["constant", "--in", "{lw}", "--no-cache"],
-     {"lie", "rational_linalg", "heisenberg", "oracle"}),
-    (["verify", "--in", "{lw}", "--no-cache", "--restarts", "1"],
-     {"lie", "rational_linalg", "heisenberg"}),
+    # without --candidates neither reads the lattice cache, even when named
+    (["constant", "--in", "{lw}", "--cache-dir", "{cache}"],
+     {"lie", "rational_linalg", "heisenberg", "oracle", "cache"}),
+    (["verify", "--in", "{lw}", "--cache-dir", "{cache}", "--restarts", "1"],
+     {"lie", "rational_linalg", "heisenberg", "cache"}),
     (["oracle", "--in", "{lw}", "--restarts", "1"],
      {"lie", "rational_linalg", "heisenberg", "cache", "constant"}),
     (["reduce", "--in", "{lw}", "--op", "canonicalize"],
@@ -687,8 +728,9 @@ print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
     (["heisenberg-demo"], {"lie", "rational_linalg", "oracle", "cache", "serialize"}),
 ], ids=["constant", "verify", "oracle", "reduce", "check-codim", "polytope",
         "heisenberg-demo"])
-def test_subcommand_loads_only_its_layers(write, package_env, argv, absent):
-    paths = {"{lw}": write("lw.json", LW_Z2Z2), "{t3}": write("t3.json", T3_LW)}
+def test_subcommand_loads_only_its_layers(write, package_env, tmp_path, argv, absent):
+    paths = {"{lw}": write("lw.json", LW_Z2Z2), "{t3}": write("t3.json", T3_LW),
+             "{cache}": str(tmp_path / "cache")}
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_LAYERS, *(paths.get(a, a) for a in argv)],
         capture_output=True, text=True, env=package_env,

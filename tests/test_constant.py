@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from blgroups import corpus
-from blgroups.constant import bl_constant, extremizer, ratio, saturate
+from blgroups import constant, corpus, groups
+from blgroups.constant import _kernel_lattice, bl_constant, extremizer, ratio, saturate
 from blgroups.datum import Exponent, _QuotientTable, canonical_tag, canonicalize, make_datum
 from blgroups.exact import ExactValue, exact_max
 from blgroups.groups import (
@@ -14,8 +14,11 @@ from blgroups.groups import (
     Subgroup,
     all_subgroups,
     direct_product,
+    from_permutations,
     identity_map,
     make_cyclic_product,
+    normality_witness,
+    quotient,
 )
 from blgroups.oracle import InputTuple, evaluate_form
 
@@ -239,13 +242,14 @@ def test_scan_matches_reference_on_edge_data(edge_data):
 
 
 def test_constant_builds_one_exact_value_per_key(monkeypatch):
-    # six near-maximal candidates share four (order, image orders) keys;
-    # three of them tie at (2, (2, 2))
+    # over the whole lattice, six near-maximal candidates share four (order,
+    # image orders) keys; three of them tie at (2, (2, 2))
     from blgroups.datum import _QuotientTable
 
     frame, = [f for f in corpus.standard_frames() if f.name == "Z2xS3#s14o6"]
     d = corpus.frame_datum(frame, ("inf", "1"), P)
-    expected = bl_constant(d)
+    subs = all_subgroups(d.G)
+    expected = bl_constant(d, subgroups=subs)
     build, calls = _QuotientTable.value, []
 
     def recording(self, count, sizes):
@@ -253,7 +257,7 @@ def test_constant_builds_one_exact_value_per_key(monkeypatch):
         return build(self, count, sizes)
 
     monkeypatch.setattr(_QuotientTable, "value", recording)
-    assert bl_constant(d) == expected and expected.tie
+    assert bl_constant(d, subgroups=subs) == expected and expected.tie
     assert sorted(calls) == [(1, (1, 1)), (2, (2, 2)), (3, (1, 3)), (6, (2, 6))]
 
 
@@ -320,6 +324,92 @@ def test_candidates_are_ratios_from_one_table(monkeypatch):
         assert built == [d]
         assert [H for H, _ in rep.all_candidates] == subs
         assert [v for _, v in rep.all_candidates] == expected
+
+
+# -- the kernel lattice against the full scan --------------------------------------
+
+
+def _quotient_data(G, count, seed):
+    """Seeded data on G whose maps are quotients by random normal subgroups."""
+    rng = random.Random(seed)
+    normal = [N for N in all_subgroups(G) if normality_witness(G, N) is None]
+    menu = ["1", "4/3", "3/2", "2", "5/2", "3", "inf"]
+    for _ in range(count):
+        J = rng.randint(1, 3)
+        maps = [quotient(G, rng.choice(normal))[1] for _ in range(J)]
+        haar = rng.choice((C, P))
+        yield make_datum(G, maps, [rng.choice(menu) for _ in range(J)], haar,
+                         [rng.choice((C, P)) for _ in range(J)])
+
+
+def _f2_linear_data(rank, count, seed):
+    """Seeded data on Z2^rank whose maps are random F2-linear maps onto Z2^k."""
+    rng = random.Random(seed)
+    G = make_cyclic_product([2] * rank)
+    menu = ["1", "4/3", "3/2", "2", "3", "inf"]
+    for _ in range(count):
+        J = rng.randint(2, 4)
+        maps = []
+        for _ in range(J):
+            rows = [rng.randrange(1, 2**rank) for _ in range(rng.randint(1, rank - 1))]
+            target = make_cyclic_product([2] * len(rows))
+            images = tuple(sum((bin(r & x).count("1") & 1) << (len(rows) - 1 - i)
+                               for i, r in enumerate(rows)) for x in range(G.order))
+            maps.append(Homomorphism(G, target, images))
+        yield make_datum(G, maps, [rng.choice(menu) for _ in range(J)])
+
+
+def _small_groups():
+    Z2 = make_cyclic_product([2])
+    S3 = from_permutations(3, [(1, 0, 2), (1, 2, 0)])
+    D4 = from_permutations(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
+    return {"S4": from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)]), "D4": D4,
+            "A4": from_permutations(4, [(1, 2, 0, 3), (0, 2, 3, 1)]),
+            "S3xS3": direct_product(S3, S3)[0], "D4xZ2": direct_product(D4, Z2)[0]}
+
+
+def test_kernel_lattice_matches_reference_on_quotient_data():
+    for seed, (name, G) in enumerate(_small_groups().items()):
+        for d in _quotient_data(G, 40, seed):
+            assert _report_key(bl_constant(d)) == reference_bl_constant(d), name
+
+
+def test_kernel_lattice_matches_reference_on_f2_linear_data():
+    for rank, count in ((5, 12), (6, 3)):
+        for d in _f2_linear_data(rank, count, rank):
+            assert _report_key(bl_constant(d)) == reference_bl_constant(d)
+
+
+def test_kernel_lattice_is_the_closure_of_the_kernels(edge_data):
+    for d in _corpus_slice_data() + edge_data + list(_quotient_data(_small_groups()["S4"], 5, 0)):
+        G, table = d.G, d.G.table
+        lattice = _kernel_lattice(d)
+        masks = {H.mask for H in lattice}
+        assert len(masks) == len(lattice)
+        assert {1 << G.identity, (1 << G.order) - 1} <= masks
+        assert {h.fibres[h.codomain.identity] for h in d.maps} <= masks
+        for H in lattice:
+            assert_validated(H)
+            assert normality_witness(G, H) is None
+        for A, B in itertools.combinations(lattice, 2):
+            product = {table[a][b] for a in A.members for b in B.members}
+            assert sum(1 << x for x in product) in masks
+            assert A.mask & B.mask in masks
+        assert_validated(bl_constant(d).argmax_subgroup)
+
+
+def test_constant_lists_no_subgroups(monkeypatch, edge_data):
+    data = _corpus_slice_data() + edge_data + [_z2_6_datum()]
+    listed = [bl_constant(d, subgroups=all_subgroups(d.G)) for d in data]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subgroup lattice was listed")
+
+    monkeypatch.setattr(groups, "all_subgroups", refuse)
+    monkeypatch.setattr(constant, "all_subgroups", refuse)
+    assert [_report_key(bl_constant(d)) for d in data] == list(map(_report_key, listed))
+    with pytest.raises(AssertionError, match="listed"):
+        bl_constant(data[0], include_candidates=True)
 
 
 def test_constant_runs_no_interval_comparison(monkeypatch):

@@ -1,6 +1,8 @@
 """The answer digests of `scripts/digests.py`, pinned.
 
-The four fast digests run in full; the oracle digest runs on every 10th
+The five fast digests run in full, and the formula digest runs twice: over
+the listed lattices and through the kernel lattice of `bl_constant(d)`,
+against the same stored value.  The oracle digest runs on every 10th
 corpus datum of its sequence, which covers both Haar modes.  The values in
 `answer_digests.json` are what the library answers today: a change that
 means to change an answer edits the stored value, and says which digest
@@ -27,9 +29,13 @@ def digests():
     return module
 
 
-@pytest.mark.parametrize("name", ["subgroups", "formula", "lie", "scan"])
+@pytest.mark.parametrize("name", ["subgroups", "formula", "lie", "scan", "large"])
 def test_fast_digest_is_unchanged(digests, name):
     assert digests.digest(digests.DIGESTS[name]()) == STORED[name]
+
+
+def test_formula_digest_through_the_kernel_lattice_is_unchanged(digests):
+    assert digests.digest(digests.formula_lines(listed=False)) == STORED["formula"]
 
 
 def test_oracle_digest_of_every_10th_datum_is_unchanged(digests):
