@@ -17,7 +17,8 @@ compare the output:
   through the kernel lattice, `bl_constant(d)`, in place of the listed one;
 * large: the same four items of `bl_constant(d)` on seeded data of the
   large-group tier: S5 under identity, sign, trivial and inner-automorphism
-  maps, and Z2^6 and Z2^7 under random F2-linear maps;
+  maps, and Z2^6 and Z2^7 under random F2-linear maps and under the maps
+  whose kernels close to every subgroup (`frame_maps`);
 * oracle: on the same data, `oracle_constant(d, restarts=8, seed=20)` as
   `float.hex`, and the exhaustive search's value factors and argmax sets;
 * reductions: `datum_to_json` and `tag_to_json` of `canonicalize`, and of
@@ -236,19 +237,41 @@ def _s5_maps(G):
     return draw
 
 
-def _f2_map(G, rng):
-    """A random F2-linear map from G = Z2^n into Z2^k, one random row of
-    bits per output coordinate."""
-    n = G.order.bit_length() - 1
-    rows = [rng.randrange(1, G.order) for _ in range(rng.randint(1, n - 1))]
+def _rows_map(G, rows):
+    """The F2-linear map from G = Z2^n into Z2^k whose output coordinates are
+    the parities of x AND each row of bits."""
     target = make_cyclic_product([2] * len(rows))
     images = tuple(sum((bin(r & x).count("1") & 1) << (len(rows) - 1 - i)
                        for i, r in enumerate(rows)) for x in range(G.order))
     return Homomorphism(G, target, images)
 
 
+def _f2_map(G, rng):
+    """A random F2-linear map from G = Z2^n into Z2^k, one random row of
+    bits per output coordinate."""
+    n = G.order.bit_length() - 1
+    return _rows_map(G, [rng.randrange(1, G.order) for _ in range(rng.randint(1, n - 1))])
+
+
+def frame_maps(G):
+    """The n + 1 maps of G = Z2^n onto Z2^(n-1) whose kernels are the n
+    coordinate lines and the diagonal: the kernels close under product and
+    intersection to every subgroup of G."""
+    units = [1 << i for i in range(G.order.bit_length() - 1)]
+    maps = [_rows_map(G, [u for u in units if u != e]) for e in units]
+    return maps + [_rows_map(G, [u ^ units[-1] for u in units[:-1]])]
+
+
+# Exponents of `frame_maps` on Z2^6, Z2^6 and Z2^7 at which the maximizer is
+# a proper subgroup, of order 16, 4 and 2.
+FRAME_EXPONENTS = [("8", "5", "inf", "inf", "6", "2", "6"),
+                   ("2", "6", "8", "6", "4", "inf", "inf"),
+                   ("8", "8", "3/2", "5", "inf", "8", "5", "inf")]
+
+
 def large_data():
-    """The large digest's data, seeded: 24 on S5, 24 on Z2^6 and 12 on Z2^7."""
+    """The large digest's data, seeded: 24 on S5, 24 on Z2^6 and 12 on Z2^7,
+    then `frame_maps` at each of FRAME_EXPONENTS."""
     S5 = _symmetric(5)
     tiers = [(S5, 24, _s5_maps(S5)), (make_cyclic_product([2] * 6), 24, _f2_map),
              (make_cyclic_product([2] * 7), 12, _f2_map)]
@@ -259,6 +282,9 @@ def large_data():
             haar = rng.choice((HaarMode.PROBABILITY, HaarMode.COUNTING))
             yield make_datum(G, [draw(G, rng) for _ in range(J)],
                              [rng.choice(EXPONENTS) for _ in range(J)], haar, [haar] * J)
+    for p in FRAME_EXPONENTS:
+        maps = frame_maps(make_cyclic_product([2] * (len(p) - 1)))
+        yield make_datum(maps[0].domain, maps, p)
 
 
 def large_lines():

@@ -12,11 +12,12 @@ never a partial write.
 An entry records its format version, the group order, the subgroup count
 and a digest of the member lists.  An entry that is missing, unreadable, not
 JSON, of another format, whose count or digest does not match its list, or
-whose lists are not int lists that `Subgroup` accepts, or that lacks a
-subgroup the caller requires, is a miss: the lattice is recomputed and the
-entry overwritten, never trusted.  `constant --candidates`, the only reader,
-requires the datum's kernel lattice, which fixes the constant (`constant`
-module docstring).
+whose lists are not int lists that `Subgroup` accepts is a miss: the
+lattice is recomputed and the entry overwritten, never trusted.
+
+No command reads the cache: `constant` and `verify` rank the kernel
+lattice, and `constant --candidates` lists every subgroup afresh.  A
+well-formed entry can still lack subgroups, which no check here can see.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Collection, Optional
+from typing import Optional
 
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -93,18 +94,14 @@ class SubgroupCache:
         return self.directory / f"{digest}.json"
 
     def subgroups(
-        self, G: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP,
-        required: Collection[int] = (),
+        self, G: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
     ) -> list[Subgroup]:
-        """Cached subgroup lattice of G, computing and storing on a miss; an
-        entry that lacks a subgroup whose mask is in `required` is a miss."""
+        """Cached subgroup lattice of G, computing and storing on a miss."""
         self.last_hit = False
         if not self.enabled:
             return all_subgroups(G, order_cap)
         path = self._path(cache_key(G))
         subs = _valid_lattice(self._read(path), G)
-        if subs is not None and not set(required) <= {s.mask for s in subs}:
-            subs = None
         if subs is not None:
             self.last_hit = True
             return subs

@@ -19,10 +19,10 @@ builds the report envelope, emits it and maps errors to exit codes.  A
 input and returns its report fields and its exit code.  Each imports its own
 layers, so a call loads only the modules its subcommand uses: `constant`
 never loads the Lie, Heisenberg or ascent layers.  `constant` and `verify`
-rank the kernel lattice (`constant` module docstring), so neither lists nor
-reads the subgroup lattice; only `constant --candidates` lists it, through
-the lattice cache, and only its report has a `cache` block.  `--cache-dir`
-and `--no-cache` are accepted by both and act only there.
+rank the kernel lattice (`constant` module docstring), and
+`constant --candidates` lists every subgroup afresh, so no command reads the
+lattice cache.  `--cache-dir` and `--no-cache` are still accepted, and
+ignored.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ EXIT_UNDECIDED = 4
 EXIT_NUMERIC = 5
 
 # The library's precondition errors (GroupStructureError, WrongExponentError,
-# SchemaError, ...) and bad JSON are ValueErrors; OSError covers an input or
-# cache path that cannot be read or created; Fraction("1/0") raises
-# ZeroDivisionError.
+# SchemaError, ...) and bad JSON are ValueErrors; OSError covers an input
+# path that cannot be read; Fraction("1/0") raises ZeroDivisionError.
 _PRECONDITION_ERRORS = (ValueError, KeyError, OSError, ZeroDivisionError)
 
 
@@ -78,21 +77,6 @@ def _datum(args, obj):
     return d.with_haar(mode, [mode] * d.J)
 
 
-def _lattice(args, d):
-    """The subgroup lattice of d.G through the cache, and the report's cache
-    block.  An entry that lacks a member of d's kernel lattice is a miss: with
-    those members listed, the constant is right whatever else the entry lists
-    (`constant` module docstring)."""
-    from .cache import SubgroupCache, cache_key
-    from .constant import _kernel_lattice
-
-    cache = SubgroupCache(args.cache_dir, not args.no_cache)
-    required = {H.mask for H in _kernel_lattice(d)}
-    subgroups = cache.subgroups(d.G, args.order_cap, required)
-    return subgroups, {"enabled": cache.enabled, "hit": cache.last_hit,
-                       "group_digest": cache_key(d.G)}
-
-
 def _oracle(args, d) -> float:
     from .oracle import oracle_constant
 
@@ -108,15 +92,10 @@ def cmd_constant(args, obj):
     from .serialize import constant_report_to_json
 
     d = _datum(args, obj)
-    fields = {}
-    if args.candidates:
-        subgroups, fields["cache"] = _lattice(args, d)
-        rep = bl_constant(d, subgroups=subgroups, include_candidates=True)
-    else:
-        rep = bl_constant(d)
+    rep = bl_constant(d, include_candidates=args.candidates)
     result = constant_report_to_json(rep)
     result["mixed_haar"] = d.mixed_haar()
-    return {**fields, "result": result}, EXIT_OK
+    return {"result": result}, EXIT_OK
 
 
 def cmd_oracle(args, obj):
@@ -278,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     ascent.add_argument("--max-sweeps", type=int, default=10_000)
     ascent.add_argument("--seed", type=int, default=0)
     cache = argparse.ArgumentParser(add_help=False)
-    cache.add_argument("--cache-dir", help="subgroup lattice cache of --candidates")
-    cache.add_argument("--no-cache", action="store_true",
-                       help="list the lattice of --candidates afresh")
+    cache.add_argument("--cache-dir", help="ignored: no command reads the lattice cache")
+    cache.add_argument("--no-cache", action="store_true", help="ignored")
 
     def command(name, func, help, *parents):
         p = sub.add_parser(name, help=help, parents=parents)

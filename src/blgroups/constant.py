@@ -86,6 +86,14 @@ The float prefilter keeps every candidate that ties the maximum of its list
 argmax and tie exactly.  This is the finite counterpart of the reduction
 to the lattice generated by the kernels in Valdimarsson, "The
 Brascamp-Lieb polyhedron", Canad. J. Math. 62 (2010).
+
+L has no size bound of its own: the kernels of the n + 1 maps of Z2^n
+onto Z2^(n-1) that kill the n coordinate lines and the diagonal close to
+every subgroup, 29,212 of them on Z2^7.  The closure combines every pair of
+members, at up to |G| table lookups a product, so on such data it costs far
+more than a listing.  It therefore stops once L has more than 2|G| members,
+after at most 2|G|^2 products, and the scan runs over every subgroup
+instead, as with `include_candidates`.
 """
 
 from __future__ import annotations
@@ -97,7 +105,7 @@ from typing import Optional
 
 from .datum import BLDatum, CanonicalTag, _QuotientTable, canonical_tag
 from .exact import ExactValue
-from .groups import Subgroup, _semi_naive_closure, all_subgroups, mask_members
+from .groups import SizeCapError, Subgroup, _semi_naive_closure, all_subgroups, mask_members
 
 
 def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
@@ -133,8 +141,9 @@ def saturate(d: BLDatum, H: Subgroup) -> Subgroup:
     return Subgroup._built(d.G, mask)
 
 
-def _kernel_lattice(d: BLDatum) -> list[Subgroup]:
-    """L of the module docstring, by mask, in mask order.
+def _kernel_lattice(d: BLDatum) -> Optional[list[Subgroup]]:
+    """L of the module docstring, by mask, in mask order; None once it has
+    more than 2|G| members.
 
     A product AB of normal subgroups is the union of the cosets yA over y in
     B, built by table lookups from the members of the larger factor; one
@@ -165,7 +174,10 @@ def _kernel_lattice(d: BLDatum) -> list[Subgroup]:
 
     seeds = [1 << G.identity, (1 << G.order) - 1]
     seeds += [h.fibres[h.codomain.identity] for h in d.maps]
-    lattice, _ = _semi_naive_closure(seeds, product_and_meet)
+    try:
+        lattice, _ = _semi_naive_closure(seeds, product_and_meet, cap=2 * G.order)
+    except SizeCapError:
+        return None
     return [Subgroup._built(G, mask, members.get(mask)) for mask in sorted(lattice)]
 
 
@@ -193,11 +205,13 @@ def bl_constant(
     exact factor BL(d) / BL(canonical); the value is that of d as given.
     Without `subgroups`, the scan runs over the kernel lattice, which gives
     the value, argmax and tie of a scan over every subgroup (module
-    docstring); `include_candidates` then lists every subgroup under the
-    default order cap, and scans that list.
+    docstring); `include_candidates`, or a kernel lattice past its size
+    bound, lists every subgroup under the default order cap instead.
     """
+    if subgroups is None and not include_candidates:
+        subgroups = _kernel_lattice(d)
     if subgroups is None:
-        subgroups = all_subgroups(d.G) if include_candidates else _kernel_lattice(d)
+        subgroups = all_subgroups(d.G)
     tag = canonical_tag(d)
 
     found: dict[int, tuple[int, ...]] = {}

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import os
 from pathlib import Path
@@ -116,3 +117,13 @@ def package_env():
     src = str(Path(blgroups.__file__).resolve().parent.parent)
     rest = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + rest if rest else ""))
+
+
+@pytest.fixture(scope="session")
+def digests():
+    """`scripts/digests.py` as a module: its line generators and seeded data."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "digests.py"
+    spec = importlib.util.spec_from_file_location("blgroups_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -9,6 +9,7 @@ import pytest
 
 from blgroups.cache import SubgroupCache, cache_key
 from blgroups.cli import main
+from blgroups.constant import bl_constant
 from blgroups.exact import ExactValue, exact_max
 from blgroups.groups import (
     SizeCapError,
@@ -380,11 +381,9 @@ def test_unusable_paths_are_preconditions(write, capsys, tmp_path):
     path = write("lw.json", LW_Z2Z2)
     assert_precondition(capsys, ["constant", "--in", str(tmp_path), "--no-cache"])
     assert_precondition(capsys, ["constant", "--in", str(tmp_path / "none.json")])
-    # only --candidates reads the lattice cache, so only it needs a usable one
-    assert_precondition(capsys, ["constant", "--in", path, "--candidates",
-                                 "--cache-dir", path])
-    for command in ("constant", "verify"):
-        code, _ = run_cli(capsys, [command, "--in", path, "--cache-dir", path])
+    # no command reads the lattice cache, so none needs a usable one
+    for argv in (["constant"], ["constant", "--candidates"], ["verify"]):
+        code, _ = run_cli(capsys, [*argv, "--in", path, "--cache-dir", path])
         assert code == 0
 
 
@@ -508,9 +507,8 @@ def test_report_envelope(write, capsys, tmp_path, command):
              "{cache}": str(tmp_path / "cache")}
     code, rep = run_cli(capsys, [command, *(paths.get(a, a) for a in argv)])
     assert code == 0
-    # only constant --candidates reads the lattice cache
-    cached = command == "constant"
-    assert set(rep) == ENVELOPE_KEYS | ({"cache"} if cached else set())
+    # no command reads the lattice cache, so no report has a cache block
+    assert set(rep) == ENVELOPE_KEYS
     assert set(rep["flags"]) == flags
     assert rep["command"] == command
 
@@ -538,14 +536,15 @@ def test_determinism_and_roundtrip(write, capsys, tmp_path):
     assert reparsed == out1.rstrip("\n")
 
 
-def test_cache_warm_equals_cold(write, capsys, tmp_path):
-    path = write("lw.json", LW_Z2Z2)
-    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(tmp_path / "c")]
-    cold_code, cold = run_cli(capsys, argv)
-    warm_code, warm = run_cli(capsys, argv)
-    assert cold_code == warm_code == 0
-    assert not cold["cache"]["hit"] and warm["cache"]["hit"]
-    assert cold["result"] == warm["result"]
+def test_cache_warm_equals_cold(tmp_path):
+    d = parse_datum(LW_Z2Z2)
+    cache = SubgroupCache(tmp_path / "c")
+    cold = cache.subgroups(d.G)
+    assert not cache.last_hit
+    warm = cache.subgroups(d.G)
+    assert cache.last_hit
+    assert [s.members for s in warm] == [s.members for s in cold]
+    assert bl_constant(d, subgroups=warm) == bl_constant(d, subgroups=cold)
 
 
 def test_cache_key_semantics():
@@ -604,66 +603,57 @@ def _entry(cache_dir, obj):
     return cache_dir / f"{cache_key(parse_datum(obj).G)}.json"
 
 
-def test_cache_truncated_entry_is_a_miss(write, capsys, tmp_path):
-    # a well-formed list that lacks the maximizing subgroups must not be used
-    path = write("lw.json", LW_Z2Z2)
-    _, fresh = run_cli(capsys, ["constant", "--in", path, "--candidates", "--no-cache"])
-    cache_dir = tmp_path / "c"
-    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(cache_dir)]
-    run_cli(capsys, argv)
+def _stored_entry(cache_dir):
+    """A fresh cache holding the lattice of LW_Z2Z2's group, its entry and
+    that lattice's member lists."""
+    cache = SubgroupCache(cache_dir)
+    fresh = [s.members for s in cache.subgroups(parse_datum(LW_Z2Z2).G)]
     entry = _entry(cache_dir, LW_Z2Z2)
-    stored = json.loads(entry.read_text())
+    return cache, entry, json.loads(entry.read_text()), fresh
+
+
+def test_cache_truncated_entry_is_a_miss(tmp_path):
+    # a well-formed list that lacks subgroups must not be used
+    cache, entry, stored, fresh = _stored_entry(tmp_path / "c")
+    G = parse_datum(LW_Z2Z2).G
     for truncated in (
         {"order": 4, "subgroups": [[0]]},  # an entry without count or digest
         dict(stored, subgroups=stored["subgroups"][:1]),  # count and digest stale
     ):
         entry.write_text(json.dumps(truncated))
-        code, rep = run_cli(capsys, argv)
-        assert code == 0 and not rep["cache"]["hit"]
-        assert rep["result"]["value"] == fresh["result"]["value"]
-        assert rep["result"]["argmax"] == fresh["result"]["argmax"]
+        assert [s.members for s in cache.subgroups(G)] == fresh
+        assert not cache.last_hit
         assert json.loads(entry.read_text()) == stored  # overwritten
-    code, rep = run_cli(capsys, argv)
-    assert code == 0 and rep["cache"]["hit"]
+    cache.subgroups(G)
+    assert cache.last_hit
 
 
-def test_cache_entry_of_non_subgroups_is_a_miss(write, capsys, tmp_path):
+def test_cache_entry_of_non_subgroups_is_a_miss(tmp_path):
     # digest-valid entries whose lists are not subgroups of G are recomputed
-    path = write("lw.json", LW_Z2Z2)
-    _, fresh = run_cli(capsys, ["constant", "--in", path, "--candidates", "--no-cache"])
-    cache_dir = tmp_path / "c"
-    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(cache_dir)]
-    run_cli(capsys, argv)
-    entry = _entry(cache_dir, LW_Z2Z2)
-    stored = json.loads(entry.read_text())
+    cache, entry, stored, fresh = _stored_entry(tmp_path / "c")
+    G = parse_datum(LW_Z2Z2).G
     for bad in ([0, 99], [0, 1, 2], ["0", "1"]):  # out of range, not closed, not ints
         subgroups = stored["subgroups"][:-1] + [bad]
         digest = hashlib.sha256(
             json.dumps(subgroups, separators=(",", ":")).encode()
         ).hexdigest()
         entry.write_text(json.dumps(dict(stored, subgroups=subgroups, digest=digest)))
-        code, rep = run_cli(capsys, argv)
-        assert code == 0 and not rep["cache"]["hit"]
-        assert rep["result"] == fresh["result"]
+        assert [s.members for s in cache.subgroups(G)] == fresh
+        assert not cache.last_hit
         assert json.loads(entry.read_text()) == stored  # overwritten
-        code, rep = run_cli(capsys, argv)
-        assert code == 0 and rep["cache"]["hit"]
+        cache.subgroups(G)
+        assert cache.last_hit
 
 
-def test_cache_corrupt_entry_is_a_miss(write, capsys, tmp_path):
-    path = write("lw.json", LW_Z2Z2)
-    _, fresh = run_cli(capsys, ["constant", "--in", path, "--candidates", "--no-cache"])
-    cache_dir = tmp_path / "c"
-    cache_dir.mkdir()
-    entry = _entry(cache_dir, LW_Z2Z2)
-    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(cache_dir)]
+def test_cache_corrupt_entry_is_a_miss(tmp_path):
+    cache, entry, _, fresh = _stored_entry(tmp_path / "c")
+    G = parse_datum(LW_Z2Z2).G
     for junk in (b'{"order": 4, "subgroups": [[0], [0, 1', b"\xff\xfe\x00garbage", b"[1, 2]"):
         entry.write_bytes(junk)
-        code, rep = run_cli(capsys, argv)
-        assert code == 0 and not rep["cache"]["hit"]
-        assert rep["result"]["value"] == fresh["result"]["value"]
-    code, rep = run_cli(capsys, argv)
-    assert code == 0 and rep["cache"]["hit"]
+        assert [s.members for s in cache.subgroups(G)] == fresh
+        assert not cache.last_hit
+    cache.subgroups(G)
+    assert cache.last_hit
 
 
 def _pair_projections(rank, pairs):
@@ -676,9 +666,9 @@ def _pair_projections(rank, pairs):
                      for a, b in pairs]}
 
 
-def test_cache_entry_without_the_kernel_lattice_is_a_miss(write, capsys, tmp_path):
+def test_no_command_reads_the_lattice_cache(write, capsys, tmp_path):
     # a well-formed entry, count and digest matching, that lists only {e}:
-    # it lacks the kernel lattice, so it must not be the answer
+    # taken as the lattice, it would make the constant 2^-1 with argmax {e}
     datum = dict(_pair_projections(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
                  p=["2", "2", "2", "2"])
     path = write("z2_5.json", datum)
@@ -689,17 +679,15 @@ def test_cache_entry_without_the_kernel_lattice_is_a_miss(write, capsys, tmp_pat
     digest = hashlib.sha256(json.dumps(only_e, separators=(",", ":")).encode()).hexdigest()
     entry.write_text(json.dumps({"format": 2, "order": 32, "count": 1, "digest": digest,
                                  "subgroups": only_e}))
-    code, plain = run_cli(capsys, ["constant", "--in", path, "--cache-dir", str(cache_dir)])
-    argv = ["constant", "--in", path, "--candidates", "--cache-dir", str(cache_dir)]
-    code_candidates, rep = run_cli(capsys, argv)
-    assert code == code_candidates == 0
-    for result in (plain["result"], rep["result"]):
+    poisoned = entry.read_text()
+    for argv in (["constant"], ["constant", "--candidates"], ["verify"]):
+        code, rep = run_cli(capsys, [*argv, "--in", path, "--cache-dir", str(cache_dir)])
+        assert code == 0 and "cache" not in rep
+        result = rep["result"]["formula"] if argv == ["verify"] else rep["result"]
         assert result["value"]["primes"] == {} and result["argmax"] == [0, 1, 16, 17]
-    assert "cache" not in plain and not rep["cache"]["hit"]
-    assert len(rep["result"]["candidates"]) == 374
-    assert json.loads(entry.read_text())["count"] == 374  # overwritten
-    code, rep = run_cli(capsys, argv)
-    assert code == 0 and rep["cache"]["hit"]
+        if "--candidates" in argv:
+            assert len(result["candidates"]) == 374
+    assert entry.read_text() == poisoned  # neither read nor rewritten
 
 
 # Run in a fresh interpreter: the modules of blgroups that one call loaded.
@@ -714,8 +702,10 @@ print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
 
 
 @pytest.mark.parametrize("argv, absent", [
-    # without --candidates neither reads the lattice cache, even when named
+    # no command reads the lattice cache, even when named
     (["constant", "--in", "{lw}", "--cache-dir", "{cache}"],
+     {"lie", "rational_linalg", "heisenberg", "oracle", "cache"}),
+    (["constant", "--in", "{lw}", "--candidates", "--cache-dir", "{cache}"],
      {"lie", "rational_linalg", "heisenberg", "oracle", "cache"}),
     (["verify", "--in", "{lw}", "--cache-dir", "{cache}", "--restarts", "1"],
      {"lie", "rational_linalg", "heisenberg", "cache"}),
@@ -726,7 +716,7 @@ print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
     (["check-codim", "--in", "{t3}", "--p", "2,2,2"], {"heisenberg", "oracle", "cache"}),
     (["polytope", "--in", "{t3}"], {"heisenberg", "oracle", "cache"}),
     (["heisenberg-demo"], {"lie", "rational_linalg", "oracle", "cache", "serialize"}),
-], ids=["constant", "verify", "oracle", "reduce", "check-codim", "polytope",
+], ids=["constant", "constant-candidates", "verify", "oracle", "reduce", "check-codim", "polytope",
         "heisenberg-demo"])
 def test_subcommand_loads_only_its_layers(write, package_env, tmp_path, argv, absent):
     paths = {"{lw}": write("lw.json", LW_Z2Z2), "{t3}": write("t3.json", T3_LW),

@@ -329,34 +329,31 @@ def test_candidates_are_ratios_from_one_table(monkeypatch):
 # -- the kernel lattice against the full scan --------------------------------------
 
 
-def _quotient_data(G, count, seed):
+def _quotient_data(digests, G, count, seed):
     """Seeded data on G whose maps are quotients by random normal subgroups."""
     rng = random.Random(seed)
     normal = [N for N in all_subgroups(G) if normality_witness(G, N) is None]
-    menu = ["1", "4/3", "3/2", "2", "5/2", "3", "inf"]
     for _ in range(count):
         J = rng.randint(1, 3)
         maps = [quotient(G, rng.choice(normal))[1] for _ in range(J)]
         haar = rng.choice((C, P))
-        yield make_datum(G, maps, [rng.choice(menu) for _ in range(J)], haar,
+        yield make_datum(G, maps, [rng.choice(digests.EXPONENTS) for _ in range(J)], haar,
                          [rng.choice((C, P)) for _ in range(J)])
 
 
-def _f2_linear_data(rank, count, seed):
+def _f2_linear_data(digests, rank, count, seed):
     """Seeded data on Z2^rank whose maps are random F2-linear maps onto Z2^k."""
     rng = random.Random(seed)
     G = make_cyclic_product([2] * rank)
-    menu = ["1", "4/3", "3/2", "2", "3", "inf"]
     for _ in range(count):
         J = rng.randint(2, 4)
-        maps = []
-        for _ in range(J):
-            rows = [rng.randrange(1, 2**rank) for _ in range(rng.randint(1, rank - 1))]
-            target = make_cyclic_product([2] * len(rows))
-            images = tuple(sum((bin(r & x).count("1") & 1) << (len(rows) - 1 - i)
-                               for i, r in enumerate(rows)) for x in range(G.order))
-            maps.append(Homomorphism(G, target, images))
-        yield make_datum(G, maps, [rng.choice(menu) for _ in range(J)])
+        maps = [digests._f2_map(G, rng) for _ in range(J)]
+        yield make_datum(G, maps, [rng.choice(digests.EXPONENTS) for _ in range(J)])
+
+
+def _frame_datum(digests, p):
+    maps = digests.frame_maps(make_cyclic_product([2] * (len(p) - 1)))
+    return make_datum(maps[0].domain, maps, p)
 
 
 def _small_groups():
@@ -368,20 +365,24 @@ def _small_groups():
             "S3xS3": direct_product(S3, S3)[0], "D4xZ2": direct_product(D4, Z2)[0]}
 
 
-def test_kernel_lattice_matches_reference_on_quotient_data():
+def test_kernel_lattice_matches_reference_on_quotient_data(digests):
     for seed, (name, G) in enumerate(_small_groups().items()):
-        for d in _quotient_data(G, 40, seed):
+        for d in _quotient_data(digests, G, 40, seed):
             assert _report_key(bl_constant(d)) == reference_bl_constant(d), name
 
 
-def test_kernel_lattice_matches_reference_on_f2_linear_data():
+def test_kernel_lattice_matches_reference_on_f2_linear_data(digests):
     for rank, count in ((5, 12), (6, 3)):
-        for d in _f2_linear_data(rank, count, rank):
+        for d in _f2_linear_data(digests, rank, count, rank):
             assert _report_key(bl_constant(d)) == reference_bl_constant(d)
 
 
-def test_kernel_lattice_is_the_closure_of_the_kernels(edge_data):
-    for d in _corpus_slice_data() + edge_data + list(_quotient_data(_small_groups()["S4"], 5, 0)):
+def test_kernel_lattice_is_the_closure_of_the_kernels(digests, edge_data):
+    S4_data = list(_quotient_data(digests, _small_groups()["S4"], 5, 0))
+    # on Z2^3 the coordinate lines and the diagonal close to all 16 subgroups
+    frame = _frame_datum(digests, ("3/2",) * 4)
+    assert len(_kernel_lattice(frame)) == len(all_subgroups(frame.G)) == 16
+    for d in _corpus_slice_data() + edge_data + S4_data + [frame]:
         G, table = d.G, d.G.table
         lattice = _kernel_lattice(d)
         masks = {H.mask for H in lattice}
@@ -396,6 +397,30 @@ def test_kernel_lattice_is_the_closure_of_the_kernels(edge_data):
             assert sum(1 << x for x in product) in masks
             assert A.mask & B.mask in masks
         assert_validated(bl_constant(d).argmax_subgroup)
+
+
+def test_kernel_lattice_past_its_bound_falls_back_to_the_listing(digests, monkeypatch):
+    # the frame's L is every subgroup, 67 on Z2^4 and 2825 on Z2^6, past
+    # 2|G|; the maximizers have order 2 (tied), 8 and 16
+    data = [_frame_datum(digests, p) for p in (("4", "4", "3", "inf", "2"),
+                                               ("4", "inf", "inf", "5", "3/2"),
+                                               digests.FRAME_EXPONENTS[0])]
+    products = []
+    closure = constant._semi_naive_closure
+
+    def counting(seeds, combine, **kwargs):
+        def counted(a, b):
+            products.append(a)
+            return combine(a, b)
+        return closure(seeds, counted, **kwargs)
+
+    monkeypatch.setattr(constant, "_semi_naive_closure", counting)
+    for d in data:
+        assert _report_key(bl_constant(d)) == reference_bl_constant(d)
+        products.clear()
+        assert _kernel_lattice(d) is None
+        # the round that passes 2|G| members starts with at most 2|G|
+        assert len(products) <= (2 * d.G.order) ** 2 // 2
 
 
 def test_constant_lists_no_subgroups(monkeypatch, edge_data):

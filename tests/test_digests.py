@@ -10,23 +10,12 @@ moved and why.  The reductions digest and the full oracle digest stay in
 the script.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
 STORED = json.loads((Path(__file__).resolve().parent / "answer_digests.json").read_text())
-
-
-@pytest.fixture(scope="module")
-def digests():
-    spec = importlib.util.spec_from_file_location("blgroups_digests",
-                                                  ROOT / "scripts" / "digests.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name", ["subgroups", "formula", "lie", "scan", "large"])
