@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exact import UndecidedComparisonError
-from .groups import DEFAULT_ORDER_CAP, BudgetExceededError, HaarMode
+from .groups import DEFAULT_ORDER_CAP, BudgetExceededError, HaarMode, all_subgroups
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -92,7 +92,11 @@ def cmd_constant(args, obj):
     from .serialize import constant_report_to_json
 
     d = _datum(args, obj)
-    rep = bl_constant(d, include_candidates=args.candidates)
+    if args.candidates:
+        listed = all_subgroups(d.G, args.order_cap)
+        rep = bl_constant(d, subgroups=listed, include_candidates=True)
+    else:
+        rep = bl_constant(d)
     result = constant_report_to_json(rep)
     result["mixed_haar"] = d.mixed_haar()
     return {"result": result}, EXIT_OK
