@@ -20,9 +20,9 @@ input and returns its report fields and its exit code.  Each imports its own
 layers, so a call loads only the modules its subcommand uses: `constant`
 never loads the Lie, Heisenberg or ascent layers.  `constant` and `verify`
 rank the kernel lattice (`constant` module docstring), and
-`constant --candidates` lists every subgroup afresh, so no command reads the
+`constant --candidates` lists every subgroup afresh, so the library keeps no
 lattice cache.  `--cache-dir` and `--no-cache` are still accepted, and
-ignored.
+ignored: nothing is read or written under either.
 """
 
 from __future__ import annotations

@@ -48,10 +48,10 @@ both tables being associative: if a and b pass, then
 m(x(ab)) = m((xa)b) = m(xa)m(b) = m(x)m(a)m(b) = m(x)m(ab).
 
 Trusted construction.  `Subgroup(parent, members)` is the boundary for
-outside input (cache entries, serialized data, user code) and validates
-every set.  The subgroups the library derives itself are built by the
-private `Subgroup._built`, which takes a mask and its sorted members as
-given, because each derived set is a subgroup by construction:
+outside input (user code) and validates every set.  The subgroups the
+library derives itself are built by the private `Subgroup._built`, which
+takes a mask and its sorted members as given, because each derived set is
+a subgroup by construction:
 - a listed subgroup is a closure <H, x> that `_extend` has just built;
 - an image h(H) and a kernel ker h are subgroups because h is a
   homomorphism, checked when it was built;
@@ -167,7 +167,7 @@ def _check_associativity(table, gens):
 class Subgroup:
     """A subgroup of a parent group: sorted members and their mask.
 
-    Construction is the boundary for outside input such as cache entries.
+    Construction is the boundary for outside input such as user code.
     The members must be sorted, distinct, nonempty and in 0..order-1, and
     must survive the closure chain of the module docstring: sound, and
     O(|H|) table lookups against |H|^2 for checking all products.  The

@@ -284,22 +284,18 @@ def alternating_ascent(
     init: InputTuple,
     tol: float = 1e-12,
     max_sweeps: int = 10_000,
-    *,
-    form: _Form | None = None,
 ) -> tuple[float, InputTuple, AscentTrace]:
     """Block-coordinate ascent on the Rayleigh quotient.
 
     Each sweep maximizes over every block in turn; the trace of sweep values
     is nondecreasing up to renormalization jitter.  Inputs are renormalized
     each sweep to unit norm to avoid overflow.  A negative tol never
-    converges, so exactly max_sweeps sweeps run.  `form` is the datum's
-    float form, passed by callers that run several starts.
+    converges, so exactly max_sweeps sweeps run.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     _check_lengths(d, init)
-    if form is None:
-        form = _Form(d, float(haar_weight(d.G, d.haar_G)))
+    form = _Form(d, float(haar_weight(d.G, d.haar_G)))
     [(values, funcs, converged)] = _ascend(form, [init.functions], tol, max_sweeps)
     return values[-1], InputTuple._built(funcs), AscentTrace(values, len(values), converged)
 

@@ -10,8 +10,10 @@ A table spec's "order" may be left out; when given, it must equal the
 number of rows.
 
 A datum bundles a group, codomains, maps as image lists, exponents as
-strings ("2", "3/2", "inf"), and Haar modes.  All fractions are serialized
-as strings so the JSON round-trips exactly.
+strings ("2", "3/2", "inf") or finite JSON numbers, and Haar modes.  A
+number is read as the double it denotes, so 1.1 is not 11/10; "inf" is the
+only way to write infinity.  All fractions are serialized as strings so the
+JSON round-trips exactly.
 
 The parsers check the JSON type of every node they read and raise
 SchemaError, a ValueError, on a node of the wrong type.
@@ -132,7 +134,10 @@ def parse_datum(obj: dict, order_cap: int = DEFAULT_ORDER_CAP) -> BLDatum:
     if len(images) != len(codomains):
         raise SchemaError("maps and codomains must have equal length")
     maps = tuple(Homomorphism(G, C, tuple(m)) for C, m in zip(codomains, images))
-    exponents = tuple(Exponent.of(p) for p in _array(obj["p"], (str, int, float), "p"))
+    exponents = tuple(
+        Exponent.of(p if isinstance(p, str) else _rational(p, f"p[{j}]"))
+        for j, p in enumerate(_array(obj["p"], (str, int, float), "p"))
+    )
     haar = _expect(obj.get("haar", {}), dict, "haar")
     haar_G = _parse_haar(haar.get("G", "probability"))
     haar_codomains = tuple(

@@ -7,16 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from blgroups.cache import SubgroupCache, cache_key
 from blgroups.cli import main
-from blgroups.constant import bl_constant
 from blgroups.exact import ExactValue, exact_max
-from blgroups.groups import (
-    SizeCapError,
-    all_subgroups,
-    from_cayley_table,
-    make_cyclic_product,
-)
+from blgroups.groups import SizeCapError, all_subgroups
 from blgroups.heisenberg import ScanBudgetError
 from blgroups.lie import IdealSpec, closed_pool
 from blgroups.oracle import BudgetError, _Form
@@ -464,6 +457,26 @@ def test_non_finite_torus_entries_are_schema_errors(tmp_path, capsys, command, e
     assert err["error"].startswith("maps[0] torus_matrix[1][1] must be a finite number")
 
 
+@pytest.mark.parametrize("argv", [["constant"], ["reduce", "--op", "canonicalize"]])
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "1e400", "NaN"])
+def test_non_finite_numeric_exponents_are_schema_errors(tmp_path, capsys, argv, entry):
+    # a number too large for a double is no exponent: the string "inf" is
+    text = json.dumps(dict(LW_Z2Z2, p="P")).replace('"P"', f'[{entry}, "11/10"]')
+    with pytest.raises(SchemaError, match=r"p\[0\] must be a finite number"):
+        parse_datum(json.loads(text))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main([*argv, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "precondition"
+    assert err["error"].startswith("p[0] must be a finite number")
+    path.write_text(text.replace(entry, '"inf"'))
+    assert main([*argv, "--in", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_schema_errors_name_the_node():
     with pytest.raises(SchemaError, match="datum must be an object"):
         parse_datum([LW_Z2Z2])
@@ -516,8 +529,6 @@ def test_report_envelope(write, capsys, tmp_path, command):
 def test_determinism_and_roundtrip(write, capsys, tmp_path):
     path = write("lw.json", LW_Z2Z2)
     argv = ["constant", "--in", path, "--cache-dir", str(tmp_path / "c")]
-    main(argv)  # cold run to populate the cache
-    capsys.readouterr()
     code1 = main(argv)
     out1 = capsys.readouterr().out
     code2 = main(argv)
@@ -534,35 +545,6 @@ def test_determinism_and_roundtrip(write, capsys, tmp_path):
     # the emitted JSON round-trips through parse + re-emit byte-identically
     reparsed = json.dumps(json.loads(out1), sort_keys=True, indent=2)
     assert reparsed == out1.rstrip("\n")
-
-
-def test_cache_warm_equals_cold(tmp_path):
-    d = parse_datum(LW_Z2Z2)
-    cache = SubgroupCache(tmp_path / "c")
-    cold = cache.subgroups(d.G)
-    assert not cache.last_hit
-    warm = cache.subgroups(d.G)
-    assert cache.last_hit
-    assert [s.members for s in warm] == [s.members for s in cold]
-    assert bl_constant(d, subgroups=warm) == bl_constant(d, subgroups=cold)
-
-
-def test_cache_key_semantics():
-    z4_cyclic = make_cyclic_product([4])
-    z4_table = from_cayley_table([list(r) for r in z4_cyclic.table])
-    assert cache_key(z4_cyclic) == cache_key(z4_table)
-    z2z2 = make_cyclic_product([2, 2])
-    assert cache_key(z4_cyclic) != cache_key(z2z2)
-
-
-def test_cache_storage_lifecycle(tmp_path):
-    cache = SubgroupCache(tmp_path / "c")
-    G = make_cyclic_product([6])
-    subs1 = cache.subgroups(G)
-    assert not cache.last_hit
-    subs2 = cache.subgroups(G)
-    assert cache.last_hit
-    assert [s.members for s in subs1] == [s.members for s in subs2]
 
 
 def test_console_entry_point(write, tmp_path, package_env):
@@ -599,63 +581,6 @@ def test_undecided_comparison_reports_values_and_bits(write, capsys, monkeypatch
     assert left != right
 
 
-def _entry(cache_dir, obj):
-    return cache_dir / f"{cache_key(parse_datum(obj).G)}.json"
-
-
-def _stored_entry(cache_dir):
-    """A fresh cache holding the lattice of LW_Z2Z2's group, its entry and
-    that lattice's member lists."""
-    cache = SubgroupCache(cache_dir)
-    fresh = [s.members for s in cache.subgroups(parse_datum(LW_Z2Z2).G)]
-    entry = _entry(cache_dir, LW_Z2Z2)
-    return cache, entry, json.loads(entry.read_text()), fresh
-
-
-def test_cache_truncated_entry_is_a_miss(tmp_path):
-    # a well-formed list that lacks subgroups must not be used
-    cache, entry, stored, fresh = _stored_entry(tmp_path / "c")
-    G = parse_datum(LW_Z2Z2).G
-    for truncated in (
-        {"order": 4, "subgroups": [[0]]},  # an entry without count or digest
-        dict(stored, subgroups=stored["subgroups"][:1]),  # count and digest stale
-    ):
-        entry.write_text(json.dumps(truncated))
-        assert [s.members for s in cache.subgroups(G)] == fresh
-        assert not cache.last_hit
-        assert json.loads(entry.read_text()) == stored  # overwritten
-    cache.subgroups(G)
-    assert cache.last_hit
-
-
-def test_cache_entry_of_non_subgroups_is_a_miss(tmp_path):
-    # digest-valid entries whose lists are not subgroups of G are recomputed
-    cache, entry, stored, fresh = _stored_entry(tmp_path / "c")
-    G = parse_datum(LW_Z2Z2).G
-    for bad in ([0, 99], [0, 1, 2], ["0", "1"]):  # out of range, not closed, not ints
-        subgroups = stored["subgroups"][:-1] + [bad]
-        digest = hashlib.sha256(
-            json.dumps(subgroups, separators=(",", ":")).encode()
-        ).hexdigest()
-        entry.write_text(json.dumps(dict(stored, subgroups=subgroups, digest=digest)))
-        assert [s.members for s in cache.subgroups(G)] == fresh
-        assert not cache.last_hit
-        assert json.loads(entry.read_text()) == stored  # overwritten
-        cache.subgroups(G)
-        assert cache.last_hit
-
-
-def test_cache_corrupt_entry_is_a_miss(tmp_path):
-    cache, entry, _, fresh = _stored_entry(tmp_path / "c")
-    G = parse_datum(LW_Z2Z2).G
-    for junk in (b'{"order": 4, "subgroups": [[0], [0, 1', b"\xff\xfe\x00garbage", b"[1, 2]"):
-        entry.write_bytes(junk)
-        assert [s.members for s in cache.subgroups(G)] == fresh
-        assert not cache.last_hit
-    cache.subgroups(G)
-    assert cache.last_hit
-
-
 def _pair_projections(rank, pairs):
     """Z2^rank onto Z2^2 by each pair of coordinates (0 = leftmost)."""
     def digit(x, c):
@@ -674,7 +599,11 @@ def test_no_command_reads_the_lattice_cache(write, capsys, tmp_path):
     path = write("z2_5.json", datum)
     cache_dir = tmp_path / "c"
     cache_dir.mkdir()
-    entry = _entry(cache_dir, datum)
+    # the file name the retired cache gave an entry: the SHA-256 of the table
+    G = parse_datum(datum).G
+    key = json.dumps({"order": G.order, "table": [list(r) for r in G.table],
+                      "identity": G.identity}, sort_keys=True, separators=(",", ":"))
+    entry = cache_dir / f"{hashlib.sha256(key.encode()).hexdigest()}.json"
     only_e = [[0]]
     digest = hashlib.sha256(json.dumps(only_e, separators=(",", ":")).encode()).hexdigest()
     entry.write_text(json.dumps({"format": 2, "order": 32, "count": 1, "digest": digest,
@@ -688,6 +617,17 @@ def test_no_command_reads_the_lattice_cache(write, capsys, tmp_path):
         if "--candidates" in argv:
             assert len(result["candidates"]) == 374
     assert entry.read_text() == poisoned  # neither read nor rewritten
+
+
+def test_no_command_writes_a_cache_directory(write, capsys, tmp_path, monkeypatch):
+    path = write("lw.json", LW_Z2Z2)
+    named, from_env = tmp_path / "named", tmp_path / "from_env"
+    monkeypatch.setenv("BLGROUPS_CACHE_DIR", str(from_env))
+    for argv in (["constant"], ["constant", "--candidates"], ["verify"]):
+        for extra in ([], ["--cache-dir", str(named)], ["--no-cache"]):
+            code, _ = run_cli(capsys, [*argv, "--in", path, *extra])
+            assert code == 0
+    assert not named.exists() and not from_env.exists()
 
 
 # Run in a fresh interpreter: the modules of blgroups that one call loaded.

@@ -46,19 +46,42 @@ def test_bare_import_loads_no_submodule(package_env):
     assert used == ["blgroups.groups"]
 
 
-def test_tracer_targets_resolve():
-    # perfbench/tracer.py wraps these names for --trace, so renaming or
-    # deleting one breaks the traced benchmark run
+def _perfbench_tracer():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names for --trace, so renaming or
+    # deleting one breaks the traced benchmark run
+    tracer = _perfbench_tracer()
     assert tracer.TARGETS
     for module, qualname in tracer.TARGETS:
         obj = importlib.import_module(f"blgroups.{module}")
         for attr in qualname.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), (module, qualname)
+
+
+def test_tracer_installs_and_uninstalls():
+    # a name resolves even when inherited, but install patches a method only
+    # through the class's own __dict__
+    from blgroups import cache, constant
+
+    tracer = _perfbench_tracer()
+    bl_constant, subgroups = constant.bl_constant, cache.SubgroupCache.__dict__["subgroups"]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert constant.bl_constant is not bl_constant
+        assert cache.SubgroupCache.__dict__["subgroups"] is not subgroups
+    finally:
+        t.uninstall()
+    assert constant.bl_constant is bl_constant
+    assert cache.SubgroupCache.__dict__["subgroups"] is subgroups
 
 
 def test_digest_script_imports_resolve():
