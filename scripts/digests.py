@@ -27,7 +27,8 @@ compare the output:
   corpus frame: with Z2 under trivial maps, and with Z2 under the identity
   as its first map and trivial maps after it.  At the first exponent tuple
   of each frame and Haar mode it adds both halves of `quotient_split` (or
-  the error) along every subgroup of the source group;
+  the error) along every subgroup of the source group.
+  `reduction_lines(step)` keeps every step-th frame only, in both modes;
 * lie: the 1815 Lie cases, the 360 data of the `torus-verdicts` benchmark
   (`perfbench/workloads.py` `torus_pool()`), Loomis-Whitney on T^3 at
   (2, 2, 2) and (3/2, 2, 2) and four generic planes of T^3 at (4, 4, 4, 4),
@@ -41,7 +42,8 @@ Each digest is the SHA-256 of one `repr` line per item.  The digests go
 to stdout and the time of each pass to stderr, so two runs compare with
 `diff`.  The reductions and oracle passes take the longest.  Each digest's
 line generator is a module-level function in `DIGESTS`, so tests can pin
-the fast digests (`tests/test_digests.py`), and the oracle on a slice.
+the fast digests (`tests/test_digests.py`), and the oracle and the
+reductions on slices.
 """
 
 import functools
@@ -133,8 +135,10 @@ def _attempt(op, *args):
         return type(err).__name__, str(err)
 
 
-def reduction_lines():
-    frames = _corpus()[0]
+def reduction_lines(step=1):
+    """The reductions digest's lines; step > 1 keeps every step-th frame
+    only, in both Haar modes."""
+    frames = _corpus()[0][::step]
     Z2 = make_cyclic_product([2])
     trivial = Homomorphism(Z2, Z2, (0, 0))
     for haar in (HaarMode.PROBABILITY, HaarMode.COUNTING):

@@ -96,7 +96,7 @@ def cmd_constant(args, obj):
         listed = all_subgroups(d.G, args.order_cap)
         rep = bl_constant(d, subgroups=listed, include_candidates=True)
     else:
-        rep = bl_constant(d)
+        rep = bl_constant(d, order_cap=args.order_cap)
     result = constant_report_to_json(rep)
     result["mixed_haar"] = d.mixed_haar()
     return {"result": result}, EXIT_OK
@@ -112,7 +112,7 @@ def cmd_verify(args, obj):
     from .serialize import constant_report_to_json, exact_value_to_json
 
     d = _datum(args, obj)
-    rep = bl_constant(d)
+    rep = bl_constant(d, order_cap=args.order_cap)
     exact = rep.value
     numeric = _oracle(args, d)
     approx = exact.to_float()

@@ -105,7 +105,14 @@ from typing import Optional
 
 from .datum import BLDatum, CanonicalTag, _QuotientTable, canonical_tag
 from .exact import ExactValue
-from .groups import SizeCapError, Subgroup, _semi_naive_closure, all_subgroups, mask_members
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    SizeCapError,
+    Subgroup,
+    _semi_naive_closure,
+    all_subgroups,
+    mask_members,
+)
 
 
 def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
@@ -194,6 +201,7 @@ def bl_constant(
     d: BLDatum,
     subgroups: Optional[list[Subgroup]] = None,
     include_candidates: bool = False,
+    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> ConstantReport:
     """Maximize the subgroup ratio; exact for every finite datum.
 
@@ -206,12 +214,12 @@ def bl_constant(
     Without `subgroups`, the scan runs over the kernel lattice, which gives
     the value, argmax and tie of a scan over every subgroup (module
     docstring); `include_candidates`, or a kernel lattice past its size
-    bound, lists every subgroup under the default order cap instead.
+    bound, lists every subgroup under `order_cap` instead.
     """
     if subgroups is None and not include_candidates:
         subgroups = _kernel_lattice(d)
     if subgroups is None:
-        subgroups = all_subgroups(d.G)
+        subgroups = all_subgroups(d.G, order_cap)
     tag = canonical_tag(d)
 
     found: dict[int, tuple[int, ...]] = {}

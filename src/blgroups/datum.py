@@ -292,12 +292,13 @@ def _onto_image(X: FiniteGroup, points, h: Homomorphism) -> Homomorphism:
     """The map x -> h(points[x]) from X onto its image, a subgroup of
     h.codomain presented as a group by `subgroup_group`.  The points are a
     subgroup, or coset representatives of a subgroup inside ker h, so their
-    image is the image of a subgroup."""
+    image is the image of a subgroup and the map is a homomorphism, built
+    without a check (`groups` docstring)."""
     values = [h.map[x] for x in points]
     img = Subgroup._built(h.codomain, sum(1 << y for y in set(values)))
     M, _ = subgroup_group(img)
     index = {y: i for i, y in enumerate(img.members)}
-    return Homomorphism(X, M, tuple(index[y] for y in values))
+    return Homomorphism._built(X, M, tuple(index[y] for y in values))
 
 
 def _restricted(d: BLDatum, N: Subgroup) -> BLDatum:
@@ -398,7 +399,7 @@ def split_product(
         C, _, _ = direct_product(h1.codomain, h2.codomain, order_cap)
         nb = h2.codomain.order
         fused = tuple(h1.map[a] * nb + h2.map[b] for a, b in zip(pa.map, pb.map))
-        maps.append(Homomorphism(P, C, fused))
+        maps.append(Homomorphism._built(P, C, fused))
     return BLDatum(P, tuple(maps), d1.exponents, d1.haar_G, d1.haar_codomains)
 
 
@@ -421,6 +422,6 @@ def quotient_split(d: BLDatum, N: Subgroup) -> tuple[BLDatum, BLDatum]:
                 f"by {w[0]} escapes"
             )
         Qj, proj_j = quotient(h.codomain, img)
-        maps.append(Homomorphism(Q, Qj, tuple(proj_j.map[h.map[r]] for r in reps)))
+        maps.append(Homomorphism._built(Q, Qj, tuple(proj_j.map[h.map[r]] for r in reps)))
     quot = BLDatum(Q, tuple(maps), d.exponents, d.haar_G, d.haar_codomains)
     return _restricted(d, N), quot

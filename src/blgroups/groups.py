@@ -28,9 +28,10 @@ it passes; a set that never escapes contains the last K and lies in it, so
 it is a subgroup.  K at least doubles at each step, so the chain costs
 O(|M|) table lookups, against |M|^2 for all products.
 
-Tables and maps are checked exactly, at every order, on a generating set A:
-close {e} under right multiplication by A, which needs no associativity,
-and add the least element not reached until every element is.  In a group
+Outside tables and maps are checked exactly, at every order, on a
+generating set A: close {e} under right multiplication by A, which needs
+no associativity, and add the least element not reached until every
+element is.  In a group
 each new generator at least doubles the closure, so |A| <= log2 n.
 Inverses: the row of each a in A must contain e.  That suffices, since a
 finite monoid in which each generator has a right inverse is a group: ab = e
@@ -47,25 +48,47 @@ and each a in A, n |A| lookups against n^2.  The same argument applies,
 both tables being associative: if a and b pass, then
 m(x(ab)) = m((xa)b) = m(xa)m(b) = m(x)m(a)m(b) = m(x)m(ab).
 
-Trusted construction.  `Subgroup(parent, members)` is the boundary for
-outside input (user code) and validates every set.  The subgroups the
-library derives itself are built by the private `Subgroup._built`, which
-takes a mask and its sorted members as given, because each derived set is
-a subgroup by construction:
+Trusted construction.  `Subgroup(parent, members)`, `FiniteGroup(...)` and
+`Homomorphism(...)` are the boundary for outside input (user code, parsed
+JSON) and validate everything, as do `make_cyclic_product`,
+`from_cayley_table` and `from_permutations`.  What the library derives
+itself from groups, subgroups and homomorphisms is built by the private
+`_built` of each class, which takes its fields as given and sets only the
+derived state, because each is a subgroup, group or homomorphism by
+construction:
 - a listed subgroup is a closure <H, x> that `_extend` has just built;
 - an image h(H) and a kernel ker h are subgroups because h is a
-  homomorphism, checked when it was built;
+  homomorphism;
 - a joint kernel is an intersection of kernels, and a saturation is an
   intersection of preimages h_j^-1(h_j(H)) of images: a preimage of a
   subgroup under a homomorphism is a subgroup, and so is an intersection
-  of subgroups.
+  of subgroups;
+- a direct product's componentwise law is a group law, and its coordinate
+  projections are homomorphisms;
+- a quotient by a subgroup that `quotient` has just found normal is a
+  group under coset multiplication, with the projection a homomorphism;
+- a subgroup's table, restricted from its parent's, is a group law, and
+  the inclusion is a homomorphism;
+- a composition of homomorphisms, and the identity map, are homomorphisms;
+- in `datum`, the map x -> h(points[x]) of `_onto_image` is h on a
+  subgroup, or on coset representatives of a subgroup inside ker h, which
+  induce a homomorphism of the quotient; a tensor's map (a, b) ->
+  (h1(a), h2(b)) is a product of homomorphisms; and `quotient_split`'s map
+  xN -> h(x)h(N) is the homomorphism that h induces, as h(N) is normal.
+The inputs of each rule are groups and homomorphisms themselves, validated
+at the boundary or built by a rule, so every object the library holds is
+what its class says.  `tests/test_package.py` lists the call sites of
+either kind.
 
 Derived state (`FiniteGroup._generators` and `_hash`, `Homomorphism.fibres`,
 `Subgroup.mask`, `datum.BLDatum.codomains`) is set once in `__post_init__`
 by `object.__setattr__`, outside eq and repr.  Not as a `cached_property`:
 on CPython 3.11 its write to the instance `__dict__` makes every later
 attribute load on the instance several times slower, and the constant's
-scan reads these objects for every subgroup.
+scan reads these objects for every subgroup.  For the same reason each
+`_built` sets the fields and then the derived state in the order that
+`__init__` and `__post_init__` do, so built and validated instances share
+their dict keys.
 """
 
 from __future__ import annotations
@@ -127,6 +150,22 @@ class FiniteGroup:
             raise GroupStructureError("labels length must match order")
         object.__setattr__(self, "_generators", gens)
         object.__setattr__(self, "_hash", hash((n, e, self.table)))
+
+    @classmethod
+    def _built(
+        cls, order: int, table: tuple[tuple[int, ...], ...], identity: int,
+        labels: Optional[tuple[str, ...]],
+    ) -> "FiniteGroup":
+        """A group the library has proved to be one (module docstring), with
+        the derived state of `__post_init__`; no validation."""
+        G = object.__new__(cls)
+        object.__setattr__(G, "order", order)
+        object.__setattr__(G, "table", table)
+        object.__setattr__(G, "identity", identity)
+        object.__setattr__(G, "labels", labels)
+        object.__setattr__(G, "_generators", _greedy_generators(table, identity))
+        object.__setattr__(G, "_hash", hash((order, identity, table)))
+        return G
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
@@ -240,10 +279,20 @@ class Homomorphism:
             for x in range(G.order):
                 if m[gt[x][a]] != ht[m[x]][ma]:
                     raise GroupStructureError(f"not multiplicative at ({x},{a})")
-        fibres = [0] * H.order
-        for x, y in enumerate(m):
-            fibres[y] |= 1 << x
-        object.__setattr__(self, "fibres", tuple(fibres))
+        object.__setattr__(self, "fibres", _fibres(m, H.order))
+
+    @classmethod
+    def _built(
+        cls, domain: FiniteGroup, codomain: FiniteGroup, map: tuple[int, ...]
+    ) -> "Homomorphism":
+        """A map the library has proved to be a homomorphism (module
+        docstring), with its fibres; no validation."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "domain", domain)
+        object.__setattr__(h, "codomain", codomain)
+        object.__setattr__(h, "map", map)
+        object.__setattr__(h, "fibres", _fibres(map, codomain.order))
+        return h
 
     def image_mask(self, mask: int) -> int:
         """The mask of the image of the domain elements in `mask`."""
@@ -251,6 +300,14 @@ class Homomorphism:
 
     def __hash__(self):
         return hash((hash(self.domain), hash(self.codomain), self.map))
+
+
+def _fibres(m: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The fibre mask of each of the n codomain elements under the map m."""
+    fibres = [0] * n
+    for x, y in enumerate(m):
+        fibres[y] |= 1 << x
+    return tuple(fibres)
 
 
 # -- constructors -------------------------------------------------------
@@ -366,9 +423,9 @@ def direct_product(
     labels = tuple(
         f"({A.label(i // nb)},{B.label(i % nb)})" for i in range(order)
     )
-    P = FiniteGroup(order, table, A.identity * nb + B.identity, labels)
-    proj_a = Homomorphism(P, A, tuple(i // nb for i in range(order)))
-    proj_b = Homomorphism(P, B, tuple(i % nb for i in range(order)))
+    P = FiniteGroup._built(order, table, A.identity * nb + B.identity, labels)
+    proj_a = Homomorphism._built(P, A, tuple(i // nb for i in range(order)))
+    proj_b = Homomorphism._built(P, B, tuple(i % nb for i in range(order)))
     return P, proj_a, proj_b
 
 
@@ -534,8 +591,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     labels = tuple(
         "{" + ",".join(G.label(G.table[r][n]) for n in N.members) + "}" for r in reps
     )
-    Q = FiniteGroup(q, table, coset_of[G.identity], labels)
-    proj = Homomorphism(G, Q, tuple(coset_of))
+    Q = FiniteGroup._built(q, table, coset_of[G.identity], labels)
+    proj = Homomorphism._built(G, Q, tuple(coset_of))
     return Q, proj
 
 
@@ -548,21 +605,21 @@ def subgroup_group(H: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
         tuple(index[G.table[x][y]] for y in H.members) for x in H.members
     )
     labels = tuple(G.label(x) for x in H.members)
-    K = FiniteGroup(n, table, index[G.identity], labels)
-    incl = Homomorphism(K, G, tuple(H.members))
+    K = FiniteGroup._built(n, table, index[G.identity], labels)
+    incl = Homomorphism._built(K, G, tuple(H.members))
     return K, incl
 
 
 def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     if inner.codomain != outer.domain:
         raise GroupStructureError("composition domain mismatch")
-    return Homomorphism(
+    return Homomorphism._built(
         inner.domain, outer.codomain, tuple(outer.map[v] for v in inner.map)
     )
 
 
 def identity_map(G: FiniteGroup) -> Homomorphism:
-    return Homomorphism(G, G, tuple(range(G.order)))
+    return Homomorphism._built(G, G, tuple(range(G.order)))
 
 
 def haar_weight(G: FiniteGroup, mode: HaarMode) -> Fraction:

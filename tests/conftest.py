@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,17 @@ import pytest
 import blgroups
 from blgroups.datum import make_datum
 from blgroups.groups import (
+    FiniteGroup,
     HaarMode,
     Homomorphism,
     Subgroup,
+    all_subgroups,
     direct_product,
     from_permutations,
     identity_map,
     make_cyclic_product,
+    normality_witness,
+    quotient,
 )
 
 
@@ -26,12 +31,40 @@ def element_order(G, x):
     return k
 
 
-def assert_validated(H):
-    """A subgroup the library built without validation equals the copy that
-    the validating constructor builds from its members, mask included."""
-    checked = Subgroup(H.parent, H.members)
-    assert type(H) is Subgroup
-    assert H == checked and H.mask == checked.mask
+def assert_validated(obj):
+    """A subgroup, group or map the library built without validation equals
+    the copy that the validating constructor builds from its fields, with
+    the same derived state stored under the same attribute names in the
+    same order: a subgroup from its members (mask included), a group from
+    its table (generators and hash included), and a map from its images,
+    after its domain and codomain pass the same check (fibres included)."""
+    if isinstance(obj, Subgroup):
+        checked = Subgroup(obj.parent, obj.members)
+        assert obj.mask == checked.mask
+    elif isinstance(obj, FiniteGroup):
+        checked = FiniteGroup(obj.order, obj.table, obj.identity, obj.labels)
+        assert obj.labels == checked.labels
+        assert obj._generators == checked._generators and hash(obj) == hash(checked)
+    else:
+        assert_validated(obj.domain)
+        assert_validated(obj.codomain)
+        checked = Homomorphism(obj.domain, obj.codomain, obj.map)
+        assert obj.fibres == checked.fibres
+    assert type(obj) is type(checked) and obj == checked
+    assert list(vars(obj)) == list(vars(checked))
+
+
+def quotient_data(digests, G, count, seed):
+    """Seeded data on G whose maps are quotients by random normal subgroups."""
+    C, P = HaarMode.COUNTING, HaarMode.PROBABILITY
+    rng = random.Random(seed)
+    normal = [N for N in all_subgroups(G) if normality_witness(G, N) is None]
+    for _ in range(count):
+        J = rng.randint(1, 3)
+        maps = [quotient(G, rng.choice(normal))[1] for _ in range(J)]
+        haar = rng.choice((C, P))
+        yield make_datum(G, maps, [rng.choice(digests.EXPONENTS) for _ in range(J)], haar,
+                         [rng.choice((C, P)) for _ in range(J)])
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 
 from blgroups.cli import main
 from blgroups.exact import ExactValue, exact_max
-from blgroups.groups import SizeCapError, all_subgroups
+from blgroups.groups import DEFAULT_ORDER_CAP, SizeCapError, all_subgroups
 from blgroups.heisenberg import ScanBudgetError
 from blgroups.lie import IdealSpec, closed_pool
 from blgroups.oracle import BudgetError, _Form
@@ -241,6 +241,30 @@ def test_exit_code_budget(write, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget" in captured.err
+
+
+@pytest.mark.parametrize("command", [["constant"], ["verify", "--restarts", "2"]],
+                         ids=lambda c: c[0])
+def test_fallback_listing_takes_the_order_cap(write, capsys, monkeypatch, command):
+    # when the kernel lattice passes its bound, `bl_constant` lists every
+    # subgroup, under the --order-cap the datum was parsed under
+    from blgroups import constant
+
+    listing, caps = constant.all_subgroups, []
+
+    def spy(G, order_cap=DEFAULT_ORDER_CAP):
+        caps.append(order_cap)
+        return listing(G, order_cap)
+
+    monkeypatch.setattr(constant, "_kernel_lattice", lambda d: None)
+    monkeypatch.setattr(constant, "all_subgroups", spy)
+    path = write("lw.json", LW_Z2Z2)
+    code, rep = run_cli(capsys, [command[0], "--in", path, *command[1:],
+                                 "--order-cap", "5000"])
+    assert code == 0
+    assert caps == [5000]
+    formula = rep["result"] if command[0] == "constant" else rep["result"]["formula"]
+    assert formula["argmax"] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["reduce", "--op", "canonicalize"]],

@@ -18,11 +18,10 @@ from blgroups.groups import (
     identity_map,
     make_cyclic_product,
     normality_witness,
-    quotient,
 )
 from blgroups.oracle import InputTuple, evaluate_form
 
-from conftest import assert_validated
+from conftest import assert_validated, quotient_data
 
 C = HaarMode.COUNTING
 P = HaarMode.PROBABILITY
@@ -329,18 +328,6 @@ def test_candidates_are_ratios_from_one_table(monkeypatch):
 # -- the kernel lattice against the full scan --------------------------------------
 
 
-def _quotient_data(digests, G, count, seed):
-    """Seeded data on G whose maps are quotients by random normal subgroups."""
-    rng = random.Random(seed)
-    normal = [N for N in all_subgroups(G) if normality_witness(G, N) is None]
-    for _ in range(count):
-        J = rng.randint(1, 3)
-        maps = [quotient(G, rng.choice(normal))[1] for _ in range(J)]
-        haar = rng.choice((C, P))
-        yield make_datum(G, maps, [rng.choice(digests.EXPONENTS) for _ in range(J)], haar,
-                         [rng.choice((C, P)) for _ in range(J)])
-
-
 def _f2_linear_data(digests, rank, count, seed):
     """Seeded data on Z2^rank whose maps are random F2-linear maps onto Z2^k."""
     rng = random.Random(seed)
@@ -367,7 +354,7 @@ def _small_groups():
 
 def test_kernel_lattice_matches_reference_on_quotient_data(digests):
     for seed, (name, G) in enumerate(_small_groups().items()):
-        for d in _quotient_data(digests, G, 40, seed):
+        for d in quotient_data(digests, G, 40, seed):
             assert _report_key(bl_constant(d)) == reference_bl_constant(d), name
 
 
@@ -378,7 +365,7 @@ def test_kernel_lattice_matches_reference_on_f2_linear_data(digests):
 
 
 def test_kernel_lattice_is_the_closure_of_the_kernels(digests, edge_data):
-    S4_data = list(_quotient_data(digests, _small_groups()["S4"], 5, 0))
+    S4_data = list(quotient_data(digests, _small_groups()["S4"], 5, 0))
     # on Z2^3 the coordinate lines and the diagonal close to all 16 subgroups
     frame = _frame_datum(digests, ("3/2",) * 4)
     assert len(_kernel_lattice(frame)) == len(all_subgroups(frame.G)) == 16

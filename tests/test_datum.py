@@ -30,11 +30,13 @@ from blgroups.groups import (
     Subgroup,
     all_subgroups,
     direct_product,
+    from_permutations,
     identity_map,
     make_cyclic_product,
+    normality_witness,
 )
 
-from conftest import assert_validated, element_order
+from conftest import assert_validated, element_order, quotient_data
 
 C = HaarMode.COUNTING
 P = HaarMode.PROBABILITY
@@ -195,6 +197,47 @@ def test_joint_kernels_equal_their_validated_copies(edge_data):
                                       if all(h.map[x] == h.codomain.identity for h in maps))
 
 
+def test_derived_data_equal_their_validated_copies(digests, edge_data):
+    # the groups and maps that `datum` builds without validation: tensors
+    # (`split_product`), canonical forms and p = 1 reductions (`_onto_image`),
+    # and both halves of a quotient split, on seeded corpus frames, their
+    # tensors with Z2 and seeded quotient data
+    rng = random.Random(31)
+    Z2 = make_cyclic_product([2])
+    trivial = Homomorphism(Z2, Z2, (0, 0))
+    S4 = from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    D4 = from_permutations(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
+    data = list(edge_data)
+    data += quotient_data(digests, S4, 6, 1)
+    data += quotient_data(digests, direct_product(D4, Z2)[0], 6, 2)
+    for f in rng.sample(standard_frames(), 8):
+        p = [rng.choice(("1", "2", "inf")) for _ in range(f.J)]
+        base = frame_datum(f, p)
+        factor = make_datum(Z2, [identity_map(Z2)] + [trivial] * (f.J - 1), p)
+        data += [base, split_product(base, factor)]
+    derived = []
+    for d in data:
+        canonical, _ = canonicalize(d)
+        derived.append(canonical)
+        for k, e in enumerate(canonical.exponents):
+            if e.value == 1:
+                try:
+                    derived.append(reduce_p1(canonical, k))
+                except NormalizationError:
+                    pass
+        for N in all_subgroups(d.G):
+            if normality_witness(d.G, N) is None:
+                try:
+                    derived += quotient_split(d, N)
+                except GroupStructureError as exc:
+                    assert "not normal" in str(exc)
+    assert len(derived) > 300
+    for out in derived + data:
+        assert_validated(out.G)
+        for h in out.maps:
+            assert_validated(h)
+
+
 # -- deletion of an infinite exponent -----------------------------------------
 
 
@@ -351,8 +394,10 @@ def test_quotient_split_submultiplicative(Z4, Z2, haar):
 def test_quotient_split_rejects_non_normal(S3):
     d = make_datum(S3, [identity_map(S3)], [2])
     H = next(s for s in all_subgroups(S3) if s.order == 2)
-    with pytest.raises(GroupStructureError, match="not normal"):
+    x, n = normality_witness(S3, H)
+    with pytest.raises(GroupStructureError) as exc:
         quotient_split(d, H)
+    assert str(exc.value) == f"subgroup is not normal: conjugating member {n} by {x} escapes"
 
 
 def test_quotient_split_rejects_non_normal_image(S3, Z2):

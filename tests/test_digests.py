@@ -3,11 +3,11 @@
 The five fast digests run in full, and the formula digest runs twice: over
 the listed lattices and through the kernel lattice of `bl_constant(d)`,
 against the same stored value.  The oracle digest runs on every 10th
-corpus datum of its sequence, which covers both Haar modes.  The values in
+corpus datum of its sequence, and the reductions digest on every 10th
+corpus frame; each covers both Haar modes.  The values in
 `answer_digests.json` are what the library answers today: a change that
 means to change an answer edits the stored value, and says which digest
-moved and why.  The reductions digest and the full oracle digest stay in
-the script.
+moved and why.  The full reductions and oracle digests stay in the script.
 """
 
 import json
@@ -30,6 +30,11 @@ def test_formula_digest_through_the_kernel_lattice_is_unchanged(digests):
 def test_oracle_digest_of_every_10th_datum_is_unchanged(digests):
     lines = digests.oracle_lines(step=10)
     assert digests.digest(lines) == STORED["oracle every 10th datum"]
+
+
+def test_reductions_digest_of_every_10th_frame_is_unchanged(digests):
+    lines = digests.reduction_lines(step=10)
+    assert digests.digest(lines) == STORED["reductions every 10th frame"]
 
 
 def test_script_prints_only_the_named_digests(digests, capsys):

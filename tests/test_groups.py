@@ -30,6 +30,7 @@ from blgroups.groups import (
     quotient,
     subgroup_group,
 )
+from blgroups.serialize import parse_datum
 
 from conftest import assert_validated, element_order
 
@@ -144,8 +145,12 @@ def test_bad_table_rejected():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(GroupStructureError):
+    with pytest.raises(GroupStructureError, match=r"^associativity fails at \(1,1,2\)$"):
         from_cayley_table(loop)
+    datum = {"group": {"order": 5, "table": loop}, "codomains": [{"cyclic": [1]}],
+             "maps": [[0] * 5], "p": ["2"]}
+    with pytest.raises(GroupStructureError, match=r"^associativity fails at \(1,1,2\)$"):
+        parse_datum(datum)
 
 
 def reference_is_associative(table):
@@ -664,6 +669,29 @@ def test_images_and_kernels_equal_their_validated_copies():
             assert _onto_image(subgroup_group(H)[0], H.members, h).codomain == M
 
 
+def test_derived_groups_and_maps_equal_their_validated_copies():
+    # every group and map that the `groups` constructors build without
+    # validation: products with both projections, subgroups as groups with
+    # their inclusions, quotients by normal subgroups with their projections,
+    # compositions and identity maps, and the corpus frames built from them
+    frames = corpus.standard_frames()
+    lattices = list(dict.fromkeys(f.group for f in frames))
+    assert len(lattices) == 42
+    Z2 = make_cyclic_product([2])
+    derived = [h for f in frames for h in f.maps]
+    derived += random_homomorphisms("derived", 20)
+    for G in lattices + [_symmetric(4), _symmetric(5)]:
+        derived += [identity_map(G), *direct_product(G, Z2), *direct_product(Z2, G)]
+        for H in all_subgroups(G):
+            K, incl = subgroup_group(H)
+            derived += [K, incl]
+            if normality_witness(G, H) is None:
+                Q, proj = quotient(G, H)
+                derived += [Q, proj, compose(proj, incl)]
+    for obj in derived:
+        assert_validated(obj)
+
+
 def test_image_identity(Z4):
     h = identity_map(Z4)
     H = Subgroup(Z4, (0, 2))
@@ -686,8 +714,14 @@ def test_kernel_of_reduction(Z4, Z2):
 
 
 def test_homomorphism_validation(Z4, Z2):
-    with pytest.raises(GroupStructureError):
+    with pytest.raises(GroupStructureError, match=r"^not multiplicative at \(1,1\)$"):
         Homomorphism(Z4, Z2, (0, 1, 1, 0))
+    datum = {"group": {"cyclic": [4]}, "codomains": [{"cyclic": [2]}],
+             "maps": [[0, 1, 1, 0]], "p": ["2"]}
+    with pytest.raises(GroupStructureError, match=r"^not multiplicative at \(1,1\)$"):
+        parse_datum(datum)
+    with pytest.raises(GroupStructureError, match="^composition domain mismatch$"):
+        compose(identity_map(Z2), identity_map(Z4))
 
 
 def reference_is_homomorphism(G, H, m):
@@ -698,9 +732,16 @@ def reference_is_homomorphism(G, H, m):
     )
 
 
-def test_generator_check_agrees_with_all_pairs(S3, Z4):
+def test_generator_check_agrees_with_all_pairs(S3, Z4, Z2, Z3):
     Z2sq, Z6 = make_cyclic_product([2, 2]), make_cyclic_product([6])
     pairs = [(S3, S3), (Z4, Z4), (Z4, Z2sq), (S3, Z6), (Z6, S3), (Z2sq, S3)]
+    # domains built without validation (a product, a quotient, a subgroup
+    # as a group): a map out of one is still checked in full
+    P, pa, _ = direct_product(S3, Z2)
+    Q, _ = quotient(P, kernel(pa))
+    K, _ = subgroup_group(next(H for H in all_subgroups(P)
+                               if H.order == 6 and image(pa, H).order == 3))
+    pairs += [(P, Z2), (Q, S3), (K, Z3), (K, S3)]
     maps = homs = 0
     for G, H in pairs:
         others = [x for x in range(G.order) if x != G.identity]
@@ -720,7 +761,7 @@ def test_generator_check_agrees_with_all_pairs(S3, Z4):
             assert accepted == reference_is_homomorphism(G, H, m)
             maps += 1
             homs += accepted
-    assert (maps, homs) == (23_672, 36)
+    assert (maps, homs) == (23_672 + 17_843, 36 + 23)
 
 
 def test_quotient_z4_by_even(Z4, Z2):
@@ -736,8 +777,9 @@ def test_quotient_non_normal_names_witness(S3):
     x, n = normality_witness(S3, H)
     xi = S3.table[x].index(S3.identity)
     assert S3.table[S3.table[x][n]][xi] not in H.members
-    with pytest.raises(GroupStructureError, match="not normal"):
+    with pytest.raises(GroupStructureError) as exc:
         quotient(S3, H)
+    assert str(exc.value) == f"subgroup is not normal: conjugating member {n} by {x} escapes"
 
 
 def reference_normality_witness(G, H):

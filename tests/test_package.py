@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -92,3 +93,60 @@ def test_digest_script_imports_resolve():
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
     assert callable(digests.main)
+
+
+# Where the package builds a group or a map.  A boundary validates what it
+# is given (`FiniteGroup(...)`, `Homomorphism(...)`); a derived constructor
+# builds a group or a homomorphism by construction and skips the check
+# (`._built(...)`, reasons in the `groups` docstring).
+VALIDATING = {
+    ("groups", "make_cyclic_product", "FiniteGroup"),
+    ("groups", "from_cayley_table", "FiniteGroup"),
+    ("groups", "from_permutations", "FiniteGroup"),
+    ("serialize", "parse_datum", "Homomorphism"),
+}
+TRUSTING = {
+    ("groups", "direct_product", "FiniteGroup._built"),
+    ("groups", "direct_product", "Homomorphism._built"),
+    ("groups", "quotient", "FiniteGroup._built"),
+    ("groups", "quotient", "Homomorphism._built"),
+    ("groups", "subgroup_group", "FiniteGroup._built"),
+    ("groups", "subgroup_group", "Homomorphism._built"),
+    ("groups", "compose", "Homomorphism._built"),
+    ("groups", "identity_map", "Homomorphism._built"),
+    ("datum", "_onto_image", "Homomorphism._built"),
+    ("datum", "split_product", "Homomorphism._built"),
+    ("datum", "quotient_split", "Homomorphism._built"),
+}
+
+
+def _constructor_calls():
+    """(module, enclosing qualified name, callee) for every call of
+    `FiniteGroup` or `Homomorphism`, or of an attribute of either, in the
+    package's source."""
+    calls = set()
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name) and f.id in ("FiniteGroup", "Homomorphism"):
+                    calls.add((module, where, f.id))
+                elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                      and f.value.id in ("FiniteGroup", "Homomorphism")):
+                    calls.add((module, where, f"{f.value.id}.{f.attr}"))
+            visit(module, child, inner)
+
+    for path in sorted(Path(blgroups.__file__).resolve().parent.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text()), "<module>")
+    return calls
+
+
+def test_groups_and_maps_are_built_only_where_listed():
+    # a new call site has to join VALIDATING or TRUSTING on purpose
+    calls = _constructor_calls()
+    assert calls - VALIDATING - TRUSTING == set()
+    assert calls == VALIDATING | TRUSTING
