@@ -31,13 +31,13 @@ O(|M|) table lookups, against |M|^2 for all products.
 Outside tables and maps are checked exactly, at every order, on a
 generating set A: close {e} under right multiplication by A, which needs
 no associativity, and add the least element not reached until every
-element is.  In a group
-each new generator at least doubles the closure, so |A| <= log2 n.
-Inverses: the row of each a in A must contain e.  That suffices, since a
-finite monoid in which each generator has a right inverse is a group: ab = e
-makes x -> bx injective (bx = by gives x = abx = aby = y), so b has a right
-inverse c, and then a = a(bc) = (ab)c = c.  So each generator is a unit,
-and so is every product of generators, which is every element.
+element is.  In a group each new generator at least doubles the closure,
+so |A| <= log2 n.  Inverses: the row of each a in A must contain e.  That
+suffices, since a finite monoid in which each generator has a right
+inverse is a group: ab = e makes x -> bx injective (bx = by gives
+x = abx = aby = y), so b has a right inverse c, and then
+a = a(bc) = (ab)c = c.  So each generator is a unit, and so is every
+product of generators, which is every element.
 Associativity is Light's test: (xa)y = x(ay) for all x, y and each a in
 A, n^2 |A| lookups against n^3.  It is complete.  The a that pass contain
 e, and are closed under the product: if a and b pass, then
