@@ -21,8 +21,8 @@ is built from those orders.
 An exact ratio is one product of integer powers n^e: |S|^1, |G|^-1 under
 probability Haar, and for each map |sigma_j(S)|^(-r_j) and, under
 probability Haar, |G_j|^(r_j), with r_j = 1/p_j.  The datum's quotient
-table builds it, and holds the float ranking terms, their proved margin and
-the exact argmax (`datum` module docstring).
+table builds it, and holds the float r_j that rank candidates in counting
+measure, their proved margin and the exact argmax (`datum` module docstring).
 
 The kernel lattice
 ------------------
@@ -228,10 +228,9 @@ def bl_constant(
         found.setdefault(mask, counts)
 
     table = _QuotientTable(d)
-    active = [(j, r, lw) for j, (r, lw) in enumerate(table.terms) if r]
+    active = [(j, r) for j, r in enumerate(table.reciprocals) if r]
     logs = {
-        mask: math.log(mask.bit_count()) + table.log_w_G
-        - sum(r * (math.log(counts[j]) + lw) for j, r, lw in active)
+        mask: math.log(mask.bit_count()) - sum(r * math.log(counts[j]) for j, r in active)
         for mask, counts in found.items()
     }
     top = max(logs.values(), default=0.0)

@@ -24,29 +24,31 @@ Mass quotients
 With r_j = 1/p_j, mass(X) / prod_j mass(Y_j)^(r_j), for a set X of `count`
 points of G and sets Y_j of sizes[j] points of G_j, is the subgroup
 formula's ratio (X = S, Y_j = sigma_j(S)) and the Rayleigh quotient of an
-indicator tuple (Y_j its sets, X their common preimage).  Both routes rank
-candidates by float logs and build exact values near the float maximum
-only, from one `_QuotientTable` per call.  It holds the r_j (read once per
-map), the float terms (r_j, log w_j), w the Haar weight of one element,
-log w_G, the margin below, D = lcm of the denominators of the r_j,
-c_j = r_j D, and the prime sums that no key changes: -D times the
-valuations of |G| and c_j times those of |G_j|, under probability Haar.  A
-key (count, sizes) adds D times the valuations of count and -c_j times
-those of sizes[j], each integer factorized once per table, and a prime
-with sum t != 0 gets the exponent t / D: `ExactValue.from_powers` on
-count^1, |G|^-1, sizes[j]^-r_j and |G_j|^(r_j), same lcm, same sums.
+indicator tuple (Y_j its sets, X their common preimage).  With w the Haar
+weight of one element, it is count / prod_j sizes[j]^(r_j), the quotient in
+counting measure, times the Haar factor w_G prod_j w_j^(-r_j), which no key
+changes.  So both routes rank candidates by the float log of the
+counting-measure quotient and build exact values near the float maximum
+only, from one `_QuotientTable` per call.  It holds the r_j as floats (read
+once per map), the margin below, D = lcm of the denominators of the r_j,
+c_j = r_j D, and the Haar factor as prime sums: -D times the valuations
+of |G| and c_j times those of |G_j|, under probability Haar.  A key
+(count, sizes) adds D times the valuations of count and -c_j times those
+of sizes[j], each integer factorized once per table, and a prime with sum
+t != 0 gets the exponent t / D: `ExactValue.from_powers` on count^1,
+|G|^-1, sizes[j]^-r_j and |G_j|^(r_j), same lcm, same sums.
 
-The float log of a quotient is log count + log w_G - sum_j r_j (log
-sizes[j] + log w_j): at most 2 + 2J logs of integers no larger than N, the
-largest group order, with r_j in [0, 1].  With u = 2^-53 and L = log N, each
-log (libm's, one ulp) errs by at most 2uL, each bracket times the rounded
-r_j by at most 7uL, and the J + 1 additions of partial sums bounded by
-(J + 2)L by at most (J + 1)(J + 2)uL: less than E = uL(J + 5)^2 in all,
-about 6e-14 for three maps at order 4096.  A candidate that ties the true
-maximum lies within 2E of the float maximum, so the margin, 1e-9 or 4E if
-larger, keeps every one, and the exact first-wins argmax
-(`_QuotientTable.argmax`) over the survivors is the argmax over all
-candidates, with the same value and tie flag.
+The float log of a quotient is log count - sum_j r_j log sizes[j]: at most
+1 + J logs of integers no larger than N, the largest group order, with r_j
+in [0, 1].  With u = 2^-53 and L = log N, each log (libm's, one ulp) errs
+by at most 2uL, each product with the rounded r_j by at most 5uL, and the
+J + 1 additions of partial sums bounded by (J + 1)L by at most
+(J + 1)^2 uL: less than E = uL(J + 5)^2 in all, about 6e-14 for three maps
+at order 4096.  A candidate that ties the true maximum lies within 2E of
+the float maximum, so the margin, 1e-9 or 4E if larger, keeps every one,
+and the exact first-wins argmax (`_QuotientTable.argmax`) over the
+survivors is the argmax over all candidates, with the same value and tie
+flag.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from typing import Optional
 
 from .exact import ExactValue, _factorize, exact_max
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GroupStructureError,
     HaarMode,
@@ -67,7 +68,6 @@ from .groups import (
     direct_product,
     image,
     kernel,
-    log_haar_weight,
     normality_witness,
     quotient,
     subgroup_group,
@@ -150,8 +150,11 @@ class BLDatum:
             object.__setattr__(
                 self, "haar_codomains", tuple(HaarMode.PROBABILITY for _ in self.maps)
             )
-        if not (len(self.exponents) == len(self.haar_codomains) == len(self.maps)):
-            raise GroupStructureError("maps, exponents must have equal length")
+        m, e, h = len(self.maps), len(self.exponents), len(self.haar_codomains)
+        if not m == e == h:
+            raise GroupStructureError(
+                "maps, exponents and codomain Haar modes must have equal length, "
+                f"got {m} maps, {e} exponents and {h} codomain Haar modes")
         for j, h in enumerate(self.maps):
             if h.domain != self.G:
                 raise GroupStructureError(f"map {j} has the wrong domain")
@@ -194,9 +197,7 @@ class _QuotientTable:
 
     def __init__(self, d: BLDatum):
         r = [e.reciprocal() for e in d.exponents]
-        self.log_w_G = log_haar_weight(d.G, d.haar_G)
-        self.terms = [(float(rj), log_haar_weight(c, mode))
-                      for rj, c, mode in zip(r, d.codomains, d.haar_codomains)]
+        self.reciprocals = [float(rj) for rj in r]
         largest = max([d.G.order, *(c.order for c in d.codomains)])
         self.margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
         self.D = math.lcm(*[rj.denominator for rj in r])
@@ -378,9 +379,7 @@ def reduce_p1(d: BLDatum, k: int) -> BLDatum:
     return _without(restricted, k)
 
 
-def split_product(
-    d1: BLDatum, d2: BLDatum, order_cap: int = DEFAULT_ORDER_CAP
-) -> BLDatum:
+def split_product(d1: BLDatum, d2: BLDatum) -> BLDatum:
     """Tensor datum on G1 x G2; the constants multiply exactly."""
     if d1.J != d2.J:
         raise WrongExponentError("tensor factors must have equal length")
@@ -393,10 +392,10 @@ def split_product(
             "tensor factors must share Haar modes; a product of a counting and "
             "a probability measure is neither"
         )
-    P, pa, pb = direct_product(d1.G, d2.G, order_cap)
+    P, pa, pb = direct_product(d1.G, d2.G)
     maps = []
     for h1, h2 in zip(d1.maps, d2.maps):
-        C, _, _ = direct_product(h1.codomain, h2.codomain, order_cap)
+        C, _, _ = direct_product(h1.codomain, h2.codomain)
         nb = h2.codomain.order
         fused = tuple(h1.map[a] * nb + h2.map[b] for a, b in zip(pa.map, pb.map))
         maps.append(Homomorphism._built(P, C, fused))

@@ -94,7 +94,6 @@ their dict keys.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -406,12 +405,12 @@ def from_permutations(
 
 
 def direct_product(
-    A: FiniteGroup, B: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
+    A: FiniteGroup, B: FiniteGroup
 ) -> tuple[FiniteGroup, Homomorphism, Homomorphism]:
     """Componentwise product with the two coordinate projections."""
     order = A.order * B.order
-    if order > order_cap:
-        raise SizeCapError(f"order {order} exceeds cap {order_cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise SizeCapError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     nb = B.order
     table = tuple(
         tuple(
@@ -584,14 +583,12 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
         reps.append(x)
         for n in N.members:
             coset_of[G.table[x][n]] = idx
-    q = len(reps)
-    table = tuple(
-        tuple(coset_of[G.table[reps[a]][reps[b]]] for b in range(q)) for a in range(q)
-    )
+    rows = [G.table[a] for a in reps]
+    table = tuple([tuple([coset_of[row[b]] for b in reps]) for row in rows])
     labels = tuple(
         "{" + ",".join(G.label(G.table[r][n]) for n in N.members) + "}" for r in reps
     )
-    Q = FiniteGroup._built(q, table, coset_of[G.identity], labels)
+    Q = FiniteGroup._built(len(reps), table, coset_of[G.identity], labels)
     proj = Homomorphism._built(G, Q, tuple(coset_of))
     return Q, proj
 
@@ -625,8 +622,3 @@ def identity_map(G: FiniteGroup) -> Homomorphism:
 def haar_weight(G: FiniteGroup, mode: HaarMode) -> Fraction:
     """Mass of a single element."""
     return Fraction(1) if mode is HaarMode.COUNTING else Fraction(1, G.order)
-
-
-def log_haar_weight(G: FiniteGroup, mode: HaarMode) -> float:
-    """The float log of haar_weight: 0, or minus the log of the integer |G|."""
-    return 0.0 if mode is HaarMode.COUNTING else -math.log(G.order)

@@ -106,7 +106,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -116,7 +115,6 @@ from .groups import SizeCapError, _semi_naive_closure
 from .rational_linalg import (
     IntMatrix,
     Matrix,
-    as_matrix,
     enumerate_box_subspaces,
     fractions,
     int_kernel,
@@ -137,23 +135,20 @@ class LinearizedMap:
 
     Simple summands are either killed or mapped isomorphically (a simple
     algebra has no other images), so kept_simple lists the surviving ones;
-    the torus block is an arbitrary integer matrix, one row per dimension of
-    the target's central torus.
+    the torus block is an integer matrix, one row per dimension of the
+    target's central torus.  Integer input is stored as given; rational
+    input is stored as its integer multiple, the matrix times the lcm of its
+    denominators (rational_linalg.scaled), which has the same kernel and
+    image dimensions, so a rational map and that multiple are equal maps
+    with the same verdicts, pools and polytopes.
     """
 
     kept_simple: tuple[int, ...]
-    torus_matrix: Matrix
+    torus_matrix: IntMatrix
 
     def __post_init__(self):
         object.__setattr__(self, "kept_simple", tuple(sorted(set(self.kept_simple))))
-        object.__setattr__(self, "torus_matrix", as_matrix(self.torus_matrix))
-
-    @cached_property
-    def int_matrix(self) -> IntMatrix:
-        """The torus block over ints (rational_linalg.scaled): the same ranks.
-        Lazy: built eagerly, it slowed the `torus-verdicts` setup's
-        `torus_pool()` from 10.3-11.3 to 15.3-15.7 ms (best of 40)."""
-        return scaled(self.torus_matrix)
+        object.__setattr__(self, "torus_matrix", scaled(self.torus_matrix))
 
 
 @dataclass(frozen=True)
@@ -237,7 +232,7 @@ class _Sums:
         self.d, self._sums = d, {}
         summands = range(len(d.simple_dims))
         self.kernels = [(sum(1 << i for i in summands if i not in m.kept_simple),
-                         int_kernel(m.int_matrix, d.torus_dim)) for m in d.maps]
+                         int_kernel(m.torus_matrix, d.torus_dim)) for m in d.maps]
         self.ranks = [sum(d.simple_dims[i] for i in m.kept_simple) + d.torus_dim - len(K)
                        for m, (_, K) in zip(d.maps, self.kernels)]
 

@@ -10,26 +10,26 @@ Three routes, none of which touches the subgroup formula:
   * exhaustive search over all nonzero indicator inputs, which is an exact
     maximum because extremizers are subgroup indicators.
 
-The exhaustive search ranks indicator tuples by the float log-quotient
-log c + log w_G - sum_j r_j (log|s_j| + log w_j), c counting the points
-whose images all lie in the sets s_j.  Like the subgroup formula, it takes
-the floats, the margin, its error bound E and the exact argmax from the
-datum's quotient table (`datum` module docstring), so a Fraction test, not
-the agreement of the two routes, pins the exact builder.
+The exhaustive search ranks indicator tuples by the float log-quotient in
+counting measure, log c - sum_j r_j log|s_j|, c counting the points whose
+images all lie in the sets s_j.  Like the subgroup formula, it takes the
+r_j, the margin, its error bound E and the exact argmax, whose values carry
+the Haar factor, from the datum's quotient table (`datum` module
+docstring), so a Fraction test, not the agreement of the two routes, pins
+the exact builder.
 
 The search cuts a branch without changing its result.  With the sets of
 codomains 0..j-1 chosen, the remaining points form the mask m, and every
 later set s_k is nonempty, so log|s_k| >= 0 and r_k >= 0 give every tuple
-below the bound B = log|m| + log w_G - D - R, where D is the branch's
-denominator log and R = sum_{k >= j} r_k log w_k.  The float B is built
-from at most 2 + 2J logs, J brackets and J + 3 additions of partial sums
-bounded by (J + 2)L, so, with u, L and E = uL(J + 5)^2 as in the
-`datum` module docstring, it errs by less than uL(J^2 + 12J + 10) < 2E, and a
-tuple's float log-quotient is below the float B plus 3E < margin.  A branch
-whose float B is below the running maximum less 2 margins therefore holds
-only tuples below the running maximum less one margin: the unpruned scan
-drops each of them on arrival without changing its state, so the finalists,
-their order and the result are those of the unpruned scan.
+below the bound B = log|m| - D, where D is the branch's denominator log.
+The float B is built as a tuple's float log-quotient is, from a prefix of
+its terms, so with E = uL(J + 5)^2 as in the `datum` module docstring it
+errs by less than E, and a tuple's float log-quotient is below the float B
+plus 2E < margin.  A branch whose float B is below the running maximum less
+2 margins therefore holds only tuples below the running maximum less one
+margin: the unpruned scan drops each of them on arrival without changing
+its state, so the finalists, their order and the result are those of the
+unpruned scan.
 
 The ascent runs all of `oracle_constant`'s starts in lockstep (`_ascend`;
 `alternating_ascent` is its one-lane call), on flat lane-major lists: entry
@@ -364,22 +364,15 @@ def exhaustive_indicator_search(
         subset_masks.append(arr)
 
     table = _QuotientTable(d)
-    log_w_G, margin = table.log_w_G, table.margin
+    margin = table.margin
     J = d.J
     best_log = -math.inf
     largest = max([d.G.order, *(c.order for c in d.codomains)])
     near: list[tuple[float, tuple[int, ...], int]] = []
     logs = [0.0] + [math.log(c) for c in range(1, largest + 1)]
-    # terms[j][s] = r_j (log|s| + log w_j), set s's share of the
-    # denominator's log
-    terms = [
-        [0.0] + [r * (logs[s.bit_count()] + lw) if r else 0.0 for s in range(1, len(arr))]
-        for (r, lw), arr in zip(table.terms, subset_masks)
-    ]
-    # rest[j] = sum_{k >= j} r_k log w_k: the sets j.. add at least this
-    rest = [0.0] * (J + 1)
-    for k, (r, lw) in reversed(list(enumerate(table.terms))):
-        rest[k] = rest[k + 1] + r * lw
+    # terms[j][s] = r_j log|s|, set s's share of the denominator's log
+    terms = [[r * logs[s.bit_count()] for s in range(len(arr))]
+             for r, arr in zip(table.reciprocals, subset_masks)]
 
     def scan(j: int, mask: int, chosen: tuple[int, ...], log_den: float):
         nonlocal best_log, near
@@ -391,7 +384,7 @@ def exhaustive_indicator_search(
                     continue
                 den = log_den + term[s]
                 # the cut proved in the module docstring
-                if logs[m.bit_count()] + log_w_G - den - rest[j + 1] < best_log - 2 * margin:
+                if logs[m.bit_count()] - den < best_log - 2 * margin:
                     continue
                 scan(j + 1, m, chosen + (s,), den)
             return
@@ -400,7 +393,7 @@ def exhaustive_indicator_search(
             if not m:
                 continue
             count = m.bit_count()
-            log_val = logs[count] + log_w_G - (log_den + term[s])
+            log_val = logs[count] - (log_den + term[s])
             if log_val < best_log - margin:
                 continue
             if log_val > best_log:

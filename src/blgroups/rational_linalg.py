@@ -31,10 +31,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def as_matrix(rows: Iterable[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
 def scaled(M: Iterable[Sequence]) -> IntMatrix:
     """M times the lcm of all its denominators, entries read as ints or
     Fractions (the types with exact numerators).  One common factor keeps the

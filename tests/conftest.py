@@ -128,6 +128,11 @@ def edge_data():
             # subgroup rounds 2^-52 above that of {e}: only the margin keeps
             # {e}, the first-wins argmax
             make_datum(G, [pa, pb], ("1", "1"))]
+    # 1/p_1 = 1 - 1e-16: the search's first exact maximizer sits in a branch
+    # whose float bound rounds below the running maximum, so only the
+    # margins in the search's cut keep it
+    G8, p2, p4 = direct_product(Z2, Z4)
+    data.append(make_datum(G8, [p2, p4, p4], ("10000000000000000/9999999999999999", "3/2", "3")))
     for haar_G, haar in itertools.product((C, P), repeat=2):
         for p in (("4/3", "5/2"), ("1000/999", "3"), ("1", "inf")):
             data.append(make_datum(Z6, [identity_map(Z6)] * 2, p, haar_G=haar_G,

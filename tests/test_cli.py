@@ -9,7 +9,7 @@ import pytest
 
 from blgroups.cli import main
 from blgroups.exact import ExactValue, exact_max
-from blgroups.groups import DEFAULT_ORDER_CAP, SizeCapError, all_subgroups
+from blgroups.groups import DEFAULT_ORDER_CAP, GroupStructureError, SizeCapError, all_subgroups
 from blgroups.heisenberg import ScanBudgetError
 from blgroups.lie import IdealSpec, closed_pool
 from blgroups.oracle import BudgetError, _Form
@@ -241,6 +241,21 @@ def test_exit_code_budget(write, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget" in captured.err
+
+
+def test_short_haar_list_names_all_three_counts(write, capsys):
+    # only the codomain Haar list is one short; the message names each count
+    short = dict(LW_Z2Z2, haar={"G": "probability", "codomains": ["probability"]})
+    message = ("maps, exponents and codomain Haar modes must have equal length, "
+               "got 2 maps, 2 exponents and 1 codomain Haar modes")
+    with pytest.raises(GroupStructureError) as info:
+        parse_datum(short)
+    assert str(info.value) == message
+    code = main(["constant", "--in", write("short.json", short)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "precondition" and err["error"] == message
 
 
 @pytest.mark.parametrize("command", [["constant"], ["verify", "--restarts", "2"]],

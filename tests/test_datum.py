@@ -27,6 +27,7 @@ from blgroups.groups import (
     GroupStructureError,
     HaarMode,
     Homomorphism,
+    SizeCapError,
     Subgroup,
     all_subgroups,
     direct_product,
@@ -360,6 +361,15 @@ def test_split_product_mismatches(Z2, Z3):
         split_product(hoelder(Z2, p=("1", "1")), hoelder(Z3, p=("1", "2")))
     with pytest.raises(NormalizationError):
         split_product(hoelder(Z2, haar=C), hoelder(Z2, haar=P))
+
+
+def test_products_above_the_order_cap_are_refused():
+    # 65 * 64 = 4160 elements, past DEFAULT_ORDER_CAP = 4096
+    Z65, Z64 = make_cyclic_product([65]), make_cyclic_product([64])
+    with pytest.raises(SizeCapError, match="order 4160 exceeds cap 4096"):
+        direct_product(Z65, Z64)
+    with pytest.raises(SizeCapError, match="order 4160 exceeds cap 4096"):
+        split_product(hoelder(Z65), hoelder(Z64))
 
 
 # -- quotient splits -------------------------------------------------------------

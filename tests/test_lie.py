@@ -1220,6 +1220,35 @@ def test_integer_form_is_canonical():
             assert repr(n) == repr(ideals[0])
 
 
+def test_rational_maps_are_stored_as_their_integer_multiple():
+    rows = ((2, -1, 0), (0, 3, 1))
+    m = LinearizedMap((), [list(row) for row in rows])
+    assert m.torus_matrix == rows  # integer input is kept as given
+    assert all(type(v) is int for row in m.torus_matrix for v in row)
+    rng = random.Random(83)
+    choices = ["1", "4/3", "3/2", "2", "3", "inf"]
+    for d in random_lie_data(83, 40):
+        rational, doubled = [], []
+        for m in d.maps:
+            R = [[Fraction(v, rng.randint(1, 6)) for v in row] for row in m.torus_matrix]
+            L = math.lcm(*[v.denominator for row in R for v in row])
+            multiple = [[int(v * L) for v in row] for row in R]
+            # the Fraction and the string forms equal the integer multiple
+            for form in (R, [[str(v) for v in row] for row in R]):
+                assert LinearizedMap(m.kept_simple, form) == LinearizedMap(m.kept_simple, multiple)
+            rational.append(LinearizedMap(m.kept_simple, R))
+            doubled.append(LinearizedMap(m.kept_simple, [[2 * v for v in row] for row in multiple]))
+        rd = CompactLieDatum(d.simple_dims, d.torus_dim, tuple(rational))
+        # a different integer multiple: not an equal map, the same kernels
+        dd = CompactLieDatum(d.simple_dims, d.torus_dim, tuple(doubled))
+        pool, closed = closed_pool(rd)
+        assert closed_pool(dd) == (pool, closed)
+        assert bl_polytope(dd, pool) == bl_polytope(rd, pool)
+        for _ in range(3):
+            p = [E(rng.choice(choices)) for _ in d.maps]
+            assert finiteness(dd, p) == finiteness(rd, p)
+
+
 def test_torus_scan_script_runs(package_env):
     import subprocess
     import sys

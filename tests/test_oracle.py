@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from blgroups.constant import bl_constant, extremizer
 from blgroups.datum import make_datum
+from blgroups.exact import ExactValue
 from blgroups.groups import (
     HaarMode,
     direct_product,
@@ -490,7 +492,6 @@ def test_exhaustive_agrees_with_formula():
 def from_rational_quotient(d, count, sizes):
     """mass(X) / prod_j mass(Y_j)^(1/p_j) for |X| = count and |Y_j| = sizes[j],
     by the from_rational, ** and / chain that the prime-sum builder replaced."""
-    from blgroups.exact import ExactValue
     from blgroups.groups import haar_weight
 
     v = ExactValue.from_rational(count * haar_weight(d.G, d.haar_G))
@@ -575,9 +576,15 @@ def test_oracle_validates_only_outside_input(monkeypatch):
 
 def reference_exhaustive_search(d):
     """The indicator search without the cut: every nonzero tuple reaches the
-    float prefilter, which keeps those within the margin of the maximum."""
+    float prefilter, which keeps those within the margin of the maximum.  It
+    ranks by the log-quotient in the datum's own Haar weights, not in
+    counting measure as the search does, so it also pins that the weights
+    change no ranking."""
     from blgroups.exact import exact_max
-    from blgroups.groups import log_haar_weight, mask_members
+    from blgroups.groups import mask_members
+
+    def log_haar_weight(group, mode):
+        return -math.log(group.order) if mode is P else 0.0
 
     subset_masks = []
     for h in d.maps:
@@ -619,19 +626,45 @@ def reference_exhaustive_search(d):
     return value, [mask_members(s) for s in finalists[best][0]]
 
 
-def test_cut_keeps_the_unpruned_search_results():
+def corpus_openers(haar):
+    """The first frame of each of the 42 corpus groups at its first exponent
+    tuple, under the Haar mode haar."""
     from blgroups import corpus
 
     first = {}
     for f in corpus.standard_frames():
         first.setdefault(f.group, f)
     assert len(first) == 42
-    openers = [corpus.frame_datum(f, corpus.exponent_grid(f.J)[0], h)
-               for f in first.values() for h in (P, C)]
-    for d in openers + corpus_sample(31, 300, 36):
+    return [corpus.frame_datum(f, corpus.exponent_grid(f.J)[0], haar) for f in first.values()]
+
+
+def test_cut_keeps_the_unpruned_search_results():
+    for d in corpus_openers(P) + corpus_openers(C) + corpus_sample(31, 300, 36):
         value, sets = exhaustive_indicator_search(d)
         expected, expected_sets = reference_exhaustive_search(d)
         assert (value.factors, sets) == (expected.factors, expected_sets)
+
+
+def test_haar_modes_rank_nothing():
+    # a Haar mode multiplies every quotient by w_G prod_j w_j^(-r_j), so in
+    # all four combinations of source and codomain mode the formula and the
+    # search keep their argmax, and their values change by exactly that factor
+    from blgroups.groups import haar_weight
+
+    for base in corpus_openers(C):
+        rep, (value, sets) = bl_constant(base), exhaustive_indicator_search(base)
+        for haar_G, haar_c in itertools.product((C, P), repeat=2):
+            d = base.with_haar(haar_G, [haar_c] * base.J)
+            factor = ExactValue.from_rational(haar_weight(d.G, haar_G))
+            for c, e in zip(d.codomains, d.exponents):
+                factor = factor / ExactValue.from_rational(haar_weight(c, haar_c)) ** e.reciprocal()
+            got = bl_constant(d)
+            assert got.argmax_subgroup.members == rep.argmax_subgroup.members
+            assert got.tie == rep.tie
+            assert got.value.factors == (rep.value * factor).factors
+            got_value, got_sets = exhaustive_indicator_search(d)
+            assert got_sets == sets
+            assert got_value.factors == (value * factor).factors
 
 
 def test_search_matches_reference_on_edge_data(edge_data):
