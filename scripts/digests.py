@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Print the seven answer digests that gate a change to the library.
+"""Print the seven answer digests that gate a change to the library, and
+check each against its stored value in `tests/answer_digests.json`.
 
-Run from the repository root, at the parent commit and at the change, and
-compare the output:
+Run from the repository root:
 
     PYTHONPATH=src python scripts/digests.py              # all seven
     PYTHONPATH=src python scripts/digests.py formula oracle   # only these
+
+The script exits 1 when a printed digest differs from its stored value,
+after naming each such digest on stderr.  A change that means to change
+an answer edits the stored value, and says which digest moved and why.
 
 * subgroups: the member lists, in order, of `all_subgroups` on the 42
   corpus groups (in order of first appearance in `standard_frames()`), then
@@ -39,16 +43,17 @@ compare the output:
   `brute_force_torus_violator` on it with box 1.
 
 Each digest is the SHA-256 of one `repr` line per item.  The digests go
-to stdout and the time of each pass to stderr, so two runs compare with
-`diff`.  The reductions and oracle passes take the longest.  Each digest's
-line generator is a module-level function in `DIGESTS`, so tests can pin
-the fast digests (`tests/test_digests.py`), and the oracle and the
+to stdout and the time of each pass to stderr, so two runs also compare
+with `diff`.  The reductions and oracle passes take the longest.  Each
+digest's line generator is a module-level function in `DIGESTS`, so tests
+can pin the fast digests (`tests/test_digests.py`), and the oracle and the
 reductions on slices.
 """
 
 import functools
 import hashlib
 import itertools
+import json
 import random
 import sys
 import time
@@ -90,6 +95,10 @@ from blgroups.lie import (
 )
 from blgroups.oracle import exhaustive_indicator_search, oracle_constant
 from blgroups.serialize import datum_to_json, tag_to_json
+
+
+STORED = json.loads(
+    (Path(__file__).resolve().parent.parent / "tests" / "answer_digests.json").read_text())
 
 
 def digest(lines):
@@ -313,10 +322,17 @@ def main(argv=None):
     unknown = [name for name in names if name not in DIGESTS]
     if unknown:
         sys.exit(f"unknown digest {unknown[0]!r}; choose from {', '.join(DIGESTS)}")
+    moved = []
     for name in names or DIGESTS:
         start = time.perf_counter()
-        print(name, digest(DIGESTS[name]()), flush=True)
+        value = digest(DIGESTS[name]())
+        print(name, value, flush=True)
         print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+        if value != STORED[name]:
+            moved.append(name)
+            print(f"{name}: differs from the stored {STORED[name]}", file=sys.stderr)
+    if moved:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,12 @@ datum: the subgroup as a group, with the restricted coordinate projections
 (the joint kernel is automatically trivial, surjectivity is the filter).
 Crossing those frames with exponent tuples from {1, 3/2, 2, 3, inf} gives
 the verification corpus; probability Haar throughout unless asked otherwise.
+
+A frame checks once, at construction, that each map has its group as
+domain; `frame_datum` then builds each exponent tuple's datum without
+checking the maps again, and checks only the exponents' range and count
+(`groups` docstring, trusted construction).  The five exponents are parsed
+once, into `EXPONENTS`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datum import BLDatum, Exponent, make_datum
+from .datum import BLDatum, Exponent, _check_domains, _check_lengths
 from .groups import (
     FiniteGroup,
     HaarMode,
@@ -29,6 +35,7 @@ from .groups import (
 )
 
 EXPONENT_CHOICES = ("1", "3/2", "2", "3", "inf")
+EXPONENTS = tuple(Exponent.of(c) for c in EXPONENT_CHOICES)
 
 
 def standard_factor(name: str) -> FiniteGroup:
@@ -61,11 +68,17 @@ def multi_product(
 
 @dataclass(frozen=True)
 class Frame:
-    """A canonical group-side configuration: G with surjections onto factors."""
+    """A canonical group-side configuration: G with surjections onto factors.
+    Construction checks that every map has domain G, once for all the data of
+    the frame."""
 
     name: str
     group: FiniteGroup
     maps: tuple[Homomorphism, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "maps", tuple(self.maps))
+        _check_domains(self.group, self.maps)
 
     @property
     def J(self) -> int:
@@ -107,17 +120,15 @@ def standard_frames(
 
 
 def exponent_grid(J: int) -> list[tuple[Exponent, ...]]:
-    exponents = [Exponent.of(c) for c in EXPONENT_CHOICES]
-    return list(itertools.product(exponents, repeat=J))
+    return list(itertools.product(EXPONENTS, repeat=J))
 
 
 def frame_datum(
     frame: Frame, exponents: Sequence, haar: HaarMode = HaarMode.PROBABILITY
 ) -> BLDatum:
-    return make_datum(
-        frame.group,
-        frame.maps,
-        exponents,
-        haar_G=haar,
-        haar_codomains=[haar] * frame.J,
-    )
+    """The frame at the given exponents, under one Haar mode throughout.
+    The exponents are coerced and counted as `make_datum` does; the maps are
+    not checked again (`Frame`)."""
+    exponents, J = tuple(map(Exponent.of, exponents)), frame.J
+    _check_lengths(J, len(exponents), J)
+    return BLDatum._built(frame.group, frame.maps, exponents, haar, (haar,) * J)

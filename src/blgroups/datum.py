@@ -19,6 +19,14 @@ constant exactly:
 Empty data (J = 0) are allowed; their constant is the total Haar mass of G,
 which is what makes deletion of a p = inf index exact down to J = 0.
 
+`BLDatum(...)` and `make_datum` check outside input: equally many maps,
+exponents and codomain Haar modes, and every map with domain G.  The data
+derived here from a valid datum pass both by construction and skip them
+through `BLDatum._built` (rules in the `groups` docstring): `with_haar`
+keeps only its count of the modes its caller gives, and index deletion,
+restriction, `canonicalize`, `split_product` and `quotient_split` check
+nothing again.
+
 Mass quotients
 --------------
 With r_j = 1/p_j, mass(X) / prod_j mass(Y_j)^(r_j), for a set X of `count`
@@ -150,34 +158,63 @@ class BLDatum:
             object.__setattr__(
                 self, "haar_codomains", tuple(HaarMode.PROBABILITY for _ in self.maps)
             )
-        m, e, h = len(self.maps), len(self.exponents), len(self.haar_codomains)
-        if not m == e == h:
-            raise GroupStructureError(
-                "maps, exponents and codomain Haar modes must have equal length, "
-                f"got {m} maps, {e} exponents and {h} codomain Haar modes")
-        for j, h in enumerate(self.maps):
-            if h.domain != self.G:
-                raise GroupStructureError(f"map {j} has the wrong domain")
+        _check_lengths(len(self.maps), len(self.exponents), len(self.haar_codomains))
+        _check_domains(self.G, self.maps)
         # Read on every _QuotientTable build, so stored once, eagerly: the
         # `groups` module docstring says why.
         object.__setattr__(self, "codomains", tuple(h.codomain for h in self.maps))
+
+    @classmethod
+    def _built(
+        cls, G: FiniteGroup, maps: tuple[Homomorphism, ...],
+        exponents: tuple[Exponent, ...], haar_G: HaarMode,
+        haar_codomains: tuple[HaarMode, ...],
+    ) -> "BLDatum":
+        """A datum of tuples of equal length whose maps all have domain G, as the
+        caller knows (module docstring), with `codomains`; no validation."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "G", G)
+        object.__setattr__(d, "maps", maps)
+        object.__setattr__(d, "exponents", exponents)
+        object.__setattr__(d, "haar_G", haar_G)
+        object.__setattr__(d, "haar_codomains", haar_codomains)
+        object.__setattr__(d, "codomains", tuple(h.codomain for h in maps))
+        return d
 
     @property
     def J(self) -> int:
         return len(self.maps)
 
     def with_haar(self, haar_G=None, haar_codomains=None) -> "BLDatum":
-        return BLDatum(
-            self.G,
-            self.maps,
-            self.exponents,
-            haar_G or self.haar_G,
-            tuple(haar_codomains) if haar_codomains else self.haar_codomains,
-        )
+        """This datum under other Haar modes; the codomain modes, when given,
+        must number J."""
+        if haar_codomains is None:
+            haar_codomains = self.haar_codomains
+        else:
+            haar_codomains = tuple(haar_codomains)
+            _check_lengths(self.J, self.J, len(haar_codomains))
+        return BLDatum._built(
+            self.G, self.maps, self.exponents, haar_G or self.haar_G, haar_codomains)
 
     def mixed_haar(self) -> bool:
         modes = {self.haar_G, *self.haar_codomains}
         return len(modes) > 1
+
+
+def _check_lengths(maps: int, exponents: int, modes: int) -> None:
+    """Refuse a datum whose maps, exponents and codomain Haar modes differ
+    in number."""
+    if not maps == exponents == modes:
+        raise GroupStructureError(
+            "maps, exponents and codomain Haar modes must have equal length, "
+            f"got {maps} maps, {exponents} exponents and {modes} codomain Haar modes")
+
+
+def _check_domains(G: FiniteGroup, maps) -> None:
+    """Refuse maps whose domain is not G."""
+    for j, h in enumerate(maps):
+        if h.domain != G:
+            raise GroupStructureError(f"map {j} has the wrong domain")
 
 
 def make_datum(G, maps, exponents, haar_G=HaarMode.PROBABILITY, haar_codomains=None):
@@ -187,7 +224,7 @@ def make_datum(G, maps, exponents, haar_G=HaarMode.PROBABILITY, haar_codomains=N
         tuple(maps),
         tuple(Exponent.of(p) for p in exponents),
         haar_G,
-        tuple(haar_codomains) if haar_codomains else None,
+        None if haar_codomains is None else tuple(haar_codomains),
     )
 
 
@@ -306,7 +343,7 @@ def _restricted(d: BLDatum, N: Subgroup) -> BLDatum:
     """d on the subgroup N, each map restricted onto its image."""
     K, _ = subgroup_group(N)
     maps = tuple(_onto_image(K, N.members, h) for h in d.maps)
-    return BLDatum(K, maps, d.exponents, d.haar_G, d.haar_codomains)
+    return BLDatum._built(K, maps, d.exponents, d.haar_G, d.haar_codomains)
 
 
 def _without(d: BLDatum, k: int) -> BLDatum:
@@ -314,7 +351,7 @@ def _without(d: BLDatum, k: int) -> BLDatum:
     maps, exps, modes = (
         t[:k] + t[k + 1:] for t in (d.maps, d.exponents, d.haar_codomains)
     )
-    return BLDatum(d.G, maps, exps, d.haar_G, modes)
+    return BLDatum._built(d.G, maps, exps, d.haar_G, modes)
 
 
 def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
@@ -331,7 +368,7 @@ def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
     Q, proj = quotient(d.G, joint_kernel(d))
     reps = _coset_representatives(proj)
     maps = tuple(_onto_image(Q, reps, h) for h in d.maps)
-    return BLDatum(Q, maps, d.exponents, d.haar_G, d.haar_codomains), tag
+    return BLDatum._built(Q, maps, d.exponents, d.haar_G, d.haar_codomains), tag
 
 
 def _check_index(d: BLDatum, k: int) -> None:
@@ -399,7 +436,7 @@ def split_product(d1: BLDatum, d2: BLDatum) -> BLDatum:
         nb = h2.codomain.order
         fused = tuple(h1.map[a] * nb + h2.map[b] for a, b in zip(pa.map, pb.map))
         maps.append(Homomorphism._built(P, C, fused))
-    return BLDatum(P, tuple(maps), d1.exponents, d1.haar_G, d1.haar_codomains)
+    return BLDatum._built(P, tuple(maps), d1.exponents, d1.haar_G, d1.haar_codomains)
 
 
 def quotient_split(d: BLDatum, N: Subgroup) -> tuple[BLDatum, BLDatum]:
@@ -422,5 +459,5 @@ def quotient_split(d: BLDatum, N: Subgroup) -> tuple[BLDatum, BLDatum]:
             )
         Qj, proj_j = quotient(h.codomain, img)
         maps.append(Homomorphism._built(Q, Qj, tuple(proj_j.map[h.map[r]] for r in reps)))
-    quot = BLDatum(Q, tuple(maps), d.exponents, d.haar_G, d.haar_codomains)
+    quot = BLDatum._built(Q, tuple(maps), d.exponents, d.haar_G, d.haar_codomains)
     return _restricted(d, N), quot

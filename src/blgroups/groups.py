@@ -77,8 +77,20 @@ construction:
   xN -> h(x)h(N) is the homomorphism that h induces, as h(N) is normal.
 The inputs of each rule are groups and homomorphisms themselves, validated
 at the boundary or built by a rule, so every object the library holds is
-what its class says.  `tests/test_package.py` lists the call sites of
-either kind.
+what its class says.  Data follow the same split.  `datum.BLDatum(...)`,
+`datum.make_datum` and `serialize.parse_datum` check that the maps,
+exponents and codomain Haar modes are equally many and that every map
+has domain G; `datum.BLDatum._built` checks neither, for data that pass by
+construction:
+- `corpus.Frame` checks its maps' domains once, at construction, so
+  `corpus.frame_datum` checks only what changes with the exponent tuple:
+  it coerces the exponents, with their range check, and counts them;
+- a datum that `datum` derives from a valid one keeps its lengths and
+  builds its maps on its own group: `with_haar` (which still counts its
+  codomain modes, as they come from the caller), index deletion,
+  restriction to a subgroup, `canonicalize`, `split_product` and
+  `quotient_split`.
+`tests/test_package.py` lists the call sites of either kind.
 
 Derived state (`FiniteGroup._generators` and `_hash`, `Homomorphism.fibres`,
 `Subgroup.mask`, `datum.BLDatum.codomains`) is set once in `__post_init__`

@@ -169,7 +169,8 @@ def parse_lie_datum(obj: dict) -> CompactLieDatum:
         LinearizedMap(
             tuple(_array(m.get("kept_simple", []), int, f"maps[{j}] kept_simple")),
             tuple(
-                tuple(_rational(v, f"maps[{j}] torus_matrix[{r}][{c}]")
+                tuple(v if isinstance(v, int)
+                      else _rational(v, f"maps[{j}] torus_matrix[{r}][{c}]")
                       for c, v in enumerate(row))
                 for r, row in enumerate(_matrix(m.get("torus_matrix", []),
                                                 (str, int, float), f"maps[{j}] torus_matrix"))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import blgroups
-from blgroups.datum import make_datum
+from blgroups.datum import BLDatum, make_datum
 from blgroups.groups import (
     FiniteGroup,
     HaarMode,
@@ -32,13 +32,21 @@ def element_order(G, x):
 
 
 def assert_validated(obj):
-    """A subgroup, group or map the library built without validation equals
-    the copy that the validating constructor builds from its fields, with
-    the same derived state stored under the same attribute names in the
-    same order: a subgroup from its members (mask included), a group from
-    its table (generators and hash included), and a map from its images,
-    after its domain and codomain pass the same check (fibres included)."""
-    if isinstance(obj, Subgroup):
+    """A subgroup, group, map or datum the library built without validation
+    equals the copy that the validating constructor builds from its fields,
+    with the same derived state stored under the same attribute names in
+    the same order: a subgroup from its members (mask included), a group
+    from its table (generators and hash included), a map from its images,
+    after its domain and codomain pass the same check (fibres included),
+    and a datum from its five fields, after its group and maps pass
+    (codomains and hash included)."""
+    if isinstance(obj, BLDatum):
+        assert_validated(obj.G)
+        for h in obj.maps:
+            assert_validated(h)
+        checked = BLDatum(obj.G, obj.maps, obj.exponents, obj.haar_G, obj.haar_codomains)
+        assert obj.codomains == checked.codomains and hash(obj) == hash(checked)
+    elif isinstance(obj, Subgroup):
         checked = Subgroup(obj.parent, obj.members)
         assert obj.mask == checked.mask
     elif isinstance(obj, FiniteGroup):

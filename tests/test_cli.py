@@ -496,6 +496,33 @@ def test_non_finite_torus_entries_are_schema_errors(tmp_path, capsys, command, e
     assert err["error"].startswith("maps[0] torus_matrix[1][1] must be a finite number")
 
 
+def test_integer_torus_entries_pass_through_and_rational_ones_agree(
+        monkeypatch, write, capsys):
+    # an int entry reaches LinearizedMap as given; "3/2" and 1.5 read as 3/2,
+    # so the first map is twice [[0, 3, 0], [0, 0, 2]]: the same map, and
+    # the same report from each command
+    import blgroups.serialize as serialize
+
+    read = []
+    rational = serialize._rational
+    monkeypatch.setattr(serialize, "_rational", lambda v, what: read.append(v) or rational(v, what))
+    d = parse_lie_datum(T3_LW)
+    assert read == []
+    assert all(type(v) is int for m in d.maps for row in m.torus_matrix for v in row)
+    results = []
+    for entry in (3, "3/2", 1.5):
+        first = [[0, entry, 0], [0, 0, 2 if entry == 3 else 1]]
+        obj = dict(T3_LW, maps=[{"kept_simple": [], "torus_matrix": first}, *T3_LW["maps"][1:]])
+        read.clear()
+        assert parse_lie_datum(obj).maps[0].torus_matrix == ((0, 3, 0), (0, 0, 2))
+        assert read == ([] if entry == 3 else [entry])
+        path = write("t3.json", obj)
+        for argv in (["check-codim", "--p", "3/2,2,2"], ["polytope"]):
+            code, rep = run_cli(capsys, [*argv, "--in", path])
+            results.append((code, rep["result"]))
+    assert results[:2] == results[2:4] == results[4:]
+
+
 @pytest.mark.parametrize("argv", [["constant"], ["reduce", "--op", "canonicalize"]])
 @pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "1e400", "NaN"])
 def test_non_finite_numeric_exponents_are_schema_errors(tmp_path, capsys, argv, entry):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blgroups.constant import bl_constant
-from blgroups.corpus import exponent_grid, frame_datum, standard_frames
+from blgroups.corpus import Frame, exponent_grid, frame_datum, standard_frames
 from blgroups.datum import (
     INF,
     BLDatum,
@@ -81,6 +81,49 @@ def test_datum_validation(Z2, Z4):
         )
     d = hoelder(Z2)
     assert d.J == 2 and not d.mixed_haar()
+
+
+def test_an_empty_haar_list_is_refused_when_there_are_maps(Z2):
+    h = identity_map(Z2)
+    message = ("maps, exponents and codomain Haar modes must have equal length, "
+               "got 1 maps, 1 exponents and 0 codomain Haar modes")
+    with pytest.raises(GroupStructureError) as info:
+        make_datum(Z2, [h], ["2"], haar_codomains=[])
+    assert str(info.value) == message
+    with pytest.raises(GroupStructureError) as info:
+        make_datum(Z2, [h], ["2"]).with_haar(C, [])
+    assert str(info.value) == message
+    # with no maps, an empty list is the only list
+    empty = make_datum(Z2, [], [], haar_codomains=[])
+    assert empty == make_datum(Z2, [], [])
+    assert empty.with_haar(C, []) == make_datum(Z2, [], [], haar_G=C)
+
+
+def test_frame_data_equal_their_validated_copies():
+    # `frame_datum` checks no map of a frame; the validating constructor
+    # builds the same datum, down to its hash, repr and attribute order
+    for frame in standard_frames():
+        p = exponent_grid(frame.J)[0]
+        for haar in (P, C):
+            d = frame_datum(frame, p, haar)
+            checked = make_datum(frame.group, frame.maps, p, haar, [haar] * frame.J)
+            assert d == checked and hash(d) == hash(checked) and repr(d) == repr(checked)
+            assert d.codomains == checked.codomains
+            assert list(vars(d)) == list(vars(checked))
+
+
+def test_frames_check_their_maps_and_frame_data_their_exponents(Z2, Z4):
+    with pytest.raises(GroupStructureError, match="map 1 has the wrong domain"):
+        Frame("Z4", Z4, (identity_map(Z4), identity_map(Z2)))
+    frame = Frame("Z4 twice", Z4, [identity_map(Z4)] * 2)
+    assert frame.maps == (identity_map(Z4),) * 2
+    with pytest.raises(GroupStructureError) as info:
+        frame_datum(frame, ["2"])
+    assert str(info.value) == ("maps, exponents and codomain Haar modes must have equal "
+                               "length, got 2 maps, 1 exponents and 2 codomain Haar modes")
+    with pytest.raises(ValueError, match=r"exponent must be >= 1, got 1/2"):
+        frame_datum(frame, ["2", "1/2"])
+    assert frame_datum(frame, [2, "inf"]).exponents == (Exponent.of(2), INF)
 
 
 def test_empty_datum_allowed(Z2):
@@ -199,10 +242,11 @@ def test_joint_kernels_equal_their_validated_copies(edge_data):
 
 
 def test_derived_data_equal_their_validated_copies(digests, edge_data):
-    # the groups and maps that `datum` builds without validation: tensors
-    # (`split_product`), canonical forms and p = 1 reductions (`_onto_image`),
-    # and both halves of a quotient split, on seeded corpus frames, their
-    # tensors with Z2 and seeded quotient data
+    # the data, groups and maps that `datum` builds without validation:
+    # tensors (`split_product`), canonical forms and p = 1 reductions
+    # (`_onto_image`, `_restricted`, `_without`), index deletions, Haar
+    # switches, and both halves of a quotient split, on seeded corpus frames,
+    # their tensors with Z2 and seeded quotient data
     rng = random.Random(31)
     Z2 = make_cyclic_product([2])
     trivial = Homomorphism(Z2, Z2, (0, 0))
@@ -219,13 +263,15 @@ def test_derived_data_equal_their_validated_copies(digests, edge_data):
     derived = []
     for d in data:
         canonical, _ = canonicalize(d)
-        derived.append(canonical)
+        derived += [canonical, d.with_haar(C), d.with_haar(P, [C] * d.J)]
         for k, e in enumerate(canonical.exponents):
             if e.value == 1:
                 try:
                     derived.append(reduce_p1(canonical, k))
                 except NormalizationError:
                     pass
+            elif e.is_infinite:
+                derived.append(drop_infinite_exponent(canonical, k))
         for N in all_subgroups(d.G):
             if normality_witness(d.G, N) is None:
                 try:
@@ -234,9 +280,7 @@ def test_derived_data_equal_their_validated_copies(digests, edge_data):
                     assert "not normal" in str(exc)
     assert len(derived) > 300
     for out in derived + data:
-        assert_validated(out.G)
-        for h in out.maps:
-            assert_validated(h)
+        assert_validated(out)
 
 
 # -- deletion of an infinite exponent -----------------------------------------
@@ -248,6 +292,10 @@ def test_drop_infinite_structure(Z2):
     assert out.J == 1 and out.exponents[0].value == 2
     with pytest.raises(WrongExponentError):
         drop_infinite_exponent(d, 0)
+    # the other indices keep their own exponents and codomain modes
+    d = make_datum(Z2, [identity_map(Z2)] * 3, ["inf", "2", "3"], haar_codomains=[P, C, C])
+    out = drop_infinite_exponent(d, 0)
+    assert out == make_datum(Z2, [identity_map(Z2)] * 2, ["2", "3"], haar_codomains=[C, C])
 
 
 def test_drop_infinite_to_empty(Z2):

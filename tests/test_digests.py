@@ -7,7 +7,8 @@ corpus datum of its sequence, and the reductions digest on every 10th
 corpus frame; each covers both Haar modes.  The values in
 `answer_digests.json` are what the library answers today: a change that
 means to change an answer edits the stored value, and says which digest
-moved and why.  The full reductions and oracle digests stay in the script.
+moved and why.  The full reductions and oracle digests are stored there
+too; the script checks them, and exits 1 when any digest it prints moved.
 """
 
 import json
@@ -42,3 +43,15 @@ def test_script_prints_only_the_named_digests(digests, capsys):
     assert capsys.readouterr().out == f"scan {STORED['scan']}\n"
     with pytest.raises(SystemExit, match="unknown digest 'nope'"):
         digests.main(["nope"])
+
+
+def test_script_exits_1_when_a_digest_moved(digests, capsys, monkeypatch):
+    assert digests.STORED == STORED
+    monkeypatch.setitem(digests.STORED, "scan", "0" * 64)
+    with pytest.raises(SystemExit) as info:
+        digests.main(["subgroups", "scan"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"subgroups {STORED['subgroups']}\nscan {STORED['scan']}\n"
+    assert f"scan: differs from the stored {'0' * 64}" in captured.err
+    assert "subgroups: differs" not in captured.err

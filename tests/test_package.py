@@ -95,15 +95,18 @@ def test_digest_script_imports_resolve():
     assert callable(digests.main)
 
 
-# Where the package builds a group or a map.  A boundary validates what it
-# is given (`FiniteGroup(...)`, `Homomorphism(...)`); a derived constructor
-# builds a group or a homomorphism by construction and skips the check
-# (`._built(...)`, reasons in the `groups` docstring).
+# Where the package builds a group, a map or a datum.  A boundary validates
+# what it is given (`FiniteGroup(...)`, `Homomorphism(...)`, `BLDatum(...)`);
+# a derived constructor builds a group, a homomorphism or a datum by
+# construction and skips the check (`._built(...)`, reasons in the `groups`
+# docstring).
 VALIDATING = {
     ("groups", "make_cyclic_product", "FiniteGroup"),
     ("groups", "from_cayley_table", "FiniteGroup"),
     ("groups", "from_permutations", "FiniteGroup"),
     ("serialize", "parse_datum", "Homomorphism"),
+    ("serialize", "parse_datum", "BLDatum"),
+    ("datum", "make_datum", "BLDatum"),
 }
 TRUSTING = {
     ("groups", "direct_product", "FiniteGroup._built"),
@@ -117,13 +120,23 @@ TRUSTING = {
     ("datum", "_onto_image", "Homomorphism._built"),
     ("datum", "split_product", "Homomorphism._built"),
     ("datum", "quotient_split", "Homomorphism._built"),
+    ("datum", "BLDatum.with_haar", "BLDatum._built"),
+    ("datum", "_restricted", "BLDatum._built"),
+    ("datum", "_without", "BLDatum._built"),
+    ("datum", "canonicalize", "BLDatum._built"),
+    ("datum", "split_product", "BLDatum._built"),
+    ("datum", "quotient_split", "BLDatum._built"),
+    ("corpus", "frame_datum", "BLDatum._built"),
 }
+
+
+BUILT = ("FiniteGroup", "Homomorphism", "BLDatum")
 
 
 def _constructor_calls():
     """(module, enclosing qualified name, callee) for every call of
-    `FiniteGroup` or `Homomorphism`, or of an attribute of either, in the
-    package's source."""
+    `FiniteGroup`, `Homomorphism` or `BLDatum`, or of an attribute of one,
+    in the package's source."""
     calls = set()
 
     def visit(module, node, where):
@@ -133,10 +146,10 @@ def _constructor_calls():
                 inner = child.name if where == "<module>" else f"{where}.{child.name}"
             elif isinstance(child, ast.Call):
                 f = child.func
-                if isinstance(f, ast.Name) and f.id in ("FiniteGroup", "Homomorphism"):
+                if isinstance(f, ast.Name) and f.id in BUILT:
                     calls.add((module, where, f.id))
                 elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                      and f.value.id in ("FiniteGroup", "Homomorphism")):
+                      and f.value.id in BUILT):
                     calls.add((module, where, f"{f.value.id}.{f.attr}"))
             visit(module, child, inner)
 
