@@ -14,9 +14,10 @@ tolerance.
 Saturation runs on int bitsets.  For each map, the fibre mask of a codomain
 element y (`Homomorphism.fibres`) has bit x set when sigma_j(x) = y; the
 saturation of H is the AND over j of the OR of the fibres that meet H.  Its
-image under each map is sigma_j(H), so one pass over the fibres gives both
-the candidate and the image orders of its denominator, and the exact ratio
-is built from those orders.
+image under each map is sigma_j(H), so one pass over the fibres
+(`_saturation`) gives both the candidate and the image orders of its
+denominator, and every exact ratio, of a candidate, of a listed subgroup in
+`include_candidates` or of `ratio`, is built from those orders.
 
 An exact ratio is one product of integer powers n^e: |S|^1, |G|^-1 under
 probability Haar, and for each map |sigma_j(S)|^(-r_j) and, under
@@ -117,19 +118,13 @@ from .groups import (
 
 def ratio(d: BLDatum, H: Subgroup) -> ExactValue:
     """mass(H) / prod_j mass(sigma_j(H))^(1/p_j); the term for p = inf is 1."""
-    return _ratio(d, _QuotientTable(d), H)
-
-
-def _ratio(d: BLDatum, table: _QuotientTable, H: Subgroup) -> ExactValue:
-    """`ratio` from the datum's quotient table, built once by the caller."""
-    if H.parent != d.G:
-        raise ValueError("subgroup does not live in the datum's source group")
-    counts = [h.image_mask(H.mask).bit_count() for h in d.maps]
-    return table.value(H.order, counts)
+    _, counts = _saturation(d, H)
+    return _QuotientTable(d).value(H.order, counts)
 
 
 def _saturation(d: BLDatum, H: Subgroup) -> tuple[int, tuple[int, ...]]:
-    """The member mask of the saturation of H and its image order under each map."""
+    """The member mask of the saturation of H, and the image orders
+    |sigma_j(H)|, the fibres that meet H, which the saturation shares."""
     if H.parent != d.G:
         raise ValueError("subgroup does not live in the datum's source group")
     hmask = H.mask
@@ -222,9 +217,9 @@ def bl_constant(
         subgroups = all_subgroups(d.G, order_cap)
     tag = canonical_tag(d)
 
+    saturations = [_saturation(d, H) for H in subgroups]
     found: dict[int, tuple[int, ...]] = {}
-    for H in subgroups:
-        mask, counts = _saturation(d, H)
+    for mask, counts in saturations:
         found.setdefault(mask, counts)
 
     table = _QuotientTable(d)
@@ -243,7 +238,8 @@ def bl_constant(
 
     all_cands = None
     if include_candidates:
-        all_cands = tuple((H, _ratio(d, table, H)) for H in subgroups)
+        all_cands = tuple((H, table.value(H.order, counts))
+                          for H, (_, counts) in zip(subgroups, saturations))
 
     _, members, mask = near[best]
     return ConstantReport(

@@ -38,13 +38,13 @@ counting measure, times the Haar factor w_G prod_j w_j^(-r_j), which no key
 changes.  So both routes rank candidates by the float log of the
 counting-measure quotient and build exact values near the float maximum
 only, from one `_QuotientTable` per call.  It holds the r_j as floats (read
-once per map), the margin below, D = lcm of the denominators of the r_j,
-c_j = r_j D, and the Haar factor as prime sums: -D times the valuations
-of |G| and c_j times those of |G_j|, under probability Haar.  A key
-(count, sizes) adds D times the valuations of count and -c_j times those
-of sizes[j], each integer factorized once per table, and a prime with sum
-t != 0 gets the exponent t / D: `ExactValue.from_powers` on count^1,
-|G|^-1, sizes[j]^-r_j and |G_j|^(r_j), same lcm, same sums.
+once per map), N and the margin below, the r_j as numerators c_j over one
+denominator D (`exact._over_lcm`), and the Haar factor as prime sums: -D
+times the valuations of |G| and c_j times those of |G_j|, under
+probability Haar.  A key (count, sizes) adds D times the valuations of
+count and -c_j times those of sizes[j], each integer factorized once per
+table, and `exact._from_prime_sums` makes the value: `from_powers` on
+count^1, |G|^-1, sizes[j]^-r_j and |G_j|^(r_j), same lcm, same sums.
 
 The float log of a quotient is log count - sum_j r_j log sizes[j]: at most
 1 + J logs of integers no larger than N, the largest group order, with r_j
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import ExactValue, _factorize, exact_max
+from .exact import ExactValue, _factorize, _over_lcm, exact_max
 from .groups import (
     FiniteGroup,
     GroupStructureError,
@@ -235,10 +235,9 @@ class _QuotientTable:
     def __init__(self, d: BLDatum):
         r = [e.reciprocal() for e in d.exponents]
         self.reciprocals = [float(rj) for rj in r]
-        largest = max([d.G.order, *(c.order for c in d.codomains)])
-        self.margin = max(1e-9, 4 * 2.0**-53 * math.log(largest) * (d.J + 5) ** 2)
-        self.D = math.lcm(*[rj.denominator for rj in r])
-        self.c = [rj.numerator * (self.D // rj.denominator) for rj in r]
+        self.largest = max([d.G.order, *(c.order for c in d.codomains)])
+        self.margin = max(1e-9, 4 * 2.0**-53 * math.log(self.largest) * (d.J + 5) ** 2)
+        self.c, self.D = _over_lcm(r)
         self._primes: dict[int, tuple] = {}  # each integer's factorization
         self.base: dict[int, int] = {}
         if d.haar_G is HaarMode.PROBABILITY:
@@ -259,8 +258,7 @@ class _QuotientTable:
         self._add(sums, count, self.D)
         for size, c in zip(sizes, self.c):
             self._add(sums, size, -c)
-        return ExactValue._canonical(
-            tuple(sorted((p, Fraction(t, self.D)) for p, t in sums.items() if t)))
+        return ExactValue._from_prime_sums(sums, self.D)
 
     def argmax(self, keys: list) -> tuple[int, ExactValue, bool]:
         values = {key: self.value(*key) for key in dict.fromkeys(keys)}

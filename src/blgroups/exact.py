@@ -8,13 +8,13 @@ and rational powers exact, and makes multiplicativity identities testable
 with no floating point at all.
 
 A constant's candidate is a product of powers n^e of small integers n
-(subgroup, image and group orders) with rational exponents e.
-`ExactValue.from_powers` builds it in one step on integers: it scales every
-exponent to an integer numerator over L, the lcm of their denominators,
-factorizes each n once, sums valuation times numerator per prime as ints,
-and makes one Fraction (sum / L) per prime that survives.  The constants
-are built on the same sums by `datum._QuotientTable`, the other factors
-and `from_rational` by it; the algebra below serves comparison and tests.
+(subgroup, image and group orders) with rational exponents e, built on
+integers in two steps with one implementation each: `_over_lcm` puts
+rationals over one denominator L as integer numerators (`lie` uses it
+too), and `_from_prime_sums` turns per-prime integer sums over L into a
+canonical value.  `ExactValue.from_powers` and `datum._QuotientTable` sum
+valuation times numerator per prime, each n factorized once, and end in
+the second step; the algebra below serves comparison and tests.
 
 The public constructor and `from_json` check their input: bases prime and
 sorted, exponents ints or Fractions and nonzero.  Two values are equal
@@ -61,6 +61,13 @@ class UndecidedComparisonError(ArithmeticError):
         self.left = left
         self.right = right
         self.bits = bits
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """(X, L) with values[i] = X[i] / L for ints and Fractions, L the lcm of
+    their denominators: 1 for ints alone and for no values."""
+    L = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -154,21 +161,19 @@ class ExactValue:
 
     @staticmethod
     def from_powers(terms) -> "ExactValue":
-        """prod n^e over pairs (n, e) of a positive int n and an int or Fraction e.
-
-        The exponents become integer numerators c = e*L over one denominator
-        L, the lcm of their denominators (1 when all are ints).  Each n is
-        factorized once, its valuations times c are summed per prime as ints,
-        and each prime whose sum is nonzero gets one Fraction(sum, L).  A term
-        with e = 0 is skipped.
-        """
+        """prod n^e over pairs (n, e) of a positive int n and an int or
+        Fraction e (module docstring); a term with e = 0 is skipped."""
         terms = [(n, e) for n, e in terms if e]
-        L = math.lcm(*[e.denominator for _, e in terms])
+        numerators, L = _over_lcm([e for _, e in terms])
         sums: dict[int, int] = {}
-        for n, e in terms:
-            c = e.numerator * (L // e.denominator)
+        for (n, _), c in zip(terms, numerators):
             for p, k in _factorize(n).items():
                 sums[p] = sums.get(p, 0) + k * c
+        return ExactValue._from_prime_sums(sums, L)
+
+    @staticmethod
+    def _from_prime_sums(sums: dict[int, int], L: int) -> "ExactValue":
+        """prod p^(t/L) over the items (p, t) of sums, keyed by distinct primes."""
         return ExactValue._canonical(
             tuple(sorted((p, Fraction(t, L)) for p, t in sums.items() if t)))
 
@@ -219,13 +224,12 @@ class ExactValue:
         """Decimals lo <= sum_p a_p*ln(p) <= hi at about `bits` bits, with
         a_p = e_p*L the exponents over the lcm L of their denominators; the
         bound is in the module docstring."""
-        L = math.lcm(*[e.denominator for _, e in self.factors])
+        numerators, _ = _over_lcm([e for _, e in self.factors])
         prec = bits * 3 // 10 + 1
         down = Context(prec=prec, rounding=ROUND_FLOOR, Emax=MAX_EMAX)
         up = Context(prec=prec, rounding=ROUND_CEILING, Emax=MAX_EMAX)
         lo = hi = Decimal(0)
-        for p, e in self.factors:
-            a = Decimal(e.numerator * (L // e.denominator))
+        for (p, _), a in zip(self.factors, map(Decimal, numerators)):
             ln = Decimal(p).ln(down)  # correctly rounded, whatever the mode
             below, above = ln.next_minus(down), ln.next_plus(down)
             if a < 0:

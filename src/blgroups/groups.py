@@ -92,15 +92,17 @@ construction:
   `quotient_split`.
 `tests/test_package.py` lists the call sites of either kind.
 
-Derived state (`FiniteGroup._generators` and `_hash`, `Homomorphism.fibres`,
-`Subgroup.mask`, `datum.BLDatum.codomains`) is set once in `__post_init__`
-by `object.__setattr__`, outside eq and repr.  Not as a `cached_property`:
+Derived state (`FiniteGroup._hash`, `Homomorphism.fibres`, `Subgroup.mask`,
+`datum.BLDatum.codomains`) is set once in `__post_init__` by
+`object.__setattr__`, outside eq and repr.  Not as a `cached_property`:
 on CPython 3.11 its write to the instance `__dict__` makes every later
 attribute load on the instance several times slower, and the constant's
 scan reads these objects for every subgroup.  For the same reason each
 `_built` sets the fields and then the derived state in the order that
 `__init__` and `__post_init__` do, so built and validated instances share
-their dict keys.
+their dict keys.  The greedy generating set A is not stored: validation
+computes it where it reads it, `FiniteGroup(...)` for its own table and
+`Homomorphism(...)` for its domain's, so derived groups never pay for it.
 """
 
 from __future__ import annotations
@@ -157,9 +159,11 @@ class FiniteGroup:
             if e not in self.table[a]:
                 raise GroupStructureError(f"element {a} has no right inverse")
         _check_associativity(self.table, gens)
-        if self.labels is not None and len(self.labels) != n:
-            raise GroupStructureError("labels length must match order")
-        object.__setattr__(self, "_generators", gens)
+        if self.labels is not None:
+            if len(self.labels) != n:
+                raise GroupStructureError("labels length must match order")
+            if not all(isinstance(s, str) for s in self.labels):
+                raise GroupStructureError("labels must be strings")
         object.__setattr__(self, "_hash", hash((n, e, self.table)))
 
     @classmethod
@@ -174,7 +178,6 @@ class FiniteGroup:
         object.__setattr__(G, "table", table)
         object.__setattr__(G, "identity", identity)
         object.__setattr__(G, "labels", labels)
-        object.__setattr__(G, "_generators", _greedy_generators(table, identity))
         object.__setattr__(G, "_hash", hash((order, identity, table)))
         return G
 
@@ -285,7 +288,7 @@ class Homomorphism:
         if m[G.identity] != H.identity:
             raise GroupStructureError("identity must map to identity")
         gt, ht = G.table, H.table
-        for a in G._generators:  # enough, by the module docstring
+        for a in _greedy_generators(gt, G.identity):  # enough, by the module docstring
             ma = m[a]
             for x in range(G.order):
                 if m[gt[x][a]] != ht[m[x]][ma]:
@@ -386,6 +389,8 @@ def from_permutations(
     Elements are sorted lexicographically as image tuples, so the identity
     permutation always lands at index 0.
     """
+    if degree < 0:
+        raise GroupStructureError(f"degree must be at least 0, got {degree}")
     idp = tuple(range(degree))
     gens = []
     for g in generators:

@@ -134,13 +134,9 @@ class ApproximationWitness:
 
 def _rational_lcm(values: Sequence[Fraction]) -> Fraction:
     """lcm of positive rationals: lcm of numerators over gcd of denominators."""
-    num = 1
-    g = 0
-    for v in values:
-        v = Fraction(v)
-        num = num * v.numerator // math.gcd(num, v.numerator)
-        g = math.gcd(g, v.denominator)
-    return Fraction(num, g)
+    values = [Fraction(v) for v in values]
+    return Fraction(math.lcm(*[v.numerator for v in values]),
+                    math.gcd(*[v.denominator for v in values]))
 
 
 def kronecker_sequence(

@@ -107,10 +107,10 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .datum import Exponent
+from .exact import _over_lcm
 from .groups import SizeCapError, _semi_naive_closure
 from .rational_linalg import (
     IntMatrix,
@@ -295,19 +295,12 @@ class CodimReport:
     slack: Optional[Fraction] = None
 
 
-def _over_one_denominator(values) -> tuple[list[int], int]:
-    """(X, D) with values = X / D, D the lcm of the denominators."""
-    x = [Fraction(v) for v in values]
-    D = lcm(*[v.denominator for v in x])
-    return [v.numerator * (D // v.denominator) for v in x], D
-
-
 def _reciprocals(d: CompactLieDatum, p: Sequence[Exponent]) -> tuple[list[int], int]:
-    """(R, D) with 1/p_j = R_j / D for each map (_over_one_denominator);
-    p must hold exactly one exponent per map."""
+    """(R, D) with 1/p_j = R_j / D for each map (exact._over_lcm); p must
+    hold exactly one exponent per map."""
     if len(p) != d.J:
         raise ValueError("exponent count must match the number of maps")
-    return _over_one_denominator([Exponent.of(pj).reciprocal() for pj in p])
+    return _over_lcm([Exponent.of(pj).reciprocal() for pj in p])
 
 
 def codimension_defect(d: CompactLieDatum, p: Sequence[Exponent], n: IdealSpec) -> Fraction:
@@ -409,7 +402,7 @@ def _inside(cons, X, D: int) -> bool:
 
 
 def membership_point(P: RationalPolytope, point: Sequence) -> bool:
-    X, D = _over_one_denominator(point)
+    X, D = _over_lcm([Fraction(v) for v in point])
     if len(X) != P.dim:
         raise ValueError("point dimension mismatch")
     return _inside(_all_constraints(P), X, D)
@@ -439,7 +432,7 @@ def vertices(P: RationalPolytope) -> list[tuple[Fraction, ...]]:
 def facet_status(P: RationalPolytope, verts) -> list[bool]:
     """Per halfspace: True if tight at some vertex of verts = vertices(P),
     False if redundant."""
-    points = [_over_one_denominator(x) for x in verts]
+    points = [_over_lcm(x) for x in verts]
     return [any(sum([c * v for c, v in zip(coeffs, X)]) == b * D for X, D in points)
             for coeffs, b in P.halfspaces]
 

@@ -367,9 +367,8 @@ def exhaustive_indicator_search(
     margin = table.margin
     J = d.J
     best_log = -math.inf
-    largest = max([d.G.order, *(c.order for c in d.codomains)])
     near: list[tuple[float, tuple[int, ...], int]] = []
-    logs = [0.0] + [math.log(c) for c in range(1, largest + 1)]
+    logs = [0.0] + [math.log(c) for c in range(1, table.largest + 1)]
     # terms[j][s] = r_j log|s|, set s's share of the denominator's log
     terms = [[r * logs[s.bit_count()] for s in range(len(arr))]
              for r, arr in zip(table.reciprocals, subset_masks)]

@@ -96,7 +96,7 @@ def parse_group(obj: dict, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             raise SizeCapError(f"order {len(table)} exceeds cap {order_cap}")
         labels = obj.get("labels")
         return from_cayley_table(
-            table, None if labels is None else _expect(labels, list, "labels")
+            table, None if labels is None else _array(labels, str, "labels")
         )
     if "generators" in obj:
         return from_permutations(

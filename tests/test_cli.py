@@ -333,6 +333,30 @@ def assert_precondition(capsys, argv):
     assert json.loads(captured.err)["kind"] == "precondition"
 
 
+@pytest.mark.parametrize("labels", [[5, 6], [["a"], ["b"]]])
+def test_non_string_labels_are_refused(write, capsys, labels):
+    obj = {"group": {"table": [[0, 1], [1, 0]], "labels": labels},
+           "codomains": [{"cyclic": [1]}], "maps": [[0, 0]], "p": ["2"]}
+    with pytest.raises(SchemaError, match=r"^labels\[0\] must be a string$"):
+        parse_datum(obj)
+    argv = ["reduce", "--op", "canonicalize", "--in", write("labels.json", obj)]
+    assert_precondition(capsys, argv)
+    obj["group"]["labels"] = ["a", "b"]
+    code, rep = run_cli(capsys, argv[:-1] + [write("strings.json", obj)])
+    assert code == 0 and rep["result"]["datum"]["group"]["labels"] == ["{a,b}"]
+
+
+def test_negative_degree_is_refused(write, capsys):
+    obj = dict(HOELDER_Z2, group={"degree": -2, "generators": []},
+               codomains=[{"cyclic": [1]}], maps=[[0]], p=["2"])
+    with pytest.raises(GroupStructureError, match="degree must be at least 0"):
+        parse_datum(obj)
+    assert_precondition(capsys, ["constant", "--in", write("degree.json", obj)])
+    obj["group"]["degree"] = 0
+    code, rep = run_cli(capsys, ["constant", "--in", write("zero.json", obj)])
+    assert code == 0
+
+
 @pytest.mark.parametrize("op", ["drop-inf", "reduce-p1"])
 @pytest.mark.parametrize("index", ["-1", "2", "5"])
 def test_reduce_index_out_of_range(write, capsys, op, index):

@@ -15,13 +15,14 @@ from blgroups.groups import (
     all_subgroups,
     direct_product,
     from_permutations,
+    haar_weight,
     identity_map,
     make_cyclic_product,
     normality_witness,
 )
 from blgroups.oracle import InputTuple, evaluate_form
 
-from conftest import assert_validated, quotient_data
+from conftest import assert_validated, corpus_openers, quotient_data
 
 C = HaarMode.COUNTING
 P = HaarMode.PROBABILITY
@@ -94,6 +95,8 @@ def test_saturate_rejects_foreign_subgroup():
         saturate(d, Subgroup(other, (other.identity,)))
     with pytest.raises(ValueError, match="source group"):
         bl_constant(d, subgroups=[Subgroup(other, (other.identity,))])
+    with pytest.raises(ValueError, match="source group"):
+        ratio(d, Subgroup(other, (other.identity,)))
 
 
 def test_saturation_never_lowers_ratio():
@@ -322,6 +325,29 @@ def test_candidates_are_ratios_from_one_table(monkeypatch):
             rep = bl_constant(d, subgroups=subs, include_candidates=True)
         assert built == [d]
         assert [H for H, _ in rep.all_candidates] == subs
+        assert [v for _, v in rep.all_candidates] == expected
+
+
+def reference_ratio(d, H):
+    """mass(H) / prod_j mass(sigma_j(H))^(1/p_j) from Haar weights, with the
+    image orders counted on `image_mask`."""
+    value = ExactValue.from_rational(haar_weight(d.G, d.haar_G) * H.order)
+    for h, mode, e in zip(d.maps, d.haar_codomains, d.exponents):
+        mass = haar_weight(h.codomain, mode) * h.image_mask(H.mask).bit_count()
+        value = value / ExactValue.from_rational(mass) ** e.reciprocal()
+    return value
+
+
+def test_ratios_match_image_mask_counts(edge_data):
+    # ratio and the candidate list read the image orders off the saturation
+    # pass; both Haar modes throughout, and edge_data's mixed ones
+    data = edge_data + [base.with_haar(mode, [mode] * base.J)
+                        for base in corpus_openers(P) + edge_data for mode in (C, P)]
+    for d in data:
+        subs = all_subgroups(d.G)
+        expected = [reference_ratio(d, H) for H in subs]
+        assert [ratio(d, H) for H in subs] == expected
+        rep = bl_constant(d, subgroups=subs, include_candidates=True)
         assert [v for _, v in rep.all_candidates] == expected
 
 

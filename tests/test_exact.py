@@ -17,6 +17,7 @@ from blgroups.exact import (
     UndecidedComparisonError,
     _factorize,
     _is_prime,
+    _over_lcm,
     exact_max,
 )
 
@@ -125,6 +126,24 @@ def test_from_powers_matches_fraction_valuations(terms):
     assert v.factors == fraction_valuations(terms)
     assert v.factors == from_rational_chain(terms).factors
     assert all(type(e) is Fraction for _, e in v.factors)
+
+
+@given(st.lists(st.one_of(st.integers(-60, 60),
+                          st.fractions(min_value=-60, max_value=60, max_denominator=60))))
+def test_over_lcm_matches_fraction_arithmetic(values):
+    X, L = _over_lcm(values)
+    assert type(L) is int and L >= 1 and all(type(x) is int for x in X)
+    assert [Fraction(x, L) for x in X] == [Fraction(v) for v in values]
+    # L is the least common denominator: no L / q, for a prime q | L, is one
+    # (every prime factor of L divides a denominator, so it is at most 60)
+    for q in (q for q in range(2, 61) if _is_prime(q) and L % q == 0):
+        assert any((Fraction(v) * (L // q)).denominator != 1 for v in values)
+
+
+def test_over_lcm_examples():
+    assert _over_lcm([]) == ([], 1)
+    assert _over_lcm([3, -2, 0]) == ([3, -2, 0], 1)
+    assert _over_lcm([Fraction(1, 4), 2, Fraction(-5, 6)]) == ([3, 24, -10], 12)
 
 
 def test_from_powers_examples():

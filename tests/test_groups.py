@@ -262,6 +262,23 @@ def test_permutation_closure_s3(S3):
     assert len(transpositions) == 3
 
 
+def test_negative_degree_is_refused():
+    with pytest.raises(GroupStructureError, match="degree must be at least 0, got -2"):
+        from_permutations(-2, [])
+    E = from_permutations(0, [])
+    assert (E.order, E.table, E.identity) == (1, ((0,),), 0)
+
+
+def test_labels_must_be_strings():
+    table = ((0, 1), (1, 0))
+    for labels in ((5, 6), (["a"], ["b"]), ("a", None)):
+        with pytest.raises(GroupStructureError, match="labels must be strings"):
+            FiniteGroup(2, table, 0, labels)
+        with pytest.raises(GroupStructureError, match="labels must be strings"):
+            from_cayley_table(table, labels)
+    assert FiniteGroup(2, table, 0, ("a", "b")).labels == ("a", "b")
+
+
 def test_direct_product_z2_z3(Z2, Z3):
     P, pa, pb = direct_product(Z2, Z3)
     assert P.order == 6
@@ -807,15 +824,45 @@ def test_normality_witness_matches_conjugation(make, count, normal):
     assert (len(witnesses), witnesses.count(None)) == (count, normal)
 
 
+def _derived_groups():
+    """A quotient, a product and a subgroup as a group, each built without
+    validation."""
+    S4 = _symmetric(4)
+    V4 = next(H for H in all_subgroups(S4) if H.order == 4 and not normality_witness(S4, H))
+    A4 = next(H for H in all_subgroups(S4) if H.order == 12)
+    return {"quotient": quotient(S4, V4)[0],
+            "product": direct_product(_symmetric(3), make_cyclic_product([2]))[0],
+            "subgroup": subgroup_group(A4)[0]}
+
+
+@pytest.mark.parametrize("name", ["quotient", "product", "subgroup"])
+def test_maps_out_of_derived_groups_are_checked(name):
+    # the generators that a map's check reads are computed from its domain,
+    # stored on no group, so a derived domain checks as its validated copy
+    G = _derived_groups()[name]
+    copy = FiniteGroup(G.order, G.table, G.identity, G.labels)
+    assert Homomorphism(G, G, tuple(range(G.order))) == identity_map(G)
+    Z2 = make_cyclic_product([2])
+    # one non-identity element to 1: no homomorphism onto Z2 when |G| > 2
+    x0 = next(x for x in range(G.order) if x != G.identity)
+    bad = tuple(int(x == x0) for x in range(G.order))
+    messages = []
+    for domain in (G, copy):
+        with pytest.raises(GroupStructureError, match=r"^not multiplicative at \(\d+,\d+\)$") as err:
+            Homomorphism(domain, Z2, bad)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_derived_state_is_built_at_construction():
     table = make_cyclic_product([4]).table
     G1, G2 = FiniteGroup(4, table, 0, ("a", "b", "c", "d")), FiniteGroup(4, table, 0)
     h1, h2 = (Homomorphism(G, G, (0, 2, 0, 2)) for G in (G1, G2))
-    for obj, names in ((G1, {"_generators", "_hash"}), (h1, {"fibres"})):
+    for obj, names in ((G1, {"_hash"}), (h1, {"fibres"})):
         assert names <= set(vars(obj))
         assert not names & {f.name for f in fields(obj)}
         assert not any(name in repr(obj) for name in names)
-    assert G1._generators == (1,) and h1.fibres == (5, 0, 10, 0)
+    assert h1.fibres == (5, 0, 10, 0)
     assert repr(G1) != repr(G2)
     assert G1 == G2 and hash(G1) == hash(G2) == hash((4, 0, table))
     assert h1 == h2 and hash(h1) == hash(h2)

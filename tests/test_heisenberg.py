@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -212,6 +213,24 @@ def reference_kronecker_sequence(alphas, eps, count, spacing, budget=10**8):
         integers.append(tuple(int(k) for k in ks))
         last = t
     return tuple(times), tuple(integers)
+
+
+def loop_rational_lcm(values):
+    """lcm of positive rationals, folded one value at a time."""
+    num, g = 1, 0
+    for v in values:
+        v = F(v)
+        num = num * v.numerator // math.gcd(num, v.numerator)
+        g = math.gcd(g, v.denominator)
+    return F(num, g)
+
+
+@given(st.lists(st.fractions(min_value=F(1, 50), max_value=F(50), max_denominator=50),
+                min_size=1, max_size=6))
+def test_rational_lcm_matches_the_folded_loop(alphas):
+    L = _rational_lcm(alphas)
+    assert L == loop_rational_lcm(alphas)
+    assert all((L / a).denominator == 1 for a in alphas)
 
 
 def test_kronecker_closed_form_matches_grid_scan():

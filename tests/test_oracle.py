@@ -27,6 +27,8 @@ from blgroups.oracle import (
     rayleigh,
 )
 
+from conftest import corpus_openers
+
 C = HaarMode.COUNTING
 P = HaarMode.PROBABILITY
 
@@ -624,18 +626,6 @@ def reference_exhaustive_search(d):
               for chosen, count in finalists]
     best, value, _ = exact_max(values)
     return value, [mask_members(s) for s in finalists[best][0]]
-
-
-def corpus_openers(haar):
-    """The first frame of each of the 42 corpus groups at its first exponent
-    tuple, under the Haar mode haar."""
-    from blgroups import corpus
-
-    first = {}
-    for f in corpus.standard_frames():
-        first.setdefault(f.group, f)
-    assert len(first) == 42
-    return [corpus.frame_datum(f, corpus.exponent_grid(f.J)[0], haar) for f in first.values()]
 
 
 def test_cut_keeps_the_unpruned_search_results():

@@ -130,13 +130,20 @@ TRUSTING = {
 }
 
 
+# Where the package computes a group's greedy generating set: only the two
+# validating checks read it, so no derived constructor pays for it.
+GENERATORS = {
+    ("groups", "FiniteGroup.__post_init__", "_greedy_generators"),
+    ("groups", "Homomorphism.__post_init__", "_greedy_generators"),
+}
+
+
 BUILT = ("FiniteGroup", "Homomorphism", "BLDatum")
 
 
-def _constructor_calls():
-    """(module, enclosing qualified name, callee) for every call of
-    `FiniteGroup`, `Homomorphism` or `BLDatum`, or of an attribute of one,
-    in the package's source."""
+def _calls(names=BUILT):
+    """(module, enclosing qualified name, callee) for every call of one of
+    `names`, or of an attribute of one, in the package's source."""
     calls = set()
 
     def visit(module, node, where):
@@ -146,10 +153,10 @@ def _constructor_calls():
                 inner = child.name if where == "<module>" else f"{where}.{child.name}"
             elif isinstance(child, ast.Call):
                 f = child.func
-                if isinstance(f, ast.Name) and f.id in BUILT:
+                if isinstance(f, ast.Name) and f.id in names:
                     calls.add((module, where, f.id))
                 elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                      and f.value.id in BUILT):
+                      and f.value.id in names):
                     calls.add((module, where, f"{f.value.id}.{f.attr}"))
             visit(module, child, inner)
 
@@ -160,6 +167,11 @@ def _constructor_calls():
 
 def test_groups_and_maps_are_built_only_where_listed():
     # a new call site has to join VALIDATING or TRUSTING on purpose
-    calls = _constructor_calls()
+    calls = _calls()
     assert calls - VALIDATING - TRUSTING == set()
     assert calls == VALIDATING | TRUSTING
+
+
+def test_generators_are_computed_only_where_listed():
+    # a derived constructor that computed them again would join this set
+    assert _calls(("_greedy_generators",)) == GENERATORS
