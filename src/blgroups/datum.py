@@ -27,6 +27,13 @@ keeps only its count of the modes its caller gives, and index deletion,
 restriction, `canonicalize`, `split_product` and `quotient_split` check
 nothing again.
 
+The reductions build no group that they then drop.  `canonicalize` and
+`quotient_split` take each quotient, its coset indices and its least coset
+members from one `groups._quotient_group` call; a restriction takes each
+subgroup's group and member index from `groups._subgroup_as_group`,
+without an inclusion map; and `reduce_p1` restricts only the maps it
+keeps.
+
 Mass quotients
 --------------
 With r_j = 1/p_j, mass(X) / prod_j mass(Y_j)^(r_j), for a set X of `count`
@@ -73,12 +80,12 @@ from .groups import (
     HaarMode,
     Homomorphism,
     Subgroup,
+    _check_normal,
+    _quotient_group,
+    _subgroup_as_group,
     direct_product,
-    image,
     kernel,
     normality_witness,
-    quotient,
-    subgroup_group,
 )
 
 
@@ -307,39 +314,31 @@ def canonical_tag(d: BLDatum) -> CanonicalTag:
     return CanonicalTag(False, witness, ExactValue.from_powers(terms))
 
 
-def _index_terms(d: BLDatum, sizes: list[int], skip: Optional[int] = None) -> list:
+def _index_terms(d: BLDatum, sizes: list[int]) -> list:
     """The (n, e) terms of prod [G_j : S_j]^(1/p_j) over probability
-    codomains j != skip, for subgroups S_j of the G_j of the given sizes."""
+    codomains j, for subgroups S_j of the G_j of the given sizes."""
     terms = []
-    for j, (c, size, mode, e) in enumerate(
-        zip(d.codomains, sizes, d.haar_codomains, d.exponents)
-    ):
-        if j != skip and mode is HaarMode.PROBABILITY:
+    for c, size, mode, e in zip(d.codomains, sizes, d.haar_codomains, d.exponents):
+        if mode is HaarMode.PROBABILITY:
             terms += [(c.order, e.reciprocal()), (size, -e.reciprocal())]
     return terms
 
 
-def _coset_representatives(proj: Homomorphism) -> list[int]:
-    """The least element of each fibre of a quotient map, in coset order."""
-    return [(f & -f).bit_length() - 1 for f in proj.fibres]
-
-
 def _onto_image(X: FiniteGroup, points, h: Homomorphism) -> Homomorphism:
     """The map x -> h(points[x]) from X onto its image, a subgroup of
-    h.codomain presented as a group by `subgroup_group`.  The points are a
-    subgroup, or coset representatives of a subgroup inside ker h, so their
-    image is the image of a subgroup and the map is a homomorphism, built
-    without a check (`groups` docstring)."""
+    h.codomain presented as a group by `groups._subgroup_as_group`.  The
+    points are a subgroup, or coset representatives of a subgroup inside
+    ker h, so their image is the image of a subgroup and the map is a
+    homomorphism, built without a check (`groups` docstring)."""
     values = [h.map[x] for x in points]
     img = Subgroup._built(h.codomain, sum(1 << y for y in set(values)))
-    M, _ = subgroup_group(img)
-    index = {y: i for i, y in enumerate(img.members)}
+    M, index = _subgroup_as_group(img)
     return Homomorphism._built(X, M, tuple(index[y] for y in values))
 
 
 def _restricted(d: BLDatum, N: Subgroup) -> BLDatum:
     """d on the subgroup N, each map restricted onto its image."""
-    K, _ = subgroup_group(N)
+    K, _ = _subgroup_as_group(N)
     maps = tuple(_onto_image(K, N.members, h) for h in d.maps)
     return BLDatum._built(K, maps, d.exponents, d.haar_G, d.haar_codomains)
 
@@ -363,8 +362,7 @@ def canonicalize(d: BLDatum) -> tuple[BLDatum, CanonicalTag]:
     tag = canonical_tag(d)
     if tag.is_canonical:
         return d, tag
-    Q, proj = quotient(d.G, joint_kernel(d))
-    reps = _coset_representatives(proj)
+    Q, _, reps = _quotient_group(d.G, joint_kernel(d))  # normal: a joint kernel
     maps = tuple(_onto_image(Q, reps, h) for h in d.maps)
     return BLDatum._built(Q, maps, d.exponents, d.haar_G, d.haar_codomains), tag
 
@@ -397,10 +395,11 @@ def reduce_p1(d: BLDatum, k: int) -> BLDatum:
     if not canonical_tag(d).is_canonical:
         raise NotCanonicalError("reduce at p = 1 requires a canonical datum")
     N = kernel(d.maps[k])
-    restricted = _restricted(d, N)
+    others = _without(d, k)
+    restricted = _restricted(others, N)
 
     # the exactness factor w_G / (w_Gk w_N) * index terms must be 1
-    terms = _index_terms(d, [c.order for c in restricted.codomains], k)
+    terms = _index_terms(others, [c.order for c in restricted.codomains])
     if d.haar_G is HaarMode.PROBABILITY:
         terms += [(d.G.order, -1), (N.order, 1)]
     if d.haar_codomains[k] is HaarMode.PROBABILITY:
@@ -411,7 +410,7 @@ def reduce_p1(d: BLDatum, k: int) -> BLDatum:
             f"inherited Haar modes change the constant by {factor}; "
             "the prescribed restricted measures are not representable"
         )
-    return _without(restricted, k)
+    return restricted
 
 
 def split_product(d1: BLDatum, d2: BLDatum) -> BLDatum:
@@ -444,18 +443,18 @@ def quotient_split(d: BLDatum, N: Subgroup) -> tuple[BLDatum, BLDatum]:
     quotient) triple satisfy the quotient integral formula, and the constant
     of d is at most the product of the two returned constants.
     """
-    Q, proj = quotient(d.G, N)  # checks that N is a normal subgroup of G
-    reps = _coset_representatives(proj)
+    _check_normal(d.G, N)
+    Q, _, reps = _quotient_group(d.G, N)
     maps = []
     for j, h in enumerate(d.maps):
-        img = image(h, N)
+        img = Subgroup._built(h.codomain, h.image_mask(N.mask))
         w = normality_witness(h.codomain, img)
         if w is not None:
             raise GroupStructureError(
                 f"image under map {j} is not normal: member {w[1]} conjugated "
                 f"by {w[0]} escapes"
             )
-        Qj, proj_j = quotient(h.codomain, img)
-        maps.append(Homomorphism._built(Q, Qj, tuple(proj_j.map[h.map[r]] for r in reps)))
+        Qj, coset_of, _ = _quotient_group(h.codomain, img)
+        maps.append(Homomorphism._built(Q, Qj, tuple(coset_of[h.map[r]] for r in reps)))
     quot = BLDatum._built(Q, tuple(maps), d.exponents, d.haar_G, d.haar_codomains)
     return _restricted(d, N), quot

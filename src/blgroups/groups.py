@@ -65,10 +65,15 @@ construction:
   of subgroups;
 - a direct product's componentwise law is a group law, and its coordinate
   projections are homomorphisms;
-- a quotient by a subgroup that `quotient` has just found normal is a
-  group under coset multiplication, with the projection a homomorphism;
-- a subgroup's table, restricted from its parent's, is a group law, and
-  the inclusion is a homomorphism;
+- a quotient by a normal subgroup is a group under coset multiplication,
+  with the projection a homomorphism.  `_quotient_group` builds it without
+  a test.  A subgroup from outside is tested once, by `_check_normal` (in
+  `quotient`, and for N in `quotient_split`).  A quotient by a joint
+  kernel (`canonicalize`), normal as an intersection of kernels, or by an
+  image h(N) that `quotient_split` has just tested, skips the test;
+- a subgroup's table, restricted from its parent's, is a group law
+  (`_subgroup_as_group`), and the inclusion is a homomorphism
+  (`subgroup_group`);
 - a composition of homomorphisms, and the identity map, are homomorphisms;
 - in `datum`, the map x -> h(points[x]) of `_onto_image` is h on a
   subgroup, or on coset representatives of a subgroup inside ker h, which
@@ -90,7 +95,8 @@ construction:
   codomain modes, as they come from the caller), index deletion,
   restriction to a subgroup, `canonicalize`, `split_product` and
   `quotient_split`.
-`tests/test_package.py` lists the call sites of either kind.
+`tests/test_package.py` lists the call sites of either kind, and the two
+that test normality.
 
 Derived state (`FiniteGroup._hash`, `Homomorphism.fibres`, `Subgroup.mask`,
 `datum.BLDatum.codomains`) is set once in `__post_init__` by
@@ -581,8 +587,9 @@ def normality_witness(G: FiniteGroup, H: Subgroup):
     return None
 
 
-def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
-    """Quotient by a normal subgroup; cosets are ordered by least member."""
+def _check_normal(G: FiniteGroup, N: Subgroup) -> None:
+    """Refuse N unless it is a normal subgroup of G: the boundary check for a
+    subgroup that comes from outside."""
     if N.parent != G:
         raise GroupStructureError("subgroup parent mismatch")
     witness = normality_witness(G, N)
@@ -591,6 +598,13 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
         raise GroupStructureError(
             f"subgroup is not normal: conjugating member {n} by {x} escapes"
         )
+
+
+def _quotient_group(
+    G: FiniteGroup, N: Subgroup
+) -> tuple[FiniteGroup, list[int], list[int]]:
+    """G/N for a subgroup N known to be normal, with the coset index of each
+    element of G and the least member of each coset; no check."""
     coset_of = [-1] * G.order
     reps: list[int] = []
     for x in range(G.order):
@@ -606,22 +620,30 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
         "{" + ",".join(G.label(G.table[r][n]) for n in N.members) + "}" for r in reps
     )
     Q = FiniteGroup._built(len(reps), table, coset_of[G.identity], labels)
-    proj = Homomorphism._built(G, Q, tuple(coset_of))
-    return Q, proj
+    return Q, coset_of, reps
+
+
+def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
+    """Quotient by a normal subgroup; cosets are ordered by least member."""
+    _check_normal(G, N)
+    Q, coset_of, _ = _quotient_group(G, N)
+    return Q, Homomorphism._built(G, Q, tuple(coset_of))
+
+
+def _subgroup_as_group(H: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
+    """A subgroup as a group in its own right, with the index there of each
+    member."""
+    G = H.parent
+    index = {x: i for i, x in enumerate(H.members)}
+    table = tuple(tuple(index[G.table[x][y]] for y in H.members) for x in H.members)
+    labels = tuple(G.label(x) for x in H.members)
+    return FiniteGroup._built(len(index), table, index[G.identity], labels), index
 
 
 def subgroup_group(H: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     """Present a subgroup as a group in its own right, with the inclusion map."""
-    G = H.parent
-    index = {x: i for i, x in enumerate(H.members)}
-    n = len(H.members)
-    table = tuple(
-        tuple(index[G.table[x][y]] for y in H.members) for x in H.members
-    )
-    labels = tuple(G.label(x) for x in H.members)
-    K = FiniteGroup._built(n, table, index[G.identity], labels)
-    incl = Homomorphism._built(K, G, tuple(H.members))
-    return K, incl
+    K, _ = _subgroup_as_group(H)
+    return K, Homomorphism._built(K, H.parent, tuple(H.members))
 
 
 def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:

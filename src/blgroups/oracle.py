@@ -401,8 +401,8 @@ def exhaustive_indicator_search(
             near.append((log_val, chosen + (s,), count))
 
     scan(0, (1 << d.G.order) - 1, (), 0.0)
-    if not near:
-        raise ValueError("no nonzero indicator tuple found")
+    # `near` is not empty: nothing is cut before the first leaf, as best_log
+    # is -inf, and choosing every element of each codomain reaches a leaf
 
     finalists = [(c, cnt) for lv, c, cnt in near if lv >= best_log - margin]
     keys = [(count, tuple(s.bit_count() for s in chosen)) for chosen, count in finalists]

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 import blgroups
 from blgroups.datum import BLDatum, make_datum
@@ -21,6 +22,12 @@ from blgroups.groups import (
     normality_witness,
     quotient,
 )
+
+# Loaded before the test modules import, so every @settings there inherits
+# it.  A slow draw on a busy machine is not a fault of the code under test;
+# assertions, example counts and deadlines stay as each test sets them.
+settings.register_profile("blgroups", suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("blgroups")
 
 
 def element_order(G, x):

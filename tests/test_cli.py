@@ -82,6 +82,20 @@ def test_verify_command_agreement(write, capsys, tmp_path):
     assert r["exhaustive"]["agrees"] and r["oracle"]["agrees"] and r["all_agree"]
 
 
+@pytest.mark.parametrize("haar, mass", [("probability", 1), ("counting", 6)])
+def test_verify_with_no_maps(write, capsys, haar, mass):
+    # J = 0: every route returns the total Haar mass of Z2 x Z3
+    path = write("empty.json", {"group": {"cyclic": [2, 3]}, "codomains": [],
+                                "maps": [], "p": []})
+    code, rep = run_cli(capsys, ["verify", "--in", path, "--haar", haar, "--no-cache"])
+    assert code == 0
+    r = rep["result"]
+    assert r["formula"]["value_approx"] == r["oracle"]["value_approx"] == mass
+    assert r["exhaustive"]["value"]["approx"] == mass
+    assert r["exhaustive"]["argmax_sets"] == []
+    assert r["exhaustive"]["agrees"] and r["oracle"]["agrees"] and r["all_agree"] is True
+
+
 def test_check_codim_infinite(write, capsys):
     path = write("t3.json", T3_LW)
     code, rep = run_cli(capsys, ["check-codim", "--in", path, "--p", "3/2,2,2"])
@@ -136,6 +150,17 @@ def test_polytope_command(write, capsys):
     assert ["1/2", "1/2", "1/2"] in r["vertices"]
     assert len(r["halfspaces"]) == 7
     assert r["pool_stabilized"] is True
+
+
+def test_polytope_above_the_vertex_cap_exits_3(write, capsys):
+    # nine maps give a polytope in dimension 9, past VERTEX_DIM_CAP = 8
+    datum = {"simple_dims": [], "torus_dim": 1,
+             "maps": [{"kept_simple": [], "torus_matrix": [[1]]}] * 9}
+    code = main(["polytope", "--in", write("nine.json", datum)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "vertex enumeration capped at dimension 8", "kind": "budget"}
 
 
 def test_polytope_table_keeps_list_items(write, capsys):

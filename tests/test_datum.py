@@ -69,6 +69,14 @@ def test_exponent_below_one_rejected():
         Exponent.of("1/2")
 
 
+def test_exponent_of_none_and_float_infinities():
+    assert Exponent.of(None) is INF
+    assert Exponent.of(float("inf")) is INF
+    with pytest.raises(ValueError) as exc:
+        Exponent.of(float("-inf"))
+    assert str(exc.value) == "exponent must be >= 1, got -inf"
+
+
 # -- datum validation --------------------------------------------------------
 
 
@@ -405,6 +413,9 @@ def test_split_product_counting_hoelder_pair(Z2):
 
 
 def test_split_product_mismatches(Z2, Z3):
+    with pytest.raises(WrongExponentError) as exc:
+        split_product(hoelder(Z2, J=2), hoelder(Z3, J=3, p=("1", "1", "1")))
+    assert str(exc.value) == "tensor factors must have equal length"
     with pytest.raises(WrongExponentError):
         split_product(hoelder(Z2, p=("1", "1")), hoelder(Z3, p=("1", "2")))
     with pytest.raises(NormalizationError):
@@ -467,6 +478,47 @@ def test_quotient_split_rejects_non_normal_image(S3, Z2):
     d = make_datum(Z2, [h], [2])
     with pytest.raises(GroupStructureError, match="not normal"):
         quotient_split(d, Subgroup(Z2, (0, 1)))
+
+
+def test_quotient_split_rejects_a_subgroup_of_another_group(Z2, Z4):
+    d = make_datum(Z4, [identity_map(Z4)], [2])
+    with pytest.raises(GroupStructureError, match="^subgroup parent mismatch$"):
+        quotient_split(d, Subgroup(Z2, (0, 1)))
+
+
+def test_normality_is_tested_once_per_outside_subgroup(monkeypatch, digests, edge_data):
+    # canonicalize divides by a joint kernel, normal by construction, and
+    # quotient_split tests N once and each image h_j(N) once: 1 + J tests
+    from blgroups import datum, groups
+
+    S4 = from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    data = list(edge_data) + list(quotient_data(digests, S4, 6, 1))
+    calls = []
+    witness = groups.normality_witness
+
+    def spy(G, H):
+        calls.append(H)
+        return witness(G, H)
+
+    monkeypatch.setattr(groups, "normality_witness", spy)
+    monkeypatch.setattr(datum, "normality_witness", spy)
+    collapsed = 0
+    for d in data:
+        collapsed += not canonical_tag(d).is_canonical
+        canonicalize(d)
+    assert collapsed == 4 and calls == []
+    splits = 0
+    for d in data:
+        for N in all_subgroups(d.G):
+            calls.clear()
+            try:
+                quotient_split(d, N)
+                splits += 1
+                assert len(calls) == 1 + d.J
+            except GroupStructureError:
+                assert len(calls) <= 1 + d.J
+            assert calls[0] is N
+    assert splits > 100
 
 
 # -- normalization covariance ------------------------------------------------

@@ -331,6 +331,8 @@ def test_exact_max_reports_ties():
     assert idx == 2 and best.as_fraction() == 3 and not tie
     idx, best, tie = exact_max(vals[:2])
     assert idx == 0 and tie
+    with pytest.raises(ValueError, match="^exact_max of empty sequence$"):
+        exact_max([])
 
 
 def _exact_max_by_compare(values):

@@ -279,6 +279,17 @@ def test_labels_must_be_strings():
     assert FiniteGroup(2, table, 0, ("a", "b")).labels == ("a", "b")
 
 
+def test_labels_must_number_the_order():
+    with pytest.raises(GroupStructureError, match="^labels length must match order$"):
+        FiniteGroup(2, ((0, 1), (1, 0)), 0, ("a",))
+
+
+def test_permutation_closure_past_the_order_cap():
+    with pytest.raises(SizeCapError, match="^permutation closure exceeds 5$"):
+        from_permutations(3, [(1, 0, 2), (1, 2, 0)], order_cap=5)
+    assert from_permutations(3, [(1, 0, 2), (1, 2, 0)], order_cap=6).order == 6
+
+
 def test_direct_product_z2_z3(Z2, Z3):
     P, pa, pb = direct_product(Z2, Z3)
     assert P.order == 6
@@ -797,6 +808,15 @@ def test_quotient_non_normal_names_witness(S3):
     with pytest.raises(GroupStructureError) as exc:
         quotient(S3, H)
     assert str(exc.value) == f"subgroup is not normal: conjugating member {n} by {x} escapes"
+
+
+def test_subgroups_of_another_group_are_refused(Z2, Z4):
+    H = Subgroup(Z2, (0, 1))
+    with pytest.raises(GroupStructureError, match="^subgroup parent mismatch$"):
+        quotient(Z4, H)
+    with pytest.raises(GroupStructureError,
+                       match="^subgroup parent is not the homomorphism domain$"):
+        image(identity_map(Z4), H)
 
 
 def reference_normality_witness(G, H):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blgroups.heisenberg import (
+    ApproximationWitness,
     DilationStructure,
     HeisenbergElement,
     ScanBudgetError,
@@ -179,6 +180,8 @@ def test_kronecker_spacing_respected():
 def test_kronecker_rejects_bad_arguments():
     with pytest.raises(ValueError):
         kronecker_sequence([F(1)], F(0), 1, F(1))
+    with pytest.raises(ValueError, match="^count must be at least 1$"):
+        kronecker_sequence([F(1)], F(1, 10), 0, F(1))
     with pytest.raises(ValueError):
         kronecker_sequence([], F(1, 10), 1, F(1))
     with pytest.raises(ValueError):
@@ -313,6 +316,28 @@ def test_divergence_monotone_and_unbounded():
 def test_divergence_requires_eps_inside_box():
     with pytest.raises(ValueError):
         divergence_witness(1, [F(1)], F(10), F(1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize("M", [F(0), F(-3)])
+def test_divergence_requires_positive_target(M):
+    with pytest.raises(ValueError, match="^M must be positive$"):
+        divergence_witness(1, [F(1)], M)
+
+
+def test_divergence_requires_a_heisenberg_dimension():
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        divergence_witness(0, [F(1)], F(10))
+
+
+def test_witness_verify_fails_off_the_grid_and_below_the_spacing():
+    w = kronecker_sequence([F(1, 2)], F(1, 10), 3, F(1))
+    assert w.times == (F(1, 2), F(3, 2), F(5, 2)) and w.integers == ((1,), (3,), (5,))
+    assert w.verify([F(1, 2)])
+    # against 2/3 the first pair misses by |1/2 - 2/3| = 1/6 >= eps
+    assert not w.verify([F(2, 3)])
+    # the times are 1 apart, closer than a spacing of 2
+    close = ApproximationWitness(w.times, w.integers, w.eps, F(2))
+    assert not close.verify([F(1, 2)])
 
 
 def test_scaling_defect_vanishes_at_balanced_polytope_vertices():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import blgroups.lie as lie
 from blgroups.datum import Exponent
+from blgroups.groups import SizeCapError
 from blgroups.lie import (
     CompactLieDatum,
     FinitenessReport,
@@ -304,6 +305,12 @@ def test_codim_lw_at_half_exponents_tight():
         assert defect == 0
 
 
+def test_codim_refuses_ideal_rows_of_the_wrong_width():
+    d = t3_loomis_whitney()
+    with pytest.raises(ValueError, match="^torus basis rows must have torus_dim entries$"):
+        codimension_check(d, [E(2)] * 3, [IdealSpec((), [[1, 0]])])
+
+
 def test_codim_lw_violated():
     d = t3_loomis_whitney()
     rep = codimension_check(d, [E("3/2"), E(2), E(2)], closed_pool(d)[0])
@@ -480,6 +487,21 @@ def test_polytope_single_isomorphism_is_interval():
     assert vertices(P) == [(Fraction(0),), (Fraction(1),)]
 
 
+def test_polytope_needs_the_zero_ideal():
+    d = t2_two_projections()
+    with pytest.raises(ValueError, match="^the ideal list must contain the zero ideal$"):
+        bl_polytope(d, [full_ideal(d)])
+
+
+def test_vertices_above_the_dimension_cap_are_refused():
+    J = lie.VERTEX_DIM_CAP + 1
+    P = bl_polytope(CompactLieDatum((), 1, (LinearizedMap((), [[1]]),) * J), [zero_ideal()])
+    assert P.dim == J
+    with pytest.raises(SizeCapError,
+                       match=f"^vertex enumeration capped at dimension {lie.VERTEX_DIM_CAP}$"):
+        vertices(P)
+
+
 def test_polytope_t2_unit_square():
     d = t2_two_projections()
     pool = closed_pool(d)[0]
@@ -495,6 +517,8 @@ def test_membership_inside_and_outside():
     assert membership(P, [2, 2, 2])
     assert membership(P, ["inf", "inf", "inf"])
     assert not membership_point(P, [Fraction(2, 3), Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(ValueError, match="^point dimension mismatch$"):
+        membership_point(P, [Fraction(1, 2)] * 2)
 
 
 def test_every_vertex_is_member_and_facets_are_tight_or_flagged():
@@ -768,6 +792,12 @@ def test_brute_force_scan_matches_pool_verdicts():
     assert brute_force_torus_violator(d, [E(2)] * 3, box=3) is None
     n = brute_force_torus_violator(d, [E("3/2"), E(2), E(2)], box=3)
     assert n is not None and codimension_defect(d, [E("3/2"), E(2), E(2)], n) > 0
+
+
+def test_brute_force_scan_refuses_simple_summands():
+    d = CompactLieDatum((3,), 1, (LinearizedMap((0,), [[1]]),))
+    with pytest.raises(ValueError, match="^brute force scan applies to pure torus data$"):
+        brute_force_torus_violator(d, [E(2)])
 
 
 def test_brute_force_scan_finds_kernel_line_violator():

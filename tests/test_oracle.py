@@ -94,6 +94,16 @@ def test_rayleigh_rejects_zero_norm():
         rayleigh(d, InputTuple([[0, 0], [1, 1]]))
 
 
+def test_inputs_must_not_all_be_zero():
+    with pytest.raises(ValueError, match="^at least one input must be nonzero$"):
+        InputTuple([[0, 0], [0.0, 0]])
+
+
+def test_ascent_rejects_a_start_of_zero_norm():
+    with pytest.raises(ValueError, match="^input 1 has zero norm$"):
+        alternating_ascent(hoelder(), InputTuple([[1.0, 1.0], [0.0, 0.0]]))
+
+
 # -- ascent ---------------------------------------------------------------------
 
 
@@ -465,6 +475,16 @@ def test_exhaustive_z3_point_masses():
     value, sets = exhaustive_indicator_search(hoelder(3, ("1", "1")))
     assert value.as_fraction() == 3
     assert all(len(s) == 1 for s in sets)
+
+
+@pytest.mark.parametrize("haar, mass", [(P, 1), (C, 6)])
+def test_no_maps_give_the_total_haar_mass(haar, mass):
+    # J = 0: the form is the Haar mass of G, so all three routes return it
+    d = make_datum(make_cyclic_product([2, 3]), [], [], haar_G=haar)
+    assert bl_constant(d).value.as_fraction() == mass
+    value, sets = exhaustive_indicator_search(d)
+    assert value.as_fraction() == mass and sets == []
+    assert oracle_constant(d) == mass
 
 
 def test_exhaustive_budget():

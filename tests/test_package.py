@@ -111,9 +111,9 @@ VALIDATING = {
 TRUSTING = {
     ("groups", "direct_product", "FiniteGroup._built"),
     ("groups", "direct_product", "Homomorphism._built"),
-    ("groups", "quotient", "FiniteGroup._built"),
+    ("groups", "_quotient_group", "FiniteGroup._built"),
     ("groups", "quotient", "Homomorphism._built"),
-    ("groups", "subgroup_group", "FiniteGroup._built"),
+    ("groups", "_subgroup_as_group", "FiniteGroup._built"),
     ("groups", "subgroup_group", "Homomorphism._built"),
     ("groups", "compose", "Homomorphism._built"),
     ("groups", "identity_map", "Homomorphism._built"),
@@ -135,6 +135,16 @@ TRUSTING = {
 GENERATORS = {
     ("groups", "FiniteGroup.__post_init__", "_greedy_generators"),
     ("groups", "Homomorphism.__post_init__", "_greedy_generators"),
+}
+
+
+# Where the package tests a subgroup for normality: once at the boundary,
+# for a subgroup from outside, and once per map for the images that
+# `quotient_split` divides by.  Joint kernels and tested images are
+# quotiented without a second test.
+NORMALITY = {
+    ("groups", "_check_normal", "normality_witness"),
+    ("datum", "quotient_split", "normality_witness"),
 }
 
 
@@ -175,3 +185,21 @@ def test_groups_and_maps_are_built_only_where_listed():
 def test_generators_are_computed_only_where_listed():
     # a derived constructor that computed them again would join this set
     assert _calls(("_greedy_generators",)) == GENERATORS
+
+
+def test_normality_is_tested_only_where_listed():
+    # a quotient that tested a subgroup the library knows to be normal
+    # would join this set
+    assert _calls(("normality_witness",)) == NORMALITY
+
+
+def test_hypothesis_profile_only_suppresses_the_slow_draw_check():
+    # conftest loads it before the test modules import: a slow draw on a
+    # busy machine fails no test, and deadlines and example counts stay
+    # hypothesis's defaults
+    from hypothesis import HealthCheck, settings
+
+    default = settings.get_profile("default")
+    assert settings.default.suppress_health_check == (HealthCheck.too_slow,)
+    assert settings.default.deadline == default.deadline
+    assert settings.default.max_examples == default.max_examples
