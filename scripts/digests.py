@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Print the seven answer digests that gate a change to the library, and
+"""Print the eight answer digests that gate a change to the library, and
 check each against its stored value in `tests/answer_digests.json`.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/digests.py              # all seven
+    PYTHONPATH=src python scripts/digests.py              # all eight
     PYTHONPATH=src python scripts/digests.py formula oracle   # only these
 
 The script exits 1 when a printed digest differs from its stored value,
@@ -41,24 +41,38 @@ an answer edits the stored value, and says which digest moved and why.
 * scan: on the same Lie cases, `codimension_check` against `closed_pool` at
   `max_closure` 3, and, where the torus part has dimension 1 to 3,
   `brute_force_torus_violator` on it with box 1.
+* cli: `cli.main`, run in process, over the 710 calls of `cli_calls()` on
+  the inputs of `CLI_FINITE`, `CLI_LIE` and `CLI_FAILING`: `constant` in
+  JSON, in table form and with `--candidates`, `verify` and `oracle` at
+  two restarts, `reduce` with every `--op` at every index and at indices
+  out of range, each under no `--haar` and under both modes; `check-codim`
+  (also with `--show-pool`) and `polytope` (also in table form) at
+  `--max-closure` 0 and 3; `heisenberg-demo`; and inputs that exit 1 to 5.
+  Each line holds the arguments, stdout without its `timing_s` line,
+  stderr and the exit code, with the directory of the input files written
+  as IN.
 
 Each digest is the SHA-256 of one `repr` line per item.  The digests go
 to stdout and the time of each pass to stderr, so two runs also compare
 with `diff`.  The reductions and oracle passes take the longest.  Each
 digest's line generator is a module-level function in `DIGESTS`, so tests
-can pin the fast digests (`tests/test_digests.py`), and the oracle and the
-reductions on slices.
+can pin the fast digests (`tests/test_digests.py`), and the oracle, the
+reductions and the cli on slices.
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import json
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
+from blgroups.cli import main as cli_main
 from blgroups.constant import bl_constant
 from blgroups.corpus import exponent_grid, frame_datum, standard_frames
 from blgroups.datum import (
@@ -312,9 +326,146 @@ def oracle_lines(step=1):
         yield (oracle_constant(d, restarts=8, seed=20).hex(), value.factors, sets)
 
 
+_S3 = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+_LW = {"group": {"cyclic": [2, 2]}, "codomains": [{"cyclic": [2]}, {"cyclic": [2]}],
+       "maps": [[0, 0, 1, 1], [0, 1, 0, 1]], "p": ["2", "2"]}
+_T3 = {"simple_dims": [], "torus_dim": 3, "maps": [
+    {"kept_simple": [], "torus_matrix": rows}
+    for rows in ([[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0]])]}
+
+# The cli digest's inputs: finite data that run the whole finite menu, Lie
+# data with the exponent lists `check-codim` runs at, and inputs that only
+# the failing calls at the end of `cli_calls` read.
+CLI_FINITE = {
+    "lw": _LW,
+    "hoelder": {"group": {"cyclic": [2]}, "codomains": [{"cyclic": [2]}] * 2,
+                "maps": [[0, 1], [0, 1]], "p": ["1", "1"]},
+    "s3": {"group": _S3, "codomains": [{"cyclic": [2]}, _S3],
+           "maps": [[0, 1, 1, 0, 0, 1], [0, 1, 2, 3, 4, 5]], "p": ["3/2", "3"]},
+    # tie-heavy: many indicator tuples share each key
+    "s3-ones": {"group": _S3, "codomains": [{"cyclic": [2]}, _S3],
+                "maps": [[0, 1, 1, 0, 0, 1], [0, 1, 2, 3, 4, 5]], "p": ["1", "1"]},
+    "v4-ties": {"group": {"cyclic": [2, 2]},
+                "codomains": [{"cyclic": [2]}] * 3 + [{"cyclic": [2, 2]}],
+                "maps": [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0], [0, 1, 2, 3]],
+                "p": ["1", "inf", "1", "inf"]},
+    "z6-ties": {"group": {"cyclic": [6]},
+                "codomains": [{"cyclic": [2]}, {"cyclic": [3]}, {"cyclic": [6]},
+                              {"cyclic": [2]}],
+                "maps": [[x % 2 for x in range(6)], [x % 3 for x in range(6)],
+                         list(range(6)), [x % 2 for x in range(6)]],
+                "p": ["1", "inf", "1", "inf"]},
+    "mixed": dict(_LW, p=["4/3", "5/2"],
+                  haar={"G": "counting", "codomains": ["probability", "counting"]}),
+    "empty": {"group": {"cyclic": [2, 3]}, "codomains": [], "maps": [], "p": []},
+    "z2-three": {"group": {"cyclic": [2]}, "codomains": [{"cyclic": [2]}] * 3,
+                 "maps": [[0, 1]] * 3, "p": ["4/3", "5/2", "1000/999"]},
+    # non-canonical: the doubling map of Z4 has a kernel
+    "double": {"group": {"cyclic": [4]}, "codomains": [{"cyclic": [4]}] * 2,
+               "maps": [[0, 2, 0, 2], [0, 1, 2, 3]], "p": ["4/3", "1000/999"]},
+    "lw-inf-one": dict(_LW, p=["inf", "1"],
+                       haar={"G": "counting", "codomains": ["counting", "counting"]}),
+    # a map onto the non-normal subgroup {e, (0 1)} of S3
+    "s3-non-normal": {"group": _S3, "codomains": [_S3, _S3],
+                      "maps": [[0, 2, 2, 0, 0, 2], [0, 1, 2, 3, 4, 5]], "p": ["1", "2"]},
+    # Z4 as a labelled table; one sweep of one start falls short of the
+    # constant at these exponents, so `verify` exits 1 there
+    "z4-table": {"group": {"order": 4, "labels": ["e", "a", "b", "c"],
+                           "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]},
+                 "codomains": [{"cyclic": [2]}, {"cyclic": [4]}, {"cyclic": [4]}],
+                 "maps": [[0, 0, 1, 1], [0, 2, 1, 3], [0, 2, 1, 3]],
+                 "p": ["1", "3/2", "inf"]},
+}
+CLI_LIE = {
+    "t3": (_T3, ["2,2,2", "3/2,2,2"]),
+    "planes": ({"simple_dims": [], "torus_dim": 3,
+                "maps": [{"kept_simple": [], "torus_matrix": [row]}
+                         for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]},
+               ["4,4,4,4", "2,2,2,2"]),
+    "su2-t3": (dict(_T3, simple_dims=[3],
+                    maps=[dict(m, kept_simple=[0]) for m in _T3["maps"]]),
+               ["2,2,2", "3/2,3/2,3/2"]),
+    # a polytope past the vertex cap
+    "nine": ({"simple_dims": [], "torus_dim": 1,
+              "maps": [{"kept_simple": [], "torus_matrix": [[1]]}] * 9}, ["2" + ",2" * 8]),
+}
+CLI_FAILING = {
+    # an exponent too large for a float: the ascent exits 5
+    "huge-p": {"group": {"cyclic": [2]}, "codomains": [{"cyclic": [2]}], "maps": [[0, 1]],
+               "p": [str(10**400)]},
+    "big": dict(_LW, group={"cyclic": [8, 8]}),
+    "no-codomains": {"group": {"cyclic": [2]}},
+    "bad-p": {"group": {"cyclic": [2]}, "codomains": [{"cyclic": [2]}] * 2,
+              "maps": [[0, 1], [0, 1]], "p": ["1/0", "1"]},
+}
+
+
+def cli_calls():
+    """The cli digest's argument lists, with IN for the input directory."""
+    for name, obj in CLI_FINITE.items():
+        path = ["--in", f"IN/{name}.json"]
+        for haar in ([], ["--haar", "counting"], ["--haar", "probability"]):
+            for extra in ([], ["--format", "table"], ["--candidates"]):
+                yield ["constant", *path, *haar, *extra]
+            yield ["verify", *path, *haar, "--restarts", "2"]
+            yield ["oracle", *path, *haar, "--restarts", "2"]
+            yield ["reduce", *path, *haar, "--op", "canonicalize"]
+            J = len(obj["maps"])
+            for op in ("drop-inf", "reduce-p1"):
+                for index in (-1, *range(J), J, 5):
+                    yield ["reduce", *path, *haar, "--op", op, "--index", str(index)]
+    for name, (_, exponents) in CLI_LIE.items():
+        path = ["--in", f"IN/{name}.json"]
+        for closure in ("0", "3"):
+            for p in exponents:
+                for extra in ([], ["--show-pool"]):
+                    yield ["check-codim", *path, "--p", p, "--max-closure", closure, *extra]
+            for extra in ([], ["--format", "table"]):
+                yield ["polytope", *path, "--max-closure", closure, *extra]
+    for command in ("oracle", "verify", "constant"):
+        yield [command, "--in", "IN/huge-p.json"]
+    yield ["verify", "--in", "IN/z4-table.json", "--restarts", "1", "--max-sweeps", "1"]
+    for cap in ([], ["--order-cap", "16"]):
+        yield ["constant", "--in", "IN/big.json", *cap]
+    for name in ("no-codomains", "bad-p", "none"):
+        yield ["constant", "--in", f"IN/{name}.json"]
+    yield ["constant", "--in", "IN/lw.json", "--max-sweeps", "1"]  # refused by argparse
+    yield ["oracle", "--in", "IN/lw.json", "--max-sweeps", "0"]
+    yield ["check-codim", "--in", "IN/t3.json", "--p", "1/0,2,2"]
+    for extra in ([], ["--format", "table"], ["--n", "2", "--alphas", "1,2", "--M", "3"],
+                  ["--alphas", "1,1/2", "--eps", "1/7"], ["--M", "1/0"],
+                  ["--M", "100", "--budget", "10"]):
+        yield ["heisenberg-demo", *extra]
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of `cli.main(argv)` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_lines(step=1):
+    """The cli digest's lines; step > 1 keeps every step-th call only."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lie = {name: obj for name, (obj, _) in CLI_LIE.items()}
+        for name, obj in {**CLI_FINITE, **lie, **CLI_FAILING}.items():
+            Path(tmp, f"{name}.json").write_text(json.dumps(obj))
+        for argv in itertools.islice(cli_calls(), 0, None, step):
+            code, out, err = _run_cli([a.replace("IN/", tmp + "/", 1) for a in argv])
+            kept = [line for line in out.replace(tmp, "IN").splitlines()
+                    if not line.lstrip().startswith(('"timing_s":', "timing_s:"))]
+            yield argv, kept, err.replace(tmp, "IN"), code
+
+
 DIGESTS = {"subgroups": subgroup_lines, "formula": formula_lines,
            "oracle": oracle_lines, "reductions": reduction_lines,
-           "lie": _lie_lines, "scan": _scan_lines, "large": large_lines}
+           "lie": _lie_lines, "scan": _scan_lines, "large": large_lines,
+           "cli": cli_lines}
 
 
 def main(argv=None):

@@ -31,6 +31,22 @@ margin: the unpruned scan drops each of them on arrival without changing
 its state, so the finalists, their order and the result are those of the
 unpruned scan.
 
+The search keeps one finalist per key (c, |s_0|, ..., |s_{J-1}|), the
+first to arrive, and ranks the distinct keys in order of first arrival.
+This changes no result.  A tuple's float log-quotient is a function of its
+key: logs[c] less the left-to-right sum of the r_j log|s_j|, each read
+from a table by |s_j|.  So the tuples of one key have bit-equal float
+logs: they pass the prefilter together, and leave it together when the
+running maximum rises.  A key is kept at the end exactly when its tuples
+are finalists of the scan that keeps every tuple, and its entry holds the
+first of them.  Their exact values are equal too, as the quotient table
+builds a value from the key alone.  The first-wins argmax over every
+finalist picks the first finalist f of the greatest value.  f is the first
+of its key, and the keys that arrived before f's all rank below it, so the
+argmax over the distinct keys picks f's key, with the same value and the
+same sets.  On tie-heavy exponents such as p = (1, ..., 1), most passing
+tuples repeat a key, and the exact ranking shrinks to the distinct keys.
+
 The ascent runs all of `oracle_constant`'s starts in lockstep (`_ascend`;
 `alternating_ascent` is its one-lane call), on flat lane-major lists: entry
 l|G| + x is start l at the point x, block k holds |G_k| entries per lane,
@@ -340,8 +356,9 @@ def exhaustive_indicator_search(
     Subsets are enumerated as bitmasks per codomain; the intersection count
     behind the numerator is a popcount of AND-ed fiber masks.  A float
     prefilter, with the margin proved in the `datum` module docstring, keeps
-    the exact comparisons to the near-maximal candidates, and a cut proved
-    in the module docstring skips the branches that hold none of them.
+    the exact comparisons to the near-maximal candidates, one per key, and
+    a cut proved in the module docstring skips the branches that hold none
+    of them.
     """
     if d.J == 0:
         return _QuotientTable(d).value(d.G.order, ()), []
@@ -367,7 +384,9 @@ def exhaustive_indicator_search(
     margin = table.margin
     J = d.J
     best_log = -math.inf
-    near: list[tuple[float, tuple[int, ...], int]] = []
+    # (count, sizes) -> (log-quotient, sets) of the first tuple of that key
+    # within the margin of best_log (module docstring)
+    near: dict[tuple, tuple[float, tuple[int, ...]]] = {}
     logs = [0.0] + [math.log(c) for c in range(1, table.largest + 1)]
     # terms[j][s] = r_j log|s|, set s's share of the denominator's log
     terms = [[r * logs[s.bit_count()] for s in range(len(arr))]
@@ -387,6 +406,7 @@ def exhaustive_indicator_search(
                     continue
                 scan(j + 1, m, chosen + (s,), den)
             return
+        head = None  # the sizes of the chosen sets, once a leaf passes
         for s in range(1, len(masks)):
             m = mask & masks[s]
             if not m:
@@ -397,14 +417,17 @@ def exhaustive_indicator_search(
                 continue
             if log_val > best_log:
                 best_log = log_val
-                near = [c for c in near if c[0] >= best_log - margin]
-            near.append((log_val, chosen + (s,), count))
+                near = {k: c for k, c in near.items() if c[0] >= best_log - margin}
+            if head is None:
+                head = tuple(c.bit_count() for c in chosen)
+            key = (count, head + (s.bit_count(),))
+            if key not in near:
+                near[key] = (log_val, chosen + (s,))
 
     scan(0, (1 << d.G.order) - 1, (), 0.0)
     # `near` is not empty: nothing is cut before the first leaf, as best_log
     # is -inf, and choosing every element of each codomain reaches a leaf
 
-    finalists = [(c, cnt) for lv, c, cnt in near if lv >= best_log - margin]
-    keys = [(count, tuple(s.bit_count() for s in chosen)) for chosen, count in finalists]
+    keys = list(near)  # one per key, each within the margin of best_log
     best, value, _ = table.argmax(keys)
-    return value, [mask_members(s) for s in finalists[best][0]]
+    return value, [mask_members(s) for s in near[keys[best]][1]]

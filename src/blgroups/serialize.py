@@ -7,7 +7,10 @@ Group specs come in three shapes:
     {"degree": d, "generators": [[...], ...]}         permutation generators
 
 A table spec's "order" may be left out; when given, it must equal the
-number of rows.
+number of rows.  The order cap bounds every spec: the order of a table or
+cyclic product, the closure of the permutation generators, and the
+degree itself, which is refused above the cap (SizeCapError, CLI exit 3)
+before a permutation of that length is built.
 
 A datum bundles a group, codomains, maps as image lists, exponents as
 strings ("2", "3/2", "inf") or finite JSON numbers, and Haar modes.  A

@@ -382,6 +382,24 @@ def test_negative_degree_is_refused(write, capsys):
     assert code == 0
 
 
+def test_permutation_degree_past_the_order_cap_exits_3(write, capsys):
+    # refused before a permutation of that degree is built
+    cap = DEFAULT_ORDER_CAP
+    obj = {"group": {"degree": cap + 1, "generators": []}, "codomains": [], "maps": [],
+           "p": []}
+    code = main(["constant", "--in", write("degree.json", obj)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {"error": f"degree {cap + 1} exceeds cap {cap}",
+                                        "kind": "budget"}
+    obj["group"]["degree"] = 9
+    path = write("nine.json", obj)
+    assert main(["constant", "--in", path, "--order-cap", "8"]) == 3
+    capsys.readouterr()
+    code, rep = run_cli(capsys, ["constant", "--in", path, "--order-cap", "9"])
+    assert code == 0 and rep["result"]["argmax"] == [0]
+
+
 @pytest.mark.parametrize("op", ["drop-inf", "reduce-p1"])
 @pytest.mark.parametrize("index", ["-1", "2", "5"])
 def test_reduce_index_out_of_range(write, capsys, op, index):

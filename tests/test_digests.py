@@ -4,7 +4,9 @@ The five fast digests run in full, and the formula digest runs twice: over
 the listed lattices and through the kernel lattice of `bl_constant(d)`,
 against the same stored value.  The oracle digest runs on every 10th
 corpus datum of its sequence, and the reductions digest on every 10th
-corpus frame; each covers both Haar modes.  The values in
+corpus frame; each covers both Haar modes.  The cli digest runs on every
+5th call of its matrix, which holds `verify` at the tie-heavy exponents
+(1, inf, 1, inf) in each Haar mode.  The values in
 `answer_digests.json` are what the library answers today: a change that
 means to change an answer edits the stored value, and says which digest
 moved and why.  The full reductions and oracle digests are stored there
@@ -36,6 +38,12 @@ def test_oracle_digest_of_every_10th_datum_is_unchanged(digests):
 def test_reductions_digest_of_every_10th_frame_is_unchanged(digests):
     lines = digests.reduction_lines(step=10)
     assert digests.digest(lines) == STORED["reductions every 10th frame"]
+
+
+def test_cli_digest_of_every_5th_call_is_unchanged(digests):
+    calls = list(digests.cli_calls())[::5]
+    assert sum(c[0] == "verify" and "ties" in c[2] for c in calls) == 6
+    assert digests.digest(digests.cli_lines(step=5)) == STORED["cli every 5th call"]
 
 
 def test_script_prints_only_the_named_digests(digests, capsys):

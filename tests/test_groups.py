@@ -290,6 +290,34 @@ def test_permutation_closure_past_the_order_cap():
     assert from_permutations(3, [(1, 0, 2), (1, 2, 0)], order_cap=6).order == 6
 
 
+def test_permutation_degree_past_the_order_cap():
+    # refused before anything of that length is built or a generator is read
+    cap = groups.DEFAULT_ORDER_CAP
+    with pytest.raises(SizeCapError, match=f"^degree {cap + 1} exceeds cap {cap}$"):
+        from_permutations(cap + 1, [])
+    with pytest.raises(SizeCapError, match="^degree 5 exceeds cap 4$"):
+        from_permutations(5, [(0,)], order_cap=4)
+    assert from_permutations(4, [], order_cap=4).order == 1
+    assert from_permutations(cap, []).order == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_cyclic_product([2] * 5), lambda: make_cyclic_product([4] * 3),
+    lambda: make_cyclic_product([3] * 4), lambda: _symmetric(4), lambda: _symmetric(5),
+], ids=["Z2^5", "Z4^3", "Z3^4", "S4", "S5"])
+def test_library_built_groups_equal_their_validated_copies(make, monkeypatch):
+    # a cyclic product or a permutation closure is a group by construction,
+    # so the constructors skip Light's test and the other table checks
+    def refuse(*args):
+        raise AssertionError("a library-built table was validated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groups, "_check_associativity", refuse)
+        patch.setattr(groups, "_greedy_generators", refuse)
+        G = make()
+    assert_validated(G)
+
+
 def test_direct_product_z2_z3(Z2, Z3):
     P, pa, pb = direct_product(Z2, Z3)
     assert P.order == 6
@@ -467,7 +495,7 @@ def test_enumeration_closes_each_subgroup_once(monkeypatch):
     def recording(*args, **kwargs):
         out = extend(*args, **kwargs)
         if out is not None:
-            closed.append(out[0])
+            closed.append(frozenset(out[0]))
         return out
 
     monkeypatch.setattr(groups, "_extend", recording)
@@ -477,8 +505,7 @@ def test_enumeration_closes_each_subgroup_once(monkeypatch):
     monkeypatch.setattr(groups.Subgroup, "__post_init__", refuse)
     listed = all_subgroups(G)
     assert len(listed) == 156
-    assert sorted(closed) == sorted(set(closed))
-    assert len(closed) == len(listed) - 1
+    assert len(set(closed)) == len(closed) == len(listed) - 1
 
 
 def test_subgroups_match_reference_on_corpus_groups():

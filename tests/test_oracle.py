@@ -648,8 +648,22 @@ def reference_exhaustive_search(d):
     return value, [mask_members(s) for s in finalists[best][0]]
 
 
+def tie_heavy(data):
+    """Each datum at the exponents (1, inf, 1, ...) and (inf, 1, inf, ...),
+    in both Haar modes: most indicator tuples then share their key with
+    another, and many tie exactly."""
+    for d in data:
+        for first in range(2):
+            p = [("1", "inf")[(first + j) % 2] for j in range(d.J)]
+            for haar in (P, C):
+                yield make_datum(d.G, d.maps, p, haar, [haar] * d.J)
+
+
 def test_cut_keeps_the_unpruned_search_results():
-    for d in corpus_openers(P) + corpus_openers(C) + corpus_sample(31, 300, 36):
+    # the openers run at p = (1, ..., 1), the most tie-heavy tuple in the grid
+    openers = corpus_openers(P) + corpus_openers(C)
+    assert {str(e) for d in openers for e in d.exponents} == {"1"}
+    for d in openers + list(tie_heavy(openers[:42:3])) + corpus_sample(31, 300, 36):
         value, sets = exhaustive_indicator_search(d)
         expected, expected_sets = reference_exhaustive_search(d)
         assert (value.factors, sets) == (expected.factors, expected_sets)
@@ -679,8 +693,52 @@ def test_haar_modes_rank_nothing():
 
 def test_search_matches_reference_on_edge_data(edge_data):
     # the formula's edge data: near-margin exponents, mixed Haar and
-    # non-canonical maps, so both references pin the shared prefilter
-    for d in edge_data:
+    # non-canonical maps, so both references pin the shared prefilter; and
+    # the same maps at p = (1, ..., 1) and alternating 1 and inf, in both
+    # Haar modes, where many finalists share a key
+    ones = [make_datum(d.G, d.maps, ["1"] * d.J, haar, [haar] * d.J)
+            for d in edge_data for haar in (P, C)]
+    for d in edge_data + ones + list(tie_heavy(edge_data)):
         value, sets = exhaustive_indicator_search(d)
         expected, expected_sets = reference_exhaustive_search(d)
         assert (value.factors, sets) == (expected.factors, expected_sets)
+
+
+def test_search_ranks_each_key_once(monkeypatch):
+    # S3xS3#s59o36 at p = (1, 1): every one of the 63 x 63 indicator tuples
+    # is a finalist, and they share 36 keys (count, |s_0|, |s_1|).  The exact
+    # ranking sees each key once, in the order of its first tuple.
+    from blgroups import corpus
+    from blgroups.datum import Exponent, _QuotientTable
+
+    frame, = [f for f in corpus.standard_frames() if f.name == "S3xS3#s59o36"]
+    d = corpus.frame_datum(frame, [Exponent.of(1)] * 2, P)
+    table = _QuotientTable(d)
+    logs = [0.0] + [math.log(c) for c in range(1, table.largest + 1)]
+    tuples = []  # (float log-quotient, key) of every tuple, in scan order
+    for sets in itertools.product(*(range(1, 2**c.order) for c in d.codomains)):
+        mask = (1 << d.G.order) - 1
+        log_den = 0.0
+        for h, s, r in zip(d.maps, sets, table.reciprocals):
+            mask &= sum(fibre for y, fibre in enumerate(h.fibres) if s >> y & 1)
+            log_den += r * logs[s.bit_count()]
+        if mask:
+            count = mask.bit_count()
+            key = (count, tuple(s.bit_count() for s in sets))
+            tuples.append((logs[count] - log_den, key))
+    best = max(lv for lv, _ in tuples)
+    finalists = [key for lv, key in tuples if lv >= best - table.margin]
+    assert len(finalists) == 63 * 63
+
+    ranked, argmax = [], _QuotientTable.argmax
+
+    def recording(self, keys):
+        ranked.append(list(keys))
+        return argmax(self, keys)
+
+    monkeypatch.setattr(_QuotientTable, "argmax", recording)
+    value, sets = exhaustive_indicator_search(d)
+    assert ranked == [list(dict.fromkeys(finalists))]
+    assert len(ranked[0]) == 36
+    expected, expected_sets = reference_exhaustive_search(d)
+    assert (value.factors, sets) == (expected.factors, expected_sets)
